@@ -786,6 +786,9 @@ def _run_serve_command(args) -> int:
                 tick=tick,
                 tick_interval=args.metrics_interval or 1.0,
             )
+        # Shutdown in one order, with the listener already down: count
+        # every acknowledged task, checkpoint, then flush (finally).
+        campaign.fold_intake()
         if backend is not None:
             campaign.checkpoint()
     finally:

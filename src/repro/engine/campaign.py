@@ -47,7 +47,7 @@ from .backends import (
 )
 from .config import CampaignConfig
 from .engine import CampaignEngine, _TaskRuntime
-from .events import EngineTask, EventQueue
+from .events import EngineTask, EventQueue, TaskArrival
 from .ingest import AsyncIngestLoop, IngestStats
 from .metrics import EngineMetrics
 from .procpool import LeaseCoordinator
@@ -412,6 +412,25 @@ class Campaign:
         if self._ingest is not None:
             return self._ingest.intake.closed
         return self._sync_intake_closed
+
+    def fold_intake(self) -> None:
+        """Count every accepted task: fold staged arrivals into the
+        event queue, then step the engine until no arrival is left, so
+        ``metrics.submitted`` (and a checkpoint or metrics flush that
+        follows) covers each task the intake acknowledged.  For a paused
+        campaign between :meth:`serve` and :meth:`checkpoint`; the steps
+        are the ones a longer serve would have taken, so a resume stays
+        fingerprint-identical."""
+        self._require_open()
+        engine = self._engine
+        if self._ingest is not None:
+            self._ingest.quiesce_intake()
+        if not engine._queue.pending(TaskArrival):
+            return
+        engine._start()
+        while engine._queue.pending(TaskArrival):
+            engine._step()
+        engine._collect_stats()
 
     # ------------------------------------------------------------------
     # External-vote surface (vote_source="external")

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..core.exceptions import InvalidVoteError
 
 
@@ -97,6 +99,38 @@ class AnswerMatrix:
     def participation_counts(self) -> dict[str, int]:
         """worker_id -> number of tasks answered."""
         return {w: len(tasks) for w, tasks in self._by_worker.items()}
+
+    def index_arrays(
+        self, by: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(task, worker, label)`` integer arrays, one entry per vote.
+
+        Task and worker entries are positions in :attr:`task_ids` and
+        :attr:`worker_ids`.  ``by="task"`` lists the votes in the by-task
+        view's iteration order (what :meth:`answers_for` walks task after
+        task), ``by="worker"`` in the by-worker view's order.
+        """
+        if by == "task":
+            outer, inner = self._by_task, self._by_worker
+        elif by == "worker":
+            outer, inner = self._by_worker, self._by_task
+        else:
+            raise ValueError(f"by must be 'task' or 'worker', not {by!r}")
+        position = {key: i for i, key in enumerate(inner)}
+        groups = outer.values()
+        outer_idx = np.repeat(
+            np.arange(len(outer)), [len(votes) for votes in groups]
+        )
+        inner_idx = np.array(
+            [position[key] for votes in groups for key in votes], dtype=np.intp
+        )
+        labels = np.array(
+            [label for votes in groups for label in votes.values()],
+            dtype=np.intp,
+        )
+        if by == "task":
+            return outer_idx, inner_idx, labels
+        return inner_idx, outer_idx, labels
 
     # ------------------------------------------------------------------
     # Persistence

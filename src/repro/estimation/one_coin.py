@@ -12,6 +12,23 @@ classic EM scheme the paper cites for CDAS-style systems:
 
 Qualities are clamped away from {0, 1} to keep the E-step's
 log-likelihoods finite and EM from locking in.
+
+Votes are conditionally independent given the truth, so the E-step is
+a sum of per-vote log-terms per task and the M-step a sum of per-vote
+agreements per worker: each iteration is a gather of per-worker (or
+per-task) values onto the votes and a scatter-add back.  The kernel
+does both with ``np.add.at`` over integer index arrays built once per
+call, listing the votes in the answer matrix's by-task order (E-step)
+and by-worker order (M-step).  ``np.add.at`` is unbuffered and adds in
+index order, so every per-task and per-worker total is the same
+left-to-right float sum that a Python loop over
+``answers_for(task)`` / ``answers_by(worker)`` computes, seeded with
+the same ``log(prior)`` or ``0.0``.  The element-wise steps (``log``,
+``exp``, ``maximum``, the division and ``clip``) round each element
+alone, so the results are bit-identical to that loop, not merely close:
+engine decisions and fingerprints depend on the fitted qualities down
+to the last bit.
+(``np.add.reduceat`` would not do: it sums long segments pairwise.)
 """
 
 from __future__ import annotations
@@ -72,51 +89,70 @@ def one_coin_em(
         raise EstimationError("empty answer matrix")
     if not 0.0 < prior_one < 1.0:
         raise ValueError("prior_one must lie strictly inside (0, 1)")
+    if not 0.0 < initial_quality < 1.0:
+        # At 0 or 1 the first E-step takes log(0), and the NaN that
+        # follows would compare as "no change" and end the run as
+        # converged.
+        raise ValueError("initial_quality must lie strictly inside (0, 1)")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
 
     workers = answers.worker_ids
     tasks = answers.task_ids
-    quality = {w: float(initial_quality) for w in workers}
-    posterior = {t: prior_one for t in tasks}
+    num_workers, num_tasks = len(workers), len(tasks)
+    # E-step indices, in by-task order.  ``logs`` below holds log q of
+    # every worker followed by log(1 - q); ``log_joint`` holds every
+    # task's log Pr(t = 1, votes) followed by its log Pr(t = 0, votes).
+    # A 1-vote adds log q to the first and log(1 - q) to the second, a
+    # 0-vote the reverse.
+    e_task, e_worker, e_label = answers.index_arrays("task")
+    e_flip = np.where(e_label == 1, 0, num_workers)
+    e_gather = np.concatenate(
+        [e_worker + e_flip, e_worker + num_workers - e_flip]
+    )
+    e_scatter = np.concatenate([e_task, e_task + num_tasks])
+    log_prior = np.repeat(
+        [np.log(prior_one), np.log(1.0 - prior_one)], num_tasks
+    )
+    # M-step indices, in by-worker order, into the posteriors of every
+    # task followed by their complements: a vote agrees with the truth
+    # with probability p1 if it is a 1, else 1 - p1.
+    m_task, m_worker, m_label = answers.index_arrays("worker")
+    m_gather = np.where(m_label == 1, m_task, m_task + num_tasks)
+    counts = np.bincount(m_worker, minlength=num_workers).astype(float)
+    quality = np.full(num_workers, float(initial_quality))
 
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
         # E-step: task posteriors under current qualities.
-        for task in tasks:
-            log_one = np.log(prior_one)
-            log_zero = np.log(1.0 - prior_one)
-            for worker, label in answers.answers_for(task).items():
-                q = quality[worker]
-                if label == 1:
-                    log_one += np.log(q)
-                    log_zero += np.log(1.0 - q)
-                else:
-                    log_one += np.log(1.0 - q)
-                    log_zero += np.log(q)
-            m = max(log_one, log_zero)
-            p1 = np.exp(log_one - m)
-            p0 = np.exp(log_zero - m)
-            posterior[task] = float(p1 / (p0 + p1))
+        logs = np.log(np.concatenate([quality, 1.0 - quality]))
+        log_joint = log_prior.copy()
+        np.add.at(log_joint, e_scatter, logs[e_gather])
+        log_one, log_zero = log_joint[:num_tasks], log_joint[num_tasks:]
+        m = np.maximum(log_one, log_zero)
+        p1 = np.exp(log_one - m)
+        p0 = np.exp(log_zero - m)
+        posterior = p1 / (p0 + p1)
 
         # M-step: expected agreement per worker.
-        max_change = 0.0
-        for worker in workers:
-            history = answers.answers_by(worker)
-            agreement = 0.0
-            for task, label in history.items():
-                p1 = posterior[task]
-                agreement += p1 if label == 1 else (1.0 - p1)
-            new_q = float(np.clip(agreement / len(history), _CLAMP, 1 - _CLAMP))
-            max_change = max(max_change, abs(new_q - quality[worker]))
-            quality[worker] = new_q
+        agreement = np.zeros(num_workers)
+        np.add.at(
+            agreement,
+            m_worker,
+            np.concatenate([posterior, 1.0 - posterior])[m_gather],
+        )
+        new_quality = np.clip(agreement / counts, _CLAMP, 1 - _CLAMP)
+        max_change = float(np.max(np.abs(new_quality - quality)))
+        quality = new_quality
 
         if max_change < tolerance:
             converged = True
             break
 
     return OneCoinResult(
-        qualities=dict(quality),
-        truth_posteriors=dict(posterior),
+        qualities=dict(zip(workers, quality.tolist())),
+        truth_posteriors=dict(zip(tasks, posterior.tolist())),
         iterations=iterations,
         converged=converged,
     )

@@ -80,6 +80,26 @@ class TestKernelToggle:
             CampaignConfig(budget=1.0, jq_kernel="gpu")
 
 
+class TestReestimationPin:
+    #: Recorded from the scalar-loop one-coin EM.  Re-estimation feeds
+    #: the fitted qualities into every later frontier and into the
+    #: fingerprint's full-precision estimation error, so a last-ulp
+    #: drift in EM changes this digest.
+    FINGERPRINT = (
+        "365080e9a5e3fc72da58e5b1287fc10cff19dba50bfe422dd4f5411eae5f0744"
+    )
+
+    def test_one_coin_reestimation_fingerprint_is_pinned(self):
+        metrics = make_campaign(
+            backend=MemoryBackend(),
+            num_tasks=300,
+            budget=100.0,
+            reestimate_every=50,
+        ).run()
+        assert metrics.reestimations == 6
+        assert metrics.fingerprint() == self.FINGERPRINT
+
+
 class TestFrontierMemoLRU:
     def _scheduler(self, pool_size=4):
         pool = WorkerPool(

@@ -24,6 +24,7 @@ from repro.engine import (
     CampaignServer,
     EngineTask,
     LoopMailbox,
+    MemoryBackend,
     NoOpenOffer,
     SQLiteBackend,
     ServerError,
@@ -183,6 +184,7 @@ def drive_fleet_http(url, worker_ids, seed=0, deadline=30.0):
         progressed = False
         for worker_id in sorted(worker_ids):
             _, payload = http_get(f"{url}/assignments?worker={worker_id}")
+            voted = False
             for row in sorted(
                 payload["assignments"], key=lambda r: r["task_id"]
             ):
@@ -193,7 +195,14 @@ def drive_fleet_http(url, worker_ids, seed=0, deadline=30.0):
                 })
                 assert code in (200, 409), code
                 if code == 200:
-                    progressed = True
+                    progressed = voted = True
+            if voted:
+                # A vote's reply does not wait for the events it queued
+                # (early stops, cancelled offers, re-seated tasks); the
+                # in-process fleet reads the next worker's offers only
+                # after Campaign.vote has stepped them, so wait for the
+                # same quiescent point before the next read.
+                barrier_http(url)
         if not progressed:
             time.sleep(0.01)
     raise AssertionError("HTTP fleet never drained the campaign")
@@ -680,6 +689,35 @@ class TestDaemonLifecycle:
             metrics = srv.join()
             assert resumed.done
             assert metrics.fingerprint() == baseline_fp
+
+    def test_fold_intake_counts_staged_tasks_and_resumes_identically(self):
+        """Tasks the intake acknowledged but the loop had not scheduled
+        when it paused (a shutdown signal racing a POST /tasks) are
+        admitted by fold_intake, so the metrics a shutdown flush writes
+        count them, and resuming from the checkpoint that follows is
+        byte-identical to an uninterrupted run."""
+        tasks = make_tasks(num_tasks=6)
+        config = make_config(vote_source="simulated")
+        reference = Campaign.open(make_pool(), config)
+        reference.submit(tasks)
+        reference.close_intake()
+        reference_fp = reference.run().fingerprint()
+
+        backend = MemoryBackend()
+        campaign = Campaign.open(make_pool(), config, backend=backend)
+        campaign.submit(tasks)
+        assert campaign.metrics.submitted == 0
+        campaign.fold_intake()
+        assert campaign.metrics.submitted == 6
+        assert campaign.snapshot_metrics()["submitted"] == 6
+        assert not campaign.done
+        campaign.checkpoint()
+        campaign.close()
+
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.submitted == 6
+        resumed.close_intake()
+        assert resumed.run().fingerprint() == reference_fp
 
     def test_stopped_server_rejects_staged_commands(self):
         with serving() as srv:

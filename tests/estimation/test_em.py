@@ -62,10 +62,24 @@ class TestOneCoinEM:
             one_coin_em(m)
 
     def test_prior_validation(self):
+        # initial_quality=1.0 on this matrix used to return NaN
+        # qualities marked converged (``max(0.0, nan)`` is ``0.0``).
         m = AnswerMatrix()
-        m.record("w", "t", 1)
-        with pytest.raises(ValueError):
-            one_coin_em(m, prior_one=0.0)
+        m.record("a", "t", 1)
+        m.record("b", "t", 0)
+        m.record("a", "u", 1)
+        for kwargs in [
+            dict(prior_one=0.0),
+            dict(prior_one=1.0),
+            dict(initial_quality=0.0),
+            dict(initial_quality=1.0),
+            dict(initial_quality=-0.2),
+            dict(initial_quality=1.5),
+            dict(max_iterations=0),
+            dict(max_iterations=-1),
+        ]:
+            with pytest.raises(ValueError):
+                one_coin_em(m, **kwargs)
 
     def test_qualities_stay_in_unit_interval(self, rng):
         _, _, answers = simulate_binary_campaign(rng, num_workers=5, num_tasks=30)
