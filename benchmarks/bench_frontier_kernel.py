@@ -1,27 +1,22 @@
-"""Batched JQ kernels: exact-frontier construction and engine serving
-under re-estimation churn.
+"""Batched JQ kernels: exact-frontier construction.
 
-Two measurements, both against the scalar paths kept in-tree as
-regression oracles:
+``exact_frontier`` over a 10-worker candidate pool (the engine
+scheduler's default ``frontier_pool_size``) via the all-subsets lattice
+kernel vs the one-jury-at-a-time scalar loop kept in-tree as the
+regression oracle.  Identical frontiers are asserted point for point;
+the acceptance bar is a >= 5x build-time speedup.
 
-* **Frontier construction** — ``exact_frontier`` over a 10-worker
-  candidate pool (the engine scheduler's default ``frontier_pool_size``)
-  via the all-subsets lattice kernel vs the historical one-jury-at-a-
-  time loop.  Identical frontiers are asserted point for point; the
-  acceptance bar is a >= 5x build-time speedup.
-* **Engine throughput under re-estimation** — a 1k-task campaign
-  re-fitting worker qualities every 100 completions, the workload whose
-  quality drift invalidates the scheduler's frontier memos constantly
-  (the ``results.txt`` cache-keying table measured it at 244-323
-  tasks/s pre-kernel).  The batch and scalar runs must produce
-  byte-identical fingerprints; the batch run must be faster.
+The engine always builds its frontiers through the kernel; its
+fingerprint parity with the scalar oracle is pinned by
+``tests/engine/test_kernel_and_checkpoint.py::TestKernelToggle``, and
+perfbench's ``churn`` workload measures re-estimation serving end to
+end.
 """
 
 import time
 
 import numpy as np
 
-from repro.engine import Campaign, CampaignConfig, EngineTask
 from repro.experiments.reporting import ExperimentResult, SweepSeries
 from repro.frontier import exact_frontier
 from repro.selection import JQObjective
@@ -33,21 +28,6 @@ FRONTIER_ROUNDS = 5
 #: Acceptance bar from the issue: the kernel frontier build must be at
 #: least this much faster than the scalar build at n = 10.
 MIN_FRONTIER_SPEEDUP = 5.0
-
-ENGINE_POOL = 60
-ENGINE_TASKS = 1_000
-REESTIMATE_EVERY = 100
-BUDGET_PER_TASK = 0.35
-#: Campaign repetitions per implementation; the throughput gate
-#: compares best-of-N so one noisy-neighbor pause on a shared CI
-#: runner cannot invert the comparison.
-ENGINE_ROUNDS = 3
-#: Hard gate for CI: the kernel engine must not fall meaningfully
-#: behind the scalar engine.  The measured advantage (~1.3x) is
-#: reported in the emitted table/JSON; the assert leaves timer-noise
-#: headroom (same policy as bench_scheduler_substitution) so shared
-#: runners cannot fail unrelated PRs.
-MIN_ENGINE_SPEEDUP = 0.9
 
 
 def _frontier_pool(num_workers: int):
@@ -67,37 +47,6 @@ def _time_frontier(pool, implementation: str) -> tuple[float, object]:
         frontier = exact_frontier(pool, objective, implementation=implementation)
         best = min(best, time.perf_counter() - start)
     return best, frontier
-
-
-def _run_engine(jq_kernel: str):
-    rng = np.random.default_rng(SEED)
-    pool = generate_pool(
-        SyntheticPoolConfig(num_workers=ENGINE_POOL, quality_ceiling=0.95),
-        rng,
-    )
-    budget = BUDGET_PER_TASK * ENGINE_TASKS
-    campaign = Campaign.open(
-        pool,
-        CampaignConfig(
-            budget=budget,
-            capacity=6,
-            batch_size=25,
-            confidence_target=0.95,
-            quantization=200,
-            reestimate_every=REESTIMATE_EVERY,
-            jq_kernel=jq_kernel,
-            seed=SEED,
-        ),
-    )
-    truths = rng.integers(0, 2, size=ENGINE_TASKS)
-    campaign.submit(
-        EngineTask(f"t{i}", ground_truth=int(t))
-        for i, t in enumerate(truths)
-    )
-    metrics = campaign.run()
-    assert metrics.completed == ENGINE_TASKS
-    assert metrics.total_spend <= budget + 1e-6
-    return metrics
 
 
 def test_frontier_kernel_speedup(benchmark, emit, emit_json):
@@ -148,68 +97,4 @@ def test_frontier_kernel_speedup(benchmark, emit, emit_json):
     assert speedup >= MIN_FRONTIER_SPEEDUP, (
         f"kernel frontier build only {speedup:.1f}x faster than scalar "
         f"({batch_time * 1e3:.1f}ms vs {scalar_time * 1e3:.1f}ms)"
-    )
-
-
-def test_engine_throughput_under_reestimation(benchmark, emit, emit_json):
-    def sweep():
-        # Interleave the runs and keep each side's best so shared-runner
-        # noise hits both implementations alike.
-        scalars = []
-        batches = []
-        for _ in range(ENGINE_ROUNDS):
-            scalars.append(_run_engine("scalar"))
-            batches.append(_run_engine("batch"))
-        return scalars, batches
-
-    scalars, batches = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    # Byte-identical campaigns: same seatings, same spend, same cache
-    # counters — the kernel only changes how fast frontiers are built.
-    # (Deterministic, unlike the timing gate below.)
-    for scalar_run, batch_run in zip(scalars, batches):
-        assert batch_run.fingerprint() == scalar_run.fingerprint()
-
-    scalar = max(scalars, key=lambda m: m.throughput)
-    batch = max(batches, key=lambda m: m.throughput)
-    speedup = batch.throughput / scalar.throughput
-    result = ExperimentResult(
-        experiment_id="engine-reestimation-kernel",
-        title=(
-            f"Engine throughput under re-estimation every "
-            f"{REESTIMATE_EVERY} tasks ({ENGINE_POOL} workers, "
-            f"{ENGINE_TASKS} tasks, grid-200 cache keys)"
-        ),
-        x_label="implementation (1=scalar, 2=batch kernel)",
-        xs=(1.0, 2.0),
-        series=(
-            SweepSeries(
-                "tasks/sec", (scalar.throughput, batch.throughput)
-            ),
-            SweepSeries(
-                "cache hit rate",
-                (scalar.cache_stats.hit_rate, batch.cache_stats.hit_rate),
-            ),
-        ),
-        notes=(
-            f"kernel speedup {speedup:.2f}x (best of {ENGINE_ROUNDS} "
-            f"per side); identical fingerprints; pre-kernel PR-3 runs "
-            f"measured 244-323 tasks/s on this workload"
-        ),
-    )
-    emit(result.render())
-    emit_json(
-        "engine-reestimation-kernel",
-        {
-            "tasks": ENGINE_TASKS,
-            "reestimate_every": REESTIMATE_EVERY,
-            "scalar_tasks_per_sec": scalar.throughput,
-            "batch_tasks_per_sec": batch.throughput,
-            "speedup": speedup,
-            "cache_hit_rate": batch.cache_stats.hit_rate,
-        },
-    )
-    assert speedup >= MIN_ENGINE_SPEEDUP, (
-        f"batch kernel fell behind scalar under re-estimation: "
-        f"{batch.throughput:,.0f} vs {scalar.throughput:,.0f} tasks/s"
     )

@@ -1,15 +1,16 @@
 """Process-pool shard dispatch vs the threaded executor.
 
 The acceptance scenario for the multi-process campaign pools work: a
-**churn-heavy** 4-shard campaign — scalar (pure-Python, GIL-bound) JQ
-kernels, exact cache keying (``quantization=None``, so drifting quality
-estimates force real recomputes instead of bucket hits), a frontier
-pool at the enumeration cap, and periodic EM re-estimation churning
-the cached qualities — where admission rounds dominate wall-clock.
+**churn-heavy** 4-shard campaign — exact cache keying
+(``quantization=None``, so drifting quality estimates force real
+recomputes instead of bucket hits), a frontier pool at 12 workers, and
+periodic EM re-estimation churning the cached qualities — where
+admission rounds dominate wall-clock.  Frontiers build through the
+production batch JQ kernel.
 
-On that workload the threaded executor cannot overlap the shard
-admits (the scalar kernel holds the GIL), while the process pool runs
-them on four independent interpreters: ``dispatch="processes"`` is
+The threaded executor overlaps only the parts of a shard admit that
+release the GIL (the numpy kernels), while the process pool runs whole
+admits on four independent interpreters: ``dispatch="processes"`` is
 the same byte-identical campaign, minus the GIL.
 
 Three configurations on identical seeded traffic:
@@ -78,10 +79,9 @@ def run_config(dispatch: str, parallel_shards: int = 0):
             num_shards=NUM_SHARDS,
             dispatch=dispatch,
             parallel_shards=parallel_shards,
-            # The churn levers: pure-Python JQ (GIL-bound), exact cache
-            # keys (quality drift defeats memoization), the frontier
-            # enumeration cap, and frequent EM re-estimation.
-            jq_kernel="scalar",
+            # The churn levers: exact cache keys (quality drift defeats
+            # memoization), a wide frontier pool, and frequent EM
+            # re-estimation.
             quantization=None,
             frontier_pool_size=12,
             reestimate_every=10,
@@ -125,7 +125,7 @@ def test_process_pool_vs_threaded_dispatch(benchmark, emit, emit_json):
         experiment_id="engine-process-pool",
         title=(
             f"Process-pool vs threaded shard dispatch on a churn-heavy "
-            f"campaign ({POOL_SIZE} workers, {NUM_SHARDS} shards, scalar "
+            f"campaign ({POOL_SIZE} workers, {NUM_SHARDS} shards, batch "
             f"JQ kernel, exact cache keys, {NUM_TASKS} tasks)"
         ),
         x_label=(

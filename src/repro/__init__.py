@@ -73,7 +73,6 @@ from .engine import (
     Campaign,
     CampaignConfig,
     CampaignEngine,
-    EngineConfig,
     EngineMetrics,
     EngineTask,
     JQCache,
@@ -103,7 +102,6 @@ __all__ = [
     "CampaignEngine",
     "CampaignPlan",
     "DecisionTask",
-    "EngineConfig",
     "EngineMetrics",
     "EngineTask",
     "ExhaustiveSelector",

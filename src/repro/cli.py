@@ -135,21 +135,6 @@ def _quantization(text: str):
     return value or None
 
 
-def _deprecated_flag(new_value, legacy_value, legacy_flag, new_flag, default):
-    """Resolve a renamed flag: the new spelling wins; the old one still
-    works but warns on stderr (deprecation, not removal)."""
-    if legacy_value is not None:
-        print(
-            f"warning: {legacy_flag} is deprecated; use {new_flag}",
-            file=sys.stderr,
-        )
-        if new_value is None:
-            return legacy_value
-    if new_value is not None:
-        return new_value
-    return default
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -231,16 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JQ-cache key grid steps (0 = exact keys; "
                             "'auto' derives the grid from the bucket "
                             "resolution)")
-    p_eng.add_argument("--num-shards", type=_positive_int, default=None,
+    p_eng.add_argument("--num-shards", type=_positive_int, default=1,
                        help="worker-pool shards (1 = unsharded engine)")
-    p_eng.add_argument("--shards", type=_positive_int, default=None,
-                       help=argparse.SUPPRESS)  # deprecated: --num-shards
-    p_eng.add_argument("--routing-policy", default=None,
+    p_eng.add_argument("--routing-policy", default="hash",
                        choices=ROUTING_POLICIES,
                        help="task-to-shard routing policy")
-    p_eng.add_argument("--shard-policy", default=None,
-                       choices=ROUTING_POLICIES,
-                       help=argparse.SUPPRESS)  # deprecated: --routing-policy
     p_eng.add_argument("--cache-max-entries", type=_nonnegative_int,
                        default=0,
                        help="LRU bound per JQ cache (0 = unbounded)")
@@ -268,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "every N completed tasks (0 = only the final "
                             "checkpoint; needs --backend sqlite to "
                             "survive the process)")
-    p_eng.add_argument("--jq-kernel", default="batch",
-                       choices=("batch", "scalar"),
-                       help="JQ evaluation path for scheduler frontiers "
-                            "(byte-identical results; 'scalar' exists "
-                            "for benchmarking)")
     p_eng.add_argument("--ingestion", default="sync",
                        choices=("sync", "async"),
                        help="arrival intake: 'async' streams tasks "
@@ -291,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "each shard's round to a persistent worker "
                             "process (byte-identical decisions; needs "
                             "--num-shards > 1 to matter)")
-    p_eng.add_argument("--vote-fanout", type=_nonnegative_int, default=0,
-                       help="simulate concurrent same-time vote "
-                            "arrivals on a thread pool of this many "
-                            "workers (0 = sequential; byte-identical "
-                            "either way)")
     p_eng.add_argument("--coordinate", default=None, metavar="PATH",
                        help="shared seat-lease SQLite file: engines "
                             "pointing at the same file share one worker "
@@ -352,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard admit dispatch: 'processes' ships "
                             "each shard's round to a persistent worker "
                             "process (needs --num-shards > 1 to matter)")
-    p_srv.add_argument("--vote-fanout", type=_nonnegative_int, default=0,
-                       help="process same-time simulated vote arrivals "
-                            "on a thread pool of this many workers "
-                            "(0 = sequential)")
     p_srv.add_argument("--coordinate", default=None, metavar="PATH",
                        help="shared seat-lease SQLite file: N 'repro "
                             "serve' processes pointing at the same file "
@@ -511,13 +477,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run_engine_command(args) -> int:
-    num_shards = _deprecated_flag(
-        args.num_shards, args.shards, "--shards", "--num-shards", 1
-    )
-    routing_policy = _deprecated_flag(
-        args.routing_policy, args.shard_policy,
-        "--shard-policy", "--routing-policy", "hash",
-    )
     backend = None
     if args.backend == "sqlite":
         if args.state_file is None:
@@ -569,20 +528,18 @@ def _run_engine_command(args) -> int:
             reestimate_every=args.reestimate_every,
             quantization=args.quantization,
             cache_max_entries=args.cache_max_entries or None,
-            jq_kernel=args.jq_kernel,
             checkpoint_every=args.checkpoint_every,
             ingestion=args.ingestion,
             parallel_shards=args.parallel_shards,
             dispatch=args.dispatch,
-            vote_fanout=args.vote_fanout,
             coordinate_path=args.coordinate,
             lease_ttl=args.lease_ttl,
             telemetry=telemetry,
             trace_path=args.trace_out,
             metrics_interval=args.metrics_interval or 1.0,
             seed=args.seed,
-            num_shards=num_shards,
-            routing_policy=routing_policy,
+            num_shards=args.num_shards,
+            routing_policy=args.routing_policy,
         )
         campaign = Campaign.open(pool, config, backend=backend)
         # Truths must follow the declared prior, or the report's
@@ -739,7 +696,6 @@ def _run_serve_command(args) -> int:
             num_shards=args.num_shards,
             routing_policy=args.routing_policy,
             dispatch=args.dispatch,
-            vote_fanout=args.vote_fanout,
             coordinate_path=args.coordinate,
             lease_ttl=args.lease_ttl,
             serve_host=args.host if args.host is not None else "127.0.0.1",

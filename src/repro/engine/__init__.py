@@ -16,12 +16,12 @@ one budget, and finite worker attention".  See the module docstrings:
     :class:`CampaignScheduler` — batch admission, budget pacing,
     capacity-aware seating over the portfolio/frontier machinery.
 ``sharding``
-    :class:`ShardedCampaignEngine` / :class:`ShardedScheduler` /
-    :class:`BudgetAllocator` — K shard schedulers (each inside the
-    exact-frontier cap) under one quality-mass-proportional budget
-    allocator, with task routing and idle-worker rebalancing.
+    :class:`ShardedScheduler` / :class:`BudgetAllocator` — K shard
+    schedulers (each inside the exact-frontier cap) under one
+    quality-mass-proportional budget allocator, with task routing and
+    idle-worker rebalancing (``CampaignConfig(num_shards=K)``).
 ``engine``
-    :class:`CampaignEngine` — the event loop.
+    :class:`CampaignEngine` — the event loop, over either scheduler.
 ``ingest``
     :class:`IntakeQueue` / :class:`AsyncIngestLoop` /
     :class:`InterleavingSchedule` — thread-safe live intake with
@@ -54,8 +54,7 @@ one budget, and finite worker attention".  See the module docstrings:
     (``open`` / ``submit`` / ``run(until=...)`` / ``checkpoint`` /
     ``resume`` / ``close``) over one unified :class:`CampaignConfig`,
     with pluggable persistent state (:class:`StateBackend` —
-    :class:`MemoryBackend`, :class:`SQLiteBackend`).  The engine
-    classes above remain as deprecated shims.
+    :class:`MemoryBackend`, :class:`SQLiteBackend`).
 """
 
 from .backends import (
@@ -74,8 +73,8 @@ from .cache import (
     save_cache_file,
 )
 from .campaign import Campaign
-from .config import CampaignConfig
-from .engine import CampaignEngine, EngineConfig
+from .config import ROUTING_POLICIES, CampaignConfig
+from .engine import CampaignEngine
 from .events import (
     EngineTask,
     Event,
@@ -121,12 +120,9 @@ from .scheduler import (
     linear_best_substitute,
 )
 from .sharding import (
-    ROUTING_POLICIES,
     BudgetAllocator,
     Shard,
-    ShardedCampaignEngine,
     ShardedScheduler,
-    ShardingConfig,
     ShardRegistryView,
     partition_members,
 )
@@ -161,7 +157,6 @@ __all__ = [
     "CampaignScheduler",
     "CampaignServer",
     "CapacityError",
-    "EngineConfig",
     "EngineMetrics",
     "EngineTask",
     "Event",
@@ -189,9 +184,7 @@ __all__ = [
     "ShardWorkState",
     "SpanRecord",
     "ShardSnapshot",
-    "ShardedCampaignEngine",
     "ShardedScheduler",
-    "ShardingConfig",
     "StaleEpochError",
     "StateBackend",
     "SubstituteIndex",

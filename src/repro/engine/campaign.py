@@ -1,9 +1,8 @@
 """The `Campaign` facade: an explicit, resumable serving lifecycle.
 
-The pre-facade API was "construct ``CampaignEngine`` or
-``ShardedCampaignEngine`` with the right kwargs, ``submit()``,
-``run()`` once, lose everything".  :class:`Campaign` replaces that with
-a lifecycle::
+The bare :class:`~repro.engine.engine.CampaignEngine` is one-shot:
+``submit()``, ``run()`` once, lose everything.  :class:`Campaign` wraps
+it in a lifecycle::
 
     campaign = Campaign.open(pool, CampaignConfig(budget=150, seed=7),
                              backend=SQLiteBackend("campaign.db"))
@@ -26,7 +25,7 @@ byte-identical to an uninterrupted run (pinned by the invariant
 harness, across backends and shard counts).
 
 Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
-class choice; the deprecated engine classes remain as shims.
+class choice.
 """
 
 from __future__ import annotations
@@ -52,15 +51,15 @@ from .ingest import AsyncIngestLoop, IngestStats
 from .metrics import EngineMetrics
 from .procpool import LeaseCoordinator
 from .scheduler import Assignment
-from .sharding import ShardedCampaignEngine, ShardedScheduler
+from .sharding import ShardedScheduler
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
 #: Environment toggles forcing the concurrent serving path — CI runs
 #: the whole engine suite once with both set, so every lifecycle test
 #: doubles as a deadlock/race probe for the async machinery.  Applied
-#: only at the facade (the deprecated engine classes honor their
-#: explicit config), and only when the value is non-empty.
+#: only at the facade (a bare engine honors its explicit config), and
+#: only when the value is non-empty.
 FORCE_INGESTION_ENV = "REPRO_ENGINE_FORCE_INGESTION"
 FORCE_PARALLEL_SHARDS_ENV = "REPRO_ENGINE_FORCE_PARALLEL_SHARDS"
 FORCE_TELEMETRY_ENV = "REPRO_ENGINE_FORCE_TELEMETRY"
@@ -89,33 +88,6 @@ def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
     if not updates:
         return config
     return dataclasses.replace(config, **updates)
-
-
-class _FacadeEngine(CampaignEngine):
-    """Engine core as constructed by the facade (no deprecation
-    warning — the facade *is* the supported entry point)."""
-
-
-class _FacadeShardedEngine(ShardedCampaignEngine):
-    """Sharded engine core as constructed by the facade."""
-
-
-def _build_engine(
-    pool: WorkerPool,
-    config: CampaignConfig,
-    initial_quality=None,
-):
-    sharding = config.sharding_config()
-    if sharding is None:
-        return _FacadeEngine(
-            pool, config.engine_config(), initial_quality=initial_quality
-        )
-    return _FacadeShardedEngine(
-        pool,
-        config.engine_config(),
-        sharding,
-        initial_quality=initial_quality,
-    )
 
 
 _INTERNAL = object()
@@ -197,7 +169,9 @@ class Campaign:
         campaign = cls(_token=_INTERNAL)
         config = _apply_env_overrides(config)
         campaign._config = config
-        campaign._engine = _build_engine(pool, config, initial_quality)
+        campaign._engine = CampaignEngine(
+            pool, config, initial_quality=initial_quality
+        )
         if backend is not None:
             campaign._backend = backend
         campaign._engine._checkpoint_hook = campaign.checkpoint
@@ -233,12 +207,6 @@ class Campaign:
                 self._ingest.close_intake()
             if self._engine is not None and self._engine.scheduler is not None:
                 self._engine.scheduler.close()
-            if (
-                self._engine is not None
-                and self._engine._vote_pool is not None
-            ):
-                self._engine._vote_pool.shutdown(wait=True)
-                self._engine._vote_pool = None
             if self._coordinator is not None:
                 self._coordinator.close()
             self._backend.close()
@@ -712,7 +680,7 @@ class Campaign:
             snapshot["votes"],
             section["reestimations"],
         )
-        engine = _build_engine(registry.original_pool(), config)
+        engine = CampaignEngine(registry.original_pool(), config)
         engine.registry = registry
         engine.cache.load_state(snapshot["caches"]["campaign"])
         engine._clock = float(section["clock"])

@@ -7,7 +7,9 @@ This is the serving layer the one-shot library lacked.  One
   drifting quality estimates),
 * a campaign-wide :class:`~repro.engine.cache.JQCache`,
 * a :class:`~repro.engine.scheduler.CampaignScheduler` (budget pacing +
-  capacity-aware jury seating), and
+  capacity-aware jury seating) — or, with ``num_shards > 1``, a
+  :class:`~repro.engine.sharding.ShardedScheduler` routing batches
+  across K shard schedulers under one budget allocator — and
 * an :class:`~repro.engine.metrics.EngineMetrics` accumulator,
 
 and advances them by draining an :class:`~repro.engine.events.EventQueue`:
@@ -35,16 +37,14 @@ throughput metric), never branched on.
 from __future__ import annotations
 
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 from ..core.worker import WorkerPool
 from ..online import OnlineDecisionSession
 from .cache import JQCache
+from .config import CampaignConfig
 from .events import (
     EngineTask,
     Event,
@@ -56,219 +56,9 @@ from .events import (
 from .ingest import AssignmentBook, NoOpenOffer
 from .metrics import EngineMetrics, TaskRecord
 from .scheduler import Assignment, CampaignScheduler
+from .sharding import ShardedScheduler
 from .state import WorkerRegistry, informativeness_key
 from .telemetry import NULL_TELEMETRY, Telemetry
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunables of one campaign.
-
-    Parameters
-    ----------
-    budget:
-        Total campaign budget across all tasks.
-    expected_tasks:
-        Expected campaign size, for budget pacing.  ``None`` means "the
-        tasks submitted before :meth:`CampaignEngine.run`".
-    capacity:
-        Max concurrent jury seats per worker.
-    batch_size:
-        Arrivals buffered before the scheduler runs.
-    alpha:
-        Selection prior ``Pr(t = 0)`` used by the JQ cache and
-        scheduler.  Per-task priors (``EngineTask.prior``) govern the
-        *aggregation* posterior of each task.
-    confidence_target:
-        Early-stop threshold for the per-task online session.
-    num_buckets:
-        JQ bucket resolution for large juries.
-    quantization:
-        JQ-cache key grid: ``None`` = exact keys, an int = grid steps
-        per unit, or ``"auto"`` (the default) to derive the grid from
-        ``num_buckets`` via
-        :func:`~repro.engine.cache.adaptive_quantization` (4 steps per
-        log-odds bucket — 200 at the default 50-bucket resolution).
-    cache_max_entries:
-        LRU bound on each JQ cache (``None`` = unbounded).  Applies to
-        the engine's campaign cache, and per shard in the sharded
-        engine.
-    frontier_pool_size:
-        Per-batch candidate pool size (exact frontier; up to
-        ``scheduler.MAX_FRONTIER_POOL`` — pools past ``ALL_SUBSETS_MAX``
-        build through the streamed lattice sweep).
-    reestimate_every:
-        Re-fit worker qualities after every N completed tasks
-        (0 disables).
-    reestimate_method / reestimate_rate:
-        Forwarded to :meth:`WorkerRegistry.reestimate`.
-    jq_kernel:
-        ``"batch"`` (default) builds scheduler frontiers through the
-        batched all-subsets JQ kernel; ``"scalar"`` keeps the per-jury
-        path.  Decisions and fingerprints are byte-identical either
-        way — the toggle exists for benchmarking and regression pins.
-    checkpoint_every:
-        Under the :class:`~repro.engine.campaign.Campaign` facade,
-        checkpoint the campaign to its backend after every N completed
-        tasks (0 disables) — bounds data loss on long runs without
-        manual :meth:`~repro.engine.campaign.Campaign.checkpoint`
-        calls.  Ignored by the bare engine (no backend to write to).
-    vote_latency:
-        Logical ticks between consecutive jurors' votes.
-    ingestion:
-        ``"sync"`` (default) is the classic pre-loaded event loop;
-        ``"async"`` serves through a thread-safe
-        :class:`~repro.engine.ingest.IntakeQueue`, so live traffic can
-        stream in (``submit`` from any thread, bounded backpressure)
-        while batches are being seated.  A campaign whose tasks are all
-        submitted before ``run`` is fingerprint-byte-identical either
-        way (pinned by the invariant harness).
-    parallel_shards:
-        Dispatch the sharded engine's per-shard admits to a thread pool
-        of this many workers (0 = the sequential in-loop dispatch).
-        Decisions are byte-identical to sequential dispatch — shards
-        only touch their own members and results merge in shard-id
-        order — so the toggle is purely a throughput lever.  Ignored by
-        the single-scheduler engine.
-    dispatch:
-        ``"threads"`` (default) runs sharded per-shard admits inline or
-        on the ``parallel_shards`` thread pool; ``"processes"`` routes
-        them to a persistent
-        :class:`~repro.engine.procpool.ShardProcessPool` — one sticky
-        worker *process* per shard, breaking the GIL limit on the
-        envelope-walking DP.  Decisions and fingerprints stay
-        byte-identical (the parent replays worker decisions in shard-id
-        order); env var ``REPRO_ENGINE_FORCE_DISPATCH`` overrides the
-        setting under the Campaign facade.  Ignored by the
-        single-scheduler engine.
-    vote_fanout:
-        Drain same-tick simulated vote arrivals over *distinct* tasks
-        on a thread pool of this many workers (0 = the classic
-        one-at-a-time drain).  Uniform draws are pre-consumed in pop
-        order and results committed in pop order, so the fanout drain
-        is byte-identical to the sequential one (pinned).
-    ingest_max_pending:
-        Async backpressure bound: producers block once this many
-        submitted tasks await intake draining.
-    ingest_grace:
-        Async coalescing deadline (seconds): how long an idle serving
-        loop waits for straggler producers before finishing (or
-        returning from a paused run).  ``"auto"`` derives the deadline
-        from the engine's observed admit latency (EWMA) — slow admits
-        earn producers a longer window — falling back to 50 ms until
-        the first batch lands.
-    ingest_producer_quota:
-        Per-producer share of ``ingest_max_pending`` a single named
-        producer may occupy (a fraction in ``(0, 1]``; 0 disables).
-        Producers over their share block in ``submit`` until their own
-        staged tasks drain — per-producer backpressure, so one runaway
-        client cannot starve the rest of the intake queue.
-    telemetry:
-        ``"off"`` (default) serves with the no-op
-        :data:`~repro.engine.telemetry.NULL_TELEMETRY`; ``"on"`` attaches
-        a live :class:`~repro.engine.telemetry.Telemetry` hub (counters,
-        histograms, event trace, profiling spans).  Telemetry only
-        *observes* — decisions, RNG draws, and fingerprints are
-        byte-identical either way (pinned by the telemetry suite).
-    trace_path:
-        Under the Campaign facade, write a Chrome trace-event JSON file
-        here after every ``run()`` (requires ``telemetry="on"``; open it
-        in Perfetto).  Ignored by the bare engine.
-    metrics_interval:
-        Width (seconds) of the windowed intake/throughput rate buckets
-        in the telemetry snapshot.
-    vote_source:
-        ``"simulated"`` (default) draws every vote from the engine's
-        seeded RNG against each worker's true quality — the closed-loop
-        simulation mode.  ``"external"`` publishes seated juries as
-        open *offers* on an :class:`AssignmentBook` and applies only
-        votes delivered explicitly through
-        :meth:`CampaignEngine.deliver_vote` — the mode behind the HTTP
-        serving layer, where a real crowd is on the other end.  The
-        latent-truth draw for unlabeled tasks is identical in both
-        modes, so accuracy scoring works the same way.
-    seed:
-        Seed for the engine's single random generator (vote simulation
-        and latent-truth draws).
-    """
-
-    budget: float
-    expected_tasks: int | None = None
-    capacity: int = 4
-    batch_size: int = 25
-    alpha: float = UNINFORMATIVE_PRIOR
-    confidence_target: float = 0.97
-    num_buckets: int = 50
-    quantization: int | str | None = "auto"
-    cache_max_entries: int | None = None
-    frontier_pool_size: int = 10
-    reestimate_every: int = 0
-    reestimate_method: str = "one-coin"
-    reestimate_rate: float = 0.3
-    jq_kernel: str = "batch"
-    checkpoint_every: int = 0
-    vote_latency: float = 1.0
-    ingestion: str = "sync"
-    parallel_shards: int = 0
-    dispatch: str = "threads"
-    vote_fanout: int = 0
-    ingest_max_pending: int = 10_000
-    ingest_grace: float | str = 0.05
-    ingest_producer_quota: float = 0.0
-    telemetry: str = "off"
-    trace_path: str | None = None
-    metrics_interval: float = 1.0
-    vote_source: str = "simulated"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.reestimate_every < 0:
-            raise ValueError("reestimate_every must be >= 0")
-        if self.jq_kernel not in ("batch", "scalar"):
-            raise ValueError("jq_kernel must be 'batch' or 'scalar'")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.vote_latency <= 0:
-            raise ValueError("vote_latency must be positive")
-        if self.ingestion not in ("sync", "async"):
-            raise ValueError("ingestion must be 'sync' or 'async'")
-        if self.parallel_shards < 0:
-            raise ValueError("parallel_shards must be >= 0")
-        if self.dispatch not in ("threads", "processes"):
-            raise ValueError("dispatch must be 'threads' or 'processes'")
-        if self.vote_fanout < 0:
-            raise ValueError("vote_fanout must be >= 0")
-        if self.ingest_max_pending < 1:
-            raise ValueError("ingest_max_pending must be >= 1")
-        if self.ingest_grace != "auto":
-            if isinstance(self.ingest_grace, str) or self.ingest_grace <= 0:
-                raise ValueError(
-                    "ingest_grace must be positive (seconds) or 'auto'"
-                )
-        if not 0.0 <= self.ingest_producer_quota <= 1.0:
-            raise ValueError(
-                "ingest_producer_quota must lie in [0, 1] (0 disables)"
-            )
-        if self.telemetry not in ("off", "on"):
-            raise ValueError("telemetry must be 'off' or 'on'")
-        if self.vote_source not in ("simulated", "external"):
-            raise ValueError("vote_source must be 'simulated' or 'external'")
-        if self.metrics_interval <= 0:
-            raise ValueError("metrics_interval must be positive")
-        if not 0.5 <= self.confidence_target <= 1.0:
-            raise ValueError("confidence_target must lie in [0.5, 1]")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be >= 1 (or None)")
-        if self.quantization is not None and self.quantization != "auto":
-            if not isinstance(self.quantization, int) or self.quantization < 1:
-                raise ValueError(
-                    "quantization must be >= 1 grid steps, 'auto', or None"
-                )
-        validate_prior(self.alpha)
 
 
 @dataclass
@@ -287,38 +77,37 @@ class _TaskRuntime:
 class CampaignEngine:
     """Event-driven jury-selection serving for one campaign.
 
-    .. deprecated::
-        Direct construction is deprecated in favour of the
-        :class:`~repro.engine.campaign.Campaign` facade
-        (``Campaign.open(pool, CampaignConfig(...))``), which adds the
-        resumable lifecycle (``run(until=...)``, ``checkpoint()``,
-        ``resume()``) and pluggable persistent state backends.  This
-        class remains the engine core behind the facade; the classic
-        one-shot surface keeps working::
+    The engine core behind the :class:`~repro.engine.campaign.Campaign`
+    facade, which adds the resumable lifecycle (``run(until=...)``,
+    ``checkpoint()``, ``resume()``) and pluggable persistent state
+    backends.  The one-shot surface works on its own too::
 
-            engine = CampaignEngine(pool, EngineConfig(budget=50, seed=7))
-            engine.submit(EngineTask(f"t{i}", ground_truth=...) for i in ...)
-            metrics = engine.run()
-            print(metrics.render(budget=50))
+        engine = CampaignEngine(pool, CampaignConfig(budget=50, seed=7))
+        engine.submit(EngineTask(f"t{i}", ground_truth=...) for i in ...)
+        metrics = engine.run()
+        print(metrics.render(budget=50))
+
+    ``config.num_shards > 1`` serves through a
+    :class:`~repro.engine.sharding.ShardedScheduler`; the event loop,
+    vote simulation, early stopping and re-estimation are the same
+    either way.
     """
 
     def __init__(
         self,
         pool: WorkerPool,
-        config: EngineConfig,
+        config: CampaignConfig,
         initial_quality: float | dict[str, float] | None = None,
     ) -> None:
-        if type(self) is CampaignEngine:
-            warnings.warn(
-                "CampaignEngine is deprecated; use "
-                "repro.engine.Campaign.open(pool, CampaignConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config
         self.registry = WorkerRegistry(
             pool, capacity=config.capacity, initial_quality=initial_quality
         )
+        if config.num_shards > len(self.registry):
+            raise ValueError(
+                f"num_shards ({config.num_shards}) cannot exceed the "
+                f"pool size ({len(self.registry)})"
+            )
         self.cache = JQCache(
             alpha=config.alpha,
             num_buckets=config.num_buckets,
@@ -337,7 +126,7 @@ class CampaignEngine:
         self.offers: AssignmentBook | None = (
             AssignmentBook() if config.vote_source == "external" else None
         )
-        self.scheduler: CampaignScheduler | None = None
+        self.scheduler: CampaignScheduler | ShardedScheduler | None = None
         self._queue = EventQueue()
         self._rng = np.random.default_rng(config.seed)
         self._batch: list[EngineTask] = []
@@ -353,8 +142,6 @@ class CampaignEngine:
         # Observed scheduler-admit wall latency (EWMA, seconds); feeds
         # the adaptive async intake grace (ingest_grace="auto").
         self.admit_latency_ewma: float | None = None
-        # Lazy thread pool for the vote-fanout drain (vote_fanout > 0).
-        self._vote_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -452,28 +239,35 @@ class CampaignEngine:
         self._collect_stats()
         if self.scheduler is not None:
             self.scheduler.close()
-        if self._vote_pool is not None:
-            self._vote_pool.shutdown(wait=True)
-            self._vote_pool = None
 
     def _make_scheduler(self, expected_tasks: int):
-        """Build this campaign's scheduler.  Subclass hook: the sharded
-        engine returns a coordinator with the same ``admit``/``refund``
-        surface instead of a single :class:`CampaignScheduler`."""
+        """Build this campaign's scheduler: a :class:`ShardedScheduler`
+        (same ``admit``/``refund`` surface, K shard schedulers under one
+        budget allocator) when ``num_shards > 1``, else a single
+        :class:`CampaignScheduler` over the campaign cache."""
+        if self.config.num_shards > 1:
+            return ShardedScheduler(
+                self.registry,
+                self.config,
+                expected_tasks,
+                telemetry=self.telemetry,
+            )
         return CampaignScheduler(
             self.registry,
             self.cache,
             budget=self.config.budget,
             expected_tasks=expected_tasks,
             frontier_pool_size=self.config.frontier_pool_size,
-            jq_kernel=self.config.jq_kernel,
             telemetry=self.telemetry,
         )
 
     def _telemetry_gauges(self):
         """Pull-based gauges for the telemetry snapshot (collector: read
-        only at export time, zero hot-path cost)."""
-        yield from self.cache.stats.telemetry_gauges()
+        only at export time, zero hot-path cost).  A sharded campaign
+        leaves the campaign cache unused; its per-shard caches report
+        through the :class:`ShardedScheduler` collector instead."""
+        if self.config.num_shards == 1:
+            yield from self.cache.stats.telemetry_gauges()
         yield "registry.active_seats", {}, float(self.registry.active_seats)
         yield "registry.total_capacity", {}, float(
             self.registry.total_capacity
@@ -485,11 +279,17 @@ class CampaignEngine:
             yield "engine.open_offers", {}, float(self.offers.open_count)
 
     def _collect_stats(self) -> None:
-        """Fold end-of-run state into the metrics.  Subclass hook: the
-        sharded engine aggregates per-shard caches and attaches shard
-        and allocator snapshots."""
+        """Fold end-of-run state into the metrics.  Sharded: the JQ work
+        lives in the per-shard caches, so report their merge plus the
+        shard and allocator snapshots."""
         self.metrics.peak_worker_load = self.registry.peak_load
-        self.metrics.cache_stats = self.cache.stats
+        scheduler = self.scheduler
+        if isinstance(scheduler, ShardedScheduler):
+            self.metrics.cache_stats = scheduler.merged_cache_stats()
+            self.metrics.shard_snapshots = scheduler.shard_snapshots()
+            self.metrics.allocator_snapshot = scheduler.allocator.snapshot()
+        else:
+            self.metrics.cache_stats = self.cache.stats
         self.metrics.reestimations = self.registry.reestimations
         if self.registry.reestimations:
             self.metrics.quality_estimation_error = (
@@ -503,10 +303,7 @@ class CampaignEngine:
         if isinstance(event, TaskArrival):
             self._on_arrival(event)
         elif isinstance(event, VoteArrival):
-            if self.config.vote_fanout > 0:
-                self._on_vote_fanout(event)
-            else:
-                self._on_vote(event)
+            self._on_vote(event)
         elif isinstance(event, TaskComplete):
             self._on_complete(event)
         else:  # pragma: no cover - closed event algebra
@@ -633,93 +430,6 @@ class CampaignEngine:
             self._queue.push(
                 TaskComplete(event.time, event.task_id, "early-stop")
             )
-
-    def _on_vote_fanout(self, first: VoteArrival) -> None:
-        """Drain a same-tick run of vote arrivals on the fanout pool.
-
-        Byte-identity with the sequential drain rests on three fences:
-
-        * only *same-time* events join the run — any ``TaskComplete`` a
-          run member pushes carries that same time with a later enqueue
-          serial, so sequentially it would pop after every run member
-          anyway (a strictly earlier-time completion would pop — and
-          could retry deferred tasks, consuming RNG — between votes, so
-          later-time votes must not be folded in);
-        * only *distinct live* tasks join, so the parallel phase
-          touches disjoint decision sessions and a member cannot
-          complete another member's task mid-run;
-        * uniforms are pre-drawn in pop order and effects (vote matrix
-          rows, metrics, completion pushes) committed in pop order.
-
-        Only the per-vote simulation (uniform compare + posterior
-        update) runs on the pool — the registry, metrics, and event
-        queue are touched solely from the loop thread.
-        """
-        events = [first]
-        run_tasks = {first.task_id}
-        while True:
-            nxt = self._queue.peek()
-            if (
-                not isinstance(nxt, VoteArrival)
-                or nxt.time != first.time
-                or nxt.task_id in run_tasks
-            ):
-                break
-            runtime = self._active.get(nxt.task_id)
-            if runtime is None or runtime.done:
-                break
-            run_tasks.add(nxt.task_id)
-            event = self._queue.pop()
-            self._clock = max(self._clock, event.time)
-            events.append(event)
-        live: list[tuple[VoteArrival, _TaskRuntime, float]] = []
-        for event in events:
-            runtime = self._active.get(event.task_id)
-            if runtime is None or runtime.done:
-                # Only the run's head can be dead (later members were
-                # screened); the sequential path consumes no RNG here.
-                self._on_vote(event)
-                continue
-            live.append((event, runtime, self._rng.random()))
-        if not live:
-            return
-
-        def simulate(item) -> int:
-            event, runtime, u = item
-            worker = self.registry.worker(event.worker_id)
-            q_true = self.registry.true_quality(event.worker_id)
-            truth = runtime.sim_truth
-            vote = truth if u < q_true else 1 - truth
-            runtime.session.add_vote(worker, vote)
-            return vote
-
-        if len(live) == 1:
-            votes = [simulate(live[0])]
-        else:
-            if self._vote_pool is None:
-                self._vote_pool = ThreadPoolExecutor(
-                    max_workers=self.config.vote_fanout,
-                    thread_name_prefix="repro-vote",
-                )
-            votes = list(self._vote_pool.map(simulate, live))
-        for (event, runtime, _), vote in zip(live, votes):
-            self.registry.record_vote(event.worker_id, event.task_id, vote)
-            self.metrics.votes_cast += 1
-            self.telemetry.inc("engine.votes_cast")
-            self.telemetry.event(
-                "vote", task=event.task_id, worker=event.worker_id, vote=vote
-            )
-            runtime.pending_workers.remove(event.worker_id)
-            if not runtime.pending_workers:
-                runtime.done = True
-                self._queue.push(
-                    TaskComplete(event.time, event.task_id, "all-votes")
-                )
-            elif runtime.session.should_stop:
-                runtime.done = True
-                self._queue.push(
-                    TaskComplete(event.time, event.task_id, "early-stop")
-                )
 
     def deliver_vote(self, task_id: str, worker_id: str, vote: int) -> bool:
         """Apply one externally supplied vote (``vote_source="external"``

@@ -169,8 +169,7 @@ class EventQueue:
 
     def peek(self) -> Event | None:
         """The event :meth:`pop` would return next, without removing it
-        (``None`` on an empty queue) — lets the vote-fanout drain test
-        whether the next event extends the current same-tick run."""
+        (``None`` on an empty queue)."""
         return self._heap[0].event if self._heap else None
 
     def pending(self, event_type: type) -> int:

@@ -50,12 +50,11 @@ from ..state import CapacityError, WorkerState
 from ...core.worker import Worker, WorkerPool
 
 #: Scheduler/cache construction parameters a shard worker needs; the
-#: parent derives them from its ``EngineConfig`` once at pool start.
+#: parent derives them from its ``CampaignConfig`` once at pool start.
 SCHEDULER_PARAMS = (
     "budget",
     "expected_tasks",
     "frontier_pool_size",
-    "jq_kernel",
     "alpha",
     "num_buckets",
     "quantization",
@@ -182,7 +181,6 @@ def build_shard_scheduler(shard_id: int, params: dict):
         budget=params["budget"],
         expected_tasks=params["expected_tasks"],
         frontier_pool_size=params["frontier_pool_size"],
-        jq_kernel=params["jq_kernel"],
         shard_id=shard_id,
     )
     return registry, cache, scheduler

@@ -29,22 +29,20 @@ Worker *state* stays global: seats, spend, vote history, and EM quality
 re-estimation still live in the one registry, so sharding changes who
 *schedules* a worker, never what is known about them.
 
-Usage::
+The engine serves through a :class:`ShardedScheduler` whenever
+``CampaignConfig(num_shards=K)`` has ``K > 1``::
 
-    engine = ShardedCampaignEngine(pool, config, ShardingConfig(4))
-    engine.submit(...)
-    metrics = engine.run()   # identical surface to CampaignEngine
+    campaign = Campaign.open(pool, CampaignConfig(budget=50, num_shards=4))
 
-With ``ShardingConfig(1)`` the sharded engine reproduces the plain
-:class:`~repro.engine.engine.CampaignEngine` byte-for-byte (same seed
-=> same :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`), which
-the regression suite pins.
+A one-shard :class:`ShardedScheduler` reproduces the single
+:class:`~repro.engine.scheduler.CampaignScheduler` byte-for-byte (same
+seed => same :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`),
+which the regression suite pins.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait as _futures_wait
 from dataclasses import dataclass
@@ -53,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 from ..core.jury import Jury
 from ..core.worker import WorkerPool
 from .cache import CacheStats, JQCache
-from .engine import CampaignEngine, EngineConfig
+from .config import CampaignConfig
 from .events import EngineTask
 from .metrics import AllocatorSnapshot, ShardSnapshot
 from .procpool import ProcPoolError, ShardProcessPool, ShardWorkState
@@ -71,53 +69,10 @@ from .state import (
 )
 from .telemetry import NULL_TELEMETRY
 
-#: Routing policies understood by :class:`ShardingConfig`.
-ROUTING_POLICIES = ("hash", "least-loaded", "quality-balanced")
-
 #: Rebalancing never strips a shard below this many members — a shard
 #: with one worker left cannot meaningfully seat juries, let alone
 #: donate.
 MIN_SHARD_MEMBERS = 2
-
-
-@dataclass(frozen=True)
-class ShardingConfig:
-    """Tunables of the sharded serving layer.
-
-    Parameters
-    ----------
-    num_shards:
-        Number of shards (>= 1; at most the pool size).
-    policy:
-        Task-routing policy: ``"hash"`` (stable id hash — sticky and
-        stateless), ``"least-loaded"`` (lowest seat-utilisation shard),
-        or ``"quality-balanced"`` (highest available quality mass per
-        in-flight task).
-    rebalance_threshold:
-        Migrate idle workers when the gap between the most- and
-        least-utilised shard's seat ratio exceeds this (``1.0``
-        effectively disables rebalancing — the gap never exceeds 1).
-    rebalance_max_moves:
-        Max workers migrated per scheduling round (0 disables).
-    """
-
-    num_shards: int
-    policy: str = "hash"
-    rebalance_threshold: float = 0.25
-    rebalance_max_moves: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if self.policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.policy!r} "
-                f"(expected one of {', '.join(ROUTING_POLICIES)})"
-            )
-        if not 0.0 < self.rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must lie in (0, 1]")
-        if self.rebalance_max_moves < 0:
-            raise ValueError("rebalance_max_moves must be >= 0")
 
 
 class ShardRegistryView:
@@ -513,13 +468,12 @@ class ShardedScheduler:
     def __init__(
         self,
         registry: WorkerRegistry,
-        config: EngineConfig,
-        sharding: ShardingConfig,
+        config: CampaignConfig,
         expected_tasks: int,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.registry = registry
-        self.sharding = sharding
+        self.config = config
         self.telemetry = telemetry
         self.allocator = BudgetAllocator(config.budget, expected_tasks)
         self._pool: ShardProcessPool | None = None
@@ -527,14 +481,13 @@ class ShardedScheduler:
         # dispatch rounds; this flag marks the parent-side replicas
         # stale until the next pull_worker_state().
         self._dispatched_since_pull = False
-        if config.dispatch == "processes" and sharding.num_shards > 1:
+        if config.dispatch == "processes" and config.num_shards > 1:
             self._pool = ShardProcessPool(
-                sharding.num_shards,
+                config.num_shards,
                 {
                     "budget": config.budget,
                     "expected_tasks": expected_tasks,
                     "frontier_pool_size": config.frontier_pool_size,
-                    "jq_kernel": config.jq_kernel,
                     "alpha": config.alpha,
                     "num_buckets": config.num_buckets,
                     "quantization": config.quantization,
@@ -547,16 +500,16 @@ class ShardedScheduler:
         # step (4), and rounds must go through exactly one of them.
         if (
             config.parallel_shards > 0
-            and sharding.num_shards > 1
+            and config.num_shards > 1
             and self._pool is None
         ):
             self._executor = ThreadPoolExecutor(
-                max_workers=min(config.parallel_shards, sharding.num_shards),
+                max_workers=min(config.parallel_shards, config.num_shards),
                 thread_name_prefix="repro-shard",
             )
         self.shards: list[Shard] = []
         for shard_id, member_ids in enumerate(
-            partition_members(registry, sharding.num_shards)
+            partition_members(registry, config.num_shards)
         ):
             view = ShardRegistryView(registry, member_ids)
             cache = JQCache(
@@ -571,7 +524,6 @@ class ShardedScheduler:
                 budget=config.budget,
                 expected_tasks=expected_tasks,
                 frontier_pool_size=config.frontier_pool_size,
-                jq_kernel=config.jq_kernel,
                 telemetry=telemetry,
                 shard_id=shard_id,
             )
@@ -895,7 +847,7 @@ class ShardedScheduler:
         """Assign each task to a shard; returns shard id -> sub-batch
         (task order preserved within each shard)."""
         routed: dict[int, list[EngineTask]] = {}
-        if self.sharding.policy == "hash":
+        if self.config.routing_policy == "hash":
             for task in tasks:
                 shard_id = (
                     zlib.crc32(task.task_id.encode("utf-8"))
@@ -911,7 +863,7 @@ class ShardedScheduler:
         # yet), so the live aggregates are computed once per round.
         pending = [0] * len(self.shards)
         seats = [shard.view.active_seats for shard in self.shards]
-        if self.sharding.policy == "least-loaded":
+        if self.config.routing_policy == "least-loaded":
             capacity = [
                 max(shard.view.total_capacity, 1) for shard in self.shards
             ]
@@ -941,14 +893,14 @@ class ShardedScheduler:
         """Migrate idle workers from the least- to the most-utilised
         shard when seat-load skew exceeds the configured threshold.
         Returns the number of workers moved."""
-        if len(self.shards) < 2 or self.sharding.rebalance_max_moves == 0:
+        if len(self.shards) < 2 or self.config.rebalance_max_moves == 0:
             return 0
         by_ratio = sorted(
             self.shards, key=lambda s: (s.view.load_ratio, s.shard_id)
         )
         donor, needy = by_ratio[0], by_ratio[-1]
         skew = needy.view.load_ratio - donor.view.load_ratio
-        if skew <= self.sharding.rebalance_threshold:
+        if skew <= self.config.rebalance_threshold:
             return 0
         idle = sorted(
             (s for s in donor.view.states if s.load == 0),
@@ -956,7 +908,7 @@ class ShardedScheduler:
         )
         moved = 0
         for state in idle:
-            if moved >= self.sharding.rebalance_max_moves:
+            if moved >= self.config.rebalance_max_moves:
                 break
             if len(donor.view) <= MIN_SHARD_MEMBERS:
                 break
@@ -1036,80 +988,6 @@ class ShardedScheduler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedScheduler({len(self.shards)} shards, "
-            f"policy={self.sharding.policy!r}, "
+            f"policy={self.config.routing_policy!r}, "
             f"migrations={self.migrations})"
         )
-
-
-class ShardedCampaignEngine(CampaignEngine):
-    """A :class:`CampaignEngine` whose scheduling layer is sharded.
-
-    .. deprecated::
-        Direct construction is deprecated in favour of the
-        :class:`~repro.engine.campaign.Campaign` facade with
-        ``CampaignConfig(num_shards=K)`` — shard count is a config
-        field there, not a class choice.  This class remains the
-        sharded engine core behind the facade.
-
-    Identical submission/run surface; the event loop, vote simulation,
-    early stopping, and re-estimation are all inherited untouched.  Only
-    the scheduler hook differs: batches are routed across K shard
-    schedulers under a :class:`BudgetAllocator` instead of admitted by
-    one scheduler.  With ``ShardingConfig(1)`` the engine is
-    byte-identical to the plain one on the same seed.
-    """
-
-    def __init__(
-        self,
-        pool: WorkerPool,
-        config: EngineConfig,
-        sharding: ShardingConfig | int,
-        initial_quality: float | dict[str, float] | None = None,
-    ) -> None:
-        if type(self) is ShardedCampaignEngine:
-            warnings.warn(
-                "ShardedCampaignEngine is deprecated; use "
-                "repro.engine.Campaign.open(pool, "
-                "CampaignConfig(num_shards=K, ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if isinstance(sharding, int):
-            sharding = ShardingConfig(sharding)
-        super().__init__(pool, config, initial_quality=initial_quality)
-        if sharding.num_shards > len(self.registry):
-            raise ValueError(
-                f"num_shards ({sharding.num_shards}) cannot exceed the "
-                f"pool size ({len(self.registry)})"
-            )
-        self.sharding = sharding
-
-    def _make_scheduler(self, expected_tasks: int) -> ShardedScheduler:
-        return ShardedScheduler(
-            self.registry,
-            self.config,
-            self.sharding,
-            expected_tasks,
-            telemetry=self.telemetry,
-        )
-
-    def _telemetry_gauges(self):
-        # The campaign-level cache is unused when sharded; the per-shard
-        # caches report through the ShardedScheduler collector instead.
-        yield "registry.active_seats", {}, float(self.registry.active_seats)
-        yield "registry.total_capacity", {}, float(
-            self.registry.total_capacity
-        )
-        yield "registry.peak_load", {}, float(self.registry.peak_load)
-        yield "engine.tasks_active", {}, float(len(self._active))
-        yield "engine.tasks_deferred", {}, float(len(self._deferred))
-
-    def _collect_stats(self) -> None:
-        super()._collect_stats()
-        scheduler = self.scheduler
-        assert isinstance(scheduler, ShardedScheduler)
-        # The base class reported the (unused) campaign cache; the JQ
-        # work lives in the per-shard caches.
-        self.metrics.cache_stats = scheduler.merged_cache_stats()
-        self.metrics.shard_snapshots = scheduler.shard_snapshots()
-        self.metrics.allocator_snapshot = scheduler.allocator.snapshot()

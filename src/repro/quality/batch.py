@@ -30,8 +30,8 @@ bit-for-bit, not merely within tolerance: the per-element arithmetic
 (products in worker order, two shifted adds per bucket column, the
 final slice summation) is arranged to match the scalar code's operation
 order exactly.  The property tests pin this, and it is what lets the
-engine swap kernels in and out (``jq_kernel="batch" | "scalar"``) with
-byte-identical campaign fingerprints.
+engine build every scheduler frontier through the batch kernel with
+campaign fingerprints byte-identical to the scalar path's.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """The Campaign facade: lifecycle, unified config, resumable stepping,
-equivalence with the deprecated engine entry points."""
+equivalence with the bare engine it drives."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ from repro.engine import (
     Campaign,
     CampaignConfig,
     CampaignEngine,
-    EngineConfig,
+    CampaignScheduler,
     EngineTask,
     MemoryBackend,
-    ShardedCampaignEngine,
-    ShardingConfig,
+    ShardedScheduler,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -48,25 +47,29 @@ def make_campaign(num_shards=1, seed=5, backend=None, **overrides):
 
 class TestCampaignConfig:
     def test_engine_view_forwards_every_engine_field(self):
-        config = CampaignConfig(
-            budget=9.0, capacity=2, batch_size=7, seed=3, num_shards=4
-        )
-        engine_config = config.engine_config()
-        assert isinstance(engine_config, EngineConfig)
-        assert engine_config.budget == 9.0
-        assert engine_config.capacity == 2
-        assert engine_config.batch_size == 7
-        assert engine_config.seed == 3
+        """The engine reads the campaign's config itself — there is no
+        second config object for a field to get lost on the way to."""
+        campaign = make_campaign(capacity=2, batch_size=7, seed=3)
+        engine = campaign.engine
+        assert engine.config is campaign.config
+        assert engine.registry.states[0].capacity == 2
+        campaign.run(until=1)
+        assert engine.scheduler.budget == 30.0
 
     def test_sharding_view(self):
-        config = CampaignConfig(
-            budget=1.0, num_shards=4, routing_policy="least-loaded"
+        """``num_shards`` picks the scheduler; the routing fields reach
+        the sharded one unchanged."""
+        campaign = make_campaign(
+            num_shards=4, routing_policy="least-loaded"
         )
-        sharding = config.sharding_config()
-        assert isinstance(sharding, ShardingConfig)
-        assert sharding.num_shards == 4
-        assert sharding.policy == "least-loaded"
-        assert CampaignConfig(budget=1.0).sharding_config() is None
+        campaign.run(until=1)
+        scheduler = campaign.engine.scheduler
+        assert isinstance(scheduler, ShardedScheduler)
+        assert len(scheduler.shards) == 4
+        assert scheduler.config.routing_policy == "least-loaded"
+        single = make_campaign()
+        single.run(until=1)
+        assert isinstance(single.engine.scheduler, CampaignScheduler)
 
     def test_validation_delegates_to_subsumed_configs(self):
         with pytest.raises(ValueError):
@@ -77,6 +80,41 @@ class TestCampaignConfig:
             CampaignConfig(budget=1.0, routing_policy="round-robin")
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, quantization=0)
+        with pytest.raises(ValueError):
+            CampaignConfig(budget=1.0, serve_port=70000)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("budget", -1.0, "budget"),
+        ("batch_size", 0, "batch_size"),
+        ("reestimate_every", -1, "reestimate_every"),
+        ("checkpoint_every", -1, "checkpoint_every"),
+        ("vote_latency", 0.0, "vote_latency"),
+        ("ingestion", "batch", "ingestion"),
+        ("parallel_shards", -1, "parallel_shards"),
+        ("dispatch", "fork", "dispatch"),
+        ("ingest_max_pending", 0, "ingest_max_pending"),
+        ("ingest_grace", 0.0, "ingest_grace"),
+        ("ingest_grace", "soon", "ingest_grace"),
+        ("ingest_producer_quota", 1.5, "ingest_producer_quota"),
+        ("telemetry", "verbose", "telemetry"),
+        ("metrics_interval", 0.0, "metrics_interval"),
+        ("vote_source", "oracle", "vote_source"),
+        ("confidence_target", 0.3, "confidence_target"),
+        ("cache_max_entries", 0, "cache_max_entries"),
+        ("quantization", 0, "quantization"),
+        ("alpha", 1.5, "prior alpha"),
+        ("num_shards", 0, "num_shards"),
+        ("routing_policy", "round-robin", "routing policy"),
+        ("rebalance_threshold", 0.0, "rebalance_threshold"),
+        ("rebalance_max_moves", -1, "rebalance_max_moves"),
+        ("serve_port", 70000, "serve_port"),
+        ("lease_ttl", 0.0, "lease_ttl"),
+    ])
+    def test_every_field_invariant_is_checked(self, field, value, message):
+        """The one config validates every knob itself — each check that
+        used to live on a separate engine or sharding config."""
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**{"budget": 1.0, field: value})
 
     def test_dict_round_trip(self):
         config = CampaignConfig(
@@ -87,43 +125,38 @@ class TestCampaignConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
             CampaignConfig.from_dict({"budget": 1.0, "shards": 2})
-
-    def test_lift_from_legacy_configs(self):
-        engine_config = EngineConfig(budget=5.0, capacity=3, seed=2)
-        config = CampaignConfig.from_engine_config(
-            engine_config, ShardingConfig(3, policy="quality-balanced")
-        )
-        assert config.budget == 5.0
-        assert config.capacity == 3
-        assert config.num_shards == 3
-        assert config.routing_policy == "quality-balanced"
-        assert config.engine_config() == engine_config
+        # Only the two retired mode fields are tolerated (and dropped).
+        retired = {"budget": 1.0, "jq_kernel": "scalar", "vote_fanout": 4}
+        assert CampaignConfig.from_dict(retired) == CampaignConfig(budget=1.0)
+        with pytest.raises(ValueError, match="unknown"):
+            CampaignConfig.from_dict({**retired, "jq_kernels": "batch"})
 
 
 class TestFacadeEquivalence:
-    """The facade must reproduce the deprecated entry points bit-for-bit
-    — migration changes spelling, never campaign decisions."""
+    """The facade must reproduce the bare engine bit-for-bit — the
+    lifecycle wrapper never changes campaign decisions."""
+
+    @staticmethod
+    def bare_fingerprint(num_shards):
+        engine = CampaignEngine(
+            make_pool(),
+            CampaignConfig(
+                budget=30.0,
+                confidence_target=0.95,
+                seed=5,
+                num_shards=num_shards,
+            ),
+        )
+        engine.submit(make_tasks())
+        return engine.run().fingerprint()
 
     def test_matches_campaign_engine(self):
-        with pytest.deprecated_call():
-            engine = CampaignEngine(
-                make_pool(),
-                EngineConfig(budget=30.0, confidence_target=0.95, seed=5),
-            )
-        engine.submit(make_tasks())
-        legacy = engine.run().fingerprint()
-        assert make_campaign().run().fingerprint() == legacy
+        bare = self.bare_fingerprint(1)
+        assert make_campaign().run().fingerprint() == bare
 
     def test_matches_sharded_campaign_engine(self):
-        with pytest.deprecated_call():
-            engine = ShardedCampaignEngine(
-                make_pool(),
-                EngineConfig(budget=30.0, confidence_target=0.95, seed=5),
-                ShardingConfig(4),
-            )
-        engine.submit(make_tasks())
-        legacy = engine.run().fingerprint()
-        assert make_campaign(num_shards=4).run().fingerprint() == legacy
+        bare = self.bare_fingerprint(4)
+        assert make_campaign(num_shards=4).run().fingerprint() == bare
 
     def test_paused_and_drained_equals_one_shot(self):
         one_shot = make_campaign().run().fingerprint()
@@ -197,6 +230,7 @@ class TestLifecycle:
 
     def test_facade_construction_emits_no_deprecation(self, recwarn):
         make_campaign(num_shards=2)
+        CampaignEngine(make_pool(), CampaignConfig(budget=1.0, num_shards=2))
         assert not [
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)

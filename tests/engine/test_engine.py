@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    CampaignConfig,
     CampaignEngine,
-    EngineConfig,
     EngineTask,
     EventQueue,
     TaskArrival,
@@ -33,7 +33,7 @@ def run_campaign(num_tasks=200, seed=5, pool_size=30, **overrides):
         seed=seed,
     )
     defaults.update(overrides)
-    config = EngineConfig(**defaults)
+    config = CampaignConfig(**defaults)
     engine = CampaignEngine(pool, config)
     rng = np.random.default_rng(seed)
     truths = rng.integers(0, 2, size=num_tasks)
@@ -143,13 +143,13 @@ class TestReproducibility:
 
 class TestEngineLifecycle:
     def test_duplicate_task_ids_rejected(self):
-        engine = CampaignEngine(make_pool(), EngineConfig(budget=1.0))
+        engine = CampaignEngine(make_pool(), CampaignConfig(budget=1.0))
         engine.submit([EngineTask("t0")])
         with pytest.raises(ValueError):
             engine.submit([EngineTask("t0")])
 
     def test_single_run_per_engine(self):
-        engine = CampaignEngine(make_pool(), EngineConfig(budget=1.0))
+        engine = CampaignEngine(make_pool(), CampaignConfig(budget=1.0))
         engine.submit([EngineTask("t0")])
         engine.run()
         with pytest.raises(RuntimeError):
@@ -157,7 +157,7 @@ class TestEngineLifecycle:
 
     def test_unknown_truth_tasks_are_served_but_not_scored(self):
         pool = make_pool()
-        engine = CampaignEngine(pool, EngineConfig(budget=20.0, seed=3))
+        engine = CampaignEngine(pool, CampaignConfig(budget=20.0, seed=3))
         engine.submit(EngineTask(f"t{i}") for i in range(40))
         metrics = engine.run()
         assert metrics.completed == 40
@@ -165,18 +165,18 @@ class TestEngineLifecycle:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(budget=-1.0)
+            CampaignConfig(budget=-1.0)
         with pytest.raises(ValueError):
-            EngineConfig(budget=1.0, batch_size=0)
+            CampaignConfig(budget=1.0, batch_size=0)
         with pytest.raises(ValueError):
-            EngineConfig(budget=1.0, vote_latency=0.0)
+            CampaignConfig(budget=1.0, vote_latency=0.0)
         with pytest.raises(ValueError):
-            EngineConfig(budget=1.0, confidence_target=0.3)
+            CampaignConfig(budget=1.0, confidence_target=0.3)
         with pytest.raises(ValueError):
-            EngineConfig(budget=1.0, confidence_target=1.1)
+            CampaignConfig(budget=1.0, confidence_target=1.1)
 
     def test_zero_budget_campaign_answers_priors(self):
-        engine = CampaignEngine(make_pool(), EngineConfig(budget=0.0, seed=2))
+        engine = CampaignEngine(make_pool(), CampaignConfig(budget=0.0, seed=2))
         engine.submit(
             EngineTask(f"t{i}", prior=0.7, ground_truth=0) for i in range(10)
         )

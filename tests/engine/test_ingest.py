@@ -18,7 +18,6 @@ from repro.engine import (
     AsyncIngestLoop,
     Campaign,
     CampaignConfig,
-    EngineConfig,
     EngineTask,
     IngestionClosed,
     IngestionOverflow,
@@ -291,7 +290,7 @@ def _engine(num_tasks=20, seed=3):
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=12, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=10,
@@ -299,11 +298,7 @@ def _engine(num_tasks=20, seed=3):
         expected_tasks=num_tasks,
         seed=seed,
     )
-
-    class _Engine(CampaignEngine):  # no deprecation warning
-        pass
-
-    return _Engine(pool, config)
+    return CampaignEngine(pool, config)
 
 
 def test_loop_run_is_not_reentrant():

@@ -39,14 +39,11 @@ from repro.engine import (
     Campaign,
     CampaignConfig,
     CampaignEngine,
-    EngineConfig,
     EngineTask,
     InterleavingSchedule,
     MemoryBackend,
     SQLiteBackend,
-    ShardedCampaignEngine,
     ShardedScheduler,
-    ShardingConfig,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -128,8 +125,34 @@ class CheckedEngine(_CheckedMixin, CampaignEngine):
     pass
 
 
-class CheckedShardedEngine(_CheckedMixin, ShardedCampaignEngine):
+class _OneShardMixin:
+    """Serve ``num_shards=1`` through a one-shard :class:`ShardedScheduler`
+    instead of the single scheduler the engine builds there — the other
+    side of the single-shard byte-identity pin."""
+
+    def _make_scheduler(self, expected_tasks):
+        return ShardedScheduler(
+            self.registry, self.config, expected_tasks, self.telemetry
+        )
+
+
+class OneShardEngine(_OneShardMixin, CampaignEngine):
     pass
+
+
+class CheckedOneShardEngine(_CheckedMixin, OneShardEngine):
+    pass
+
+
+def make_engine(pool, shards, checked, **config_kwargs):
+    """``shards=0`` is the single-scheduler engine, ``1`` the one-shard
+    sharded scheduler, ``K > 1`` an ordinary K-shard campaign."""
+    if shards == 1:
+        cls = CheckedOneShardEngine if checked else OneShardEngine
+    else:
+        cls = CheckedEngine if checked else CampaignEngine
+    config = CampaignConfig(num_shards=max(shards, 1), **config_kwargs)
+    return cls(pool, config)
 
 
 def build_campaign(
@@ -146,28 +169,19 @@ def build_campaign(
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=pool_size, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    engine = make_engine(
+        pool,
+        shards,
+        checked,
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=20,
         confidence_target=0.95,
         reestimate_every=reestimate_every,
         seed=seed,
+        routing_policy=policy,
+        rebalance_threshold=rebalance_threshold,
     )
-    if shards == 0:  # the plain, pre-sharding engine
-        cls = CheckedEngine if checked else CampaignEngine
-        engine = cls(pool, config)
-    else:
-        cls = CheckedShardedEngine if checked else ShardedCampaignEngine
-        engine = cls(
-            pool,
-            config,
-            ShardingConfig(
-                shards,
-                policy=policy,
-                rebalance_threshold=rebalance_threshold,
-            ),
-        )
     truths = rng.integers(0, 2, size=num_tasks)
     engine.submit(
         EngineTask(f"t{i}", ground_truth=int(t))
@@ -250,8 +264,12 @@ def test_unfunded_starved_campaign_still_conserves():
     and violate nothing."""
     rng = np.random.default_rng(3)
     pool = generate_pool(SyntheticPoolConfig(num_workers=8), rng)
-    config = EngineConfig(budget=0.0, capacity=2, batch_size=5, seed=3)
-    engine = CheckedShardedEngine(pool, config, ShardingConfig(2))
+    engine = CheckedEngine(
+        pool,
+        CampaignConfig(
+            budget=0.0, capacity=2, batch_size=5, seed=3, num_shards=2
+        ),
+    )
     engine.submit(EngineTask(f"t{i}") for i in range(20))
     metrics = engine.run()
     final_laws(engine, metrics)
@@ -268,7 +286,7 @@ def test_wide_frontier_pool_campaign_conserves():
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=18, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=6.0,
         capacity=3,
         batch_size=10,
@@ -387,13 +405,14 @@ def test_checkpoint_resume_under_quality_drift(seed, tmp_path):
 
 
 def test_facade_matches_legacy_engines():
-    """The facade is a re-spelling, not a re-implementation: same seed
-    => same fingerprint as the deprecated classes it wraps."""
-    legacy = build_campaign(7, 16, 0, checked=False).run().fingerprint()
-    assert build_facade_campaign(7, 16, 1).run().fingerprint() == legacy
-    legacy_sharded = build_campaign(7, 48, 4, checked=False).run().fingerprint()
+    """The facade is a lifecycle wrapper, not a re-implementation: same
+    seed => same fingerprint as the bare engine it drives, single and
+    sharded."""
+    bare = build_campaign(7, 16, 0, checked=False).run().fingerprint()
+    assert build_facade_campaign(7, 16, 1).run().fingerprint() == bare
+    bare_sharded = build_campaign(7, 48, 4, checked=False).run().fingerprint()
     assert (
-        build_facade_campaign(7, 48, 4).run().fingerprint() == legacy_sharded
+        build_facade_campaign(7, 48, 4).run().fingerprint() == bare_sharded
     )
 
 
@@ -438,7 +457,10 @@ def build_async_loop(
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=pool_size, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    engine = make_engine(
+        pool,
+        shards,
+        checked,
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=20,
@@ -448,21 +470,9 @@ def build_async_loop(
         parallel_shards=parallel,
         telemetry=telemetry,
         seed=seed,
+        routing_policy=policy,
+        rebalance_threshold=rebalance_threshold,
     )
-    if shards == 0:
-        cls = CheckedEngine if checked else CampaignEngine
-        engine = cls(pool, config)
-    else:
-        cls = CheckedShardedEngine if checked else ShardedCampaignEngine
-        engine = cls(
-            pool,
-            config,
-            ShardingConfig(
-                shards,
-                policy=policy,
-                rebalance_threshold=rebalance_threshold,
-            ),
-        )
     truths = rng.integers(0, 2, size=num_tasks)
     tasks = [
         EngineTask(f"t{i}", ground_truth=int(t))
@@ -507,15 +517,16 @@ def test_parallel_dispatch_is_byte_identical(seed):
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=48, quality_ceiling=0.95), rng
     )
-    config = EngineConfig(
+    config = CampaignConfig(
         budget=0.3 * 60,
         capacity=3,
         batch_size=20,
         confidence_target=0.95,
         parallel_shards=4,
         seed=seed,
+        num_shards=4,
     )
-    engine = CheckedShardedEngine(pool, config, ShardingConfig(4))
+    engine = CheckedEngine(pool, config)
     truths = rng.integers(0, 2, size=60)
     engine.submit(
         EngineTask(f"t{i}", ground_truth=int(t))

@@ -1,12 +1,12 @@
-"""Batched-kernel toggle, frontier-memo LRU, scheduled checkpoints and
+"""Batched-kernel parity, frontier-memo LRU, scheduled checkpoints and
 live paused-report gauges.
 
-The kernel path is a pure performance lever: every decision, cache
-counter, and therefore the campaign fingerprint must be byte-identical
-to the scalar path.  Scheduled checkpoints are read-only snapshots, so
-an auto-checkpointing run (and anything resumed from one of its
-checkpoints) must also be fingerprint-identical to an uninterrupted
-run.
+The scheduler builds every frontier through the batched kernel; the
+scalar path in :mod:`repro.frontier` is the oracle it must match in
+every decision, cache counter, and therefore the campaign fingerprint.
+Scheduled checkpoints are read-only snapshots, so an auto-checkpointing
+run (and anything resumed from one of its checkpoints) must also be
+fingerprint-identical to an uninterrupted run.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from repro.engine import (
     JQCache,
     MemoryBackend,
 )
+from repro.engine import scheduler as scheduler_module
+from repro.engine.campaign import FORCE_DISPATCH_ENV
 from repro.engine.scheduler import MAX_FRONTIER_MEMO, CampaignScheduler
 from repro.engine.state import WorkerRegistry
 from repro.simulation import SyntheticPoolConfig, generate_pool
@@ -57,27 +59,35 @@ class TestKernelToggle:
     @pytest.mark.parametrize("num_shards", [1, 3])
     @pytest.mark.parametrize("quantization", ["auto", None])
     def test_fingerprint_identical_across_kernel_toggle(
-        self, num_shards, quantization
+        self, num_shards, quantization, monkeypatch
     ):
         """Re-estimation every 25 tasks churns the frontier memos, so
         both paths rebuild frontiers constantly — and must agree on
-        every decision and every cache counter."""
+        every decision and every cache counter.  The scalar oracle is
+        swapped in under the scheduler's own frontier builder (in this
+        process: forced process dispatch would build shard frontiers
+        where the oracle's call log cannot see them)."""
+        monkeypatch.delenv(FORCE_DISPATCH_ENV, raising=False)
         batch = make_campaign(
-            num_shards=num_shards,
-            quantization=quantization,
-            jq_kernel="batch",
+            num_shards=num_shards, quantization=quantization
         ).run()
+
+        batch_frontier = scheduler_module.exact_frontier
+        calls = []
+
+        def scalar_frontier(pool, objective, implementation):
+            calls.append(implementation)
+            return batch_frontier(pool, objective, implementation="scalar")
+
+        monkeypatch.setattr(
+            scheduler_module, "exact_frontier", scalar_frontier
+        )
         scalar = make_campaign(
-            num_shards=num_shards,
-            quantization=quantization,
-            jq_kernel="scalar",
+            num_shards=num_shards, quantization=quantization
         ).run()
+        assert calls and set(calls) == {"batch"}
         assert batch.fingerprint() == scalar.fingerprint()
         assert batch.cache_stats == scalar.cache_stats
-
-    def test_jq_kernel_validation(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, jq_kernel="gpu")
 
 
 class TestReestimationPin:
@@ -170,6 +180,43 @@ class TestScheduledCheckpoints:
     def test_validation(self):
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, checkpoint_every=-1)
+
+
+class TestRetiredConfigFields:
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_checkpoint_with_retired_modes_resumes_identically(
+        self, num_shards
+    ):
+        """Checkpoints written while ``jq_kernel`` and ``vote_fanout``
+        were still config fields carry them in the saved config.  Both
+        modes were fingerprint-neutral, so resume drops them and lands
+        on the uninterrupted run's fingerprint."""
+        reference = make_campaign(num_shards=num_shards).run().fingerprint()
+
+        backend = MemoryBackend()
+        campaign = make_campaign(backend=backend, num_shards=num_shards)
+        campaign.run(until=50)
+        campaign.checkpoint()
+        snapshot = backend.load()
+        snapshot["campaign"]["config"].update(
+            jq_kernel="scalar", vote_fanout=4
+        )
+        backend.save(snapshot)
+
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.completed >= 50
+        assert resumed.run().fingerprint() == reference
+
+    def test_other_unknown_fields_still_refuse_to_resume(self):
+        backend = MemoryBackend()
+        campaign = make_campaign(backend=backend)
+        campaign.run(until=10)
+        campaign.checkpoint()
+        snapshot = backend.load()
+        snapshot["campaign"]["config"]["shard_policy"] = "hash"
+        backend.save(snapshot)
+        with pytest.raises(ValueError, match="shard_policy"):
+            Campaign.resume(backend)
 
 
 class TestPausedReportGauges:

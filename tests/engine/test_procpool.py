@@ -1,4 +1,4 @@
-"""Multi-process campaign pools: process dispatch + vote fanout.
+"""Multi-process campaign pools: process dispatch.
 
 The tentpole claim is *byte-identity*: shipping each shard's admit
 round to a persistent worker process (``dispatch="processes"``) must
@@ -7,8 +7,7 @@ counters, everything — as the sequential and threaded paths, across
 seeds, shard counts, and state backends.  This file pins that claim,
 the pool's own mechanics (sticky workers, state pull/push, poisoning
 on a failed round), the ``REPRO_ENGINE_FORCE_DISPATCH`` CI toggle, and
-the satellite knobs that ride along (``vote_fanout``,
-``ingest_grace="auto"``).
+the satellite knob that rode along (``ingest_grace="auto"``).
 
 Cross-process *lease* coordination lives in ``test_leases.py``.
 """
@@ -263,33 +262,6 @@ def test_shadow_registry_mirrors_member_rows():
     with pytest.raises(Exception):
         shadow.assign("w1", "t10")
     assert {w.worker_id for w in shadow.available_pool()} == {"w0"}
-
-
-# ----------------------------------------------------------------------
-# Satellite: multi-loop vote processing (vote_fanout)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [7, 21])
-@pytest.mark.parametrize("num_shards", [1, 4])
-def test_vote_fanout_is_byte_identical(seed, num_shards):
-    single, _ = run_fingerprint(seed, num_shards, "threads")
-    fanned, metrics = run_fingerprint(
-        seed, num_shards, "threads", vote_fanout=4
-    )
-    assert fanned == single
-    assert metrics.votes_cast > 0
-
-
-def test_vote_fanout_with_reestimation_is_byte_identical():
-    single, _ = run_fingerprint(13, 2, "threads", reestimate_every=10)
-    fanned, _ = run_fingerprint(
-        13, 2, "threads", vote_fanout=3, reestimate_every=10
-    )
-    assert fanned == single
-
-
-def test_vote_fanout_rejects_negative():
-    with pytest.raises(ValueError, match="vote_fanout"):
-        CampaignConfig(budget=5.0, vote_fanout=-1)
 
 
 # ----------------------------------------------------------------------

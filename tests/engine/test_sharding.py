@@ -8,12 +8,10 @@ import pytest
 from repro.core import Worker, WorkerPool
 from repro.engine import (
     BudgetAllocator,
+    CampaignConfig,
     CampaignEngine,
-    EngineConfig,
     EngineTask,
-    ShardedCampaignEngine,
     ShardedScheduler,
-    ShardingConfig,
     ShardRegistryView,
     WorkerRegistry,
     partition_members,
@@ -46,27 +44,35 @@ def make_scheduler(
         rng,
     )
     registry = WorkerRegistry(pool, capacity=capacity)
-    config = EngineConfig(budget=budget, capacity=capacity, seed=seed)
-    sharding = ShardingConfig(shards, policy=policy, **sharding_kw)
-    return ShardedScheduler(registry, config, sharding, expected)
+    config = CampaignConfig(
+        budget=budget,
+        capacity=capacity,
+        seed=seed,
+        num_shards=shards,
+        routing_policy=policy,
+        **sharding_kw,
+    )
+    return ShardedScheduler(registry, config, expected)
 
 
 class TestShardingConfig:
+    """The sharding fields of :class:`CampaignConfig`."""
+
     def test_validates_num_shards(self):
         with pytest.raises(ValueError, match="num_shards"):
-            ShardingConfig(0)
+            CampaignConfig(budget=1.0, num_shards=0)
 
     def test_validates_policy(self):
         with pytest.raises(ValueError, match="routing policy"):
-            ShardingConfig(2, policy="round-robin")
+            CampaignConfig(budget=1.0, routing_policy="round-robin")
 
     def test_validates_rebalance_threshold(self):
         with pytest.raises(ValueError, match="rebalance_threshold"):
-            ShardingConfig(2, rebalance_threshold=0.0)
+            CampaignConfig(budget=1.0, rebalance_threshold=0.0)
 
     def test_validates_rebalance_moves(self):
         with pytest.raises(ValueError, match="rebalance_max_moves"):
-            ShardingConfig(2, rebalance_max_moves=-1)
+            CampaignConfig(budget=1.0, rebalance_max_moves=-1)
 
 
 class TestPartition:
@@ -270,7 +276,7 @@ class TestRebalancing:
         scheduler = self.skewed_scheduler()
         before = len(scheduler.shards[1].view)
         moved = scheduler.rebalance()
-        assert moved == scheduler.sharding.rebalance_max_moves
+        assert moved == scheduler.config.rebalance_max_moves
         assert len(scheduler.shards[1].view) == before + moved
         assert scheduler.shards[0].migrations_out == moved
         assert scheduler.shards[1].migrations_in == moved
@@ -289,8 +295,20 @@ class TestRebalancing:
         assert scheduler.rebalance() == 0
 
 
+class OneShardEngine(CampaignEngine):
+    """Serves ``num_shards=1`` through a one-shard :class:`ShardedScheduler`
+    (the engine itself builds the single scheduler there)."""
+
+    def _make_scheduler(self, expected_tasks):
+        return ShardedScheduler(
+            self.registry, self.config, expected_tasks, self.telemetry
+        )
+
+
 class TestShardedEngine:
-    def run_campaign(self, shards=4, num_tasks=80, pool_size=32, seed=9):
+    def run_campaign(
+        self, shards=4, num_tasks=80, pool_size=32, seed=9, engine_cls=None
+    ):
         rng = np.random.default_rng(seed)
         pool = generate_pool(
             SyntheticPoolConfig(
@@ -298,10 +316,14 @@ class TestShardedEngine:
             ),
             rng,
         )
-        config = EngineConfig(
-            budget=0.35 * num_tasks, capacity=3, batch_size=20, seed=seed
+        config = CampaignConfig(
+            budget=0.35 * num_tasks,
+            capacity=3,
+            batch_size=20,
+            seed=seed,
+            num_shards=shards,
         )
-        engine = ShardedCampaignEngine(pool, config, shards)
+        engine = (engine_cls or CampaignEngine)(pool, config)
         truths = rng.integers(0, 2, size=num_tasks)
         engine.submit(
             EngineTask(f"t{i}", ground_truth=int(t))
@@ -330,33 +352,27 @@ class TestShardedEngine:
 
     def test_accepts_bare_int_shard_count(self):
         engine, metrics = self.run_campaign(shards=2)
-        assert engine.sharding.num_shards == 2
+        assert isinstance(engine.scheduler, ShardedScheduler)
+        assert len(engine.scheduler.shards) == 2
+        assert len(metrics.shard_snapshots) == 2
 
     def test_rejects_more_shards_than_workers(self):
         rng = np.random.default_rng(0)
         pool = generate_pool(SyntheticPoolConfig(num_workers=4), rng)
-        config = EngineConfig(budget=10.0)
+        config = CampaignConfig(budget=10.0, num_shards=5)
         with pytest.raises(ValueError, match="pool size"):
-            ShardedCampaignEngine(pool, config, ShardingConfig(5))
+            CampaignEngine(pool, config)
 
     def test_matches_plain_engine_at_one_shard(self):
-        """The headline regression: ShardingConfig(1) is the plain
-        engine, bit for bit (full matrix in test_invariants.py)."""
-        engine, sharded = self.run_campaign(shards=1)
-        rng = np.random.default_rng(9)
-        pool = generate_pool(
-            SyntheticPoolConfig(num_workers=32, quality_ceiling=0.95), rng
+        """The headline regression: a one-shard sharded scheduler is the
+        single scheduler, bit for bit (full matrix in
+        test_invariants.py)."""
+        engine, sharded = self.run_campaign(
+            shards=1, engine_cls=OneShardEngine
         )
-        config = EngineConfig(
-            budget=0.35 * 80, capacity=3, batch_size=20, seed=9
-        )
-        plain_engine = CampaignEngine(pool, config)
-        truths = rng.integers(0, 2, size=80)
-        plain_engine.submit(
-            EngineTask(f"t{i}", ground_truth=int(t))
-            for i, t in enumerate(truths)
-        )
-        plain = plain_engine.run()
+        assert isinstance(engine.scheduler, ShardedScheduler)
+        plain_engine, plain = self.run_campaign(shards=1)
+        assert not isinstance(plain_engine.scheduler, ShardedScheduler)
         assert plain.fingerprint() == sharded.fingerprint()
 
 
@@ -375,12 +391,14 @@ class TestAdmitErrorSettlement:
             SyntheticPoolConfig(num_workers=16, quality_ceiling=0.95), rng
         )
         registry = WorkerRegistry(pool, capacity=2)
-        config = EngineConfig(
-            budget=30.0, capacity=2, seed=seed, parallel_shards=parallel
+        config = CampaignConfig(
+            budget=30.0,
+            capacity=2,
+            seed=seed,
+            parallel_shards=parallel,
+            num_shards=shards,
         )
-        return ShardedScheduler(
-            registry, config, ShardingConfig(shards), 100
-        )
+        return ShardedScheduler(registry, config, 100)
 
     @staticmethod
     def tasks(count, offset=0):

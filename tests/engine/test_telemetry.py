@@ -395,6 +395,44 @@ class TestCampaignIntegration:
             shards = {r["labels"].get("shard") for r in rows}
             assert len(shards) > 1
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_open_offers_gauge_tracks_the_offer_book(self, shards):
+        """External-vote campaigns export ``engine.open_offers`` at any
+        shard count (sharded campaigns used to drop the gauge)."""
+        campaign = make_campaign(
+            7, shards, vote_source="external", telemetry="on"
+        )
+        worker_id = campaign.registry.worker_ids[0]
+        campaign.assignments(worker_id)  # pumps: juries seat, offers open
+        rows = [
+            r
+            for r in campaign.telemetry.snapshot()["gauges"]
+            if r["name"] == "engine.open_offers"
+        ]
+        assert len(rows) == 1
+        assert campaign.offers.open_count > 0
+        assert rows[0]["value"] == campaign.offers.open_count
+        assert "repro_engine_open_offers" in (
+            campaign.telemetry.render_prometheus()
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_cache_gauges_come_from_the_caches_in_use(self, shards):
+        """One shard reports the campaign cache (unlabeled); a sharded
+        campaign leaves that cache idle and reports one labeled series
+        per shard cache instead."""
+        campaign = make_campaign(7, shards, telemetry="on")
+        campaign.run()
+        labels = [
+            r["labels"]
+            for r in campaign.telemetry.snapshot()["gauges"]
+            if r["name"] == "cache.hits"
+        ]
+        if shards == 1:
+            assert labels == [{}]
+        else:
+            assert sorted(l["shard"] for l in labels) == ["0", "1"]
+
     @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
     def test_telemetry_survives_checkpoint_resume(
         self, backend_kind, tmp_path
