@@ -1,19 +1,19 @@
 """Sharded vs. single-scheduler serving at 64 workers.
 
-The single :class:`~repro.engine.scheduler.CampaignScheduler` does per
-admission round work that scales with the whole pool and the whole
-batch: the budget-split envelope walk is quadratic in batch size, and
-every saturated seat triggers a substitute scan linear in pool size.
-Sharding divides both by K — each shard admits its own sub-batch over
-its own members — so under burst ingestion (large arrival batches
-against a 64-worker pool) the sharded engine should clear **at least
-2x the tasks/sec** of the single scheduler on identical traffic,
-while every per-shard frontier stays inside the exact-frontier cap.
+Sharding partitions the registry so each of K shards admits its own
+sub-batch over its own members; every per-shard frontier then stays
+inside the exact-frontier cap.  Under burst ingestion (batches of 200
+against a 64-worker pool) this once cleared ~6x the single scheduler,
+but that win was the budget split's rescan of every task per greedy
+step, which sharding shrank K ways.  With the lazy-heap allocator the
+single scheduler no longer pays that quadratic cost, so the
+sharded/single throughput ratio is recorded in
+``benchmarks/BENCH_engine.json``, not gated.
 
-The run also re-asserts the serving invariants at benchmark scale
-(capacity ceiling, net spend <= budget) and reports realized accuracy
-for both configurations: sharding engages 4x the candidate workers, so
-its accuracy must be no worse.
+The run re-asserts the serving invariants at benchmark scale (capacity
+ceiling, net spend <= budget) and reports realized accuracy for both
+configurations: sharding engages 4x the candidate workers, so its
+accuracy must be no worse.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ BATCH_SIZE = 200  # burst ingestion: arrivals buffered into large batches
 NUM_TASKS = 3_000
 BUDGET_PER_TASK = 0.25
 SEED = 2015
-MIN_SPEEDUP = 2.0
 
 
 def run_campaign(num_shards: int):
@@ -89,7 +88,7 @@ def test_sharded_vs_single_throughput(benchmark, emit, emit_json):
                 "net spend", (single.total_spend, sharded.total_spend)
             ),
         ),
-        notes=f"speedup {speedup:.2f}x (acceptance bar >= {MIN_SPEEDUP}x); "
+        notes=f"sharded/single {speedup:.2f}x (recorded, not gated); "
         "identical seeded traffic, capacity/budget invariants asserted",
     )
     emit(result.render())
@@ -103,9 +102,5 @@ def test_sharded_vs_single_throughput(benchmark, emit, emit_json):
         },
     )
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"sharded engine only {speedup:.2f}x the single scheduler "
-        f"({sharded.throughput:,.0f} vs {single.throughput:,.0f} tasks/s)"
-    )
     # 4x the engaged candidate pool must not cost accuracy.
     assert sharded.realized_accuracy >= single.realized_accuracy - 0.02

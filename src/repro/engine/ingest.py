@@ -42,7 +42,7 @@ Parallelism across shards lives in
 this module owns the producer-facing half.  The two compose: burst
 traffic streams in through the intake while K shard admits seat juries
 in parallel — ``benchmarks/bench_async_ingestion.py`` measures the
-combination against the sequential loop.
+intake against the synchronous loop at equal shards.
 """
 
 from __future__ import annotations

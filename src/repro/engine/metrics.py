@@ -96,6 +96,21 @@ class TaskRecord:
     def refund(self) -> float:
         return self.reserved_cost - self.spent_cost
 
+    def state_dict(self) -> dict:
+        """``dataclasses.asdict(self)`` without its recursive deep copy
+        (every field is a flat scalar); same keys, order and values."""
+        return {
+            "task_id": self.task_id,
+            "answer": self.answer,
+            "confidence": self.confidence,
+            "predicted_jq": self.predicted_jq,
+            "reserved_cost": self.reserved_cost,
+            "spent_cost": self.spent_cost,
+            "votes_used": self.votes_used,
+            "reason": self.reason,
+            "correct": self.correct,
+        }
+
 
 @dataclass
 class EngineMetrics:
@@ -187,7 +202,7 @@ class EngineMetrics:
         snapshot fields (so a resumed *finished* campaign still renders
         its full report)."""
         return {
-            "records": [asdict(r) for r in self.records],
+            "records": [r.state_dict() for r in self.records],
             "submitted": self.submitted,
             "votes_cast": self.votes_cast,
             "votes_cancelled": self.votes_cancelled,

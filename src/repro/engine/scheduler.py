@@ -66,8 +66,10 @@ from .telemetry import NULL_TELEMETRY
 MAX_FRONTIER_POOL = 20
 
 #: Exact frontiers over a 10-worker pool can carry hundreds of points;
-#: the budget-split greedy walks every envelope step of every task, so
-#: allocation uses a thinned frontier of at most this many points.
+#: allocation uses a thinned frontier of at most this many points.  The
+#: budget split builds one envelope per batch (every task shares the
+#: frontier), so the cap no longer bounds its cost; it sets the step
+#: resolution of every grant, and changing it moves every fingerprint.
 MAX_ALLOCATION_POINTS = 24
 
 #: Distinct candidate-pool configurations the frontier memo holds; at

@@ -63,8 +63,8 @@ class OnlineDecisionSession:
     """Incremental Bayesian aggregation for one decision task.
 
     Feed ``(worker, vote)`` pairs through :meth:`add_vote`; the session
-    maintains the exact posterior (equivalent to rerunning BV on the
-    full vote vector, but O(1) per vote in the log domain).
+    maintains the exact posterior (BV rerun on the full vote vector),
+    computed once per vote and cached for every read until the next.
     """
 
     def __init__(
@@ -84,6 +84,8 @@ class OnlineDecisionSession:
         self._votes: list[int] = []
         self._cost = 0.0
         self._history: list[float] = []
+        # posterior_zero of the votes so far; add_vote clears it.
+        self._posterior: float | None = None
 
     # ------------------------------------------------------------------
     # State
@@ -101,7 +103,11 @@ class OnlineDecisionSession:
         """Current ``Pr(t = 0 | votes so far)``."""
         if not self._votes:
             return self.alpha
-        return posterior_zero(self._votes, self._qualities, self.alpha)
+        if self._posterior is None:
+            self._posterior = posterior_zero(
+                self._votes, self._qualities, self.alpha
+            )
+        return self._posterior
 
     @property
     def answer(self) -> int:
@@ -140,6 +146,7 @@ class OnlineDecisionSession:
             )
         self._qualities.append(worker.quality)
         self._votes.append(int(vote))
+        self._posterior = None
         self._cost += worker.cost
         confidence = self.confidence
         self._history.append(confidence)

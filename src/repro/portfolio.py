@@ -17,10 +17,19 @@ Greedy-by-slope on concave envelopes is the classic multiple-choice
 knapsack relaxation: it is optimal whenever the budget lands exactly
 on a chosen step boundary, and within one step's JQ gain of optimal in
 general.
+
+The walk costs O(D*E + (T + P) log T) for T tasks, D distinct frontier
+objects with E envelope steps each, and P purchased steps: each
+distinct frontier's envelope is built once, and a lazy max-heap keyed
+``(-slope, task order)`` replaces the per-step rescan of every task.
+It buys exactly the steps the rescan would; when two distinct slopes
+lie within ``1e-15`` of each other (where the rescan's first-beat rule
+can differ from a plain maximum) the call falls back to the rescan.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -119,6 +128,79 @@ def concave_envelope(
     return hull
 
 
+def _envelope_steps(
+    envelope: Sequence[FrontierPoint],
+) -> list[tuple[float, float]]:
+    """``(step_cost, slope)`` of each envelope step, in the scan's own
+    float expressions (so both walks compare identical numbers)."""
+    steps = []
+    for a, b in zip(envelope, envelope[1:]):
+        step_cost = b.cost - a.cost
+        step_gain = b.jq - a.jq
+        steps.append((step_cost, step_gain / max(step_cost, 1e-15)))
+    return steps
+
+
+def _scan_levels(
+    steps: Sequence[Sequence[tuple[float, float]]], remaining: float
+) -> list[int]:
+    """The O(picks x tasks) scan: every greedy step rescans every task
+    and buys the first step (in task order) whose slope beats the best
+    so far by more than ``1e-15``.  Used only when near-tied slopes
+    make that first-beat rule differ from a plain maximum."""
+    level = [0] * len(steps)
+    while True:
+        best_task = None
+        best_slope = 0.0
+        for task, task_steps in enumerate(steps):
+            i = level[task]
+            if i >= len(task_steps):
+                continue
+            step_cost, slope = task_steps[i]
+            if step_cost > remaining + 1e-12:
+                continue
+            if slope > best_slope + 1e-15:
+                best_slope = slope
+                best_task = task
+        if best_task is None:
+            return level
+        remaining -= steps[best_task][level[best_task]][0]
+        level[best_task] += 1
+
+
+def _heap_levels(
+    steps: Sequence[Sequence[tuple[float, float]]], remaining: float
+) -> list[int]:
+    """The scan's picks from a lazy max-heap keyed ``(-slope, task)``.
+
+    Without near-ties the scan buys the first task (in order) holding
+    the largest affordable slope, provided that slope beats the scan's
+    ``0.0`` start by more than ``1e-15`` — exactly the heap's top.  A
+    top whose step is unaffordable is dropped for good: ``remaining``
+    only shrinks and the task's next step changes only when it is
+    bought.
+    """
+    level = [0] * len(steps)
+    heap = [(-s[0][1], task) for task, s in enumerate(steps) if s]
+    heapq.heapify(heap)
+    while heap:
+        neg_slope, task = heap[0]
+        i = level[task]
+        step_cost = steps[task][i][0]
+        if step_cost > remaining + 1e-12:
+            heapq.heappop(heap)
+            continue
+        if not -neg_slope > 1e-15:
+            break
+        remaining -= step_cost
+        level[task] = i + 1
+        if i + 1 < len(steps[task]):
+            heapq.heapreplace(heap, (-steps[task][i + 1][1], task))
+        else:
+            heapq.heappop(heap)
+    return level
+
+
 def allocate_budget(
     frontiers: Mapping[str, Frontier],
     budget: float,
@@ -138,42 +220,27 @@ def allocate_budget(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    envelopes = {
-        task: concave_envelope(frontier.points, baseline_jq)
-        for task, frontier in frontiers.items()
-    }
-    # Current envelope index per task; index 0 is the (0, baseline) anchor.
-    level = {task: 0 for task in frontiers}
-    remaining = float(budget)
+    # One envelope per distinct frontier object: the engine hands every
+    # task of a batch the same frontier.
+    envelopes: dict[int, tuple[list[FrontierPoint], list]] = {}
+    task_envelopes = []
+    for frontier in frontiers.values():
+        key = id(frontier)
+        if key not in envelopes:
+            envelope = concave_envelope(frontier.points, baseline_jq)
+            envelopes[key] = (envelope, _envelope_steps(envelope))
+        task_envelopes.append(envelopes[key])
+    steps = [task_steps for _, task_steps in task_envelopes]
 
-    while True:
-        best_task = None
-        best_slope = 0.0
-        for task, envelope in envelopes.items():
-            i = level[task]
-            if i + 1 >= len(envelope):
-                continue
-            step_cost = envelope[i + 1].cost - envelope[i].cost
-            if step_cost > remaining + 1e-12:
-                continue
-            step_gain = envelope[i + 1].jq - envelope[i].jq
-            slope = step_gain / max(step_cost, 1e-15)
-            if slope > best_slope + 1e-15:
-                best_slope = slope
-                best_task = task
-        if best_task is None:
-            break
-        step = (
-            envelopes[best_task][level[best_task] + 1].cost
-            - envelopes[best_task][level[best_task]].cost
-        )
-        remaining -= step
-        level[best_task] += 1
+    slopes = sorted({slope for _, s in envelopes.values() for _, slope in s})
+    near_tie = any(not hi > lo + 1e-15 for lo, hi in zip(slopes, slopes[1:]))
+    walk = _scan_levels if near_tie else _heap_levels
+    level = walk(steps, float(budget))
 
     allocations = []
-    for task in frontiers:
-        i = level[task]
-        chosen = envelopes[task][i] if i > 0 else None
+    for task, (envelope, _), i in zip(frontiers, task_envelopes, level):
+        # Index 0 is the (0, baseline) anchor: ask nobody.
+        chosen = envelope[i] if i > 0 else None
         allocations.append(TaskAllocation(task, chosen))
     return CampaignPlan(tuple(allocations), float(budget), baseline_jq)
 

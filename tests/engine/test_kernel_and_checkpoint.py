@@ -9,6 +9,8 @@ run (and anything resumed from one of its checkpoints) must also be
 fingerprint-identical to an uninterrupted run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.engine import (
 )
 from repro.engine import scheduler as scheduler_module
 from repro.engine.campaign import FORCE_DISPATCH_ENV
+from repro.engine.metrics import TaskRecord
 from repro.engine.scheduler import MAX_FRONTIER_MEMO, CampaignScheduler
 from repro.engine.state import WorkerRegistry
 from repro.simulation import SyntheticPoolConfig, generate_pool
@@ -180,6 +183,17 @@ class TestScheduledCheckpoints:
     def test_validation(self):
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, checkpoint_every=-1)
+
+    def test_record_payload_equals_asdict_key_order_included(self):
+        metrics = make_campaign(num_tasks=60).run()
+        records = metrics.state_dict()["records"]
+        assert len(records) == len(metrics.records) == 60
+        for record, payload in zip(metrics.records, records):
+            assert payload == dataclasses.asdict(record)
+            assert list(payload.items()) == list(
+                dataclasses.asdict(record).items()
+            )
+            assert TaskRecord(**payload) == record
 
 
 class TestRetiredConfigFields:

@@ -61,6 +61,37 @@ class TestOnlineDecisionSession:
         assert outcome.stopped_early
         assert len(outcome.history) == 1
 
+    def test_cached_posterior_equals_a_fresh_one(self):
+        """Every read between votes, and after a resume, returns exactly
+        the posterior a fresh BV run over the votes so far gives."""
+        rng = np.random.default_rng(11)
+        session = OnlineDecisionSession(alpha=0.35, confidence_target=0.99)
+        qualities: list[float] = []
+        votes: list[int] = []
+
+        def check(s):
+            fresh = posterior_zero(votes, qualities, 0.35)
+            answer = 0 if fresh >= 0.5 else 1
+            confidence = max(fresh, 1.0 - fresh)
+            for _ in range(2):  # the second read hits the cache
+                assert s.posterior_zero == fresh
+                assert s.confidence == confidence
+                assert s.answer == answer
+                assert s.should_stop == (confidence >= 0.99)
+
+        for k in range(12):
+            q = float(rng.uniform(0.55, 0.95))
+            v = int(rng.integers(0, 2))
+            qualities.append(q)
+            votes.append(v)
+            fresh = posterior_zero(votes, qualities, 0.35)
+            confidence = session.add_vote(Worker(f"w{k}", q), v)
+            assert confidence == max(fresh, 1.0 - fresh)
+            check(session)
+            resumed = OnlineDecisionSession.from_state(session.state_dict())
+            check(resumed)
+            assert resumed.state_dict() == session.state_dict()
+
 
 class TestRunOnline:
     def workers(self):
