@@ -1,12 +1,13 @@
-"""Substitute search: availability-indexed heap vs linear rescan.
+"""Substitute search: per-cap substitute index vs linear rescan.
 
 The unsharded engine's profiled bottleneck at 64 workers was
 ``CampaignScheduler``'s substitute search: every saturated planned seat
 rescanned the whole informativeness-ranked pool, and under load the
 head of that ranking is exactly the saturated part — O(pool) wasted
 work per seat, every batch.  :class:`~repro.engine.SubstituteIndex`
-replaces the scan with a heap that drops workers observed saturated for
-the remainder of the batch (capacity only decreases within ``admit``).
+replaces the scan with one filtered list per cost cap, built the first
+time the cap appears, which drops workers observed saturated for the
+remainder of the batch (capacity only decreases within ``admit``).
 
 This benchmark drives identical seeded 64-worker campaigns — burst
 batches against capacity 2, so substitution is constantly engaged —
@@ -14,7 +15,7 @@ through both implementations and asserts
 
 * **identical seatings**: the end-to-end metrics fingerprints match
   (the index is an indexing change, not a policy change), and
-* **the unsharded path no longer falls behind**: the heap-indexed run
+* **the unsharded path no longer falls behind**: the indexed run
   completes at least as fast as the linear-scan run (with slack for
   timer noise).
 """
@@ -33,14 +34,14 @@ BATCH_SIZE = 200  # burst ingestion keeps the pool saturated
 NUM_TASKS = 3_000
 BUDGET_PER_TASK = 0.25
 SEED = 2015
-#: The heap path must not be slower than the linear path beyond timer
+#: The index path must not be slower than the linear path beyond timer
 #: noise; on a saturated 64-worker pool it is typically well ahead.
 MAX_SLOWDOWN = 1.15
 
 
 class _LinearScanIndex:
     """The pre-index substitute search, reconstructed as the oracle
-    (same production ranking key as the heap)."""
+    (same production ranking key as the index)."""
 
     def __init__(self, states):
         self._ranked = sorted(
@@ -51,7 +52,7 @@ class _LinearScanIndex:
         return linear_best_substitute(self._ranked, max_cost, exclude)
 
 
-def run_campaign(use_heap_index: bool):
+def run_campaign(use_index: bool):
     rng = np.random.default_rng(SEED)
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=POOL_SIZE, quality_ceiling=0.95), rng
@@ -72,7 +73,7 @@ def run_campaign(use_heap_index: bool):
         EngineTask(f"t{i}", ground_truth=int(t))
         for i, t in enumerate(truths)
     )
-    if not use_heap_index:
+    if not use_index:
         original = CampaignScheduler._make_substitute_index
         CampaignScheduler._make_substitute_index = (
             lambda self: _LinearScanIndex(self.registry.states)
@@ -92,36 +93,36 @@ def run_campaign(use_heap_index: bool):
 
 def test_substitution_index_speed_and_equivalence(benchmark, emit, emit_json):
     def sweep():
-        linear = run_campaign(use_heap_index=False)
-        heap = run_campaign(use_heap_index=True)
-        return linear, heap
+        linear = run_campaign(use_index=False)
+        index = run_campaign(use_index=True)
+        return linear, index
 
-    linear, heap = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    linear, index = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     # Indexing change, not a policy change: byte-identical campaigns.
-    assert heap.fingerprint() == linear.fingerprint()
+    assert index.fingerprint() == linear.fingerprint()
 
-    speedup = heap.throughput / linear.throughput
+    speedup = index.throughput / linear.throughput
     result = ExperimentResult(
         experiment_id="scheduler-substitution",
         title=(
-            f"Substitute search: heap index vs linear rescan "
+            f"Substitute search: per-cap index vs linear rescan "
             f"({POOL_SIZE} workers, capacity {CAPACITY}, "
             f"burst batches of {BATCH_SIZE}, {NUM_TASKS} tasks)"
         ),
-        x_label="implementation (1=linear, 2=heap)",
+        x_label="implementation (1=linear, 2=index)",
         xs=(1.0, 2.0),
         series=(
             SweepSeries(
-                "tasks/sec", (linear.throughput, heap.throughput)
+                "tasks/sec", (linear.throughput, index.throughput)
             ),
             SweepSeries(
-                "wall seconds", (linear.wall_seconds, heap.wall_seconds)
+                "wall seconds", (linear.wall_seconds, index.wall_seconds)
             ),
         ),
         notes=(
-            f"heap/linear speedup {speedup:.2f}x; identical fingerprints "
-            f"(same seatings, same spend); acceptance bar: heap >= "
+            f"index/linear speedup {speedup:.2f}x; identical fingerprints "
+            f"(same seatings, same spend); acceptance bar: index >= "
             f"{1 / MAX_SLOWDOWN:.2f}x linear"
         ),
     )
@@ -130,12 +131,12 @@ def test_substitution_index_speed_and_equivalence(benchmark, emit, emit_json):
         "scheduler-substitution",
         {
             "linear_tasks_per_sec": linear.throughput,
-            "heap_tasks_per_sec": heap.throughput,
+            "index_tasks_per_sec": index.throughput,
             "speedup": speedup,
         },
     )
 
     assert speedup >= 1.0 / MAX_SLOWDOWN, (
-        f"heap-indexed substitution fell behind the linear scan: "
-        f"{heap.throughput:,.0f} vs {linear.throughput:,.0f} tasks/s"
+        f"indexed substitution fell behind the linear scan: "
+        f"{index.throughput:,.0f} vs {linear.throughput:,.0f} tasks/s"
     )

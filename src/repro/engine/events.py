@@ -17,7 +17,7 @@ model; here the "data layer" is the :class:`~repro.engine.state.WorkerRegistry`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
@@ -137,40 +137,35 @@ def event_from_state(state: Mapping) -> Event:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    seq: int
-    event: Event = field(compare=False)
-
-
 class EventQueue:
     """A deterministic priority queue of engine events.
 
-    Pops in ``(time, enqueue-order)`` order.  ``pending`` counts per
+    Pops in ``(time, enqueue-order)`` order.  Heap entries are plain
+    ``(time, seq, event)`` tuples: ``(time, seq)`` is unique, so the
+    tuple comparison never reaches the event.  ``pending`` counts per
     event type let the engine decide when an arrival batch is complete
     without peeking into the heap.
     """
 
     def __init__(self) -> None:
-        self._heap: list[_QueueEntry] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._pending: dict[type, int] = {}
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, _QueueEntry(event.time, self._seq, event))
+        heapq.heappush(self._heap, (event.time, self._seq, event))
         self._seq += 1
         self._pending[type(event)] = self._pending.get(type(event), 0) + 1
 
     def pop(self) -> Event:
-        entry = heapq.heappop(self._heap)
-        self._pending[type(entry.event)] -= 1
-        return entry.event
+        event = heapq.heappop(self._heap)[2]
+        self._pending[type(event)] -= 1
+        return event
 
     def peek(self) -> Event | None:
         """The event :meth:`pop` would return next, without removing it
         (``None`` on an empty queue)."""
-        return self._heap[0].event if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def pending(self, event_type: type) -> int:
         """Number of queued events of exactly ``event_type``."""
@@ -183,7 +178,7 @@ class EventQueue:
         return bool(self._heap)
 
     def __iter__(self) -> Iterator[Event]:  # pragma: no cover - debugging aid
-        return (entry.event for entry in sorted(self._heap))
+        return (event for _, _, event in sorted(self._heap))
 
     # ------------------------------------------------------------------
     # Persistence
@@ -194,8 +189,8 @@ class EventQueue:
         return {
             "next_seq": self._seq,
             "entries": [
-                [entry.time, entry.seq, event_to_state(entry.event)]
-                for entry in sorted(self._heap)
+                [time, seq, event_to_state(event)]
+                for time, seq, event in sorted(self._heap)
             ],
         }
 
@@ -207,9 +202,7 @@ class EventQueue:
         queue = cls()
         for time, seq, event_state in state["entries"]:
             event = event_from_state(event_state)
-            heapq.heappush(
-                queue._heap, _QueueEntry(float(time), int(seq), event)
-            )
+            heapq.heappush(queue._heap, (float(time), int(seq), event))
             queue._pending[type(event)] = (
                 queue._pending.get(type(event), 0) + 1
             )

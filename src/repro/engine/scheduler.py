@@ -36,7 +36,6 @@ later batches instead of being forfeited.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -126,75 +125,57 @@ def _thin_frontier(frontier: Frontier) -> Frontier:
 
 
 class SubstituteIndex:
-    """Availability-indexed heap of substitution candidates.
+    """Per-batch substitution candidates, one filtered list per cost cap.
 
-    The naive substitute search rescans the whole ranked pool for every
-    saturated seat — O(pool) per seat, and the scan's head fills up with
-    saturated high-informativeness workers precisely when substitution
-    is busiest (the profiled 64-worker bottleneck).  This index keeps
-    the same most-informative-first order in a heap and exploits the one
-    monotonicity ``admit`` guarantees: within a single batch, seats are
-    only ever *taken* (releases happen between batches), so a worker
-    observed saturated stays saturated for the rest of the batch and is
-    dropped from the heap permanently.  Candidates skipped for other,
-    per-query reasons (already on this jury, too expensive for this
-    seat) are pushed back.  A companion min-cost heap answers the
-    all-too-expensive case — the dropped-seat flood under saturation —
-    in O(1) amortized instead of a full scan.
+    A substitute query asks for the most informative available worker
+    who costs no more than the seat being filled.  The index ranks the
+    workers most-informative-first once per batch and, the first time a
+    cap appears, filters that ranking down to the workers affordable
+    under it and free at that moment.  Later queries with the same cap
+    scan its list from the front, so workers too dear for a seat are
+    never looked at again.  A batch has few distinct caps: they are the
+    costs of the planned members, at most ``frontier_pool_size`` of them.
 
-    Pop order equals the sorted order (``informativeness_key`` is
+    Within a single batch, seats are only ever *taken* (releases happen
+    between batches), so a worker observed saturated stays saturated and
+    is deleted from the list for good; an empty list means nobody
+    affordable is left.  Workers in ``exclude`` (already on this jury,
+    or denied by a lease coordinator) are skipped for that query only.
+
+    The lists keep the ranking's order (``informativeness_key`` is
     unique per worker), so the index returns *exactly* the worker the
     linear scan would — :func:`linear_best_substitute` is the reference
     oracle the equivalence tests compare against.
     """
 
     def __init__(self, states: Iterable) -> None:
-        states = list(states)
-        self._heap = [(informativeness_key(s.worker), s) for s in states]
-        heapq.heapify(self._heap)
-        # Companion min-cost heap: under saturation most queries *fail*
-        # (every available worker is dearer than the seat's cap), and a
-        # failed search is the one that scans everything.  The cheapest
-        # available cost only rises within a batch, so peeking it
-        # rejects those queries in O(1) amortized.
-        self._cost_heap = [
-            (s.worker.cost, s.worker.worker_id, s) for s in states
-        ]
-        heapq.heapify(self._cost_heap)
-
-    def _min_available_cost(self) -> float:
-        while self._cost_heap:
-            state = self._cost_heap[0][2]
-            if state.free_capacity <= 0:
-                heapq.heappop(self._cost_heap)  # saturated: gone for good
-                continue
-            return self._cost_heap[0][0]
-        return float("inf")
+        self._ranked = sorted(
+            states, key=lambda s: informativeness_key(s.worker)
+        )
+        self._by_cap: dict[float, list] = {}
 
     def best(self, max_cost: float, exclude: set[str]) -> str | None:
         """Most informative available worker at or under ``max_cost``
         and outside ``exclude`` (``None`` when nobody qualifies)."""
-        if self._min_available_cost() > max_cost + 1e-12:
-            return None  # nobody affordable, excluded or not
-        putback = []
-        found = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            state = entry[1]
+        candidates = self._by_cap.get(max_cost)
+        if candidates is None:
+            limit = max_cost + 1e-12
+            candidates = self._by_cap[max_cost] = [
+                s
+                for s in self._ranked
+                if s.worker.cost <= limit and s.free_capacity > 0
+            ]
+        i = 0
+        while i < len(candidates):
+            state = candidates[i]
             if state.free_capacity <= 0:
-                continue  # saturated for the rest of this batch: drop
-            putback.append(entry)
-            worker = state.worker
-            if (
-                worker.worker_id in exclude
-                or worker.cost > max_cost + 1e-12
-            ):
-                continue  # disqualified for this seat only
-            found = worker.worker_id
-            break
-        for entry in putback:
-            heapq.heappush(self._heap, entry)
-        return found
+                del candidates[i]  # saturated for the rest of this batch
+                continue
+            worker_id = state.worker.worker_id
+            if worker_id not in exclude:
+                return worker_id
+            i += 1
+        return None
 
 
 def linear_best_substitute(

@@ -10,6 +10,7 @@ from repro.engine import (
     EngineTask,
     EventQueue,
     TaskArrival,
+    TaskComplete,
     VoteArrival,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
@@ -206,6 +207,87 @@ class TestEventQueue:
         queue.pop()
         assert queue.pending(TaskArrival) == 0
         assert queue.pending(VoteArrival) == 1
+
+    def test_mixed_types_at_one_time_pop_in_push_order(self):
+        """Heap entries compare on ``(time, seq)`` only: events of
+        different types at the same time never get compared."""
+        queue = EventQueue()
+        pushed = [
+            TaskComplete(1.0, "t0", "early-stop"),
+            VoteArrival(1.0, "t0", "w1"),
+            TaskArrival(1.0, EngineTask("t1")),
+            VoteArrival(1.0, "t1", "w2"),
+            TaskComplete(1.0, "t1", "all-votes"),
+            TaskArrival(1.0, EngineTask("t2")),
+        ]
+        for event in pushed:
+            queue.push(event)
+        assert queue.peek() is pushed[0]
+        assert [queue.pop() for _ in pushed] == pushed
+        assert queue.peek() is None
+
+    #: ``EventQueue.state_dict()`` of the queue built by
+    #: :meth:`_checkpointed_queue`, as recorded by the earlier
+    #: dataclass-entry heap; the layout is ``[time, seq, event_state]``
+    #: in pop order.
+    CHECKPOINT_PAYLOAD = {
+        "next_seq": 6,
+        "entries": [
+            [1.5, 2, {"kind": "task-complete", "time": 1.5,
+                      "task_id": "t9", "reason": "early-stop"}],
+            [1.5, 4, {"kind": "vote-arrival", "time": 1.5,
+                      "task_id": "t0", "worker_id": "w2"}],
+            [2.0, 1, {"kind": "vote-arrival", "time": 2.0,
+                      "task_id": "t0", "worker_id": "w1"}],
+            [2.0, 3, {"kind": "task-arrival", "time": 2.0,
+                      "task": {"task_id": "t1", "prior": 0.3,
+                               "ground_truth": 1}}],
+            [2.0, 5, {"kind": "task-complete", "time": 2.0,
+                      "task_id": "t0", "reason": "all-votes"}],
+        ],
+    }
+
+    @staticmethod
+    def _checkpointed_queue():
+        queue = EventQueue()
+        queue.push(TaskArrival(0.0, EngineTask("t0")))
+        queue.push(VoteArrival(2.0, "t0", "w1"))
+        queue.push(TaskComplete(1.5, "t9", "early-stop"))
+        queue.push(TaskArrival(2.0, EngineTask("t1", prior=0.3,
+                                               ground_truth=1)))
+        queue.push(VoteArrival(1.5, "t0", "w2"))
+        queue.push(TaskComplete(2.0, "t0", "all-votes"))
+        queue.pop()
+        return queue
+
+    def test_state_dict_layout_unchanged(self):
+        assert self._checkpointed_queue().state_dict() == (
+            self.CHECKPOINT_PAYLOAD
+        )
+
+    def test_restores_recorded_checkpoint_in_pop_order(self):
+        original = self._checkpointed_queue()
+        restored = EventQueue.from_state(self.CHECKPOINT_PAYLOAD)
+        assert len(restored) == len(original) == 5
+        assert restored.pending(VoteArrival) == 2
+        assert restored.pending(TaskComplete) == 2
+        assert restored.pending(TaskArrival) == 1
+        popped = []
+        while original:
+            event = original.pop()
+            assert restored.pop() == event
+            popped.append(event)
+        assert not restored
+        assert [(e.time, type(e).__name__) for e in popped] == [
+            (1.5, "TaskComplete"),
+            (1.5, "VoteArrival"),
+            (2.0, "VoteArrival"),
+            (2.0, "TaskArrival"),
+            (2.0, "TaskComplete"),
+        ]
+        # New pushes continue the recorded serial counter.
+        restored.push(VoteArrival(0.0, "t1", "w3"))
+        assert restored.state_dict()["entries"][0][:2] == [0.0, 6]
 
     def test_task_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from repro.engine.state import informativeness_key
 
 class LinearScanIndex:
     """The pre-index substitute search as a drop-in index: the oracle
-    the heap must agree with, ranked by the same production key."""
+    the index must agree with, ranked by the same production key."""
 
     def __init__(self, states):
         self._ranked = sorted(
@@ -229,7 +229,7 @@ class TestAdmitMechanics:
 
 
 class TestSubstituteIndex:
-    """The heap-backed index must agree with the linear reference scan
+    """The per-cap index must agree with the linear reference scan
     query for query — it is an indexing change, not a policy change."""
 
     def test_agrees_with_linear_scan_under_random_queries(self):
@@ -281,8 +281,117 @@ class TestSubstituteIndex:
         registry.assign("A", "t0")
         assert index.best(max_cost=5.0, exclude=set()) is None
 
+    def test_cap_tolerance_matches_linear_scan(self):
+        pool = WorkerPool([Worker("A", 0.9, 1.0), Worker("B", 0.8, 0.5)])
+        registry = WorkerRegistry(pool, capacity=1)
+        index = SubstituteIndex(registry.states)
+        oracle = LinearScanIndex(registry.states)
+        for max_cost, expected in (
+            (1.0 - 1.5e-12, "B"),  # A just outside the tolerance
+            (1.0 - 0.5e-12, "A"),  # A just inside it
+            (1.0, "A"),
+            (0.5, "B"),
+            (0.5 - 1.5e-12, None),
+        ):
+            assert oracle.best(max_cost, set()) == expected
+            assert index.best(max_cost, set()) == expected
+
+    def test_reused_cap_list_drops_workers_saturated_since_built(self):
+        pool = WorkerPool(
+            [Worker("A", 0.9, 1.0), Worker("B", 0.8, 1.0),
+             Worker("C", 0.7, 0.5)]
+        )
+        registry = WorkerRegistry(pool, capacity=1)
+        index = SubstituteIndex(registry.states)
+        assert index.best(max_cost=1.0, exclude=set()) == "A"
+        registry.assign("A", "t0")
+        assert index.best(max_cost=1.0, exclude=set()) == "B"
+        # Saturated by a planned seat, not through the index.
+        registry.assign("B", "t1")
+        assert index.best(max_cost=1.0, exclude=set()) == "C"
+        assert index.best(max_cost=1.0, exclude={"C"}) is None
+        # A cap first seen after A and B saturated.
+        assert index.best(max_cost=2.0, exclude=set()) == "C"
+        registry.assign("C", "t2")
+        assert index.best(max_cost=1.0, exclude=set()) is None
+        assert index.best(max_cost=2.0, exclude=set()) is None
+
+    def test_reused_cap_lists_agree_with_linear_scan(self):
+        """Query streams shaped like real batches: at most ten caps
+        (the planned members' costs, some nudged within or just outside
+        the 1e-12 tolerance), each queried repeatedly, with seats taken
+        in between — by the substitute just found or by a planned
+        member seated directly — so caps recur after their lists'
+        workers saturate and new caps appear after others did.  Seats
+        are released only between batches, as in ``admit``."""
+        rng = np.random.default_rng(31)
+        tiers = (0.3, 0.45, 0.6, 0.8, 1.0, 1.25)
+        pool = WorkerPool(
+            Worker(
+                f"w{i:02d}",
+                float(rng.uniform(0.5, 0.95)),
+                tiers[i % len(tiers)],
+            )
+            for i in range(48)
+        )
+        registry = WorkerRegistry(pool, capacity=2)
+        seats: list[tuple[str, str]] = []
+        task_serial = 0
+
+        def seat(worker_id):
+            nonlocal task_serial
+            task_serial += 1
+            registry.assign(worker_id, f"t{task_serial}")
+            seats.append((worker_id, f"t{task_serial}"))
+
+        def saturated():
+            return sum(1 for s in registry.states if s.free_capacity <= 0)
+
+        answered = reused_after_saturation = new_after_saturation = 0
+        for _ in range(40):
+            rng.shuffle(seats)
+            for worker_id, task_id in seats[: len(seats) // 2]:
+                registry.release(worker_id, task_id)
+            del seats[: len(seats) // 2]
+            index = SubstituteIndex(registry.states)
+            oracle = LinearScanIndex(registry.states)
+            caps = []
+            for tier in rng.choice(tiers, size=rng.integers(2, 8)):
+                nudge = rng.choice([0.0, 0.0, -0.5e-12, -1.5e-12, 0.5e-12])
+                caps.append(float(tier) + float(nudge))
+            caps.append(float(rng.uniform(0.2, 1.4)))
+            at_start = saturated()
+            first_seen: dict[float, int] = {}
+            for _ in range(60):
+                max_cost = caps[rng.integers(len(caps))]
+                free = [s.worker.worker_id for s in registry.states
+                        if s.free_capacity > 0]
+                if free and rng.random() < 0.3:
+                    seat(free[rng.integers(len(free))])  # planned member
+                if max_cost not in first_seen:
+                    first_seen[max_cost] = saturated()
+                    new_after_saturation += first_seen[max_cost] > at_start
+                else:
+                    reused_after_saturation += (
+                        saturated() > first_seen[max_cost]
+                    )
+                exclude = set(
+                    rng.choice(registry.worker_ids,
+                               size=rng.integers(0, 4), replace=False)
+                )
+                expected = oracle.best(max_cost, exclude)
+                assert index.best(max_cost, exclude) == expected
+                if expected is not None:
+                    answered += 1
+                    if rng.random() < 0.8:
+                        seat(expected)
+        # The stream really exercised reuse and late-seen caps.
+        assert answered > 1000
+        assert reused_after_saturation > 1000
+        assert new_after_saturation > 40
+
     def test_identical_seatings_on_seeded_campaigns(self):
-        """End to end: a campaign served with the heap index must admit
+        """End to end: a campaign served with the index must admit
         byte-identical juries to one served with the linear scan."""
         from repro.engine import Campaign, CampaignConfig
         from repro.simulation import SyntheticPoolConfig, generate_pool
