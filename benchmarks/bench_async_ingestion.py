@@ -2,8 +2,8 @@
 
 A 64-worker, 4-shard campaign under burst traffic (arrivals in bursts
 of 50, scheduled in batches of 200), served twice on identical seeded
-traffic with shard admits dispatched on a 4-worker thread pool.  The
-two runs differ only in ingestion: the synchronous loop takes the
+traffic with every round's shard admits run in-loop.  The two runs
+differ only in ingestion: the synchronous loop takes the
 bursts straight into its event queue, the async one takes them through
 the bounded :class:`~repro.engine.ingest.IntakeQueue` and its
 drain-before-step loop.
@@ -53,7 +53,6 @@ def run_campaign(ingestion: str):
         expected_tasks=NUM_TASKS,
         seed=SEED,
         num_shards=NUM_SHARDS,
-        parallel_shards=NUM_SHARDS,
         ingestion=ingestion,
     )
     campaign = Campaign.open(pool, config)
@@ -83,7 +82,7 @@ def test_async_vs_sync_at_equal_shards(benchmark, emit, emit_json):
         experiment_id="engine-async-ingestion",
         title=(
             f"Async intake vs the sync loop, both {NUM_SHARDS} shards with "
-            f"{NUM_SHARDS}-way parallel dispatch ({POOL_SIZE} workers, "
+            f"in-loop shard admits ({POOL_SIZE} workers, "
             f"bursts of {BURST}, {NUM_TASKS} tasks)"
         ),
         x_label="ingestion (0=sync, 1=async)",
@@ -111,7 +110,6 @@ def test_async_vs_sync_at_equal_shards(benchmark, emit, emit_json):
         "engine-async-ingestion",
         {
             "shards": NUM_SHARDS,
-            "parallel_shards": NUM_SHARDS,
             "burst_size": BURST,
             "tasks": NUM_TASKS,
             "sync_tasks_per_sec": sync.throughput,

@@ -254,18 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "through a thread-safe bounded intake queue "
                             "(byte-identical to sync for pre-submitted "
                             "campaigns)")
-    p_eng.add_argument("--parallel-shards", type=_nonnegative_int,
-                       default=0,
-                       help="dispatch shard admits on a thread pool of "
-                            "this many workers (0 = sequential; "
-                            "decisions are byte-identical either way; "
-                            "needs --num-shards > 1 to matter)")
-    p_eng.add_argument("--dispatch", default="threads",
-                       choices=("threads", "processes"),
-                       help="shard admit dispatch: 'processes' ships "
-                            "each shard's round to a persistent worker "
-                            "process (byte-identical decisions; needs "
-                            "--num-shards > 1 to matter)")
     p_eng.add_argument("--coordinate", default=None, metavar="PATH",
                        help="shared seat-lease SQLite file: engines "
                             "pointing at the same file share one worker "
@@ -317,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker-pool shards (1 = unsharded engine)")
     p_srv.add_argument("--routing-policy", default="hash",
                        choices=ROUTING_POLICIES)
-    p_srv.add_argument("--dispatch", default="threads",
-                       choices=("threads", "processes"),
-                       help="shard admit dispatch: 'processes' ships "
-                            "each shard's round to a persistent worker "
-                            "process (needs --num-shards > 1 to matter)")
     p_srv.add_argument("--coordinate", default=None, metavar="PATH",
                        help="shared seat-lease SQLite file: N 'repro "
                             "serve' processes pointing at the same file "
@@ -530,8 +513,6 @@ def _run_engine_command(args) -> int:
             cache_max_entries=args.cache_max_entries or None,
             checkpoint_every=args.checkpoint_every,
             ingestion=args.ingestion,
-            parallel_shards=args.parallel_shards,
-            dispatch=args.dispatch,
             coordinate_path=args.coordinate,
             lease_ttl=args.lease_ttl,
             telemetry=telemetry,
@@ -695,7 +676,6 @@ def _run_serve_command(args) -> int:
             seed=args.seed,
             num_shards=args.num_shards,
             routing_policy=args.routing_policy,
-            dispatch=args.dispatch,
             coordinate_path=args.coordinate,
             lease_ttl=args.lease_ttl,
             serve_host=args.host if args.host is not None else "127.0.0.1",

@@ -31,12 +31,9 @@ one budget, and finite worker attention".  See the module docstrings:
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.
-``procpool``
-    :class:`ShardProcessPool` / :class:`LeaseCoordinator` — multi-process
-    campaign pools: shard admit rounds shipped to persistent worker
-    processes (``CampaignConfig(dispatch="processes")``,
-    byte-identical to threads), and cross-process seat leases over a
-    shared SQLite file so N serving engines share one worker pool
+``leases``
+    :class:`LeaseCoordinator` — cross-process seat leases over a
+    shared SQLite file, so N serving engines share one worker pool
     without double-seating (``coordinate_path=...``).
 ``server``
     :class:`CampaignServer` — the HTTP serving layer: task intake,
@@ -94,13 +91,7 @@ from .ingest import (
     InterleavingSchedule,
     NoOpenOffer,
 )
-from .procpool import (
-    AdmitResult,
-    LeaseCoordinator,
-    ProcPoolError,
-    ShardProcessPool,
-    ShardWorkState,
-)
+from .leases import LeaseCoordinator
 from .metrics import (
     AllocatorSnapshot,
     EngineMetrics,
@@ -142,7 +133,6 @@ from .telemetry import (
 )
 
 __all__ = [
-    "AdmitResult",
     "AllocatorSnapshot",
     "Assignment",
     "AssignmentBook",
@@ -173,15 +163,12 @@ __all__ = [
     "NULL_TELEMETRY",
     "NoOpenOffer",
     "NullTelemetry",
-    "ProcPoolError",
     "ROUTING_POLICIES",
     "SQLiteBackend",
     "SchedulerStats",
     "ServerError",
     "Shard",
-    "ShardProcessPool",
     "ShardRegistryView",
-    "ShardWorkState",
     "SpanRecord",
     "ShardSnapshot",
     "ShardedScheduler",

@@ -158,7 +158,7 @@ class SQLiteBackend:
     reader never observes a half-written checkpoint.  The ``leases`` /
     ``engines`` tables (and the ledger ``version`` column) belong to the
     cross-process coordination layer
-    (:mod:`repro.engine.procpool.coordinator`); ``save`` never touches
+    (:mod:`repro.engine.leases`); ``save`` never touches
     them, so checkpointing one engine cannot clobber seats other engines
     hold in a shared coordination file.
     """
@@ -408,7 +408,7 @@ class SQLiteBackend:
     # ------------------------------------------------------------------
     # Cross-process coordination: seat leases + epoch fencing
     # ------------------------------------------------------------------
-    # These methods back repro.engine.procpool.coordinator.  Every
+    # These methods back repro.engine.leases.  Every
     # mutation runs inside one BEGIN IMMEDIATE transaction: the write
     # lock is taken up front, so a check-then-insert (count seats, then
     # lease one) is atomic against every other engine process sharing

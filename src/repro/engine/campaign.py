@@ -48,22 +48,21 @@ from .config import CampaignConfig
 from .engine import CampaignEngine, _TaskRuntime
 from .events import EngineTask, EventQueue, TaskArrival
 from .ingest import AsyncIngestLoop, IngestStats
+from .leases import LeaseCoordinator
 from .metrics import EngineMetrics
-from .procpool import LeaseCoordinator
 from .scheduler import Assignment
 from .sharding import ShardedScheduler
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
-#: Environment toggles forcing the concurrent serving path — CI runs
-#: the whole engine suite once with both set, so every lifecycle test
-#: doubles as a deadlock/race probe for the async machinery.  Applied
-#: only at the facade (a bare engine honors its explicit config), and
-#: only when the value is non-empty.
+#: Environment toggles forcing the async intake or the live telemetry
+#: hub — CI runs the whole engine suite under each, so every lifecycle
+#: test doubles as a deadlock/race probe for the async machinery and a
+#: decision-neutrality probe for telemetry.  Applied only at the facade
+#: (a bare engine honors its explicit config), and only when the value
+#: is non-empty.
 FORCE_INGESTION_ENV = "REPRO_ENGINE_FORCE_INGESTION"
-FORCE_PARALLEL_SHARDS_ENV = "REPRO_ENGINE_FORCE_PARALLEL_SHARDS"
 FORCE_TELEMETRY_ENV = "REPRO_ENGINE_FORCE_TELEMETRY"
-FORCE_DISPATCH_ENV = "REPRO_ENGINE_FORCE_DISPATCH"
 
 
 def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
@@ -71,15 +70,6 @@ def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
     ingestion = os.environ.get(FORCE_INGESTION_ENV)
     if ingestion:
         updates["ingestion"] = ingestion
-    parallel = os.environ.get(FORCE_PARALLEL_SHARDS_ENV)
-    if parallel:
-        updates["parallel_shards"] = int(parallel)
-    dispatch = os.environ.get(FORCE_DISPATCH_ENV)
-    if dispatch:
-        # Re-runs the whole engine suite under process dispatch, which
-        # is byte-identical to threaded dispatch by construction — the
-        # CI ``procpool`` job is exactly this toggle over the suite.
-        updates["dispatch"] = dispatch
     if os.environ.get(FORCE_TELEMETRY_ENV):
         # Any non-empty value forces the live hub on — telemetry only
         # observes, so forcing it must never change a decision (that is
@@ -134,7 +124,7 @@ class Campaign:
         """Join the shared seat-lease store when the config names one
         (``coordinate_path``): every seat this engine takes acquires a
         cross-process lease first, so N engines serving one worker pool
-        cannot double-seat (see :mod:`repro.engine.procpool`)."""
+        cannot double-seat (see :mod:`repro.engine.leases`)."""
         if self._config.coordinate_path:
             self._coordinator = LeaseCoordinator(
                 self._config.coordinate_path, ttl=self._config.lease_ttl
@@ -197,7 +187,7 @@ class Campaign:
         return campaign
 
     def close(self) -> None:
-        """Release the backend, the intake, and any dispatch pool
+        """Release the backend, the intake, and the lease store
         (idempotent).  State already checkpointed stays checkpointed;
         un-checkpointed progress is lost — call :meth:`checkpoint`
         first to keep it."""
@@ -205,8 +195,6 @@ class Campaign:
             self._closed = True
             if self._ingest is not None:
                 self._ingest.close_intake()
-            if self._engine is not None and self._engine.scheduler is not None:
-                self._engine.scheduler.close()
             if self._coordinator is not None:
                 self._coordinator.close()
             self._backend.close()
@@ -554,9 +542,6 @@ class Campaign:
     def _caches(self):
         engine = self._engine
         if isinstance(engine.scheduler, ShardedScheduler):
-            # Under process dispatch the worker-side caches are the
-            # live ones; sync the parent replicas before reading.
-            engine.scheduler.pull_worker_state()
             return [shard.cache for shard in engine.scheduler.shards]
         return [engine.cache]
 
@@ -577,13 +562,7 @@ class Campaign:
             # them.
             self._ingest.quiesce_intake()
         self._engine._start()
-        imported = load_cache_file(path, self._caches())
-        scheduler = self._engine.scheduler
-        if isinstance(scheduler, ShardedScheduler):
-            # Warmed entries must reach the shard worker processes, or
-            # process dispatch would serve from cold caches.
-            scheduler.push_worker_state()
-        return imported
+        return load_cache_file(path, self._caches())
 
     # ------------------------------------------------------------------
     # Guards
@@ -756,10 +735,6 @@ class Campaign:
                     shard.cache.load_state(
                         snapshot["caches"][f"shard:{shard.shard_id}"]
                     )
-                # load_state pushed scheduler state before the caches
-                # above were restored; push again so the shard worker
-                # processes hold the full checkpoint.
-                engine.scheduler.push_worker_state()
         engine.telemetry.load_state(section.get("telemetry"))
         self._config = config
         self._engine = engine

@@ -14,7 +14,7 @@ state backends persist it alongside the campaign and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from typing import Mapping
 
 from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
@@ -23,10 +23,12 @@ from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 ROUTING_POLICIES = ("hash", "least-loaded", "quality-balanced")
 
 #: Fields of retired modes that checkpoints written before their removal
-#: still carry.  Both modes were pinned fingerprint-neutral, so
+#: still carry.  Every one was pinned fingerprint-neutral, so
 #: :meth:`CampaignConfig.from_dict` drops them without changing any
 #: decision.
-_RETIRED_FIELDS = frozenset({"jq_kernel", "vote_fanout"})
+_RETIRED_FIELDS = frozenset(
+    {"jq_kernel", "vote_fanout", "parallel_shards", "dispatch"}
+)
 
 
 @dataclass(frozen=True)
@@ -86,23 +88,9 @@ class CampaignConfig:
         while batches are being seated.  A campaign whose tasks are all
         submitted before ``run`` is fingerprint-byte-identical either
         way (pinned by the invariant harness).
-    parallel_shards:
-        Dispatch the sharded scheduler's per-shard admits to a thread
-        pool of this many workers (0 = the sequential in-loop
-        dispatch).  Decisions are byte-identical to sequential dispatch
-        — shards only touch their own members and results merge in
-        shard-id order — so the toggle is purely a throughput lever.
-        Ignored at one shard.
-    dispatch:
-        ``"threads"`` (default) runs sharded per-shard admits inline or
-        on the ``parallel_shards`` thread pool; ``"processes"`` routes
-        them to a persistent
-        :class:`~repro.engine.procpool.ShardProcessPool` — one sticky
-        worker *process* per shard, breaking the GIL limit on the
-        envelope-walking DP.  Decisions and fingerprints stay
-        byte-identical (the parent replays worker decisions in shard-id
-        order); env var ``REPRO_ENGINE_FORCE_DISPATCH`` overrides the
-        setting under the Campaign facade.  Ignored at one shard.
+    parallel_shards / dispatch:
+        Retired init-only arguments, not stored.  Shard admits always
+        run in-loop, so only ``0`` / ``"threads"`` are accepted.
     ingest_max_pending:
         Async backpressure bound: producers block once this many
         submitted tasks await intake draining.
@@ -189,8 +177,8 @@ class CampaignConfig:
     checkpoint_every: int = 0
     vote_latency: float = 1.0
     ingestion: str = "sync"
-    parallel_shards: int = 0
-    dispatch: str = "threads"
+    parallel_shards: InitVar[int] = 0
+    dispatch: InitVar[str] = "threads"
     ingest_max_pending: int = 10_000
     ingest_grace: float | str = 0.05
     ingest_producer_quota: float = 0.0
@@ -207,11 +195,11 @@ class CampaignConfig:
     # -- network serving (repro serve / CampaignServer) ----------------
     serve_host: str = "127.0.0.1"
     serve_port: int = 8765
-    # -- cross-process coordination (repro.engine.procpool) ------------
+    # -- cross-process coordination (repro.engine.leases) --------------
     coordinate_path: str | None = None
     lease_ttl: float = 30.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parallel_shards: int, dispatch: str) -> None:
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if self.batch_size < 1:
@@ -224,10 +212,12 @@ class CampaignConfig:
             raise ValueError("vote_latency must be positive")
         if self.ingestion not in ("sync", "async"):
             raise ValueError("ingestion must be 'sync' or 'async'")
-        if self.parallel_shards < 0:
-            raise ValueError("parallel_shards must be >= 0")
-        if self.dispatch not in ("threads", "processes"):
-            raise ValueError("dispatch must be 'threads' or 'processes'")
+        if parallel_shards != 0 or dispatch != "threads":
+            raise ValueError(
+                "parallel_shards and dispatch are retired: shard admits "
+                "now always run in-loop (only parallel_shards=0, "
+                "dispatch='threads' are accepted)"
+            )
         if self.ingest_max_pending < 1:
             raise ValueError("ingest_max_pending must be >= 1")
         if self.ingest_grace != "auto":

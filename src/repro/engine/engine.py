@@ -237,8 +237,6 @@ class CampaignEngine:
             self._finalize_unfunded(task)
         self._deferred = []
         self._collect_stats()
-        if self.scheduler is not None:
-            self.scheduler.close()
 
     def _make_scheduler(self, expected_tasks: int):
         """Build this campaign's scheduler: a :class:`ShardedScheduler`

@@ -36,12 +36,10 @@ When the loop goes idle with the intake open it waits ``grace`` seconds
 trickle of producers is served in fuller batches instead of one jury
 at a time.
 
-Parallelism across shards lives in
-:class:`~repro.engine.sharding.ShardedScheduler` (a
-``ThreadPoolExecutor`` dispatching the per-shard admits concurrently);
+Sharding lives in :class:`~repro.engine.sharding.ShardedScheduler`;
 this module owns the producer-facing half.  The two compose: burst
-traffic streams in through the intake while K shard admits seat juries
-in parallel — ``benchmarks/bench_async_ingestion.py`` measures the
+traffic streams in through the intake while the loop admits each round
+across K shards — ``benchmarks/bench_async_ingestion.py`` measures the
 intake against the synchronous loop at equal shards.
 """
 

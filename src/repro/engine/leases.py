@@ -40,7 +40,7 @@ import os
 import socket
 import threading
 
-from ..backends import BackendError, SQLiteBackend
+from .backends import BackendError, SQLiteBackend
 
 
 def default_owner() -> str:

@@ -321,11 +321,6 @@ class CampaignScheduler:
             raise ValueError(f"refund must be non-negative, got {amount}")
         self._refunded += max(float(amount), 0.0)
 
-    def close(self) -> None:
-        """Release held resources — nothing for the single scheduler;
-        the sharded scheduler shuts its dispatch pool down here.  Part
-        of the shared scheduler surface the engine drives."""
-
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------

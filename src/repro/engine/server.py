@@ -313,7 +313,7 @@ class CampaignServer:
         coordinator = campaign.coordinator
         return {
             # Which process answered, and its seat-lease identity when
-            # N engines share one worker pool (procpool coordination) —
+            # N engines share one worker pool (lease coordination) —
             # lets an operator tell coordinated peers apart.
             "pid": os.getpid(),
             "coordinated": coordinator is not None,
@@ -428,30 +428,38 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         # with traffic.
         pass
 
+    def _send(
+        self, status: int, body: bytes, content_type: str, headers=()
+    ) -> None:
+        """Send one response in one write.  Headers and body written
+        separately stall every response on a kept-alive connection by
+        ~40 ms: Nagle's algorithm holds the body until the client's
+        delayed ACK of the headers arrives."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        # send_header() buffers into _headers_buffer; end_headers()
+        # would flush it as a write of its own, so flush it with the body.
+        self._headers_buffer.append(b"\r\n")
+        self.wfile.write(b"".join(self._headers_buffer) + body)
+        self._headers_buffer = []
+
     def _send_json(self, status: int, payload: dict) -> None:
         body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        headers = ()
         if status == 503:
             # Derived from the admit-latency EWMA: heavy campaigns get
             # a proportionally later retry instead of an instant storm.
-            self.send_header(
-                "Retry-After", str(self.ctx.retry_after_hint())
-            )
-        self.end_headers()
-        self.wfile.write(body)
+            headers = (("Retry-After", str(self.ctx.retry_after_hint())),)
+        self._send(status, body, "application/json", headers)
         self.ctx.campaign.telemetry.inc(
             "server.responses", route=self.path.split("?")[0], status=status
         )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, text.encode("utf-8"), content_type)
 
     def _read_json(self) -> dict:
         length_text = self.headers.get("Content-Length", "0")

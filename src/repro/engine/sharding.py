@@ -44,17 +44,14 @@ from __future__ import annotations
 
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor, wait as _futures_wait
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..core.jury import Jury
 from ..core.worker import WorkerPool
 from .cache import CacheStats, JQCache
 from .config import CampaignConfig
 from .events import EngineTask
 from .metrics import AllocatorSnapshot, ShardSnapshot
-from .procpool import ProcPoolError, ShardProcessPool, ShardWorkState
 from .scheduler import (
     Assignment,
     CampaignScheduler,
@@ -210,9 +207,9 @@ class BudgetAllocator:
     * ``entitled <= budget`` always.
 
     Every ledger mutation (``open_round`` / ``split`` / ``settle`` /
-    ``refund``) is atomic under one mutex, so shard admits running on a
-    thread pool — or an early-stop refund racing a settling round —
-    can never interleave half-applied ledger updates.
+    ``refund``) is atomic under one mutex, so an early-stop refund
+    racing a settling round can never interleave half-applied ledger
+    updates.
     """
 
     def __init__(self, budget: float, expected_tasks: int) -> None:
@@ -439,30 +436,6 @@ class ShardedScheduler:
     shard's scheduler admit its sub-batch inside its grant, settling
     reservations and re-absorbing the unspent remainder, and (5)
     rebalances idle workers if shard load has skewed.
-
-    With ``config.parallel_shards > 0`` step (4) dispatches the
-    per-shard admits to a :class:`~concurrent.futures.ThreadPoolExecutor`
-    instead of looping over them.  Admits are independent by
-    construction — each shard's scheduler reads and seats only its own
-    members, grants are computed before dispatch, and the registry's
-    ``assign``/``release`` and the allocator's ledger are the only
-    shared write surfaces (both lock-guarded) — and results are merged
-    and settled in shard-id order, so the parallel path's decisions are
-    byte-identical to the sequential path's (fingerprint-pinned).  The
-    shard frontier builds run numpy kernels that release the GIL, which
-    is where the wall-clock actually drops.
-
-    With ``config.dispatch == "processes"`` step (4) instead ships each
-    shard's round to a persistent
-    :class:`~repro.engine.procpool.ShardProcessPool` worker *process*
-    holding the shard's live scheduler and cache (see
-    :mod:`repro.engine.procpool.worker` for the authority split), which
-    parallelizes the pure-Python envelope walk itself — the part the
-    GIL serializes under threads.  Between rounds the parent's per-shard
-    replicas are stale; every read surface (``stats``, ``state_dict``,
-    snapshots, cache merges) pulls worker state first, while telemetry
-    *gauges* deliberately read the possibly-stale replicas (collectors
-    may fire off the loop thread and must not touch the pipes).
     """
 
     def __init__(
@@ -476,37 +449,6 @@ class ShardedScheduler:
         self.config = config
         self.telemetry = telemetry
         self.allocator = BudgetAllocator(config.budget, expected_tasks)
-        self._pool: ShardProcessPool | None = None
-        # Worker-side scheduler/cache state is authoritative between
-        # dispatch rounds; this flag marks the parent-side replicas
-        # stale until the next pull_worker_state().
-        self._dispatched_since_pull = False
-        if config.dispatch == "processes" and config.num_shards > 1:
-            self._pool = ShardProcessPool(
-                config.num_shards,
-                {
-                    "budget": config.budget,
-                    "expected_tasks": expected_tasks,
-                    "frontier_pool_size": config.frontier_pool_size,
-                    "alpha": config.alpha,
-                    "num_buckets": config.num_buckets,
-                    "quantization": config.quantization,
-                    "cache_max_entries": config.cache_max_entries,
-                },
-                telemetry=telemetry,
-            )
-        self._executor: ThreadPoolExecutor | None = None
-        # The process pool supersedes the thread pool: both parallelize
-        # step (4), and rounds must go through exactly one of them.
-        if (
-            config.parallel_shards > 0
-            and config.num_shards > 1
-            and self._pool is None
-        ):
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(config.parallel_shards, config.num_shards),
-                thread_name_prefix="repro-shard",
-            )
         self.shards: list[Shard] = []
         for shard_id, member_ids in enumerate(
             partition_members(registry, config.num_shards)
@@ -558,12 +500,6 @@ class ShardedScheduler:
         }
         grants = self.allocator.split(round_budget, masses)
         order = sorted(routed)
-        if self._pool is not None:
-            assignments, deferred = self._admit_via_pool(
-                order, routed, grants
-            )
-            self.rebalance()
-            return assignments, deferred
         # Every grant opened this round must be settled exactly once —
         # on success against the shard's actual reservations, on error
         # against whatever the shard reserved before raising (a partial
@@ -576,38 +512,12 @@ class ShardedScheduler:
         }
         settled: set[int] = set()
         try:
-            if self._executor is not None and len(order) > 1:
-                # Concurrent dispatch: every input (sub-batch, grant) is
-                # fixed before the first future is submitted, each shard
-                # scheduler touches only its own members, and the merge
-                # below consumes results in shard-id order — so the
-                # round's outcome is independent of thread interleaving.
-                futures = [
-                    self._executor.submit(
-                        self.shards[shard_id].scheduler.admit,
-                        routed[shard_id],
-                        grants[shard_id],
-                    )
-                    for shard_id in order
-                ]
-                try:
-                    results = [future.result() for future in futures]
-                except BaseException:
-                    # One shard failed: stop siblings that have not
-                    # started, and wait out the ones already running so
-                    # their reservations are final before the ledger is
-                    # repaired below.
-                    for future in futures:
-                        future.cancel()
-                    _futures_wait(futures)
-                    raise
-            else:
-                results = [
-                    self.shards[shard_id].scheduler.admit(
-                        routed[shard_id], batch_budget=grants[shard_id]
-                    )
-                    for shard_id in order
-                ]
+            results = [
+                self.shards[shard_id].scheduler.admit(
+                    routed[shard_id], batch_budget=grants[shard_id]
+                )
+                for shard_id in order
+            ]
             assignments: list[Assignment] = []
             deferred: list[EngineTask] = []
             with self.telemetry.span("dispatch_merge"):
@@ -644,189 +554,11 @@ class ShardedScheduler:
         self.rebalance()
         return assignments, deferred
 
-    def _admit_via_pool(
-        self,
-        order: list[int],
-        routed: Mapping[int, list[EngineTask]],
-        grants: Mapping[int, float],
-    ) -> tuple[list[Assignment], list[EngineTask]]:
-        """Dispatch one round to the shard worker processes.
-
-        Each participating shard's membership rows (global registry
-        order), routed sub-batch, and grant ship down the pipe as one
-        :class:`ShardWorkState`; decisions come back as plain ids and
-        are replayed through the real registry views in shard-id order
-        — so the round's outcome is byte-identical to inline dispatch
-        while the frontier walks run on separate interpreters.
-
-        Every grant opened this round is settled exactly once on every
-        path: per shard on success, and from the worker-reported
-        reservation deltas (``ProcPoolError.partial_reserved`` for
-        failed shards) when a worker errors or dies — the cross-process
-        extension of the conservation law ``granted == reserved +
-        reabsorbed``.  A failed round poisons the pool (worker state
-        may be half-mutated); recover by resuming from the last
-        checkpoint.
-        """
-        assert self._pool is not None
-        work_states = []
-        for shard_id in order:
-            view = self.shards[shard_id].view
-            work_states.append(
-                ShardWorkState(
-                    shard_id=shard_id,
-                    member_rows=[
-                        (
-                            s.worker.worker_id,
-                            s.worker.quality,
-                            s.worker.cost,
-                            s.capacity,
-                            sorted(s.active_tasks),
-                        )
-                        for s in view.states
-                    ],
-                    task_states=[t.state_dict() for t in routed[shard_id]],
-                    grant=grants[shard_id],
-                )
-            )
-        self._dispatched_since_pull = True
-        with self.telemetry.span("procpool_round", shards=len(order)):
-            try:
-                results = self._pool.admit_round(work_states)
-            except ProcPoolError as exc:
-                ok = {
-                    r.shard_id: r for r in getattr(exc, "results", [])
-                }
-                partial = getattr(exc, "partial_reserved", {})
-                for shard_id in order:
-                    delta = (
-                        ok[shard_id].reserved
-                        if shard_id in ok
-                        else partial.get(shard_id, 0.0)
-                    )
-                    self._settle_failed(shard_id, grants[shard_id], delta)
-                self._pool.close()
-                raise
-            settled: set[int] = set()
-            assignments: list[Assignment] = []
-            deferred: list[EngineTask] = []
-            try:
-                for shard_id, result in zip(order, results):
-                    task_by_id = {
-                        t.task_id: t for t in routed[shard_id]
-                    }
-                    view = self.shards[shard_id].view
-                    for (
-                        task_id,
-                        seated_ids,
-                        predicted_jq,
-                        reserved_cost,
-                    ) in result.assignments:
-                        for worker_id in seated_ids:
-                            view.assign(worker_id, task_id)
-                        assignments.append(
-                            Assignment(
-                                task_by_id[task_id],
-                                Jury(
-                                    self.registry.worker(w)
-                                    for w in seated_ids
-                                ),
-                                predicted_jq,
-                                reserved_cost,
-                            )
-                        )
-                    deferred.extend(
-                        task_by_id[t] for t in result.deferred
-                    )
-                    self.allocator.settle(grants[shard_id], result.reserved)
-                    self.shards[shard_id].granted += grants[shard_id]
-                    settled.add(shard_id)
-                    self.telemetry.inc(
-                        "scheduler.procpool_rounds",
-                        shard=shard_id,
-                        pid=self._pool.pids[shard_id],
-                    )
-            except BaseException:
-                # Replay failure (e.g. a lease coordinator denied a
-                # seat another engine raced us to): the ledger must
-                # still balance, from the workers' reported deltas.
-                for shard_id, result in zip(order, results):
-                    if shard_id not in settled:
-                        self._settle_failed(
-                            shard_id, grants[shard_id], result.reserved
-                        )
-                self._pool.close()
-                raise
-        return assignments, deferred
-
-    def _settle_failed(
-        self, shard_id: int, grant: float, delta: float
-    ) -> None:
-        """Settle one failed shard's grant against a reported (possibly
-        untrusted) reservation delta, clamped into [0, grant]."""
-        self.allocator.settle(grant, min(max(delta, 0.0), grant))
-        self.shards[shard_id].granted += grant
-        self.telemetry.event(
-            "admit-error-settle",
-            shard=shard_id,
-            grant=grant,
-            reserved=delta,
-        )
-
-    # ------------------------------------------------------------------
-    # Parent/worker state synchronisation (process dispatch only)
-    # ------------------------------------------------------------------
-    def pull_worker_state(self) -> None:
-        """Sync the parent-side shard schedulers and caches from the
-        worker processes (lazy: a no-op unless a round was dispatched
-        since the last pull).  Called before any read of per-shard state
-        — checkpoints, stats, snapshots — so observers see the
-        authoritative worker-side ledgers and cache counters."""
-        if (
-            self._pool is None
-            or not self._dispatched_since_pull
-            or self._pool.broken
-        ):
-            return
-        states = self._pool.pull(range(len(self.shards)))
-        for shard in self.shards:
-            scheduler_state, cache_state = states[shard.shard_id]
-            shard.scheduler.load_state(scheduler_state)
-            shard.cache.load_state(cache_state)
-        self._dispatched_since_pull = False
-
-    def push_worker_state(self) -> None:
-        """Load the parent-side shard scheduler/cache state into the
-        worker processes (checkpoint restore, cache import)."""
-        if self._pool is None or self._pool.broken:
-            return
-        for shard in self.shards:
-            self._pool.push(
-                shard.shard_id,
-                shard.scheduler.state_dict(),
-                shard.cache.state_dict(),
-            )
-        self._dispatched_since_pull = False
-
     def refund(self, amount: float) -> None:
         self.allocator.refund(amount)
 
-    def close(self) -> None:
-        """Release the dispatch pool (idempotent; no-op when
-        sequential).  Called when the campaign finishes or closes; the
-        final pull keeps post-finish checkpoints byte-faithful."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._pool is not None:
-            try:
-                self.pull_worker_state()
-            finally:
-                self._pool.close()
-
     @property
     def stats(self) -> SchedulerStats:
-        self.pull_worker_state()
         merged = SchedulerStats()
         for shard in self.shards:
             stats = shard.scheduler.stats
@@ -935,7 +667,6 @@ class ShardedScheduler:
     def state_dict(self) -> dict:
         """Allocator ledger, per-shard membership, migrations, and each
         shard scheduler's own state (the caches travel separately)."""
-        self.pull_worker_state()
         return {
             "allocator": self.allocator.state_dict(),
             "migrations": self.migrations,
@@ -969,17 +700,14 @@ class ShardedScheduler:
             shard.migrations_out = int(shard_state["migrations_out"])
             shard.granted = float(shard_state.get("granted", 0.0))
             shard.scheduler.load_state(shard_state["scheduler"])
-        self.push_worker_state()
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def shard_snapshots(self) -> tuple[ShardSnapshot, ...]:
-        self.pull_worker_state()
         return tuple(shard.snapshot() for shard in self.shards)
 
     def merged_cache_stats(self) -> CacheStats:
-        self.pull_worker_state()
         merged = CacheStats(0, 0, 0, 0)
         for shard in self.shards:
             merged = merged.merge(shard.cache.stats)

@@ -40,10 +40,7 @@ from ..quality.bucket import log_odds
 #: never saturate and EM never locks in.
 _QUALITY_CLAMP = 0.02
 
-#: Lock stripes guarding seat assignment/release.  The registry is the
-#: one shared write surface when shard admits run on a thread pool
-#: (each shard seats only its own members, but the laws should not
-#: depend on that partition staying perfect), so ``assign``/``release``
+#: Lock stripes guarding seat assignment/release: ``assign``/``release``
 #: serialize per worker through a sharded lock map: worker id -> one of
 #: this many locks.  Uncontended acquisition is ~100ns, so the
 #: single-threaded path pays nothing measurable.
@@ -178,7 +175,7 @@ class WorkerRegistry:
 
     def attach_lease_coordinator(self, coordinator) -> None:
         """Route every seat through a shared
-        :class:`~repro.engine.procpool.LeaseCoordinator`: ``assign``
+        :class:`~repro.engine.leases.LeaseCoordinator`: ``assign``
         acquires the cross-process lease before seating locally (a
         denial — another engine holds the worker's last shared seat —
         surfaces as :class:`CapacityError`, which the scheduler treats
@@ -250,10 +247,9 @@ class WorkerRegistry:
     # ------------------------------------------------------------------
     def assign(self, worker_id: str, task_id: str) -> None:
         """Seat a worker on a task's jury; raises :class:`CapacityError`
-        when they are already at capacity.  Safe to call from parallel
-        shard-admit threads: the check-then-seat is atomic under the
-        worker's lock stripe, so two admits can never overshoot a
-        worker's capacity by racing the check."""
+        when they are already at capacity.  The check-then-seat is
+        atomic under the worker's lock stripe, so two admits can never
+        overshoot a worker's capacity by racing the check."""
         state = self._states[worker_id]
         with self._seat_lock(worker_id):
             if task_id in state.active_tasks:

@@ -21,11 +21,11 @@ The default for every engine is :data:`NULL_TELEMETRY`, a
 paths cost a couple of attribute lookups when observability is off.
 
 Thread-safety: one mutex guards the metric maps and the ring buffers.
-Producers (intake threads), the serving loop, and parallel shard
-dispatch workers all report concurrently; every public method takes the
-lock for a handful of dict operations only and never calls back out
-while holding it, so the hub cannot participate in a lock cycle with
-engine-side locks.
+Producers (intake threads), HTTP handler threads and the serving loop
+all report concurrently; every public method takes the lock for a
+handful of dict operations only and never calls back out while holding
+it, so the hub cannot participate in a lock cycle with engine-side
+locks.
 """
 
 from __future__ import annotations

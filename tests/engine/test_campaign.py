@@ -91,7 +91,9 @@ class TestCampaignConfig:
         ("vote_latency", 0.0, "vote_latency"),
         ("ingestion", "batch", "ingestion"),
         ("parallel_shards", -1, "parallel_shards"),
+        ("parallel_shards", 1, "parallel_shards"),
         ("dispatch", "fork", "dispatch"),
+        ("dispatch", "processes", "dispatch"),
         ("ingest_max_pending", 0, "ingest_max_pending"),
         ("ingest_grace", 0.0, "ingest_grace"),
         ("ingest_grace", "soon", "ingest_grace"),
@@ -121,13 +123,19 @@ class TestCampaignConfig:
             budget=4.0, num_shards=2, quantization=None, seed=11
         )
         assert CampaignConfig.from_dict(config.to_dict()) == config
+        # The retired dispatch knobs are init-only: never stored.
+        assert not {"parallel_shards", "dispatch"} & set(config.to_dict())
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
             CampaignConfig.from_dict({"budget": 1.0, "shards": 2})
-        # Only the two retired mode fields are tolerated (and dropped).
+        # Only the retired mode fields are tolerated (and dropped).
         retired = {"budget": 1.0, "jq_kernel": "scalar", "vote_fanout": 4}
         assert CampaignConfig.from_dict(retired) == CampaignConfig(budget=1.0)
+        dispatch = {
+            "budget": 1.0, "parallel_shards": 4, "dispatch": "processes"
+        }
+        assert CampaignConfig.from_dict(dispatch) == CampaignConfig(budget=1.0)
         with pytest.raises(ValueError, match="unknown"):
             CampaignConfig.from_dict({**retired, "jq_kernels": "batch"})
 

@@ -383,8 +383,6 @@ def test_loop_grace_window_serves_straggler_producers():
 def test_async_campaign_validates_config():
     with pytest.raises(ValueError, match="ingestion"):
         CampaignConfig(budget=1.0, ingestion="bogus")
-    with pytest.raises(ValueError, match="parallel_shards"):
-        CampaignConfig(budget=1.0, parallel_shards=-1)
     with pytest.raises(ValueError, match="ingest_max_pending"):
         CampaignConfig(budget=1.0, ingest_max_pending=0)
     with pytest.raises(ValueError, match="ingest_grace"):
@@ -393,8 +391,8 @@ def test_async_campaign_validates_config():
 
 def test_async_facade_campaign_round_trip(tmp_path):
     """The facade surface (submit -> run -> report) works end to end
-    with async ingestion + parallel dispatch, and duplicate submission
-    is caught at the intake."""
+    with async ingestion over two shards, and duplicate submission is
+    caught at the intake."""
     rng = np.random.default_rng(5)
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=24, quality_ceiling=0.95), rng
@@ -409,7 +407,6 @@ def test_async_facade_campaign_round_trip(tmp_path):
             seed=5,
             num_shards=2,
             ingestion="async",
-            parallel_shards=2,
         ),
     )
     campaign.submit(tasks(30))
@@ -420,3 +417,65 @@ def test_async_facade_campaign_round_trip(tmp_path):
     assert metrics.completed == 30
     assert "Campaign engine report" in campaign.render()
     campaign.close()
+
+
+# ----------------------------------------------------------------------
+# Intake grace: fixed or derived from the admit latency
+# ----------------------------------------------------------------------
+def _grace_pool(seed=1):
+    rng = np.random.default_rng(seed)
+    return generate_pool(
+        SyntheticPoolConfig(num_workers=32, quality_ceiling=0.95), rng
+    )
+
+
+def _grace_tasks(num_tasks, seed):
+    rng = np.random.default_rng(seed)
+    truths = rng.integers(0, 2, size=num_tasks)
+    return [
+        EngineTask(f"t{i}", ground_truth=int(t))
+        for i, t in enumerate(truths)
+    ]
+
+
+def test_auto_grace_tracks_admit_latency():
+    with Campaign.open(
+        _grace_pool(),
+        CampaignConfig(
+            budget=25.0, ingestion="async", ingest_grace="auto", seed=3
+        ),
+    ) as campaign:
+        loop = campaign._ingest
+        # Before any admit: the fixed fallback.
+        assert loop._effective_grace() == pytest.approx(0.05)
+        campaign.submit(_grace_tasks(30, seed=3))
+        campaign.run()
+        ewma = campaign.engine.admit_latency_ewma
+        assert ewma is not None and ewma > 0
+        grace = loop._effective_grace()
+        assert 0.01 <= grace <= 0.5
+        assert grace == pytest.approx(min(max(8.0 * ewma, 0.01), 0.5))
+
+
+def test_auto_grace_async_fingerprint_matches_sync():
+    def fingerprint(**overrides):
+        config = CampaignConfig(
+            budget=25.0,
+            capacity=3,
+            batch_size=20,
+            confidence_target=0.95,
+            seed=17,
+            **overrides,
+        )
+        with Campaign.open(_grace_pool(seed=17), config) as campaign:
+            campaign.submit(_grace_tasks(60, seed=17))
+            return campaign.run().fingerprint()
+
+    assert fingerprint(ingestion="async", ingest_grace="auto") == fingerprint()
+
+
+def test_fixed_grace_still_validates():
+    with pytest.raises(ValueError, match="grace"):
+        CampaignConfig(budget=5.0, ingest_grace="adaptive")
+    with pytest.raises(ValueError, match="grace"):
+        CampaignConfig(budget=5.0, ingest_grace=0.0)

@@ -20,13 +20,12 @@ completing) and **byte-identical replay** for identical seeds round out
 the harness.
 
 The second half is the *concurrency* stress harness for the async
-ingestion + parallel shard dispatch path (`repro.engine.ingest`): the
-same per-event laws under randomized seeded interleavings
-(submit-while-running producers, pause/checkpoint mid-flight, shard
-rebalance under load), byte-identical replay of seeded interleavings,
-and the deterministic-mode pins — a preloaded or run-boundary-fed
-async campaign must reproduce the sync path's fingerprint, and
-parallel shard dispatch must reproduce sequential dispatch exactly.
+ingestion path (`repro.engine.ingest`): the same per-event laws under
+randomized seeded interleavings (submit-while-running producers,
+pause/checkpoint mid-flight, shard rebalance under load),
+byte-identical replay of seeded interleavings, and the
+deterministic-mode pins — a preloaded or run-boundary-fed async
+campaign must reproduce the sync path's fingerprint.
 """
 
 import threading
@@ -313,7 +312,7 @@ def build_facade_campaign(
 ):
     """The :func:`build_campaign` scenario through the Campaign facade.
     Extra keyword arguments reach :class:`CampaignConfig` (the async
-    and parallel-dispatch knobs); ``submit=False`` returns the campaign
+    knobs); ``submit=False`` returns the campaign
     with its tasks unsubmitted, for script-driven interleavings."""
     rng = np.random.default_rng(seed)
     pool = generate_pool(
@@ -431,14 +430,13 @@ def test_rebalancing_campaign_migrates_and_conserves():
 
 
 # ======================================================================
-# Concurrency stress harness: async ingestion + parallel shard dispatch
+# Concurrency stress harness: async ingestion
 # ======================================================================
 def build_async_loop(
     seed,
     pool_size,
     shards,
     num_tasks=60,
-    parallel=0,
     checked=True,
     interleave=None,
     max_pending=10_000,
@@ -467,7 +465,6 @@ def build_async_loop(
         confidence_target=0.95,
         expected_tasks=expected_tasks,
         ingestion="async",
-        parallel_shards=parallel,
         telemetry=telemetry,
         seed=seed,
         routing_policy=policy,
@@ -485,55 +482,19 @@ def build_async_loop(
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "pool_size,shards,parallel", [(16, 1, 0), (48, 4, 4)]
-)
-def test_async_preloaded_matches_sync_fingerprint(
-    seed, pool_size, shards, parallel
-):
-    """Deterministic async mode, preloaded: the intake path plus
-    parallel shard dispatch must reproduce the synchronous engine's
-    fingerprint byte for byte — while the checked engine asserts every
-    per-event law along the way."""
+@pytest.mark.parametrize("pool_size,shards", [(16, 1), (48, 4)])
+def test_async_preloaded_matches_sync_fingerprint(seed, pool_size, shards):
+    """Deterministic async mode, preloaded: the intake path must
+    reproduce the synchronous engine's fingerprint byte for byte —
+    while the checked engine asserts every per-event law along the
+    way."""
     reference = build_campaign(
         seed, pool_size, shards, checked=False
     ).run().fingerprint()
-    loop, tasks = build_async_loop(
-        seed, pool_size, shards, parallel=parallel
-    )
+    loop, tasks = build_async_loop(seed, pool_size, shards)
     loop.submit(tasks)
     metrics = loop.run()
     final_laws(loop.engine, metrics)
-    assert metrics.fingerprint() == reference
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_parallel_dispatch_is_byte_identical(seed):
-    """Thread-pool shard dispatch is purely a throughput lever: same
-    routing, same grants, same seatings, same floats as the sequential
-    in-loop dispatch."""
-    reference = build_campaign(seed, 48, 4, checked=False).run().fingerprint()
-    rng = np.random.default_rng(seed)
-    pool = generate_pool(
-        SyntheticPoolConfig(num_workers=48, quality_ceiling=0.95), rng
-    )
-    config = CampaignConfig(
-        budget=0.3 * 60,
-        capacity=3,
-        batch_size=20,
-        confidence_target=0.95,
-        parallel_shards=4,
-        seed=seed,
-        num_shards=4,
-    )
-    engine = CheckedEngine(pool, config)
-    truths = rng.integers(0, 2, size=60)
-    engine.submit(
-        EngineTask(f"t{i}", ground_truth=int(t))
-        for i, t in enumerate(truths)
-    )
-    metrics = engine.run()
-    final_laws(engine, metrics)
     assert metrics.fingerprint() == reference
 
 
@@ -550,7 +511,6 @@ def test_seeded_interleavings_replay_and_conserve(seed):
             seed,
             48,
             4,
-            parallel=2,
             interleave=InterleavingSchedule(seed * 31 + 1),
             expected_tasks=60,
         )
@@ -566,15 +526,14 @@ def test_seeded_interleavings_replay_and_conserve(seed):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_submit_while_running_under_backpressure(seed):
     """Live traffic: four producer threads stream tasks into a tightly
-    bounded intake while the serving loop seats juries and dispatches
-    shard admits in parallel.  Backpressure must bound staging, every
+    bounded intake while the serving loop seats juries across four
+    shards.  Backpressure must bound staging, every
     task must be served exactly once, and the per-event laws must hold
     throughout."""
     loop, tasks = build_async_loop(
         seed,
         32,
         4,
-        parallel=2,
         max_pending=8,
         expected_tasks=60,
         grace=2.0,
@@ -621,7 +580,6 @@ def test_async_pause_checkpoint_resume_matches_sync(seed, tmp_path):
         4,
         SQLiteBackend(path),
         ingestion="async",
-        parallel_shards=2,
     )
     interrupted.run(until=10 + (seed % 3) * 15)
     assert not interrupted.done
@@ -640,7 +598,7 @@ def test_scripted_submission_interleavings_match_sync(seed):
     """Submit-while-running, deterministically: a seeded script of
     (submit a batch, serve until N) steps drives a sync campaign and an
     async one through identical run-boundary traffic; the async path —
-    intake, drain-before-step, parallel dispatch — must reproduce the
+    intake, drain-before-step — must reproduce the
     sync fingerprint byte for byte."""
     rng = np.random.default_rng(seed)
     splits = np.sort(rng.choice(np.arange(5, 55), size=2, replace=False))
@@ -665,20 +623,19 @@ def test_scripted_submission_interleavings_match_sync(seed):
         return metrics.fingerprint()
 
     sync_fp = scripted()
-    async_fp = scripted(ingestion="async", parallel_shards=2)
+    async_fp = scripted(ingestion="async")
     assert async_fp == sync_fp
 
 
 def test_async_rebalance_under_interleaved_load():
-    """Shard rebalancing triggered while interleaved intake and
-    parallel dispatch are live: migrations must happen and every law
-    must survive workers changing shards mid-traffic."""
+    """Shard rebalancing triggered while interleaved intake is live:
+    migrations must happen and every law must survive workers changing
+    shards mid-traffic."""
     loop, tasks = build_async_loop(
         11,
         48,
         4,
         num_tasks=120,
-        parallel=4,
         rebalance_threshold=0.05,
         interleave=InterleavingSchedule(11),
         expected_tasks=120,
@@ -708,15 +665,14 @@ def _assert_histogram_invariants(telemetry):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_telemetry_histograms_consistent_under_concurrent_stress(seed):
     """Telemetry on during the threaded submit-while-running scenario:
-    producers, the serving loop, and parallel dispatch workers all
-    report into the hub concurrently.  Every histogram must conserve
+    producers and the serving loop report into the hub
+    concurrently.  Every histogram must conserve
     its counts, the hub's counters must reconcile with the intake's own
     ledger, and the per-event campaign laws must hold throughout."""
     loop, tasks = build_async_loop(
         seed,
         32,
         4,
-        parallel=2,
         max_pending=8,
         expected_tasks=60,
         grace=2.0,
@@ -771,7 +727,6 @@ def test_telemetry_is_observation_only_under_seeded_interleavings(seed):
             seed,
             48,
             4,
-            parallel=2,
             interleave=InterleavingSchedule(seed * 31 + 1),
             expected_tasks=60,
             checked=False,

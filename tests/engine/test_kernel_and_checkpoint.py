@@ -23,7 +23,6 @@ from repro.engine import (
     MemoryBackend,
 )
 from repro.engine import scheduler as scheduler_module
-from repro.engine.campaign import FORCE_DISPATCH_ENV
 from repro.engine.metrics import TaskRecord
 from repro.engine.scheduler import MAX_FRONTIER_MEMO, CampaignScheduler
 from repro.engine.state import WorkerRegistry
@@ -67,10 +66,7 @@ class TestKernelToggle:
         """Re-estimation every 25 tasks churns the frontier memos, so
         both paths rebuild frontiers constantly — and must agree on
         every decision and every cache counter.  The scalar oracle is
-        swapped in under the scheduler's own frontier builder (in this
-        process: forced process dispatch would build shard frontiers
-        where the oracle's call log cannot see them)."""
-        monkeypatch.delenv(FORCE_DISPATCH_ENV, raising=False)
+        swapped in under the scheduler's own frontier builder."""
         batch = make_campaign(
             num_shards=num_shards, quantization=quantization
         ).run()
@@ -201,10 +197,11 @@ class TestRetiredConfigFields:
     def test_checkpoint_with_retired_modes_resumes_identically(
         self, num_shards
     ):
-        """Checkpoints written while ``jq_kernel`` and ``vote_fanout``
-        were still config fields carry them in the saved config.  Both
-        modes were fingerprint-neutral, so resume drops them and lands
-        on the uninterrupted run's fingerprint."""
+        """Checkpoints written while ``jq_kernel``, ``vote_fanout``,
+        ``parallel_shards`` and ``dispatch`` were still config fields
+        carry them in the saved config.  Every one of those modes was
+        fingerprint-neutral, so resume drops them and lands on the
+        uninterrupted run's fingerprint."""
         reference = make_campaign(num_shards=num_shards).run().fingerprint()
 
         backend = MemoryBackend()
@@ -213,7 +210,10 @@ class TestRetiredConfigFields:
         campaign.checkpoint()
         snapshot = backend.load()
         snapshot["campaign"]["config"].update(
-            jq_kernel="scalar", vote_fanout=4
+            jq_kernel="scalar",
+            vote_fanout=4,
+            parallel_shards=4,
+            dispatch="processes",
         )
         backend.save(snapshot)
 

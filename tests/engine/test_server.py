@@ -8,6 +8,7 @@ synchronous facade in-process — across shard counts and state backends.
 """
 
 import hashlib
+import http.client
 import json
 import re
 import threading
@@ -323,6 +324,25 @@ class TestEndpoints:
             assert status["open_offers"] > 0
             assert status["serving"] is True
             assert status["done"] is False
+
+    def test_kept_alive_connection_does_not_stall(self):
+        # Headers and body sent as two writes wait ~40 ms per response
+        # for the client's delayed ACK (Nagle); one write does not.
+        with serving() as srv:
+            conn = http.client.HTTPConnection(
+                srv.server.host, srv.server.port, timeout=10
+            )
+            try:
+                start = time.perf_counter()
+                for _ in range(50):
+                    conn.request("GET", "/status")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    json.loads(response.read())
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        assert elapsed < 0.5, f"50 kept-alive requests took {elapsed:.2f}s"
 
     def test_metrics_endpoint_serves_prometheus_text(self):
         with serving(config=make_config(telemetry="on")) as srv:

@@ -385,7 +385,7 @@ class TestAdmitErrorSettlement:
     against what each shard actually reserved before re-raising."""
 
     @staticmethod
-    def build(parallel=0, shards=4, seed=5):
+    def build(shards=4, seed=5):
         rng = np.random.default_rng(seed)
         pool = generate_pool(
             SyntheticPoolConfig(num_workers=16, quality_ceiling=0.95), rng
@@ -395,7 +395,6 @@ class TestAdmitErrorSettlement:
             budget=30.0,
             capacity=2,
             seed=seed,
-            parallel_shards=parallel,
             num_shards=shards,
         )
         return ShardedScheduler(registry, config, 100)
@@ -419,9 +418,8 @@ class TestAdmitErrorSettlement:
         granted = sum(shard.granted for shard in scheduler.shards)
         assert granted == pytest.approx(allocator.granted, abs=1e-9)
 
-    @pytest.mark.parametrize("parallel", [0, 4])
-    def test_raise_before_reserving_reabsorbs_the_grant(self, parallel):
-        scheduler = self.build(parallel=parallel)
+    def test_raise_before_reserving_reabsorbs_the_grant(self):
+        scheduler = self.build()
         calls = []
 
         def exploding_admit(tasks, batch_budget=None):
@@ -434,9 +432,8 @@ class TestAdmitErrorSettlement:
         assert calls, "the broken shard was never dispatched to"
         self.assert_ledger(scheduler)
 
-    @pytest.mark.parametrize("parallel", [0, 4])
-    def test_raise_after_partial_reserve_settles_the_delta(self, parallel):
-        scheduler = self.build(parallel=parallel)
+    def test_raise_after_partial_reserve_settles_the_delta(self):
+        scheduler = self.build()
         victim = scheduler.shards[1].scheduler
         real_admit = victim.admit
 

@@ -289,11 +289,8 @@ class TestObservationOnly:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shards,ingestion", FINGERPRINT_MATRIX)
     def test_fingerprint_identical_on_vs_off(self, seed, shards, ingestion):
-        kwargs = dict(ingestion=ingestion)
-        if ingestion == "async" and shards > 1:
-            kwargs["parallel_shards"] = 2
-        off = make_campaign(seed, shards, telemetry="off", **kwargs)
-        on = make_campaign(seed, shards, telemetry="on", **kwargs)
+        off = make_campaign(seed, shards, telemetry="off", ingestion=ingestion)
+        on = make_campaign(seed, shards, telemetry="on", ingestion=ingestion)
         assert off.run().fingerprint() == on.run().fingerprint()
         assert on.telemetry.enabled
         assert not off.telemetry.enabled
@@ -329,18 +326,8 @@ class TestCampaignIntegration:
             for r in campaign.telemetry.snapshot()["counters"]
         }
         assert "engine.tasks_submitted" in counters
-        if campaign.config.dispatch == "processes":
-            # Shard admits run inside worker interpreters; the parent
-            # hub sees the per-round dispatch envelope instead.
-            assert "procpool_round" in span_names
-            assert "scheduler.procpool_rounds" in counters
-        else:
-            assert {
-                "admit",
-                "frontier_build",
-                "dispatch_merge",
-            } <= span_names
-            assert "scheduler.admitted" in counters
+        assert {"admit", "frontier_build", "dispatch_merge"} <= span_names
+        assert "scheduler.admitted" in counters
 
     def test_windowed_rates_exist_for_both_series(self):
         campaign = make_campaign(7, 1, telemetry="on")
@@ -367,10 +354,7 @@ class TestCampaignIntegration:
         campaign.run()
         text = campaign.telemetry.render_prometheus()
         assert "# TYPE repro_engine_tasks_submitted_total counter" in text
-        if campaign.config.dispatch == "processes":
-            histogram = "repro_procpool_round_seconds"
-        else:
-            histogram = "repro_admit_seconds"
+        histogram = "repro_admit_seconds"
         assert f"# TYPE {histogram} histogram" in text
         assert 'le="+Inf"' in text
         assert f"{histogram}_bucket" in text
@@ -379,21 +363,13 @@ class TestCampaignIntegration:
     def test_per_shard_labels_reach_exports(self):
         campaign = make_campaign(7, 4, telemetry="on")
         campaign.run()
-        if campaign.config.dispatch == "processes":
-            # Per-shard scheduler counters live worker-side; the parent
-            # records the dispatch rounds instead.
-            name = "scheduler.procpool_rounds"
-        else:
-            name = "scheduler.admitted"
         rows = [
             r
             for r in campaign.telemetry.snapshot()["counters"]
-            if r["name"] == name
+            if r["name"] == "scheduler.admitted"
         ]
-        assert rows
-        if name == "scheduler.admitted":
-            shards = {r["labels"].get("shard") for r in rows}
-            assert len(shards) > 1
+        shards = {r["labels"].get("shard") for r in rows}
+        assert len(shards) > 1
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_open_offers_gauge_tracks_the_offer_book(self, shards):

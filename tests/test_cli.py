@@ -149,23 +149,19 @@ class TestEngineCommand:
             main(self.ARGS + ["--num-shards", "2", "--routing-policy", "rr"])
 
     def test_async_ingestion_matches_sync_report(self, capsys):
-        """--ingestion async --parallel-shards N on a pre-submitted
-        campaign must print the exact sync report (modulo wall clock):
-        the deterministic-mode pin, surfaced at the CLI."""
+        """--ingestion async on a pre-submitted sharded campaign must
+        print the exact sync report (modulo wall clock): the
+        deterministic-mode pin, surfaced at the CLI."""
         sharded = self.ARGS + ["--num-shards", "4"]
         assert main(sharded) == 0
         sync_out = self.stable_lines(capsys.readouterr().out)
-        assert main(
-            sharded + ["--ingestion", "async", "--parallel-shards", "4"]
-        ) == 0
+        assert main(sharded + ["--ingestion", "async"]) == 0
         async_out = self.stable_lines(capsys.readouterr().out)
         assert async_out == sync_out
 
     def test_ingestion_choices_enforced(self):
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--ingestion", "threaded"])
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--parallel-shards", "-1"])
 
     def test_nonpositive_shard_count_rejected(self):
         """--num-shards 0 must fail loudly, not silently run unsharded."""
