@@ -4,33 +4,59 @@ The DB-nets line of work (Montali & Rivkin) marries an event/net
 execution layer to a relational token store, so processes survive
 restarts and share state across executors.  This module is that store
 for the campaign engine: a :class:`~repro.engine.campaign.Campaign`
-serializes its complete serving state — worker registry (vote
-histories, drifted quality estimates, seats, spend), answer matrix,
+serializes its serving state — worker registry (vote histories,
+drifted quality estimates, seats, spend), answer matrix,
 budget/allocator ledgers, shard membership, metrics, RNG state, the JQ
-caches and frontier memos, and every pending event — into one
+caches and frontier memos, and every pending event — into a
 *snapshot* dict, and a :class:`StateBackend` persists it.
 
-Snapshot contract (all values plain JSON types)::
+A campaign only grows its votes, task records, task ids, JQ-cache
+entries and telemetry events, so those five sections are *journals*:
+a snapshot carries only the rows added since the backend's last save,
+and the backend appends them.  Everything else is fixed-size and
+replaced whole on every save.
+
+Snapshot contract, version 2 (all values plain JSON types)::
 
     {
-      "version":  1,
+      "version":  2,
       "campaign": {...},   # config + event loop state (opaque JSON)
       "workers":  [row, ...],          # one dict per worker
-      "votes":    [[worker_id, task_id, label, wpos, tpos], ...],
       "ledger":   {scope: {...}, ...}, # budget/allocator/shard ledgers
-      "caches":   {cache_id: {...}, ...},  # serialized JQCaches
+      "votes":    {"base": n, "rows": [[worker_id, task_id, label], ...]},
+      "records":  {"base": n, "rows": [task_record, ...]},
+      "task_ids": {"base": n, "rows": [task_id, ...]},
+      "events":   {"base": seq, "floor": seq,
+                   "rows": [[seq, ts, kind, span_id, fields], ...]},
+      "caches":   {cache_id: {"hits": .., "misses": .., "evictions": ..,
+                              "base": n, "entries": [[key, value], ...]}},
     }
+
+Journal semantics: ``base`` is what the store must already hold before
+the new rows — the row count (votes in arrival order, records and task
+ids in completion and submission order, cache entries in LRU order),
+or for the event ring the highest ``seq`` held; the ring also drops
+every held row below ``floor``, its oldest live ``seq``.  ``base`` 0
+replaces the journal (a first save, a foreign file, a bounded cache
+that reordered or evicted).  A ``base`` that does not match what the
+store holds raises :class:`BackendError` instead of writing a gap.
+:meth:`StateBackend.load` returns every journal whole, at ``base`` 0.
+
+Version-1 snapshots (votes as ``[worker_id, task_id, label, wpos,
+tpos]`` rows; records, task ids and events inside ``campaign``; no
+journals) still load; :meth:`Campaign.resume
+<repro.engine.campaign.Campaign.resume>` upgrades them, and the first
+save after it rewrites the store in the version-2 layout.
 
 Two implementations:
 
 * :class:`MemoryBackend` — the default; keeps the snapshot in-process.
   Checkpoints survive ``Campaign.close()`` but not the process, which
   is exactly the pre-facade behavior made explicit.
-* :class:`SQLiteBackend` — a WAL-mode SQLite file with ``campaign`` /
-  ``workers`` / ``votes`` / ``ledger`` / ``cache`` tables.  Campaigns
-  survive restarts; the WAL journal lets a reader (dashboard, another
-  engine process warming its cache) inspect the file while a writer
-  checkpoints.
+* :class:`SQLiteBackend` — a WAL-mode SQLite file with one table per
+  section.  Campaigns survive restarts; the WAL journal lets a reader
+  (dashboard, another engine process warming its cache) inspect the
+  file while a writer checkpoints.
 
 Both round-trip floats exactly: SQLite ``REAL`` columns are IEEE
 doubles, and JSON-encoded floats use ``repr`` shortest round-trip —
@@ -50,10 +76,17 @@ from typing import Protocol, runtime_checkable
 from ..core.exceptions import ReproError
 
 #: Current snapshot layout version.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+#: Sections appended to rather than replaced (``caches`` holds one
+#: journal per cache id on top of these).
+JOURNAL_SECTIONS = ("votes", "records", "task_ids", "events")
 
 #: Top-level sections every snapshot must carry.
-SNAPSHOT_SECTIONS = ("campaign", "workers", "votes", "ledger", "caches")
+SNAPSHOT_SECTIONS = ("campaign", "workers", "ledger", "caches") + JOURNAL_SECTIONS
+
+#: The sections of a version-1 snapshot.
+V1_SECTIONS = ("campaign", "workers", "votes", "ledger", "caches")
 
 
 class BackendError(ReproError, RuntimeError):
@@ -77,12 +110,13 @@ class StateBackend(Protocol):
     any store (Redis, Postgres, an object store...)."""
 
     def save(self, snapshot: dict) -> None:
-        """Persist a snapshot, replacing any previous one."""
+        """Persist a snapshot in one atomic step: replace its
+        fixed-size sections, append its journal tails."""
         ...
 
     def load(self) -> dict:
-        """Return the last saved snapshot; raise :class:`BackendError`
-        when none exists."""
+        """Return the saved state with every journal whole (``base``
+        0); raise :class:`BackendError` when none exists."""
         ...
 
     def exists(self) -> bool:
@@ -95,9 +129,27 @@ class StateBackend(Protocol):
 
 
 def _validate(snapshot: dict) -> None:
-    missing = [s for s in SNAPSHOT_SECTIONS if s not in snapshot]
+    required = (
+        SNAPSHOT_SECTIONS
+        if snapshot.get("version") == SNAPSHOT_VERSION
+        else V1_SECTIONS
+    )
+    missing = [s for s in required if s not in snapshot]
     if missing:
         raise BackendError(f"snapshot is missing sections {missing}")
+
+
+def _gap_error(name: str, base: int, held: int | None) -> BackendError:
+    if held is None:
+        holds = "no such journal"
+    elif name == "events":
+        holds = f"events up to seq {held}"
+    else:
+        holds = f"{held} rows"
+    return BackendError(
+        f"{name} journal tail starts at {base} but the store holds "
+        f"{holds}; save a full snapshot (base 0) instead"
+    )
 
 
 class MemoryBackend:
@@ -107,20 +159,73 @@ class MemoryBackend:
     the held snapshot cannot alias live campaign state, and a restore
     sees *exactly* the value shapes (lists, not tuples) a disk backend
     would produce — so the memory and SQLite paths exercise identical
-    restore code.
+    restore code.  The fixed-size sections are held as one JSON text;
+    each journal as the JSON texts of its tails, appended save by save
+    (so the held state stays as compact as the text).  A snapshot of
+    another layout version is held whole.
     """
 
     def __init__(self) -> None:
         self._payload: str | None = None
+        # Journal key (a section name, or ("cache", cache_id)) ->
+        # [size, floor, chunks]: what ``base`` must match (rows held,
+        # or the event ring's highest seq), the ring's floor, and
+        # (last seq, JSON rows) chunks.
+        self._journals: dict = {}
 
     def save(self, snapshot: dict) -> None:
         _validate(snapshot)
-        self._payload = json.dumps(snapshot)
+        if snapshot.get("version") != SNAPSHOT_VERSION:
+            self._payload, self._journals = json.dumps(snapshot), {}
+            return
+        fixed = {k: v for k, v in snapshot.items() if k not in JOURNAL_SECTIONS}
+        fixed["caches"] = {
+            cache_id: {
+                k: v for k, v in state.items() if k not in ("base", "entries")
+            }
+            for cache_id, state in snapshot["caches"].items()
+        }
+        tails = {name: snapshot[name] for name in JOURNAL_SECTIONS}
+        for cache_id, state in snapshot["caches"].items():
+            tails[("cache", cache_id)] = state
+        # Built aside: a refused save leaves the held journals as they were.
+        journals = {}
+        for key, tail in tails.items():
+            rows = tail.get("rows" if isinstance(key, str) else "entries", [])
+            base = tail.get("base", 0)
+            size, floor, chunks = (0, 0, [])
+            if base:
+                held = self._journals.get(key)
+                if held is None or held[0] != base:
+                    name = key if isinstance(key, str) else f"cache {key[1]}"
+                    raise _gap_error(name, base, None if held is None else held[0])
+                size, floor, chunks = held
+            if key == "events":
+                floor = tail.get("floor", 0)
+                size = rows[-1][0] if rows else base
+                chunks = [chunk for chunk in chunks if chunk[0] >= floor]
+            else:
+                size = base + len(rows)
+                chunks = list(chunks)
+            if rows:
+                last = rows[-1][0] if key == "events" else 0
+                chunks.append((last, json.dumps(rows)))
+            journals[key] = [size, floor, chunks]
+        self._payload, self._journals = json.dumps(fixed), journals
 
     def load(self) -> dict:
         if self._payload is None:
             raise BackendError("MemoryBackend holds no checkpoint")
-        return json.loads(self._payload)
+        snapshot = json.loads(self._payload)
+        for key, (_size, floor, chunks) in self._journals.items():
+            rows = [row for _, text in chunks for row in json.loads(text)]
+            if key == "events":
+                rows = [row for row in rows if row[0] >= floor]
+            if isinstance(key, str):
+                snapshot[key] = {"base": 0, "rows": rows}
+            else:
+                snapshot["caches"][key[1]].update(base=0, entries=rows)
+        return snapshot
 
     def exists(self) -> bool:
         return self._payload is not None
@@ -136,16 +241,23 @@ class MemoryBackend:
 class SQLiteBackend:
     """Campaign state in a WAL-mode SQLite file.
 
-    Schema (one campaign per file)::
+    Schema, layout version 2 (one campaign per file)::
 
         campaign(key TEXT PRIMARY KEY, value TEXT)    -- version, config
                                                       --  + event-loop JSON
         workers(position INTEGER PRIMARY KEY, worker_id TEXT UNIQUE, ...)
-        votes(wpos INTEGER PRIMARY KEY, worker_id, task_id, label, tpos)
         ledger(scope TEXT PRIMARY KEY, value TEXT,
                version INTEGER)                       -- budget/allocator/
                                                       --  shard ledgers +
                                                       --  CAS version
+        votes(pos INTEGER PRIMARY KEY, worker_id, task_id, label)
+                                                      -- arrival order
+        records(pos INTEGER PRIMARY KEY, task_id, answer, confidence,
+                predicted_jq, reserved_cost, spent_cost, votes_used,
+                reason, correct)                      -- completion order
+        task_ids(pos INTEGER PRIMARY KEY, task_id)    -- submission order
+        events(seq INTEGER PRIMARY KEY, ts, kind, span_id,
+               fields)                                -- telemetry ring
         cache(cache_id TEXT, position INTEGER, key TEXT, value REAL,
               PRIMARY KEY(cache_id, position))        -- JQ-cache entries
                                                       --  in LRU order
@@ -154,13 +266,25 @@ class SQLiteBackend:
                                                       --  seat leases
         engines(owner TEXT PRIMARY KEY, epoch, registered)
 
-    ``save`` replaces the whole snapshot inside one transaction, so a
-    reader never observes a half-written checkpoint.  The ``leases`` /
-    ``engines`` tables (and the ledger ``version`` column) belong to the
-    cross-process coordination layer
-    (:mod:`repro.engine.leases`); ``save`` never touches
-    them, so checkpointing one engine cannot clobber seats other engines
-    hold in a shared coordination file.
+    ``save`` runs in one transaction, so a reader never observes a
+    half-written checkpoint.  It rewrites ``campaign``, ``workers`` and
+    its own ledger scopes, and appends to the journal tables ``votes``,
+    ``records``, ``task_ids``, ``events`` and ``cache``: a tail whose
+    ``base`` is not the journal's current size raises
+    :class:`BackendError` and writes nothing, and ``base`` 0 empties the
+    journal first.  A checkpoint therefore costs what changed since the
+    last one, not what the campaign has accumulated.
+
+    The ``leases`` / ``engines`` tables and the CAS-versioned ledger
+    scopes (``version`` >= 1) belong to the cross-process coordination
+    layer (:mod:`repro.engine.leases`); checkpoint scopes are the
+    ``version`` 0 rows, and ``save`` never touches anything else, so
+    checkpointing one engine cannot clobber seats or shared ledgers
+    other engines hold in a shared coordination file.
+
+    A file written by layout version 1 (``votes`` keyed by by-worker
+    position ``wpos``, with a ``tpos`` column) loads as a version-1
+    snapshot; the first save drops that table for the version-2 one.
     """
 
     _WORKER_COLUMNS = (
@@ -168,6 +292,18 @@ class SQLiteBackend:
         "capacity", "active_tasks", "votes_cast", "agreements",
         "resolved_votes", "spend", "peak_load",
     )
+
+    _RECORD_COLUMNS = (
+        "task_id", "answer", "confidence", "predicted_jq", "reserved_cost",
+        "spent_cost", "votes_used", "reason", "correct",
+    )
+
+    _VOTES_TABLE = """
+        CREATE TABLE IF NOT EXISTS votes(
+            pos INTEGER PRIMARY KEY,
+            worker_id TEXT NOT NULL,
+            task_id TEXT NOT NULL,
+            label INTEGER NOT NULL)"""
 
     #: How long (ms) a writer waits on a locked database before
     #: sqlite raises.  WAL keeps ordinary readers out of writers' way,
@@ -227,8 +363,12 @@ class SQLiteBackend:
 
     def _ensure_schema(self) -> None:
         with self._conn:
+            # One write transaction, taken up front so a racing opener
+            # waits on the busy timeout: in autocommit mode every CREATE
+            # would commit (and sync) on its own.
             self._conn.executescript(
                 """
+                BEGIN IMMEDIATE;
                 CREATE TABLE IF NOT EXISTS campaign(
                     key TEXT PRIMARY KEY, value TEXT NOT NULL);
                 CREATE TABLE IF NOT EXISTS workers(
@@ -244,16 +384,29 @@ class SQLiteBackend:
                     resolved_votes INTEGER NOT NULL,
                     spend REAL NOT NULL,
                     peak_load INTEGER NOT NULL);
-                CREATE TABLE IF NOT EXISTS votes(
-                    wpos INTEGER PRIMARY KEY,
-                    worker_id TEXT NOT NULL,
-                    task_id TEXT NOT NULL,
-                    label INTEGER NOT NULL,
-                    tpos INTEGER NOT NULL,
-                    UNIQUE(worker_id, task_id));
                 CREATE TABLE IF NOT EXISTS ledger(
                     scope TEXT PRIMARY KEY, value TEXT NOT NULL,
                     version INTEGER NOT NULL DEFAULT 0);
+                """
+                + self._VOTES_TABLE
+                + """;
+                -- Untyped numeric columns keep ints ints and floats
+                -- floats, exactly as the JSON path does.
+                CREATE TABLE IF NOT EXISTS records(
+                    pos INTEGER PRIMARY KEY,
+                    task_id TEXT NOT NULL,
+                    answer, confidence, predicted_jq, reserved_cost,
+                    spent_cost, votes_used,
+                    reason TEXT NOT NULL,
+                    correct);
+                CREATE TABLE IF NOT EXISTS task_ids(
+                    pos INTEGER PRIMARY KEY, task_id TEXT NOT NULL);
+                CREATE TABLE IF NOT EXISTS events(
+                    seq INTEGER PRIMARY KEY,
+                    ts REAL NOT NULL,
+                    kind TEXT NOT NULL,
+                    span_id INTEGER NOT NULL,
+                    fields TEXT NOT NULL);
                 CREATE TABLE IF NOT EXISTS cache(
                     cache_id TEXT NOT NULL,
                     position INTEGER NOT NULL,
@@ -271,6 +424,7 @@ class SQLiteBackend:
                     owner TEXT PRIMARY KEY,
                     epoch INTEGER NOT NULL,
                     registered REAL NOT NULL);
+                COMMIT;
                 """
             )
             # Files written before the lease layer predate the ledger's
@@ -286,23 +440,31 @@ class SQLiteBackend:
                     "ADD COLUMN version INTEGER NOT NULL DEFAULT 0"
                 )
 
+    @staticmethod
+    def _v1_votes(conn) -> bool:
+        """True while the file still has the layout-1 ``votes`` table."""
+        return any(
+            row[1] == "wpos" for row in conn.execute("PRAGMA table_info(votes)")
+        )
+
     # ------------------------------------------------------------------
     # StateBackend surface
     # ------------------------------------------------------------------
     def save(self, snapshot: dict) -> None:
         _validate(snapshot)
-        conn = self._connect()
-        with conn:
-            for table in ("campaign", "workers", "votes", "ledger", "cache"):
-                conn.execute(f"DELETE FROM {table}")
-            conn.execute(
-                "INSERT INTO campaign VALUES ('version', ?)",
-                (json.dumps(snapshot.get("version", SNAPSHOT_VERSION)),),
+        with self._immediate() as conn:
+            if self._v1_votes(conn):
+                conn.execute("DROP TABLE votes")
+                conn.execute(self._VOTES_TABLE)
+            conn.execute("DELETE FROM campaign")
+            conn.executemany(
+                "INSERT INTO campaign VALUES (?, ?)",
+                (
+                    ("version", json.dumps(snapshot["version"])),
+                    ("campaign", json.dumps(snapshot["campaign"])),
+                ),
             )
-            conn.execute(
-                "INSERT INTO campaign VALUES ('campaign', ?)",
-                (json.dumps(snapshot["campaign"]),),
-            )
+            conn.execute("DELETE FROM workers")
             conn.executemany(
                 "INSERT INTO workers VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
                 (
@@ -313,42 +475,110 @@ class SQLiteBackend:
                     for row in snapshot["workers"]
                 ),
             )
-            conn.executemany(
-                "INSERT INTO votes VALUES (?,?,?,?,?)",
-                (
-                    (wpos, worker_id, task_id, label, tpos)
-                    for worker_id, task_id, label, wpos, tpos
-                    in snapshot["votes"]
-                ),
-            )
+            caches = snapshot["caches"]
+            conn.execute("DELETE FROM ledger WHERE version = 0")
             conn.executemany(
                 "INSERT INTO ledger(scope, value) VALUES (?,?)",
-                (
+                [
                     (scope, json.dumps(value))
                     for scope, value in snapshot["ledger"].items()
-                ),
-            )
-            for cache_id, cache_state in snapshot["caches"].items():
-                conn.execute(
-                    "INSERT INTO ledger(scope, value) VALUES (?,?)",
+                ]
+                + [
                     (
                         f"cache-meta:{cache_id}",
                         json.dumps(
                             {
-                                k: cache_state[k]
+                                k: state[k]
                                 for k in ("hits", "misses", "evictions")
                             }
                         ),
-                    ),
+                    )
+                    for cache_id, state in caches.items()
+                ],
+            )
+
+            votes = snapshot.get("votes") or {}
+            self._append(
+                conn, "votes", votes.get("base", 0), votes.get("rows", ())
+            )
+            records = snapshot.get("records") or {}
+            self._append(
+                conn,
+                "records",
+                records.get("base", 0),
+                (
+                    tuple(r[c] for c in self._RECORD_COLUMNS)
+                    for r in records.get("rows", ())
+                ),
+            )
+            task_ids = snapshot.get("task_ids") or {}
+            self._append(
+                conn,
+                "task_ids",
+                task_ids.get("base", 0),
+                ((task_id,) for task_id in task_ids.get("rows", ())),
+            )
+            events = snapshot.get("events") or {}
+            base = events.get("base", 0)
+            if base:
+                (held,) = conn.execute("SELECT MAX(seq) FROM events").fetchone()
+                if (held or 0) != base:
+                    raise _gap_error("events", base, held or 0)
+                conn.execute(
+                    "DELETE FROM events WHERE seq < ?", (events.get("floor", 0),)
                 )
-                conn.executemany(
-                    "INSERT INTO cache VALUES (?,?,?,?)",
+            else:
+                conn.execute("DELETE FROM events")
+            conn.executemany(
+                "INSERT INTO events VALUES (?,?,?,?,?)",
+                (
+                    (seq, ts, kind, span_id, json.dumps(fields))
+                    for seq, ts, kind, span_id, fields in events.get("rows", ())
+                ),
+            )
+
+            conn.execute(
+                "DELETE FROM cache WHERE cache_id NOT IN "
+                f"({', '.join('?' * len(caches))})",
+                list(caches),
+            )
+            for cache_id, state in caches.items():
+                self._append(
+                    conn,
+                    "cache",
+                    state.get("base", 0),
                     (
-                        (cache_id, position, json.dumps(key), value)
-                        for position, (key, value)
-                        in enumerate(cache_state["entries"])
+                        (json.dumps(key), value)
+                        for key, value in state["entries"]
                     ),
+                    cache_id=cache_id,
                 )
+
+    @staticmethod
+    def _append(conn, table, base, rows, cache_id=None) -> None:
+        """Append ``rows`` to a journal table at positions ``base``,
+        ``base + 1``, ...; ``base`` 0 empties the journal first, any
+        other ``base`` must equal the journal's current size."""
+        if cache_id is None:
+            key, where, scope = "pos", "", ()
+        else:
+            key, where, scope = "position", " WHERE cache_id = ?", (cache_id,)
+        if base:
+            (last,) = conn.execute(
+                f"SELECT MAX({key}) FROM {table}{where}", scope
+            ).fetchone()
+            held = 0 if last is None else last + 1
+            if held != base:
+                name = table if cache_id is None else f"cache {cache_id}"
+                raise _gap_error(name, base, held)
+        else:
+            conn.execute(f"DELETE FROM {table}{where}", scope)
+        rows = [(*scope, base + i, *row) for i, row in enumerate(rows)]
+        if rows:
+            conn.executemany(
+                f"INSERT INTO {table} VALUES ({', '.join('?' * len(rows[0]))})",
+                rows,
+            )
 
     def load(self) -> dict:
         if not os.path.exists(self.path):
@@ -361,7 +591,6 @@ class SQLiteBackend:
             "version": json.loads(rows["version"]),
             "campaign": json.loads(rows["campaign"]),
             "workers": [],
-            "votes": [],
             "ledger": {},
             "caches": {},
         }
@@ -372,15 +601,48 @@ class SQLiteBackend:
             record = dict(zip(self._WORKER_COLUMNS, row))
             record["active_tasks"] = json.loads(record["active_tasks"])
             snapshot["workers"].append(record)
-        snapshot["votes"] = [
-            [worker_id, task_id, label, wpos, tpos]
-            for wpos, worker_id, task_id, label, tpos in conn.execute(
-                "SELECT wpos, worker_id, task_id, label, tpos FROM votes "
-                "ORDER BY wpos"
+        if self._v1_votes(conn):
+            snapshot["votes"] = [
+                [worker_id, task_id, label, wpos, tpos]
+                for wpos, worker_id, task_id, label, tpos in conn.execute(
+                    "SELECT wpos, worker_id, task_id, label, tpos FROM votes "
+                    "ORDER BY wpos"
+                )
+            ]
+        else:
+            snapshot["votes"] = self._journal(
+                list(row)
+                for row in conn.execute(
+                    "SELECT worker_id, task_id, label FROM votes ORDER BY pos"
+                )
             )
-        ]
+            records = []
+            for row in conn.execute(
+                f"SELECT {', '.join(self._RECORD_COLUMNS)} FROM records "
+                "ORDER BY pos"
+            ):
+                record = dict(zip(self._RECORD_COLUMNS, row))
+                if record["correct"] is not None:
+                    record["correct"] = bool(record["correct"])
+                records.append(record)
+            snapshot["records"] = self._journal(records)
+            snapshot["task_ids"] = self._journal(
+                task_id
+                for (task_id,) in conn.execute(
+                    "SELECT task_id FROM task_ids ORDER BY pos"
+                )
+            )
+            snapshot["events"] = self._journal(
+                [seq, ts, kind, span_id, json.loads(fields)]
+                for seq, ts, kind, span_id, fields in conn.execute(
+                    "SELECT seq, ts, kind, span_id, fields FROM events "
+                    "ORDER BY seq"
+                )
+            )
         cache_meta: dict[str, dict] = {}
-        for scope, value in conn.execute("SELECT scope, value FROM ledger"):
+        for scope, value in conn.execute(
+            "SELECT scope, value FROM ledger WHERE version = 0"
+        ):
             if scope.startswith("cache-meta:"):
                 cache_meta[scope[len("cache-meta:"):]] = json.loads(value)
             else:
@@ -394,8 +656,14 @@ class SQLiteBackend:
                     (cache_id,),
                 )
             ]
-            snapshot["caches"][cache_id] = {**meta, "entries": entries}
+            snapshot["caches"][cache_id] = {
+                **meta, "base": 0, "entries": entries
+            }
         return snapshot
+
+    @staticmethod
+    def _journal(rows) -> dict:
+        return {"base": 0, "rows": list(rows)}
 
     def exists(self) -> bool:
         if not os.path.exists(self.path):

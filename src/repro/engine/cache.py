@@ -28,6 +28,7 @@ simulated load.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -172,6 +173,9 @@ class JQCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        # A fresh token whenever the store changes other than by
+        # appending (see journal_mark).
+        self._generation = object()
 
     # ------------------------------------------------------------------
     # Keying
@@ -208,6 +212,7 @@ class JQCache:
                 # Refresh recency: dict order is the LRU order.
                 del self._store[key]
                 self._store[key] = cached
+                self._generation = object()
             return cached
         self._misses += 1
         value = value_fn()
@@ -215,6 +220,7 @@ class JQCache:
         if self.max_entries is not None and len(self._store) > self.max_entries:
             del self._store[next(iter(self._store))]
             self._evictions += 1
+            self._generation = object()
         return value
 
     def jq(self, qualities: Sequence[float] | np.ndarray) -> float:
@@ -368,27 +374,50 @@ class JQCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._generation = object()
         self._objective.reset_counter()
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Full cache state for checkpointing.
+    @property
+    def journal_mark(self) -> tuple[object, int]:
+        """``(generation, entries)`` now; :meth:`state_dict` takes it
+        back as ``since``.  The generation is a fresh token whenever the
+        store changes other than by appending a miss (an LRU refresh,
+        an eviction, :meth:`clear`, :meth:`load_state`), so the same
+        token means the first ``entries`` entries are exactly the ones
+        present at the mark."""
+        return self._generation, len(self._store)
+
+    def state_dict(self, since: tuple[object, int] | None = None) -> dict:
+        """Cache state for checkpointing.
 
         Entries are listed in LRU order (the store's dict order), so a
         restored cache evicts in exactly the sequence the original
         would have — required for byte-identical resumed campaigns.
+        With ``since`` (an earlier :attr:`journal_mark`), ``entries``
+        holds only what was appended after the mark and ``base`` counts
+        the entries before it; a store that changed otherwise since the
+        mark lists every entry, with ``base`` 0.
         """
+        base = 0
+        if since is not None and since[0] is self._generation:
+            base = since[1]
         return {
             "hits": self._hits,
             "misses": self._misses,
             "evictions": self._evictions,
-            "entries": [[list(k), v] for k, v in self._store.items()],
+            "base": base,
+            "entries": [
+                [list(k), v]
+                for k, v in itertools.islice(self._store.items(), base, None)
+            ],
         }
 
     def load_state(self, state: Mapping) -> None:
-        """Restore counters and entries captured by :meth:`state_dict`."""
+        """Restore counters and entries captured by :meth:`state_dict`
+        (a full one: ``base`` 0)."""
         self._store = {
             tuple(float(q) for q in key): float(value)
             for key, value in state["entries"]
@@ -396,6 +425,7 @@ class JQCache:
         self._hits = int(state["hits"])
         self._misses = int(state["misses"])
         self._evictions = int(state["evictions"])
+        self._generation = object()
 
     def warm(self, entries) -> int:
         """Pre-populate from ``(qualities, value)`` pairs (e.g. a cache
@@ -413,6 +443,7 @@ class JQCache:
             while len(self._store) > self.max_entries:
                 del self._store[next(iter(self._store))]
                 self._evictions += 1
+                self._generation = object()
         return added
 
     def __len__(self) -> int:

@@ -8,7 +8,7 @@ it in a lifecycle::
                              backend=SQLiteBackend("campaign.db"))
     campaign.submit(EngineTask(f"t{i}") for i in range(1000))
     campaign.run(until=400)     # resumable stepping, not one-shot
-    campaign.checkpoint()       # full state -> backend
+    campaign.checkpoint()       # what changed since the last one -> backend
     campaign.close()
 
     # ... later, possibly in another process ...
@@ -22,7 +22,10 @@ events, in-flight decision sessions, RNG state, metrics, the JQ caches
 and frontier memos — so a campaign checkpointed mid-run and resumed
 produces a :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`
 byte-identical to an uninterrupted run (pinned by the invariant
-harness, across backends and shard counts).
+harness, across backends and shard counts).  The state that only grows
+(votes, task records, task ids, JQ-cache entries, telemetry events) is
+journaled: each checkpoint hands the backend only what was added since
+the last one it saved (see :mod:`repro.engine.backends`).
 
 Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
 class choice.
@@ -31,12 +34,14 @@ class choice.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import time
 from typing import Iterable
 
 from ..core.jury import Jury
 from ..core.worker import Worker, WorkerPool
+from ..estimation import AnswerMatrix
 from ..online import OnlineDecisionSession
 from .backends import (
     SNAPSHOT_VERSION,
@@ -82,6 +87,54 @@ def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
 
 _INTERNAL = object()
 
+#: Journal marks of a backend that holds nothing of this campaign: the
+#: next checkpoint writes every journal whole (base 0).
+_NO_MARKS = {"votes": 0, "records": 0, "task_ids": 0, "events": 0, "caches": {}}
+
+_EVENT_FIELDS = ("seq", "ts", "kind", "span_id", "fields")
+
+
+def _upgrade_v1(snapshot: dict) -> dict:
+    """Lay a version-1 snapshot out as version 2, every journal whole.
+
+    Version 1 kept the task records, task ids and telemetry event ring
+    inside the campaign section, and the votes as ``[worker_id,
+    task_id, label, wpos, tpos]`` rows: two view orders, which merge
+    into one arrival order that replays to the same matrix.
+    """
+    section = dict(snapshot["campaign"])
+    metrics = dict(section["metrics"])
+    records = metrics.pop("records")
+    section["metrics"] = metrics
+    task_ids = section.pop("task_ids")
+    events = []
+    if section.get("telemetry"):
+        telemetry = dict(section["telemetry"])
+        events = sorted(telemetry.pop("events", []), key=lambda e: e["seq"])
+        section["telemetry"] = telemetry
+    votes = AnswerMatrix.from_vote_rows(snapshot["votes"]).arrival_rows()
+    return {
+        "version": SNAPSHOT_VERSION,
+        "campaign": section,
+        "workers": snapshot["workers"],
+        "ledger": snapshot["ledger"],
+        "votes": {"base": 0, "rows": votes},
+        "records": {"base": 0, "rows": records},
+        "task_ids": {"base": 0, "rows": task_ids},
+        "events": {
+            "base": 0,
+            "rows": [
+                [e["seq"], e["ts"], e["kind"], e.get("span_id", 0),
+                 e.get("fields", {})]
+                for e in events
+            ],
+        },
+        "caches": {
+            cache_id: {**state, "base": 0}
+            for cache_id, state in snapshot["caches"].items()
+        },
+    }
+
 
 class Campaign:
     """One campaign with an explicit open/run/checkpoint/close lifecycle.
@@ -104,6 +157,9 @@ class Campaign:
         self._ingest: AsyncIngestLoop | None = None
         self._coordinator: LeaseCoordinator | None = None
         self._closed = False
+        # What the backend holds of each journal, as of the last save
+        # that returned (see _snapshot).
+        self._marks = _NO_MARKS
         # Sync campaigns have no intake queue; external-vote mode still
         # needs the "no more tasks are coming" handshake before run()
         # may finalize, so the facade tracks it directly.
@@ -176,14 +232,20 @@ class Campaign:
         if the run had never been interrupted."""
         snapshot = backend.load()
         version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
+        if version == 1:
+            snapshot = _upgrade_v1(snapshot)
+        elif version != SNAPSHOT_VERSION:
             raise BackendError(
                 f"checkpoint version {version!r} is not supported "
-                f"(expected {SNAPSHOT_VERSION})"
+                f"(expected {SNAPSHOT_VERSION} or 1)"
             )
         campaign = cls(_token=_INTERNAL)
         campaign._backend = backend
         campaign._restore(snapshot)
+        if version == 1:
+            # The backend holds the version-1 layout: the first save
+            # rewrites every journal.
+            campaign._marks = _NO_MARKS
         return campaign
 
     def close(self) -> None:
@@ -490,18 +552,24 @@ class Campaign:
         return self._engine.telemetry.write_trace(str(path))
 
     def checkpoint(self) -> None:
-        """Persist the full campaign state to the backend, replacing
-        any earlier checkpoint.  Async campaigns fold staged intake
-        into the event queue first, so no accepted task is ever lost to
-        a checkpoint taken between drain and schedule.  (Like
-        :meth:`run`, this must be called from the serving thread.)"""
+        """Persist the campaign state to the backend, superseding any
+        earlier checkpoint: the fixed-size state whole, the journals
+        from what the backend's last save left off.  Async campaigns
+        fold staged intake into the event queue first, so no accepted
+        task is ever lost to a checkpoint taken between drain and
+        schedule.  (Like :meth:`run`, this must be called from the
+        serving thread.)"""
         self._require_open()
         if self._ingest is not None:
             self._ingest.quiesce_intake()
         self._engine.telemetry.event(
             "checkpoint", completed=self._engine.metrics.completed
         )
-        self._backend.save(self._snapshot())
+        snapshot, marks = self._snapshot()
+        self._backend.save(snapshot)
+        # Only a save that returned moves the marks: after a failed one
+        # the next checkpoint re-sends the same tails.
+        self._marks = marks
 
     # ------------------------------------------------------------------
     # Introspection
@@ -545,6 +613,16 @@ class Campaign:
             return [shard.cache for shard in engine.scheduler.shards]
         return [engine.cache]
 
+    def _named_caches(self) -> dict:
+        """Every JQ cache by its snapshot id (a sharded engine's
+        campaign-level cache stays, empty, beside its shards')."""
+        caches = {"campaign": self._engine.cache}
+        scheduler = self._engine.scheduler
+        if isinstance(scheduler, ShardedScheduler):
+            for shard in scheduler.shards:
+                caches[f"shard:{shard.shard_id}"] = shard.cache
+        return caches
+
     def export_cache(self, path) -> int:
         """Write this campaign's warmed JQ-cache entries (union across
         shards) to a JSON file another campaign can import."""
@@ -579,8 +657,12 @@ class Campaign:
     # ------------------------------------------------------------------
     # Snapshot assembly
     # ------------------------------------------------------------------
-    def _snapshot(self) -> dict:
+    def _snapshot(self) -> tuple[dict, dict]:
+        """The snapshot to save — fixed-size sections whole, journal
+        tails from :attr:`_marks` on — and the marks saving it reaches.
+        Assembly is O(what changed) plus the fixed-size state."""
         engine = self._engine
+        marks = self._marks
         runtime_states = [
             {
                 "task": rt.task.state_dict(),
@@ -604,17 +686,16 @@ class Campaign:
             "expected_tasks": engine._expected_tasks,
             "finished": engine._finished,
             "reestimations": engine.registry.reestimations,
-            "task_ids": sorted(engine._task_ids),
             "batch": [t.state_dict() for t in engine._batch],
             "deferred": [t.state_dict() for t in engine._deferred],
             "active": runtime_states,
             "queue": engine._queue.state_dict(),
             "rng": engine._rng.bit_generator.state,
-            "metrics": engine.metrics.state_dict(),
+            "metrics": engine.metrics.aggregate_state(),
             # Observability state rides along (None when telemetry is
             # off / the intake is sync); restore is .get()-tolerant so
             # snapshots predating these keys still load.
-            "telemetry": engine.telemetry.state_dict(),
+            "telemetry": engine.telemetry.state_dict(events=False),
             "intake_stats": (
                 None
                 if self._ingest is None
@@ -623,7 +704,6 @@ class Campaign:
         }
 
         scheduler = engine.scheduler
-        caches = {"campaign": engine.cache.state_dict()}
         if scheduler is None:
             ledger = {"mode": "unstarted"}
         elif isinstance(scheduler, ShardedScheduler):
@@ -635,18 +715,54 @@ class Campaign:
             }
             for shard_state in state["shards"]:
                 ledger[f"shard:{shard_state['shard_id']}"] = shard_state
-            for shard in scheduler.shards:
-                caches[f"shard:{shard.shard_id}"] = shard.cache.state_dict()
         else:
             ledger = {"mode": "single", "scheduler": scheduler.state_dict()}
 
-        return {
+        floor, events = engine.telemetry.event_rows(marks["events"])
+        snapshot = {
             "version": SNAPSHOT_VERSION,
             "campaign": campaign_section,
             "workers": engine.registry.worker_rows(),
-            "votes": engine.registry.answers.vote_rows(),
             "ledger": ledger,
-            "caches": caches,
+            "votes": {
+                "base": marks["votes"],
+                "rows": engine.registry.answers.arrival_rows(marks["votes"]),
+            },
+            "records": {
+                "base": marks["records"],
+                "rows": engine.metrics.record_rows(marks["records"]),
+            },
+            "task_ids": {
+                "base": marks["task_ids"],
+                "rows": list(
+                    itertools.islice(engine._task_ids, marks["task_ids"], None)
+                ),
+            },
+            "events": {"base": marks["events"], "floor": floor, "rows": events},
+            "caches": {
+                cache_id: cache.state_dict(
+                    since=marks["caches"].get(cache_id)
+                )
+                for cache_id, cache in self._named_caches().items()
+            },
+        }
+        return snapshot, self._journal_marks(
+            events[-1][0] if events else marks["events"]
+        )
+
+    def _journal_marks(self, last_event: int) -> dict:
+        """Marks for a backend that holds every journal as it stands
+        now, the event ring up to ``seq`` ``last_event``."""
+        engine = self._engine
+        return {
+            "votes": engine.registry.answers.num_arrivals,
+            "records": len(engine.metrics.records),
+            "task_ids": len(engine._task_ids),
+            "events": last_event,
+            "caches": {
+                cache_id: cache.journal_mark
+                for cache_id, cache in self._named_caches().items()
+            },
         }
 
     def _restore(self, snapshot: dict) -> None:
@@ -656,7 +772,7 @@ class Campaign:
         )
         registry = WorkerRegistry.from_rows(
             snapshot["workers"],
-            snapshot["votes"],
+            AnswerMatrix.from_arrival_rows(snapshot["votes"]["rows"]),
             section["reestimations"],
         )
         engine = CampaignEngine(registry.original_pool(), config)
@@ -666,7 +782,7 @@ class Campaign:
         expected = section["expected_tasks"]
         engine._expected_tasks = None if expected is None else int(expected)
         engine._finished = bool(section["finished"])
-        engine._task_ids = set(section["task_ids"])
+        engine._task_ids = dict.fromkeys(snapshot["task_ids"]["rows"])
         engine._batch = [
             EngineTask.from_state(t) for t in section["batch"]
         ]
@@ -675,7 +791,9 @@ class Campaign:
         ]
         engine._queue = EventQueue.from_state(section["queue"])
         engine._rng.bit_generator.state = section["rng"]
-        engine.metrics = EngineMetrics.from_state(section["metrics"])
+        engine.metrics = EngineMetrics.from_state(
+            {**section["metrics"], "records": snapshot["records"]["rows"]}
+        )
         engine._ran = True  # the facade owns the loop from here on
         engine._active = {}
         for rt_state in section["active"]:
@@ -735,10 +853,21 @@ class Campaign:
                     shard.cache.load_state(
                         snapshot["caches"][f"shard:{shard.shard_id}"]
                     )
-        engine.telemetry.load_state(section.get("telemetry"))
+        telemetry_state = section.get("telemetry")
+        event_rows = snapshot["events"]["rows"]
+        if telemetry_state:
+            telemetry_state = {
+                **telemetry_state,
+                "events": [dict(zip(_EVENT_FIELDS, row)) for row in event_rows],
+            }
+        engine.telemetry.load_state(telemetry_state)
         self._config = config
         self._engine = engine
         engine._checkpoint_hook = self.checkpoint
+        # The backend holds exactly the journals just loaded.
+        self._marks = self._journal_marks(
+            event_rows[-1][0] if event_rows else 0
+        )
         self._attach_ingest()
         self._attach_coordinator()
         intake_state = section.get("intake_stats")

@@ -132,7 +132,9 @@ class CampaignEngine:
         self._batch: list[EngineTask] = []
         self._deferred: list[EngineTask] = []
         self._active: dict[str, _TaskRuntime] = {}
-        self._task_ids: set[str] = set()
+        # An insertion-ordered set: checkpoints journal it in
+        # submission order.
+        self._task_ids: dict[str, None] = {}
         self._clock = 0.0
         self._expected_tasks: int | None = None
         self._ran = False
@@ -177,7 +179,7 @@ class CampaignEngine:
                 )
             if task.task_id in self._task_ids:
                 raise ValueError(f"duplicate task id {task.task_id!r}")
-            self._task_ids.add(task.task_id)
+            self._task_ids[task.task_id] = None
             self._queue.push(TaskArrival(float(arrival_time), task))
             count += 1
         return count

@@ -201,8 +201,17 @@ class EngineMetrics:
         """Everything the fingerprint covers plus the render-only
         snapshot fields (so a resumed *finished* campaign still renders
         its full report)."""
+        return {"records": self.record_rows(), **self.aggregate_state()}
+
+    def record_rows(self, since: int = 0) -> list[dict]:
+        """State of the records after the first ``since`` (records only
+        append, so a checkpoint journals this tail)."""
+        return [r.state_dict() for r in self.records[since:]]
+
+    def aggregate_state(self) -> dict:
+        """:meth:`state_dict` without the records: the fixed-size part a
+        checkpoint rewrites whole."""
         return {
-            "records": [r.state_dict() for r in self.records],
             "submitted": self.submitted,
             "votes_cast": self.votes_cast,
             "votes_cancelled": self.votes_cancelled,

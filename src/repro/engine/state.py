@@ -383,9 +383,11 @@ class WorkerRegistry:
         ]
 
     @classmethod
-    def from_rows(cls, worker_rows, vote_rows, reestimations: int) -> "WorkerRegistry":
-        """Rebuild a registry from :meth:`worker_rows` +
-        :meth:`AnswerMatrix.vote_rows` output."""
+    def from_rows(
+        cls, worker_rows, answers: AnswerMatrix, reestimations: int
+    ) -> "WorkerRegistry":
+        """Rebuild a registry from :meth:`worker_rows` output and the
+        restored answer matrix."""
         registry = cls.__new__(cls)
         registry._states = {}
         registry._locks = tuple(
@@ -409,7 +411,7 @@ class WorkerRegistry:
                 spend=float(row["spend"]),
                 peak_load=int(row["peak_load"]),
             )
-        registry.answers = AnswerMatrix.from_vote_rows(vote_rows)
+        registry.answers = answers
         registry.reestimations = int(reestimations)
         return registry
 

@@ -291,8 +291,11 @@ class NullTelemetry:
     def completed_spans(self) -> list[SpanRecord]:
         return []
 
-    def state_dict(self) -> None:
+    def state_dict(self, events: bool = True) -> None:
         return None
+
+    def event_rows(self, since: int = 0) -> tuple[int, list[list]]:
+        return 0, []
 
     def load_state(self, state: Any) -> None:
         pass
@@ -380,9 +383,13 @@ class Telemetry:
     # ----------------------------------------------------- trace/spans
 
     def event(self, kind: str, span_id: int = 0, **fields: Any) -> None:
-        entry = (next(self._event_seq), self.now(), kind, span_id, fields)
+        now = self.now()
         with self._mutex:
-            self._events.append(entry)
+            # Numbered under the mutex, so the ring is in ``seq`` order
+            # (what lets a checkpoint journal it by ``seq``).
+            self._events.append(
+                (next(self._event_seq), now, kind, span_id, fields)
+            )
 
     def span(self, name: str, **labels: Any) -> _Span:
         """Timed block recorded as both a histogram sample and a
@@ -633,10 +640,27 @@ class Telemetry:
 
     # ----------------------------------------------------- persistence
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-serialisable state for checkpoint/resume survival."""
+    def event_rows(self, since: int = 0) -> tuple[int, list[list]]:
+        """``(floor, rows)``: the ``seq`` of the oldest event the ring
+        still holds (0 when empty), and ``[seq, ts, kind, span_id,
+        fields]`` rows of the events numbered above ``since``, oldest
+        first — the tail a checkpoint appends to its event journal."""
         with self._mutex:
-            return {
+            rows = []
+            for entry in reversed(self._events):
+                if entry[0] <= since:
+                    break
+                rows.append(list(entry))
+            rows.reverse()
+            floor = self._events[0][0] if self._events else 0
+        return floor, rows
+
+    def state_dict(self, events: bool = True) -> dict[str, Any]:
+        """JSON-serialisable state for checkpoint/resume survival
+        (``events=False`` leaves the event ring out, for a checkpoint
+        that journals it through :meth:`event_rows`)."""
+        with self._mutex:
+            state = {
                 "elapsed": self.now(),
                 "interval": self.interval,
                 "counters": [
@@ -655,22 +679,21 @@ class Telemetry:
                     name: [[idx, count] for idx, count in windows.items()]
                     for name, windows in self._rates.items()
                 },
-                "events": [
-                    TraceEvent(*row).as_dict() for row in self._events
-                ],
                 "spans": [record.as_dict() for record in self._spans],
                 # Highest ids retained in the rings (ids restart above
                 # them on resume; the itertools counters cannot be
-                # inspected without consuming them, and concurrent
-                # emitters may append slightly out of id order, hence
-                # the max).
-                "event_seq": max(
-                    (row[0] for row in self._events), default=0
-                ),
+                # inspected without consuming them, and spans finish
+                # out of id order, hence the max).
+                "event_seq": self._events[-1][0] if self._events else 0,
                 "span_seq": max(
                     (record.span_id for record in self._spans), default=0
                 ),
             }
+            if events:
+                state["events"] = [
+                    TraceEvent(*row).as_dict() for row in self._events
+                ]
+            return state
 
     def load_state(self, state: dict[str, Any] | None) -> None:
         if not state:
@@ -697,7 +720,9 @@ class Telemetry:
                 for name, windows in state.get("rates", {}).items()
             }
             self._events.clear()
-            for row in state.get("events", []):
+            # Rings saved before events were numbered under the mutex
+            # may be slightly out of ``seq`` order; restore them sorted.
+            for row in sorted(state.get("events", []), key=lambda r: r["seq"]):
                 self._events.append(
                     (
                         int(row["seq"]),
@@ -719,5 +744,10 @@ class Telemetry:
                         labels=dict(row.get("labels", {})),
                     )
                 )
-            self._event_seq = itertools.count(int(state.get("event_seq", 0)) + 1)
+            # A checkpoint journals the ring apart from this state, so
+            # its newest event may postdate ``event_seq``.
+            last_event = self._events[-1][0] if self._events else 0
+            self._event_seq = itertools.count(
+                max(int(state.get("event_seq", 0)), last_event) + 1
+            )
             self._span_seq = itertools.count(int(state.get("span_seq", 0)) + 1)

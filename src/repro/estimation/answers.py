@@ -8,6 +8,7 @@ workers answered a single 20-question HIT).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -34,6 +35,11 @@ class AnswerMatrix:
 
     Duplicate (worker, task) pairs are rejected: one vote per worker
     per task, as in the paper's model.
+
+    The matrix only grows, so it keeps an arrival log: replaying the
+    log through :meth:`add` rebuilds both views in their exact
+    iteration orders, which is what lets a checkpoint append the votes
+    that arrived since the last one instead of rewriting all of them.
     """
 
     def __init__(self, num_labels: int = 2, answers: Iterable[Answer] = ()) -> None:
@@ -42,28 +48,35 @@ class AnswerMatrix:
         self.num_labels = num_labels
         self._by_worker: dict[str, dict[str, int]] = {}
         self._by_task: dict[str, dict[str, int]] = {}
+        # (worker_id, task_id, label) in arrival order; ``None`` for a
+        # matrix rebuilt view by view (from_vote_rows) until the log is
+        # first asked for.
+        self._log: list[tuple[str, str, int]] | None = []
         for answer in answers:
             self.add(answer)
 
     def add(self, answer: Answer) -> None:
-        if answer.label >= self.num_labels:
-            raise InvalidVoteError(
-                f"label {answer.label} outside 0..{self.num_labels - 1}"
-            )
-        worker_answers = self._by_worker.setdefault(answer.worker_id, {})
-        if answer.task_id in worker_answers:
-            raise ValueError(
-                f"worker {answer.worker_id!r} already answered task "
-                f"{answer.task_id!r}"
-            )
-        worker_answers[answer.task_id] = answer.label
-        self._by_task.setdefault(answer.task_id, {})[
-            answer.worker_id
-        ] = answer.label
+        self.record(answer.worker_id, answer.task_id, answer.label)
 
     def record(self, worker_id: str, task_id: str, label: int) -> None:
-        """Convenience wrapper around :meth:`add`."""
-        self.add(Answer(worker_id, task_id, label))
+        """:meth:`add` without building the :class:`Answer` (the engine
+        records one vote per call, and the arrival log keeps a plain
+        tuple)."""
+        if label < 0:
+            raise InvalidVoteError(f"label {label} must be >= 0")
+        if label >= self.num_labels:
+            raise InvalidVoteError(
+                f"label {label} outside 0..{self.num_labels - 1}"
+            )
+        worker_answers = self._by_worker.setdefault(worker_id, {})
+        if task_id in worker_answers:
+            raise ValueError(
+                f"worker {worker_id!r} already answered task {task_id!r}"
+            )
+        worker_answers[task_id] = label
+        self._by_task.setdefault(task_id, {})[worker_id] = label
+        if self._log is not None:
+            self._log.append((worker_id, task_id, label))
 
     # ------------------------------------------------------------------
     # Views
@@ -135,8 +148,78 @@ class AnswerMatrix:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
+    @property
+    def num_arrivals(self) -> int:
+        """Length of the arrival log (= :attr:`num_answers`)."""
+        return len(self._arrival_log())
+
+    def arrival_rows(self, since: int = 0) -> list[list]:
+        """``[worker_id, task_id, label]`` rows of the votes that
+        arrived after the first ``since``, in arrival order — the tail
+        a checkpoint appends to its vote journal."""
+        return [list(vote) for vote in self._arrival_log()[since:]]
+
+    @classmethod
+    def from_arrival_rows(cls, rows, num_labels: int = 2) -> "AnswerMatrix":
+        """Replay :meth:`arrival_rows` output: both views come back in
+        their original orders, and so does the log."""
+        matrix = cls(num_labels=num_labels)
+        for worker_id, task_id, label in rows:
+            matrix.record(worker_id, task_id, int(label))
+        return matrix
+
+    def _arrival_log(self) -> list[tuple[str, str, int]]:
+        if self._log is None:
+            self._log = self._merge_views()
+        return self._log
+
+    def _merge_views(self) -> list[tuple[str, str, int]]:
+        """An arrival order that replays to both current views.
+
+        Replaying through :meth:`add` must keep each worker's votes and
+        each task's votes in their view orders, and must meet the
+        workers (and the tasks) in view order — so every vote waits for
+        its predecessor in both inner orders, and the first vote of
+        each worker (task) waits for the previous worker's (task's)
+        first vote.  A topological merge of those edges, ties broken by
+        by-worker position, is such an order; a cycle means no arrival
+        sequence built these views.
+        """
+        wpos: dict[tuple[str, str], int] = {}
+        for worker_id, tasks in self._by_worker.items():
+            for task_id in tasks:
+                wpos[(worker_id, task_id)] = len(wpos)
+        waits = dict.fromkeys(wpos, 0)
+        after: dict[tuple[str, str], list] = {key: [] for key in wpos}
+        for chains in (
+            [[(w, t) for t in tasks] for w, tasks in self._by_worker.items()],
+            [[(w, t) for w in workers] for t, workers in self._by_task.items()],
+        ):
+            firsts = [chain[0] for chain in chains if chain]
+            for chain in (*chains, firsts):
+                for prev, nxt in zip(chain, chain[1:]):
+                    after[prev].append(nxt)
+                    waits[nxt] += 1
+        ready = [(pos, key) for key, pos in wpos.items() if waits[key] == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            _, key = heapq.heappop(ready)
+            order.append((key[0], key[1], self._by_worker[key[0]][key[1]]))
+            for nxt in after[key]:
+                waits[nxt] -= 1
+                if waits[nxt] == 0:
+                    heapq.heappush(ready, (wpos[nxt], nxt))
+        if len(order) != len(wpos):
+            raise ValueError(
+                "the by-worker and by-task orders admit no common arrival "
+                "order"
+            )
+        return order
+
     def vote_rows(self) -> list[tuple[str, str, int, int, int]]:
-        """Flatten to ``(worker_id, task_id, label, wpos, tpos)`` rows.
+        """Flatten to ``(worker_id, task_id, label, wpos, tpos)`` rows
+        (the version-1 checkpoint layout).
 
         ``wpos``/``tpos`` record each vote's position in the by-worker
         and by-task insertion orders.  Downstream estimators iterate
@@ -162,8 +245,11 @@ class AnswerMatrix:
 
     @classmethod
     def from_vote_rows(cls, rows, num_labels: int = 2) -> "AnswerMatrix":
-        """Rebuild a matrix with both views in their original orders."""
+        """Rebuild a matrix with both views in their original orders
+        (version-1 rows; the arrival log is merged from the two views
+        when first needed)."""
         matrix = cls(num_labels=num_labels)
+        matrix._log = None
         for worker_id, task_id, label, _wpos, _tpos in sorted(
             rows, key=lambda r: r[3]
         ):

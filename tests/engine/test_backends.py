@@ -2,10 +2,13 @@
 paths.  Fingerprint-level resume identity lives in test_invariants.py;
 these are the unit-level contracts."""
 
+import importlib.util
 import json
+import shutil
 import sqlite3
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.engine import (
     MemoryBackend,
     SQLiteBackend,
 )
+from repro.engine import campaign as campaign_module
 from repro.engine.backends import SNAPSHOT_SECTIONS, SNAPSHOT_VERSION
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -254,3 +258,306 @@ class TestSQLiteBackend:
 def MemoryBackend_normalize(snapshot):
     """A snapshot as any backend returns it (JSON value shapes)."""
     return json.loads(json.dumps(snapshot))
+
+
+# ----------------------------------------------------------------------
+# Journals: incremental saves
+# ----------------------------------------------------------------------
+def journal_campaign(backend, seed, num_shards=1, num_tasks=80, **config):
+    rng = np.random.default_rng(seed)
+    pool = generate_pool(
+        SyntheticPoolConfig(num_workers=24, quality_ceiling=0.95), rng
+    )
+    campaign = Campaign.open(
+        pool,
+        CampaignConfig(
+            budget=0.4 * num_tasks,
+            confidence_target=0.95,
+            seed=seed,
+            num_shards=num_shards,
+            **config,
+        ),
+        backend=backend,
+    )
+    campaign.submit(
+        EngineTask(f"t{i}", ground_truth=int(t))
+        for i, t in enumerate(rng.integers(0, 2, size=num_tasks))
+    )
+    return campaign
+
+
+def make_backend(kind, path):
+    return MemoryBackend() if kind == "memory" else SQLiteBackend(path)
+
+
+def loaded(backend):
+    """``backend.load()`` minus the telemetry clock (each save reads
+    the wall clock)."""
+    snapshot = backend.load()
+    telemetry = snapshot["campaign"].get("telemetry")
+    if telemetry:
+        del telemetry["elapsed"]
+    return snapshot
+
+
+def full_save(campaign, backend):
+    """Save the campaign's current state to another ``backend`` whole
+    (every journal at base 0), as a first checkpoint would."""
+    marks = campaign._marks
+    campaign._marks = campaign_module._NO_MARKS
+    try:
+        backend.save(campaign._snapshot()[0])
+    finally:
+        campaign._marks = marks
+
+
+JOURNAL_CONFIGS = {
+    "plain": {},
+    "bounded-cache": {"cache_max_entries": 40},
+    "telemetry": {"telemetry": "on", "reestimate_every": 15},
+}
+
+
+class TestJournalEquivalence:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    @pytest.mark.parametrize("config", sorted(JOURNAL_CONFIGS))
+    def test_chain_of_incremental_saves_equals_one_full_save(
+        self, seed, num_shards, kind, config, tmp_path
+    ):
+        """Checkpoints every 10 completions journal only their tails;
+        the store they build must load exactly what one base-0 save of
+        the final state loads, and resume to the uninterrupted run."""
+        extra = JOURNAL_CONFIGS[config]
+        reference = journal_campaign(
+            None, seed, num_shards, **extra
+        ).run().fingerprint()
+
+        chained = make_backend(kind, tmp_path / "chain.db")
+        campaign = journal_campaign(chained, seed, num_shards, **extra)
+        target = 0
+        while not campaign.done and target < 60:
+            target += 10
+            campaign.run(until=target)
+            campaign.checkpoint()
+        whole = make_backend(kind, tmp_path / "whole.db")
+        full_save(campaign, whole)
+        assert loaded(chained) == loaded(whole)
+
+        resumed = Campaign.resume(chained)
+        assert resumed.run().fingerprint() == reference
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_journals_append_past_a_resume(self, kind, tmp_path):
+        """A resumed campaign knows what its backend holds: its next
+        checkpoint appends instead of rewriting."""
+        backend = make_backend(kind, tmp_path / "c.db")
+        campaign = journal_campaign(backend, 3)
+        campaign.run(until=20)
+        campaign.checkpoint()
+        resumed = Campaign.resume(backend)
+        resumed.run(until=40)
+        snapshot, _ = resumed._snapshot()
+        assert snapshot["records"]["base"] >= 20
+        assert snapshot["votes"]["base"] > 0
+        resumed.checkpoint()
+        whole = make_backend(kind, tmp_path / "whole.db")
+        full_save(resumed, whole)
+        assert backend.load() == whole.load()
+
+
+class TestJournalTails:
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_event_ring_drops_rows_below_its_floor(self, kind, tmp_path):
+        backend = make_backend(kind, tmp_path / "c.db")
+        snapshot = checkpointed_snapshot()
+        event = lambda seq: [seq, float(seq), "vote", 0, {"task": f"t{seq}"}]
+        snapshot["events"] = {
+            "base": 0, "floor": 1, "rows": [event(s) for s in range(1, 6)]
+        }
+        backend.save(snapshot)
+        snapshot["events"] = {
+            "base": 5, "floor": 4, "rows": [event(6), event(7)]
+        }
+        backend.save(snapshot)
+        assert backend.load()["events"] == {
+            "base": 0, "rows": [event(s) for s in range(4, 8)]
+        }
+        snapshot["events"] = {"base": 6, "floor": 4, "rows": []}
+        with pytest.raises(BackendError, match="events journal"):
+            backend.save(snapshot)
+
+    @pytest.mark.parametrize(
+        "max_entries,appends", [(None, True), (40, False)]
+    )
+    def test_cache_journal_appends_until_the_lru_reorders(
+        self, max_entries, appends
+    ):
+        """An unbounded cache only appends; a bounded one refreshes
+        recency on hits, so its next tail restarts at base 0."""
+        campaign = journal_campaign(
+            MemoryBackend(), 1, cache_max_entries=max_entries
+        )
+        campaign.run(until=20)
+        campaign.checkpoint()
+        held = len(campaign.engine.cache)
+        campaign.run(until=40)
+        snapshot, _ = campaign._snapshot()
+        state = snapshot["caches"]["campaign"]
+        if appends:
+            assert state["base"] == held > 0
+            assert len(state["entries"]) == len(campaign.engine.cache) - held
+        else:
+            assert state["base"] == 0
+            assert len(state["entries"]) == len(campaign.engine.cache)
+
+
+def rows_written_by_second_checkpoint(num_tasks, tmp_path):
+    backend = SQLiteBackend(tmp_path / f"{num_tasks}.db")
+    campaign = journal_campaign(backend, 1, num_tasks=num_tasks)
+    campaign.run()
+    campaign.checkpoint()
+    conn = backend._conn
+    before = conn.total_changes
+    campaign.checkpoint()
+    return conn.total_changes - before
+
+
+def test_checkpoint_rows_do_not_grow_with_the_campaign(tmp_path):
+    """O(delta): back to back, the second checkpoint writes only the
+    fixed-size state, so a campaign ten times longer writes exactly as
+    many rows (SQLite's own change counter, not a timing)."""
+    short = rows_written_by_second_checkpoint(200, tmp_path)
+    long = rows_written_by_second_checkpoint(2000, tmp_path)
+    assert short == long
+    # Two campaign rows, the 24 workers, a handful of ledger scopes —
+    # each deleted and inserted — and no journal row.
+    assert short < 2 * (2 + 24 + 8)
+
+
+class TestFailedSave:
+    def test_failed_save_keeps_the_marks_and_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        backend = SQLiteBackend(tmp_path / "c.db")
+        campaign = journal_campaign(backend, 2)
+        campaign.run(until=20)
+        campaign.checkpoint()
+        first = backend.load()
+        marks = campaign._marks
+        campaign.run(until=40)
+
+        original = SQLiteBackend._append
+
+        def failing(conn, table, *args, **kwargs):
+            original(conn, table, *args, **kwargs)
+            if table == "records":  # after votes and records landed
+                raise RuntimeError("injected mid-transaction")
+
+        monkeypatch.setattr(SQLiteBackend, "_append", staticmethod(failing))
+        with pytest.raises(RuntimeError, match="injected"):
+            campaign.checkpoint()
+        assert campaign._marks is marks
+        assert backend.load() == first
+
+        monkeypatch.setattr(SQLiteBackend, "_append", staticmethod(original))
+        campaign.checkpoint()  # re-sends the same tails
+        whole = SQLiteBackend(tmp_path / "whole.db")
+        full_save(campaign, whole)
+        assert backend.load() == whole.load()
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_a_tail_that_leaves_a_gap_is_refused(self, kind, tmp_path):
+        """Two campaigns checkpointing into one store: the one that fell
+        behind must fail loudly rather than write a gap."""
+        backend = make_backend(kind, tmp_path / "c.db")
+        campaign = journal_campaign(backend, 4)
+        campaign.run(until=20)
+        campaign.checkpoint()
+        other = Campaign.resume(backend)
+        other.run(until=40)
+        other.checkpoint()
+        stored = backend.load()
+        campaign.run(until=30)
+        with pytest.raises(BackendError, match="journal tail starts at"):
+            campaign.checkpoint()
+        assert backend.load() == stored
+
+
+# ----------------------------------------------------------------------
+# Version-1 checkpoints
+# ----------------------------------------------------------------------
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _fixture_recipe():
+    spec = importlib.util.spec_from_file_location(
+        "make_v1_checkpoint", FIXTURES / "make_v1_checkpoint.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestVersion1Checkpoints:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _fixture_recipe().open_campaign().run().fingerprint()
+
+    def test_v1_sqlite_file_resumes_and_is_rewritten_as_v2(
+        self, reference, tmp_path
+    ):
+        path = tmp_path / "v1.db"
+        shutil.copyfile(FIXTURES / "v1_checkpoint.db", path)
+        backend = SQLiteBackend(path)
+        assert backend.load()["version"] == 1
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.completed == _fixture_recipe().PAUSE_AT
+        resumed.checkpoint()
+        backend.close()
+
+        conn = sqlite3.connect(path)
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(votes)")]
+        assert columns == ["pos", "worker_id", "task_id", "label"]
+        assert json.loads(
+            conn.execute(
+                "SELECT value FROM campaign WHERE key = 'version'"
+            ).fetchone()[0]
+        ) == SNAPSHOT_VERSION
+        (records,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
+        assert records == _fixture_recipe().PAUSE_AT
+        conn.close()
+
+        again = Campaign.resume(SQLiteBackend(path))
+        assert again.run().fingerprint() == reference
+        assert resumed.run().fingerprint() == reference
+
+    def test_v1_memory_snapshot_resumes(self, reference):
+        v1 = json.loads((FIXTURES / "v1_checkpoint.json").read_text())
+        assert v1["version"] == 1
+        backend = MemoryBackend()
+        backend.save(v1)
+        resumed = Campaign.resume(backend)
+        resumed.checkpoint()
+        rewritten = backend.load()
+        assert rewritten["version"] == SNAPSHOT_VERSION
+        assert len(rewritten["votes"]["rows"]) == len(v1["votes"])
+        assert Campaign.resume(backend).run().fingerprint() == reference
+        assert resumed.run().fingerprint() == reference
+
+    def test_both_v1_fixtures_hold_the_same_state(self, tmp_path):
+        v1 = json.loads((FIXTURES / "v1_checkpoint.json").read_text())
+        # A copy: even a reader of a WAL-mode file leaves sidecars.
+        path = tmp_path / "v1.db"
+        shutil.copyfile(FIXTURES / "v1_checkpoint.db", path)
+        conn = sqlite3.connect(path)
+        votes = [
+            list(row)
+            for row in conn.execute(
+                "SELECT worker_id, task_id, label, wpos, tpos FROM votes "
+                "ORDER BY wpos"
+            )
+        ]
+        conn.close()
+        assert votes == v1["votes"]

@@ -13,7 +13,9 @@ The coordination layer's contract, bottom-up:
   and a second engine finishes the campaign with conservation intact.
 * Crash-mid-checkpoint durability — a SIGKILL in the middle of a
   ``save()`` leaves the database integral and the previous checkpoint
-  loadable.
+  loadable; a SIGKILL before *each* write statement of an incremental
+  save in turn resumes to the uninterrupted fingerprint with budget,
+  seats and the allocator ledger conserved.
 """
 
 import multiprocessing
@@ -21,6 +23,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,21 @@ class TestLeaseTables:
         backend.save(minimal_snapshot(campaign={"anything": "at all"}))
         assert backend.count_leases("w1") == 1
         assert backend.load()["campaign"]["anything"] == "at all"
+        backend.close()
+
+    def test_checkpoint_save_keeps_shared_ledger_scopes(self, tmp_path):
+        # The checkpoint file may double as the coordination file
+        # (LeaseCoordinator(backend)); a save replaces only the ledger
+        # scopes it wrote itself, never the CAS-versioned shared ones.
+        backend = SQLiteBackend(tmp_path / "c.db")
+        coordinator = LeaseCoordinator(backend, ttl=30, owner="e1")
+        coordinator.update_shared_ledger("spend", lambda cur: (cur or 0.0) + 2.5)
+        backend.save(minimal_snapshot(ledger={"mode": "unstarted"}))
+        assert backend.read_ledger("spend") == (2.5, 1)
+        backend.save(minimal_snapshot(ledger={"mode": "single", "x": 1}))
+        assert backend.read_ledger("spend") == (2.5, 1)
+        assert backend.load()["ledger"] == {"mode": "single", "x": 1}
+        coordinator.close()
         backend.close()
 
 
@@ -518,6 +536,120 @@ def test_sigkill_mid_checkpoint_keeps_database_integral(tmp_path):
     snapshot = backend.load()
     assert snapshot["version"] == 1
     backend.close()
+
+
+CRASH_TASKS = 40
+
+
+def _crash_campaign(backend=None):
+    """Two shards, so the allocator ledger is on the line too."""
+    campaign = Campaign.open(
+        make_pool(12, seed=3),
+        CampaignConfig(
+            budget=12.0,
+            capacity=3,
+            batch_size=10,
+            confidence_target=0.95,
+            seed=3,
+            num_shards=2,
+        ),
+        backend=backend,
+    )
+    truths = np.random.default_rng(3).integers(0, 2, size=CRASH_TASKS)
+    campaign.submit(
+        EngineTask(f"t{i}", ground_truth=int(t)) for i, t in enumerate(truths)
+    )
+    return campaign
+
+
+def _checkpoint_and_die_at(campaign, kill_at, writes):
+    """Forked child: checkpoint, counting write statements on the
+    connection and SIGKILLing itself just before write ``kill_at``
+    (0: never)."""
+
+    def count(statement):
+        if not statement.lstrip().upper().startswith(
+            ("SELECT", "PRAGMA", "BEGIN")
+        ):
+            writes.value += 1
+            if writes.value == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+    campaign.backend._connect().set_trace_callback(count)
+    campaign.checkpoint()
+
+
+def _assert_conserved(campaign):
+    metrics, engine = campaign.metrics, campaign.engine
+    assert metrics.completed == metrics.submitted == CRASH_TASKS
+    assert metrics.total_spend <= campaign.config.budget + 1e-6
+    assert metrics.total_spend == pytest.approx(
+        engine.registry.total_spend, abs=1e-9
+    )
+    assert all(state.load == 0 for state in engine.registry.states)
+    allocator = engine.scheduler.allocator
+    assert allocator.granted == pytest.approx(
+        allocator.reserved + allocator.reabsorbed, abs=1e-6
+    )
+    assert allocator.refunded == pytest.approx(
+        metrics.total_refunded, abs=1e-9
+    )
+
+
+def test_sigkill_before_every_write_of_an_incremental_save(tmp_path):
+    """Crash-point harness: enumerate the write statements of one
+    incremental checkpoint, then SIGKILL a forked child before each in
+    turn (and once before COMMIT, the last write).  Every resume must
+    find an integral file holding the previous checkpoint or the new
+    one — never a blend — and finish on the uninterrupted fingerprint
+    with budget, seats and the allocator ledger conserved."""
+    reference = _crash_campaign().run().fingerprint()
+
+    path = tmp_path / "crash.db"
+    backend = SQLiteBackend(path)
+    campaign = _crash_campaign(backend)
+    campaign.run(until=12)
+    campaign.checkpoint()
+    saved = campaign.metrics.completed
+    campaign.run(until=16)
+    pending = campaign.metrics.completed
+    backend.close()  # no connection crosses the fork; the WAL is folded
+    pristine = path.read_bytes()
+    ctx = multiprocessing.get_context("fork")
+
+    def crash_at(kill_at):
+        for suffix in ("-wal", "-shm"):
+            Path(f"{path}{suffix}").unlink(missing_ok=True)
+        path.write_bytes(pristine)
+        writes = ctx.Value("i", 0)
+        proc = ctx.Process(
+            target=_checkpoint_and_die_at, args=(campaign, kill_at, writes)
+        )
+        proc.start()
+        proc.join(timeout=60)
+        return proc.exitcode, writes.value
+
+    exitcode, total = crash_at(0)
+    assert exitcode == 0
+    # Whole workers table, the journal tails, the ledger, COMMIT.
+    assert total > 12, total
+    for kill_at in [*range(1, total + 1), 0]:
+        exitcode, _ = crash_at(kill_at)
+        assert exitcode == (-signal.SIGKILL if kill_at else 0), kill_at
+        survivor = SQLiteBackend(path)
+        (verdict,) = survivor._connect().execute(
+            "PRAGMA integrity_check"
+        ).fetchone()
+        assert verdict == "ok", kill_at
+        resumed = Campaign.resume(survivor)
+        # Only the COMMIT (the last write) or no kill publishes the new
+        # checkpoint.
+        assert resumed.metrics.completed == (
+            saved if kill_at else pending
+        ), kill_at
+        assert resumed.run().fingerprint() == reference, kill_at
+        _assert_conserved(resumed)
+        resumed.close()
 
 
 def _serve_and_die(path, coord_path, ready):

@@ -165,6 +165,26 @@ class TestKernelMatchesLoop:
             assert_identical(one_coin_em(restored), expected)
             assert_identical(one_coin_em(original), expected)
 
+    def test_arrival_log_replays_both_view_orders(self):
+        """The arrival log a checkpoint journals — recorded by add(), or
+        merged from the two views of a version-1 restore — replays
+        through add() to both view orders exactly."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            original = random_sparse_matrix(rng)
+            restored = AnswerMatrix.from_vote_rows(original.vote_rows())
+            for source in (original, restored):
+                replayed = AnswerMatrix.from_arrival_rows(source.arrival_rows())
+                assert replayed.vote_rows() == original.vote_rows()
+            half = original.num_arrivals // 2
+            assert original.arrival_rows(half) == original.arrival_rows()[half:]
+
+    def test_views_no_arrival_order_built_have_no_arrival_log(self):
+        # Worker c voted on v before t, but task t was seen before v.
+        rows = [("c", "v", 1, 0, 1), ("c", "t", 0, 1, 0)]
+        with pytest.raises(ValueError, match="no common arrival order"):
+            AnswerMatrix.from_vote_rows(rows).arrival_rows()
+
     def test_from_vote_rows_with_independent_orders(self):
         """Rows whose by-task order is not the by-worker order."""
         rows = []
