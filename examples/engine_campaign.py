@@ -102,7 +102,6 @@ def sharded_act(rng: np.random.Generator) -> None:
         confidence_target=0.92,
         seed=2015,
         num_shards=4,
-        routing_policy="least-loaded",
     )
     campaign = Campaign.open(pool, config)
     truths = rng.integers(0, 2, size=num_tasks)

@@ -42,7 +42,6 @@ from .experiments import (
     run_table3,
 )
 from .engine import (
-    ROUTING_POLICIES,
     Campaign,
     CampaignConfig,
     CampaignServer,
@@ -217,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "'auto' derives the grid from the bucket "
                             "resolution)")
     p_eng.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (1 = unsharded engine)")
-    p_eng.add_argument("--routing-policy", default="hash",
-                       choices=ROUTING_POLICIES,
-                       help="task-to-shard routing policy")
+                       help="worker-pool shards (tasks route by id hash)")
     p_eng.add_argument("--cache-max-entries", type=_nonnegative_int,
                        default=0,
                        help="LRU bound per JQ cache (0 = unbounded)")
@@ -302,9 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--confidence", type=float, default=0.97,
                        help="early-stop confidence target")
     p_srv.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (1 = unsharded engine)")
-    p_srv.add_argument("--routing-policy", default="hash",
-                       choices=ROUTING_POLICIES)
+                       help="worker-pool shards (tasks route by id hash)")
     p_srv.add_argument("--coordinate", default=None, metavar="PATH",
                        help="shared seat-lease SQLite file: N 'repro "
                             "serve' processes pointing at the same file "
@@ -520,7 +514,6 @@ def _run_engine_command(args) -> int:
             metrics_interval=args.metrics_interval or 1.0,
             seed=args.seed,
             num_shards=args.num_shards,
-            routing_policy=args.routing_policy,
         )
         campaign = Campaign.open(pool, config, backend=backend)
         # Truths must follow the declared prior, or the report's
@@ -675,7 +668,6 @@ def _run_serve_command(args) -> int:
             vote_source=args.vote_source,
             seed=args.seed,
             num_shards=args.num_shards,
-            routing_policy=args.routing_policy,
             coordinate_path=args.coordinate,
             lease_ttl=args.lease_ttl,
             serve_host=args.host if args.host is not None else "127.0.0.1",

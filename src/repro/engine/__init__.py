@@ -10,18 +10,20 @@ one budget, and finite worker attention".  See the module docstrings:
     :class:`WorkerRegistry` — capacity, load, spend, vote history, and
     EM-backed quality drift.
 ``cache``
-    :class:`JQCache` / :class:`CachedJQObjective` — campaign-wide JQ
+    :class:`JQCache` / :class:`CachedJQObjective` — per-shard JQ
     memoization.
 ``scheduler``
-    :class:`CampaignScheduler` — batch admission, budget pacing,
-    capacity-aware seating over the portfolio/frontier machinery.
+    :class:`CampaignScheduler` — one shard's batch admission inside its
+    budget grant: capacity-aware seating over the portfolio/frontier
+    machinery.
 ``sharding``
-    :class:`ShardedScheduler` / :class:`BudgetAllocator` — K shard
-    schedulers (each inside the exact-frontier cap) under one
-    quality-mass-proportional budget allocator, with task routing and
-    idle-worker rebalancing (``CampaignConfig(num_shards=K)``).
+    :class:`ShardedScheduler` / :class:`BudgetAllocator` — K >= 1 shard
+    schedulers (each inside the exact-frontier cap) under the one
+    quality-mass-proportional budget allocator that paces the campaign,
+    with hash task routing and idle-worker rebalancing
+    (``CampaignConfig(num_shards=K)``).
 ``engine``
-    :class:`CampaignEngine` — the event loop, over either scheduler.
+    :class:`CampaignEngine` — the event loop.
 ``ingest``
     :class:`IntakeQueue` / :class:`AsyncIngestLoop` /
     :class:`InterleavingSchedule` — thread-safe live intake with
@@ -70,7 +72,7 @@ from .cache import (
     save_cache_file,
 )
 from .campaign import Campaign
-from .config import ROUTING_POLICIES, CampaignConfig
+from .config import CampaignConfig
 from .engine import CampaignEngine
 from .events import (
     EngineTask,
@@ -163,7 +165,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "NoOpenOffer",
     "NullTelemetry",
-    "ROUTING_POLICIES",
     "SQLiteBackend",
     "SchedulerStats",
     "ServerError",

@@ -5,8 +5,8 @@ execution layer to a relational token store, so processes survive
 restarts and share state across executors.  This module is that store
 for the campaign engine: a :class:`~repro.engine.campaign.Campaign`
 serializes its serving state — worker registry (vote histories,
-drifted quality estimates, seats, spend), answer matrix,
-budget/allocator ledgers, shard membership, metrics, RNG state, the JQ
+drifted quality estimates, seats, spend), answer matrix, the
+allocator ledger, shard membership, metrics, RNG state, the shards' JQ
 caches and frontier memos, and every pending event — into a
 *snapshot* dict, and a :class:`StateBackend` persists it.
 
@@ -16,13 +16,13 @@ a snapshot carries only the rows added since the backend's last save,
 and the backend appends them.  Everything else is fixed-size and
 replaced whole on every save.
 
-Snapshot contract, version 2 (all values plain JSON types)::
+Snapshot contract, version 3 (all values plain JSON types)::
 
     {
-      "version":  2,
+      "version":  3,
       "campaign": {...},   # config + event loop state (opaque JSON)
       "workers":  [row, ...],          # one dict per worker
-      "ledger":   {scope: {...}, ...}, # budget/allocator/shard ledgers
+      "ledger":   {scope: {...}, ...}, # allocator + per-shard ledgers
       "votes":    {"base": n, "rows": [[worker_id, task_id, label], ...]},
       "records":  {"base": n, "rows": [task_record, ...]},
       "task_ids": {"base": n, "rows": [task_id, ...]},
@@ -31,6 +31,10 @@ Snapshot contract, version 2 (all values plain JSON types)::
       "caches":   {cache_id: {"hits": .., "misses": .., "evictions": ..,
                               "base": n, "entries": [[key, value], ...]}},
     }
+
+The ledger scopes are ``allocator``, ``migrations`` and one
+``shard:<k>`` per shard (empty before the campaign first runs); cache
+ids are ``shard:<k>``.
 
 Journal semantics: ``base`` is what the store must already hold before
 the new rows — the row count (votes in arrival order, records and task
@@ -42,11 +46,13 @@ that reordered or evicted).  A ``base`` that does not match what the
 store holds raises :class:`BackendError` instead of writing a gap.
 :meth:`StateBackend.load` returns every journal whole, at ``base`` 0.
 
-Version-1 snapshots (votes as ``[worker_id, task_id, label, wpos,
-tpos]`` rows; records, task ids and events inside ``campaign``; no
-journals) still load; :meth:`Campaign.resume
-<repro.engine.campaign.Campaign.resume>` upgrades them, and the first
-save after it rewrites the store in the version-2 layout.
+Older snapshots still load, and :meth:`Campaign.resume
+<repro.engine.campaign.Campaign.resume>` upgrades them; the first save
+after it rewrites the store in the version-3 layout.  Version 2 had the
+same sections, but a one-shard campaign kept a single-scheduler ledger
+(``"mode": "single"``) and a campaign-level cache (id ``"campaign"``).
+Version 1 also had votes as ``[worker_id, task_id, label, wpos, tpos]``
+rows; records, task ids and events inside ``campaign``; no journals.
 
 Two implementations:
 
@@ -76,7 +82,7 @@ from typing import Protocol, runtime_checkable
 from ..core.exceptions import ReproError
 
 #: Current snapshot layout version.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Sections appended to rather than replaced (``caches`` holds one
 #: journal per cache id on top of these).
@@ -85,7 +91,8 @@ JOURNAL_SECTIONS = ("votes", "records", "task_ids", "events")
 #: Top-level sections every snapshot must carry.
 SNAPSHOT_SECTIONS = ("campaign", "workers", "ledger", "caches") + JOURNAL_SECTIONS
 
-#: The sections of a version-1 snapshot.
+#: The sections of a version-1 snapshot (the ones any older version
+#: must carry).
 V1_SECTIONS = ("campaign", "workers", "votes", "ledger", "caches")
 
 
@@ -241,15 +248,16 @@ class MemoryBackend:
 class SQLiteBackend:
     """Campaign state in a WAL-mode SQLite file.
 
-    Schema, layout version 2 (one campaign per file)::
+    Schema, layout version 3 (one campaign per file; version 2 had the
+    same tables)::
 
         campaign(key TEXT PRIMARY KEY, value TEXT)    -- version, config
                                                       --  + event-loop JSON
         workers(position INTEGER PRIMARY KEY, worker_id TEXT UNIQUE, ...)
         ledger(scope TEXT PRIMARY KEY, value TEXT,
-               version INTEGER)                       -- budget/allocator/
-                                                      --  shard ledgers +
-                                                      --  CAS version
+               version INTEGER)                       -- allocator/shard
+                                                      --  ledgers + CAS
+                                                      --  version
         votes(pos INTEGER PRIMARY KEY, worker_id, task_id, label)
                                                       -- arrival order
         records(pos INTEGER PRIMARY KEY, task_id, answer, confidence,
@@ -284,7 +292,7 @@ class SQLiteBackend:
 
     A file written by layout version 1 (``votes`` keyed by by-worker
     position ``wpos``, with a ``tpos`` column) loads as a version-1
-    snapshot; the first save drops that table for the version-2 one.
+    snapshot; the first save drops that table for the current one.
     """
 
     _WORKER_COLUMNS = (

@@ -5,7 +5,7 @@ batch the scheduler admits rebuilds a frontier over (mostly) the same
 available workers, and the annealer/exhaustive enumeration revisits
 the same subsets thousands of times.  JQ depends only on the *multiset*
 of member qualities (plus ``alpha`` and the bucket resolution), not on
-worker identity or order, so one campaign-wide cache keyed on the
+worker identity or order, so one cache per shard keyed on the
 canonically sorted quality vector collapses all of that repeated work.
 
 Two key modes:
@@ -118,7 +118,7 @@ class CacheStats:
 
 
 class JQCache:
-    """Campaign-wide memoization of ``qualities -> JQ(BV, alpha)``.
+    """Shared memoization of ``qualities -> JQ(BV, alpha)``.
 
     Parameters
     ----------
@@ -457,7 +457,7 @@ def save_cache_file(path, caches: Sequence[JQCache]) -> int:
     """Export the union of several caches' entries as a JSON warm file.
 
     All caches must share alpha/num_buckets/quantization (one campaign's
-    campaign-level or per-shard caches do by construction).  Returns the
+    per-shard caches do by construction).  Returns the
     number of exported entries.
     """
     if not caches:
@@ -531,7 +531,7 @@ class CachedJQObjective(JQObjective):
     :class:`JQCache`.
 
     Anything that accepts a ``JQObjective`` — selectors, frontiers, the
-    portfolio planner — can be pointed at the campaign cache by passing
+    portfolio planner — can be pointed at a shard's cache by passing
     one of these instead.  ``evaluations`` still counts *calls* (so
     selector work accounting is unchanged); the cache's own stats
     report how many calls were served without recomputation.

@@ -17,7 +17,7 @@ it in a lifecycle::
 
 A checkpoint captures *everything* replay identity needs — worker
 registry (vote histories, drifted quality estimates, live seats),
-answer matrix, budget/allocator ledgers, shard membership, pending
+answer matrix, the allocator ledger, shard membership, pending
 events, in-flight decision sessions, RNG state, metrics, the JQ caches
 and frontier memos — so a campaign checkpointed mid-run and resumed
 produces a :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`
@@ -56,7 +56,6 @@ from .ingest import AsyncIngestLoop, IngestStats
 from .leases import LeaseCoordinator
 from .metrics import EngineMetrics
 from .scheduler import Assignment
-from .sharding import ShardedScheduler
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
@@ -95,7 +94,7 @@ _EVENT_FIELDS = ("seq", "ts", "kind", "span_id", "fields")
 
 
 def _upgrade_v1(snapshot: dict) -> dict:
-    """Lay a version-1 snapshot out as version 2, every journal whole.
+    """Lay a version-1 snapshot out as version 3, every journal whole.
 
     Version 1 kept the task records, task ids and telemetry event ring
     inside the campaign section, and the votes as ``[worker_id,
@@ -113,8 +112,8 @@ def _upgrade_v1(snapshot: dict) -> dict:
         events = sorted(telemetry.pop("events", []), key=lambda e: e["seq"])
         section["telemetry"] = telemetry
     votes = AnswerMatrix.from_vote_rows(snapshot["votes"]).arrival_rows()
-    return {
-        "version": SNAPSHOT_VERSION,
+    return _upgrade_v2({
+        "version": 2,
         "campaign": section,
         "workers": snapshot["workers"],
         "ledger": snapshot["ledger"],
@@ -133,6 +132,56 @@ def _upgrade_v1(snapshot: dict) -> dict:
             cache_id: {**state, "base": 0}
             for cache_id, state in snapshot["caches"].items()
         },
+    })
+
+
+def _upgrade_v2(snapshot: dict) -> dict:
+    """Lay a version-2 snapshot out as version 3.
+
+    Version 2 served a one-shard campaign through a single scheduler
+    that paced its own budget (ledger ``"mode": "single"``) over a
+    campaign-level JQ cache, id ``"campaign"``.  Version 3 serves every
+    campaign as shards under the allocator: the single scheduler's
+    pacing ledger becomes the allocator's (every grant was reserved, so
+    nothing was re-absorbed), the scheduler itself shard 0 holding
+    every worker, and its cache shard 0's.  A sharded campaign's
+    ``"campaign"`` cache was never used, so it is dropped.
+    """
+    ledger = dict(snapshot["ledger"])
+    mode = ledger.pop("mode")
+    caches = dict(snapshot["caches"])
+    campaign_cache = caches.pop("campaign")
+    if mode == "single":
+        state = ledger.pop("scheduler")
+        ledger = {
+            "allocator": {
+                "entitled": state["entitled"],
+                "entitled_tasks": state["entitled_tasks"],
+                "reserved": state["reserved"],
+                "refunded": state["refunded"],
+                "granted": state["reserved"],
+                "reabsorbed": 0.0,
+                "rounds": state["stats"]["batches"],
+            },
+            "migrations": 0,
+            "shard:0": {
+                "shard_id": 0,
+                "member_ids": [row["worker_id"] for row in snapshot["workers"]],
+                "migrations_in": 0,
+                "migrations_out": 0,
+                "granted": state["reserved"],
+                "scheduler": {
+                    key: state[key]
+                    for key in ("reserved", "stats", "frontier_memo")
+                },
+            },
+        }
+        caches["shard:0"] = campaign_cache
+    return {
+        **snapshot,
+        "version": SNAPSHOT_VERSION,
+        "ledger": ledger,
+        "caches": caches,
     }
 
 
@@ -232,18 +281,19 @@ class Campaign:
         if the run had never been interrupted."""
         snapshot = backend.load()
         version = snapshot.get("version")
-        if version == 1:
-            snapshot = _upgrade_v1(snapshot)
+        upgrade = {1: _upgrade_v1, 2: _upgrade_v2}.get(version)
+        if upgrade is not None:
+            snapshot = upgrade(snapshot)
         elif version != SNAPSHOT_VERSION:
             raise BackendError(
                 f"checkpoint version {version!r} is not supported "
-                f"(expected {SNAPSHOT_VERSION} or 1)"
+                f"(expected {SNAPSHOT_VERSION}, 2 or 1)"
             )
         campaign = cls(_token=_INTERNAL)
         campaign._backend = backend
         campaign._restore(snapshot)
-        if version == 1:
-            # The backend holds the version-1 layout: the first save
+        if upgrade is not None:
+            # The backend holds an older layout: the first save
             # rewrites every journal.
             campaign._marks = _NO_MARKS
         return campaign
@@ -597,8 +647,8 @@ class Campaign:
 
     @property
     def engine(self) -> CampaignEngine:
-        """The underlying engine core (single or sharded) — an escape
-        hatch for observability; drive the campaign through the facade."""
+        """The underlying engine core — an escape hatch for
+        observability; drive the campaign through the facade."""
         return self._engine
 
     def render(self) -> str:
@@ -607,27 +657,23 @@ class Campaign:
     # ------------------------------------------------------------------
     # Warm-cache shipping
     # ------------------------------------------------------------------
-    def _caches(self):
-        engine = self._engine
-        if isinstance(engine.scheduler, ShardedScheduler):
-            return [shard.cache for shard in engine.scheduler.shards]
-        return [engine.cache]
-
     def _named_caches(self) -> dict:
-        """Every JQ cache by its snapshot id (a sharded engine's
-        campaign-level cache stays, empty, beside its shards')."""
-        caches = {"campaign": self._engine.cache}
+        """Every JQ cache by its snapshot id: the shards' caches, none
+        before the serving stack is built."""
         scheduler = self._engine.scheduler
-        if isinstance(scheduler, ShardedScheduler):
-            for shard in scheduler.shards:
-                caches[f"shard:{shard.shard_id}"] = shard.cache
-        return caches
+        if scheduler is None:
+            return {}
+        return {
+            f"shard:{shard.shard_id}": shard.cache
+            for shard in scheduler.shards
+        }
 
     def export_cache(self, path) -> int:
         """Write this campaign's warmed JQ-cache entries (union across
-        shards) to a JSON file another campaign can import."""
+        shards) to a JSON file another campaign can import.  The caches
+        exist once the campaign has started serving."""
         self._require_open()
-        return save_cache_file(path, self._caches())
+        return save_cache_file(path, list(self._named_caches().values()))
 
     def import_cache(self, path) -> int:
         """Warm this campaign's JQ caches from an exported file.  Call
@@ -640,7 +686,7 @@ class Campaign:
             # them.
             self._ingest.quiesce_intake()
         self._engine._start()
-        return load_cache_file(path, self._caches())
+        return load_cache_file(path, list(self._named_caches().values()))
 
     # ------------------------------------------------------------------
     # Guards
@@ -703,20 +749,14 @@ class Campaign:
             ),
         }
 
-        scheduler = engine.scheduler
-        if scheduler is None:
-            ledger = {"mode": "unstarted"}
-        elif isinstance(scheduler, ShardedScheduler):
-            state = scheduler.state_dict()
-            ledger = {
-                "mode": "sharded",
-                "allocator": state["allocator"],
-                "migrations": state["migrations"],
-            }
+        # The ledger is empty until the serving stack is built.
+        ledger = {}
+        if engine.scheduler is not None:
+            state = engine.scheduler.state_dict()
+            ledger["allocator"] = state["allocator"]
+            ledger["migrations"] = state["migrations"]
             for shard_state in state["shards"]:
                 ledger[f"shard:{shard_state['shard_id']}"] = shard_state
-        else:
-            ledger = {"mode": "single", "scheduler": scheduler.state_dict()}
 
         floor, events = engine.telemetry.event_rows(marks["events"])
         snapshot = {
@@ -777,7 +817,6 @@ class Campaign:
         )
         engine = CampaignEngine(registry.original_pool(), config)
         engine.registry = registry
-        engine.cache.load_state(snapshot["caches"]["campaign"])
         engine._clock = float(section["clock"])
         expected = section["expected_tasks"]
         engine._expected_tasks = None if expected is None else int(expected)
@@ -834,25 +873,21 @@ class Campaign:
                     )
 
         ledger = snapshot["ledger"]
-        if ledger["mode"] != "unstarted":
+        if ledger:
             engine._start()  # honors the restored _expected_tasks
-            if ledger["mode"] == "single":
-                engine.scheduler.load_state(ledger["scheduler"])
-            else:
-                engine.scheduler.load_state(
-                    {
-                        "allocator": ledger["allocator"],
-                        "migrations": ledger["migrations"],
-                        "shards": [
-                            ledger[f"shard:{k}"]
-                            for k in range(config.num_shards)
-                        ],
-                    }
+            engine.scheduler.load_state(
+                {
+                    "allocator": ledger["allocator"],
+                    "migrations": ledger["migrations"],
+                    "shards": [
+                        ledger[f"shard:{k}"] for k in range(config.num_shards)
+                    ],
+                }
+            )
+            for shard in engine.scheduler.shards:
+                shard.cache.load_state(
+                    snapshot["caches"][f"shard:{shard.shard_id}"]
                 )
-                for shard in engine.scheduler.shards:
-                    shard.cache.load_state(
-                        snapshot["caches"][f"shard:{shard.shard_id}"]
-                    )
         telemetry_state = section.get("telemetry")
         event_rows = snapshot["events"]["rows"]
         if telemetry_state:

@@ -2,10 +2,9 @@
 
 :class:`CampaignConfig` holds every engine, cache, routing, rebalancing,
 serving and coordination knob in one frozen dataclass, validated in one
-place.  Shard count is an ordinary field: ``num_shards=1`` serves
-through the single :class:`~repro.engine.scheduler.CampaignScheduler`,
-``>1`` through the :class:`~repro.engine.sharding.ShardedScheduler`
-(the two are byte-identical at one shard, pinned by regression tests).
+place.  Shard count is an ordinary field: every campaign serves
+through a :class:`~repro.engine.sharding.ShardedScheduler` of
+``num_shards`` shards (one by default) under its one budget allocator.
 
 The config round-trips through :meth:`to_dict` / :meth:`from_dict`, so
 state backends persist it alongside the campaign and
@@ -19,9 +18,6 @@ from typing import Mapping
 
 from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 
-#: Task-routing policies of the sharded scheduler.
-ROUTING_POLICIES = ("hash", "least-loaded", "quality-balanced")
-
 #: Fields of retired modes that checkpoints written before their removal
 #: still carry.  Every one was pinned fingerprint-neutral, so
 #: :meth:`CampaignConfig.from_dict` drops them without changing any
@@ -29,6 +25,11 @@ ROUTING_POLICIES = ("hash", "least-loaded", "quality-balanced")
 _RETIRED_FIELDS = frozenset(
     {"jq_kernel", "vote_fanout", "parallel_shards", "dispatch"}
 )
+
+#: The only routing rule left (a stable id hash).  Checkpoints written
+#: while ``routing_policy`` was a field carry it; any other stored policy
+#: routed tasks differently, so its decisions cannot be replayed.
+_ROUTING_POLICY = "hash"
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,7 @@ class CampaignConfig:
         :func:`~repro.engine.cache.adaptive_quantization` (4 steps per
         log-odds bucket — 200 at the default 50-bucket resolution).
     cache_max_entries:
-        LRU bound on each JQ cache (``None`` = unbounded).  Applies to
-        the campaign cache, and per shard when sharded.
+        LRU bound on each shard's JQ cache (``None`` = unbounded).
     frontier_pool_size:
         Per-batch candidate pool size (exact frontier; up to
         ``scheduler.MAX_FRONTIER_POOL`` — pools past ``ALL_SUBSETS_MAX``
@@ -97,10 +97,7 @@ class CampaignConfig:
     ingest_grace:
         Async coalescing deadline (seconds): how long an idle serving
         loop waits for straggler producers before finishing (or
-        returning from a paused run).  ``"auto"`` derives the deadline
-        from the engine's observed admit latency (EWMA) — slow admits
-        earn producers a longer window — falling back to 50 ms until
-        the first batch lands.
+        returning from a paused run).
     ingest_producer_quota:
         Per-producer share of ``ingest_max_pending`` a single named
         producer may occupy (a fraction in ``(0, 1]``; 0 disables).
@@ -135,13 +132,8 @@ class CampaignConfig:
         Seed for the engine's single random generator (vote simulation
         and latent-truth draws).
     num_shards:
-        Number of shards (>= 1; at most the pool size).  1 serves
-        through the single scheduler.
-    routing_policy:
-        Task-routing policy: ``"hash"`` (stable id hash — sticky and
-        stateless), ``"least-loaded"`` (lowest seat-utilisation shard),
-        or ``"quality-balanced"`` (highest available quality mass per
-        in-flight task).
+        Number of shards (>= 1; at most the pool size).  Tasks route to
+        shards by a stable hash of their id.
     rebalance_threshold:
         Migrate idle workers when the gap between the most- and
         least-utilised shard's seat ratio exceeds this (``1.0``
@@ -180,16 +172,15 @@ class CampaignConfig:
     parallel_shards: InitVar[int] = 0
     dispatch: InitVar[str] = "threads"
     ingest_max_pending: int = 10_000
-    ingest_grace: float | str = 0.05
+    ingest_grace: float = 0.05
     ingest_producer_quota: float = 0.0
     telemetry: str = "off"
     trace_path: str | None = None
     metrics_interval: float = 1.0
     vote_source: str = "simulated"
     seed: int | None = None
-    # -- sharding / routing --------------------------------------------
+    # -- sharding / rebalancing ----------------------------------------
     num_shards: int = 1
-    routing_policy: str = "hash"
     rebalance_threshold: float = 0.25
     rebalance_max_moves: int = 2
     # -- network serving (repro serve / CampaignServer) ----------------
@@ -220,11 +211,8 @@ class CampaignConfig:
             )
         if self.ingest_max_pending < 1:
             raise ValueError("ingest_max_pending must be >= 1")
-        if self.ingest_grace != "auto":
-            if isinstance(self.ingest_grace, str) or self.ingest_grace <= 0:
-                raise ValueError(
-                    "ingest_grace must be positive (seconds) or 'auto'"
-                )
+        if isinstance(self.ingest_grace, str) or self.ingest_grace <= 0:
+            raise ValueError("ingest_grace must be positive (seconds)")
         if not 0.0 <= self.ingest_producer_quota <= 1.0:
             raise ValueError(
                 "ingest_producer_quota must lie in [0, 1] (0 disables)"
@@ -247,11 +235,6 @@ class CampaignConfig:
         validate_prior(self.alpha)
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.routing_policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.routing_policy!r} "
-                f"(expected one of {', '.join(ROUTING_POLICIES)})"
-            )
         if not 0.0 < self.rebalance_threshold <= 1.0:
             raise ValueError("rebalance_threshold must lie in (0, 1]")
         if self.rebalance_max_moves < 0:
@@ -269,6 +252,20 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, state: Mapping) -> "CampaignConfig":
+        """Rebuild a stored config.  Retired fields are dropped (each
+        was fingerprint-neutral); a stored ``routing_policy`` must be
+        the hash rule that stayed; a stored ``ingest_grace="auto"``
+        resumes as the default fixed grace (the grace only shapes
+        wall-clock waiting, never a decision)."""
+        state = dict(state)
+        policy = state.pop("routing_policy", _ROUTING_POLICY)
+        if policy != _ROUTING_POLICY:
+            raise ValueError(
+                f"stored routing_policy {policy!r} is retired; only "
+                f"{_ROUTING_POLICY!r} routing can be resumed"
+            )
+        if state.get("ingest_grace") == "auto":
+            del state["ingest_grace"]
         known = {f.name for f in fields(cls)}
         unknown = set(state) - known - _RETIRED_FIELDS
         if unknown:

@@ -5,11 +5,10 @@ This is the serving layer the one-shot library lacked.  One
 
 * a :class:`~repro.engine.state.WorkerRegistry` (capacity, load, spend,
   drifting quality estimates),
-* a campaign-wide :class:`~repro.engine.cache.JQCache`,
-* a :class:`~repro.engine.scheduler.CampaignScheduler` (budget pacing +
-  capacity-aware jury seating) — or, with ``num_shards > 1``, a
-  :class:`~repro.engine.sharding.ShardedScheduler` routing batches
-  across K shard schedulers under one budget allocator — and
+* a :class:`~repro.engine.sharding.ShardedScheduler` routing batches
+  across ``num_shards`` shard schedulers (each seating juries over its
+  own :class:`~repro.engine.cache.JQCache`) under one budget
+  allocator, and
 * an :class:`~repro.engine.metrics.EngineMetrics` accumulator,
 
 and advances them by draining an :class:`~repro.engine.events.EventQueue`:
@@ -43,7 +42,6 @@ import numpy as np
 
 from ..core.worker import WorkerPool
 from ..online import OnlineDecisionSession
-from .cache import JQCache
 from .config import CampaignConfig
 from .events import (
     EngineTask,
@@ -55,7 +53,7 @@ from .events import (
 )
 from .ingest import AssignmentBook, NoOpenOffer
 from .metrics import EngineMetrics, TaskRecord
-from .scheduler import Assignment, CampaignScheduler
+from .scheduler import Assignment
 from .sharding import ShardedScheduler
 from .state import WorkerRegistry, informativeness_key
 from .telemetry import NULL_TELEMETRY, Telemetry
@@ -87,10 +85,9 @@ class CampaignEngine:
         metrics = engine.run()
         print(metrics.render(budget=50))
 
-    ``config.num_shards > 1`` serves through a
-    :class:`~repro.engine.sharding.ShardedScheduler`; the event loop,
-    vote simulation, early stopping and re-estimation are the same
-    either way.
+    Every campaign serves through a
+    :class:`~repro.engine.sharding.ShardedScheduler` of
+    ``config.num_shards`` shards (one by default).
     """
 
     def __init__(
@@ -108,12 +105,6 @@ class CampaignEngine:
                 f"num_shards ({config.num_shards}) cannot exceed the "
                 f"pool size ({len(self.registry)})"
             )
-        self.cache = JQCache(
-            alpha=config.alpha,
-            num_buckets=config.num_buckets,
-            quantization=config.quantization,
-            max_entries=config.cache_max_entries,
-        )
         self.metrics = EngineMetrics()
         self.telemetry = (
             Telemetry(interval=config.metrics_interval)
@@ -126,7 +117,7 @@ class CampaignEngine:
         self.offers: AssignmentBook | None = (
             AssignmentBook() if config.vote_source == "external" else None
         )
-        self.scheduler: CampaignScheduler | ShardedScheduler | None = None
+        self.scheduler: ShardedScheduler | None = None
         self._queue = EventQueue()
         self._rng = np.random.default_rng(config.seed)
         self._batch: list[EngineTask] = []
@@ -142,7 +133,7 @@ class CampaignEngine:
         # Set by the Campaign facade; drives config.checkpoint_every.
         self._checkpoint_hook = None
         # Observed scheduler-admit wall latency (EWMA, seconds); feeds
-        # the adaptive async intake grace (ingest_grace="auto").
+        # the server's 503 Retry-After hint.
         self.admit_latency_ewma: float | None = None
 
     # ------------------------------------------------------------------
@@ -212,7 +203,12 @@ class CampaignEngine:
                 self._expected_tasks = self.config.expected_tasks or max(
                     self._queue.pending(TaskArrival), 1
                 )
-            self.scheduler = self._make_scheduler(self._expected_tasks)
+            self.scheduler = ShardedScheduler(
+                self.registry,
+                self.config,
+                self._expected_tasks,
+                telemetry=self.telemetry,
+            )
 
     def _step(self) -> None:
         """Pop and dispatch exactly one event."""
@@ -240,34 +236,10 @@ class CampaignEngine:
         self._deferred = []
         self._collect_stats()
 
-    def _make_scheduler(self, expected_tasks: int):
-        """Build this campaign's scheduler: a :class:`ShardedScheduler`
-        (same ``admit``/``refund`` surface, K shard schedulers under one
-        budget allocator) when ``num_shards > 1``, else a single
-        :class:`CampaignScheduler` over the campaign cache."""
-        if self.config.num_shards > 1:
-            return ShardedScheduler(
-                self.registry,
-                self.config,
-                expected_tasks,
-                telemetry=self.telemetry,
-            )
-        return CampaignScheduler(
-            self.registry,
-            self.cache,
-            budget=self.config.budget,
-            expected_tasks=expected_tasks,
-            frontier_pool_size=self.config.frontier_pool_size,
-            telemetry=self.telemetry,
-        )
-
     def _telemetry_gauges(self):
         """Pull-based gauges for the telemetry snapshot (collector: read
-        only at export time, zero hot-path cost).  A sharded campaign
-        leaves the campaign cache unused; its per-shard caches report
-        through the :class:`ShardedScheduler` collector instead."""
-        if self.config.num_shards == 1:
-            yield from self.cache.stats.telemetry_gauges()
+        only at export time, zero hot-path cost).  The JQ caches report
+        through the :class:`ShardedScheduler` collector."""
         yield "registry.active_seats", {}, float(self.registry.active_seats)
         yield "registry.total_capacity", {}, float(
             self.registry.total_capacity
@@ -279,17 +251,14 @@ class CampaignEngine:
             yield "engine.open_offers", {}, float(self.offers.open_count)
 
     def _collect_stats(self) -> None:
-        """Fold end-of-run state into the metrics.  Sharded: the JQ work
-        lives in the per-shard caches, so report their merge plus the
-        shard and allocator snapshots."""
+        """Fold end-of-run state into the metrics: the merge of the
+        shard caches' stats plus the shard and allocator snapshots."""
         self.metrics.peak_worker_load = self.registry.peak_load
         scheduler = self.scheduler
-        if isinstance(scheduler, ShardedScheduler):
+        if scheduler is not None:
             self.metrics.cache_stats = scheduler.merged_cache_stats()
             self.metrics.shard_snapshots = scheduler.shard_snapshots()
             self.metrics.allocator_snapshot = scheduler.allocator.snapshot()
-        else:
-            self.metrics.cache_stats = self.cache.stats
         self.metrics.reestimations = self.registry.reestimations
         if self.registry.reestimations:
             self.metrics.quality_estimation_error = (
@@ -401,44 +370,21 @@ class CampaignEngine:
     def _on_vote(self, event: VoteArrival) -> None:
         runtime = self._active.get(event.task_id)
         if runtime is None or runtime.done:
-            self.metrics.votes_cancelled += 1  # landed after early stop
-            self.telemetry.inc("engine.votes_cancelled")
-            self.telemetry.event(
-                "cancel", task=event.task_id, worker=event.worker_id
-            )
+            self._cancel_vote(event.task_id, event.worker_id)
             return
-        worker = self.registry.worker(event.worker_id)
         q_true = self.registry.true_quality(event.worker_id)
         truth = runtime.sim_truth
         vote = truth if self._rng.random() < q_true else 1 - truth
-        runtime.session.add_vote(worker, vote)
-        self.registry.record_vote(event.worker_id, event.task_id, vote)
-        self.metrics.votes_cast += 1
-        self.telemetry.inc("engine.votes_cast")
-        self.telemetry.event(
-            "vote", task=event.task_id, worker=event.worker_id, vote=vote
-        )
-        runtime.pending_workers.remove(event.worker_id)
-
-        if not runtime.pending_workers:
-            runtime.done = True
-            self._queue.push(
-                TaskComplete(event.time, event.task_id, "all-votes")
-            )
-        elif runtime.session.should_stop:
-            runtime.done = True
-            self._queue.push(
-                TaskComplete(event.time, event.task_id, "early-stop")
-            )
+        self._apply_vote(runtime, event.worker_id, vote, event.time)
 
     def deliver_vote(self, task_id: str, worker_id: str, vote: int) -> bool:
         """Apply one externally supplied vote (``vote_source="external"``
         only; loop thread only — this touches the event heap).
 
-        Mirrors the simulated :meth:`_on_vote` path minus the RNG draw:
-        the vote is recorded, the decision session updated, and an
-        early stop or final vote pushes the task's ``TaskComplete``
-        onto the event queue (drive the loop afterwards to dispatch
+        The simulated :meth:`_on_vote` path minus the RNG draw: the vote
+        is recorded, the decision session updated, and an early stop or
+        final vote pushes the task's ``TaskComplete`` onto the event
+        queue at the loop clock (drive the loop afterwards to dispatch
         it).  Returns ``False`` — counting the vote as cancelled, the
         external analogue of a simulated vote landing after an early
         stop — when the task already completed; claims through
@@ -455,40 +401,47 @@ class CampaignEngine:
             raise ValueError(f"vote must be 0 or 1, got {vote!r}")
         runtime = self._active.get(task_id)
         if runtime is None or runtime.done:
-            self.metrics.votes_cancelled += 1
-            self.telemetry.inc("engine.votes_cancelled")
-            self.telemetry.event("cancel", task=task_id, worker=worker_id)
+            self._cancel_vote(task_id, worker_id)
             return False
         if worker_id not in runtime.pending_workers:
             raise NoOpenOffer(
                 f"worker {worker_id!r} holds no open seat on task "
                 f"{task_id!r}"
             )
-        worker = self.registry.worker(worker_id)
-        runtime.session.add_vote(worker, int(vote))
-        self.registry.record_vote(worker_id, task_id, int(vote))
-        self.metrics.votes_cast += 1
-        self.telemetry.inc("engine.votes_cast")
-        self.telemetry.event(
-            "vote", task=task_id, worker=worker_id, vote=int(vote)
-        )
-        runtime.pending_workers.remove(worker_id)
-
-        if not runtime.pending_workers:
-            runtime.done = True
-            self._queue.push(
-                TaskComplete(self._clock, task_id, "all-votes")
-            )
-        elif runtime.session.should_stop:
-            runtime.done = True
-            self._queue.push(
-                TaskComplete(self._clock, task_id, "early-stop")
-            )
+        self._apply_vote(runtime, worker_id, int(vote), self._clock)
         if runtime.done:
             # Seats whose votes are no longer needed: close the offers
             # so late claims fail fast instead of queueing dead votes.
             self.offers.revoke_task(task_id)
         return True
+
+    def _cancel_vote(self, task_id: str, worker_id: str) -> None:
+        """Count a vote that landed after its task completed."""
+        self.metrics.votes_cancelled += 1
+        self.telemetry.inc("engine.votes_cancelled")
+        self.telemetry.event("cancel", task=task_id, worker=worker_id)
+
+    def _apply_vote(
+        self, runtime: _TaskRuntime, worker_id: str, vote: int, at: float
+    ) -> None:
+        """Record one vote on a live task; when it was the last seat's
+        or it clears the stop rule, the task completes at time ``at``."""
+        task_id = runtime.task.task_id
+        runtime.session.add_vote(self.registry.worker(worker_id), vote)
+        self.registry.record_vote(worker_id, task_id, vote)
+        self.metrics.votes_cast += 1
+        self.telemetry.inc("engine.votes_cast")
+        self.telemetry.event(
+            "vote", task=task_id, worker=worker_id, vote=vote
+        )
+        runtime.pending_workers.remove(worker_id)
+
+        if not runtime.pending_workers:
+            runtime.done = True
+            self._queue.push(TaskComplete(at, task_id, "all-votes"))
+        elif runtime.session.should_stop:
+            runtime.done = True
+            self._queue.push(TaskComplete(at, task_id, "early-stop"))
 
     def _on_complete(self, event: TaskComplete) -> None:
         runtime = self._active.pop(event.task_id)
@@ -505,7 +458,7 @@ class CampaignEngine:
             # early stop left unspent.
             for worker_id in assignment.jury.worker_ids:
                 self.registry.release(worker_id, event.task_id)
-            self.scheduler.refund(assignment.reserved_cost - spent)
+            self.scheduler.allocator.refund(assignment.reserved_cost - spent)
             self.registry.resolve(event.task_id, answer)
             self.metrics.record_task(
                 TaskRecord(

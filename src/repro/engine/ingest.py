@@ -571,18 +571,12 @@ class AsyncIngestLoop:
         self,
         engine,
         max_pending: int = 10_000,
-        grace: float | str = 0.05,
+        grace: float = 0.05,
         interleave: InterleavingSchedule | None = None,
         producer_quota: float = 0.0,
     ) -> None:
-        if isinstance(grace, str):
-            if grace != "auto":
-                raise ValueError(
-                    f"grace must be a positive number or 'auto', "
-                    f"got {grace!r}"
-                )
-        elif grace <= 0:
-            raise ValueError("grace must be positive")
+        if isinstance(grace, str) or grace <= 0:
+            raise ValueError(f"grace must be positive, got {grace!r}")
         self.engine = engine
         self.grace = grace
         self.interleave = interleave
@@ -594,25 +588,6 @@ class AsyncIngestLoop:
         )
         self._running = False
         self._idle = False
-
-    def _effective_grace(self) -> float:
-        """The coalescing deadline in seconds.
-
-        A fixed ``grace`` is used verbatim.  ``grace="auto"`` sizes the
-        window from the engine's admit-latency EWMA — a few admit
-        rounds' worth (clamped to [10ms, 500ms]) — so cheap campaigns
-        quiesce fast while expensive ones hold the window open long
-        enough to coalesce stragglers into full batches.  The grace
-        only shapes *wall-clock* waiting for traffic, never which tasks
-        land in which batch, so it is fingerprint-neutral by
-        construction.
-        """
-        if self.grace != "auto":
-            return self.grace
-        ewma = self.engine.admit_latency_ewma
-        if ewma is None:
-            return 0.05
-        return min(max(8.0 * ewma, 0.01), 0.5)
 
     # ------------------------------------------------------------------
     # Producer surface
@@ -684,7 +659,7 @@ class AsyncIngestLoop:
                     paused = True
                     break
                 if not self.intake.closed and self.intake.wait_for_traffic(
-                    self._effective_grace()
+                    self.grace
                 ):
                     continue
                 # Quiescence candidate: nothing queued, nothing staged,

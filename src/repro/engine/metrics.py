@@ -11,7 +11,7 @@ operator actually asks:
   answered correctly?  (The Figure-10(d) validation, now continuous.)
 * **spend** — gross reservations, refunds from early stops, and net
   spend against the campaign budget;
-* **cache** — hit rate and entry count of the shared JQ cache.
+* **cache** — hit rate and entry count of the shards' JQ caches.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .cache import CacheStats
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """End-of-run summary of one shard (sharded engine only)."""
+    """End-of-run summary of one shard."""
 
     shard_id: int
     workers: int
@@ -272,7 +272,7 @@ class EngineMetrics:
         campaign counters, and deliberately excludes wall-clock-derived
         values (``wall_seconds``, throughput) and the shard/allocator
         snapshots — so two runs of the same seeded campaign, or a
-        single-shard run vs. the plain engine, compare byte-identical
+        resumed run vs. an uninterrupted one, compare byte-identical
         exactly when their *decisions* were identical.
         """
         lines = [

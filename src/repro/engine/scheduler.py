@@ -1,11 +1,13 @@
 """Capacity-aware batch scheduling of campaign tasks.
 
 The scheduler turns "a batch of tasks just arrived" into concrete jury
-assignments, under two global constraints the one-shot library never
-had to enforce:
+assignments for one shard, under two constraints the one-shot library
+never had to enforce:
 
-* **campaign budget** — total reserved spend across all tasks (minus
-  refunds from early-stopped tasks) never exceeds the campaign budget;
+* **the batch's grant** — the budget the campaign's
+  :class:`~repro.engine.sharding.BudgetAllocator` (which paces the
+  campaign budget) granted this shard for the round; the scheduler
+  reserves at most that much;
 * **worker capacity** — a worker sits on at most ``capacity``
   concurrent juries, so one high-quality worker cannot be placed on
   10,000 tasks at once.
@@ -15,22 +17,15 @@ Mechanics per batch:
 1. rank the registry's *available* workers by marginal information per
    dollar (``phi(q) / cost``, the Lemma-2 ordering) and keep the top
    ``frontier_pool_size`` as the batch's candidate pool;
-2. build that pool's exact cost-JQ frontier through the shared
+2. build that pool's exact cost-JQ frontier through the shard's
    :class:`~repro.engine.cache.JQCache` (batch after batch re-evaluates
    the same juries — this is where the cache earns its keep);
-3. split the batch's budget share across tasks with the existing
+3. split the batch's grant across tasks with the existing
    concave-envelope greedy (:func:`repro.portfolio.allocate_budget`);
 4. materialize each funded allocation into an actual jury, substituting
    same-or-cheaper available workers for any member who saturated while
    earlier tasks in the batch were being seated.  Tasks that cannot be
    seated at all are *deferred* back to the engine for the next batch.
-
-Budget pacing: admitting a batch grows the campaign's cumulative
-*entitlement* by the batch's pro-rata share
-``budget * batch_size / expected_tasks``; a batch may reserve up to the
-entitlement not yet spent — so early arrivals cannot starve the rest of
-the campaign, while unspent shares and early-stop refunds carry over to
-later batches instead of being forfeited.
 """
 
 from __future__ import annotations
@@ -76,35 +71,6 @@ MAX_ALLOCATION_POINTS = 24
 #: JQCache LRU discipline) — a drift backstop, not a tuned working-set
 #: size.
 MAX_FRONTIER_MEMO = 256
-
-
-def pro_rata_round_budget(
-    budget: float,
-    expected_tasks: int,
-    entitled: float,
-    new_tasks: int,
-    reserved: float,
-    refunded: float,
-) -> tuple[float, float]:
-    """The engine's one budget-pacing rule.
-
-    Each *new* task grows the cumulative entitlement by its pro-rata
-    share ``budget / expected_tasks`` (capped at the budget); a round
-    may spend up to the entitlement not yet (net) reserved, and never
-    more than what remains of the budget.  Returns ``(new_entitled,
-    round_budget)``.
-
-    Shared verbatim by :meth:`CampaignScheduler.admit` (single-
-    scheduler pacing) and the sharded engine's
-    :meth:`~repro.engine.sharding.BudgetAllocator.open_round`
-    (campaign-wide pacing) — one definition is what keeps the pinned
-    single-shard byte-identity structural rather than coincidental.
-    """
-    share = budget * new_tasks / expected_tasks
-    entitled = min(entitled + share, budget)
-    net_reserved = reserved - refunded
-    remaining = budget - reserved + refunded
-    return entitled, min(remaining, max(entitled - net_reserved, 0.0))
 
 
 def _thin_frontier(frontier: Frontier) -> Frontier:
@@ -224,20 +190,17 @@ class SchedulerStats:
 
 
 class CampaignScheduler:
-    """Admits task batches against shared budget and worker capacity.
+    """Seats one shard's task batches inside a budget grant and worker
+    capacity.
 
     Parameters
     ----------
     registry:
-        The shared worker state (capacity, load, current quality
-        estimates).
+        The worker state the scheduler may seat from (a shard's
+        :class:`~repro.engine.sharding.ShardRegistryView`, or a whole
+        :class:`~repro.engine.state.WorkerRegistry`).
     cache:
-        The campaign JQ cache; all frontier evaluations go through it.
-    budget:
-        Total campaign budget across every task that will ever arrive.
-    expected_tasks:
-        How many tasks the campaign expects in total; sets the pro-rata
-        batch budget share.
+        The shard's JQ cache; all frontier evaluations go through it.
     frontier_pool_size:
         Size of the per-batch candidate pool (default 10; hard-capped
         at :data:`MAX_FRONTIER_POOL`).  Exact frontiers still score
@@ -248,41 +211,30 @@ class CampaignScheduler:
     telemetry:
         Observability hub (:data:`~repro.engine.telemetry.NULL_TELEMETRY`
         by default).  The scheduler reports admit/frontier-build spans
-        and memo hit/build counters; with a shard id the reports carry a
-        ``shard`` label so per-shard latency is separable in exports.
-    shard_id:
-        Label for telemetry reports when this scheduler serves one shard
-        of the sharded engine (``None`` = single-scheduler campaign).
+        and memo hit/build counters, each with ``telemetry_labels``.
+    telemetry_labels:
+        Labels of those reports: ``{"shard": k}`` when the campaign has
+        more than one shard, so per-shard latency is separable in
+        exports; none otherwise.
     """
 
     def __init__(
         self,
         registry: WorkerRegistry,
         cache: JQCache,
-        budget: float,
-        expected_tasks: int,
         frontier_pool_size: int = 10,
         telemetry=NULL_TELEMETRY,
-        shard_id: int | None = None,
+        telemetry_labels: Mapping[str, object] | None = None,
     ) -> None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
-        if expected_tasks < 1:
-            raise ValueError("expected_tasks must be >= 1")
         if not 1 <= frontier_pool_size <= MAX_FRONTIER_POOL:
             raise ValueError(
                 f"frontier_pool_size must lie in [1, {MAX_FRONTIER_POOL}]"
             )
         self.registry = registry
         self.cache = cache
-        self.budget = float(budget)
-        self.expected_tasks = expected_tasks
         self.frontier_pool_size = frontier_pool_size
         self.objective = CachedJQObjective(cache)
         self._reserved = 0.0
-        self._refunded = 0.0
-        self._entitled = 0.0
-        self._entitled_tasks: set[str] = set()
         # Frontier memo: steady-state serving cycles through a handful
         # of available-pool configurations, so the (expensive, 2^k-jury)
         # exact frontier is keyed on the candidate set and reused.
@@ -294,32 +246,13 @@ class CampaignScheduler:
         self._frontier_memo: dict[tuple, Frontier] = {}
         self.stats = SchedulerStats()
         self.telemetry = telemetry
-        self._telemetry_labels = (
-            {} if shard_id is None else {"shard": shard_id}
-        )
+        self._telemetry_labels = dict(telemetry_labels or {})
 
-    # ------------------------------------------------------------------
-    # Budget accounting
-    # ------------------------------------------------------------------
     @property
     def reserved(self) -> float:
-        """Gross spend reserved so far (before refunds)."""
+        """Gross spend this scheduler reserved so far (early-stop
+        refunds go back to the allocator, not here)."""
         return self._reserved
-
-    @property
-    def refunded(self) -> float:
-        """Unspent reservation returned by early-stopped tasks."""
-        return self._refunded
-
-    @property
-    def remaining_budget(self) -> float:
-        return self.budget - self._reserved + self._refunded
-
-    def refund(self, amount: float) -> None:
-        """Return unspent reservation (early-stopped task) to the pot."""
-        if amount < -1e-9:
-            raise ValueError(f"refund must be non-negative, got {amount}")
-        self._refunded += max(float(amount), 0.0)
 
     # ------------------------------------------------------------------
     # Admission
@@ -327,49 +260,27 @@ class CampaignScheduler:
     def admit(
         self,
         tasks: Sequence[EngineTask],
-        batch_budget: float | None = None,
+        batch_budget: float,
     ) -> tuple[list[Assignment], list[EngineTask]]:
-        """Assign juries to a batch of arriving tasks.
+        """Assign juries to a batch of arriving tasks, reserving at most
+        ``batch_budget`` (the allocator's grant for the batch).
 
         Returns ``(assignments, deferred)``: assignments carry either a
         seated jury or an empty one (unfunded — the engine answers the
         prior); deferred tasks found no seatable jury (capacity
         exhausted) and should be retried once workers free up.
-
-        ``batch_budget`` switches off the scheduler's own entitlement
-        pacing: a top-level allocator (the sharded engine's
-        :class:`~repro.engine.sharding.BudgetAllocator`) has already
-        paced the campaign globally and this call may reserve at most
-        the given grant.  ``None`` (the default, single-scheduler mode)
-        keeps the built-in pro-rata pacing byte-for-byte unchanged.
         """
         if not tasks:
             return [], []
         with self.telemetry.span("admit", **self._telemetry_labels):
-            return self._admit_batch(tasks, batch_budget)
+            return self._admit_batch(tasks, max(float(batch_budget), 0.0))
 
     def _admit_batch(
         self,
         tasks: Sequence[EngineTask],
-        batch_budget: float | None,
+        batch_budget: float,
     ) -> tuple[list[Assignment], list[EngineTask]]:
         self.stats.batches += 1
-        if batch_budget is None:
-            # Each *distinct* task grows the entitlement once — a
-            # deferred task retried across many batches must not mint
-            # fresh shares.
-            new_ids = {t.task_id for t in tasks} - self._entitled_tasks
-            self._entitled_tasks |= new_ids
-            self._entitled, batch_budget = pro_rata_round_budget(
-                self.budget,
-                self.expected_tasks,
-                self._entitled,
-                len(new_ids),
-                self._reserved,
-                self._refunded,
-            )
-        else:
-            batch_budget = max(float(batch_budget), 0.0)
 
         candidates = self._candidate_pool()
         if len(candidates) == 0:
@@ -563,7 +474,7 @@ class CampaignScheduler:
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Budget ledger, counters, and the frontier memo.
+        """Reservations, counters, and the frontier memo.
 
         The memo must survive a checkpoint: a resumed campaign that
         re-enumerated frontiers would issue extra JQ lookups, drifting
@@ -572,9 +483,6 @@ class CampaignScheduler:
         """
         return {
             "reserved": self._reserved,
-            "refunded": self._refunded,
-            "entitled": self._entitled,
-            "entitled_tasks": sorted(self._entitled_tasks),
             "stats": dataclasses.asdict(self.stats),
             "frontier_memo": [
                 [
@@ -593,9 +501,6 @@ class CampaignScheduler:
 
     def load_state(self, state: Mapping) -> None:
         self._reserved = float(state["reserved"])
-        self._refunded = float(state["refunded"])
-        self._entitled = float(state["entitled"])
-        self._entitled_tasks = set(state["entitled_tasks"])
         self.stats = SchedulerStats(
             **{k: int(v) for k, v in state["stats"].items()}
         )

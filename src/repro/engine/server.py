@@ -344,10 +344,9 @@ class CampaignServer:
         A full intake drains at roughly one scheduler admit per
         ``batch_size`` staged tasks, so the honest hint is the time to
         work through a full buffer:
-        ``admit_latency_ewma * (ingest_max_pending / batch_size)`` —
-        the same EWMA that drives ``ingest_grace="auto"``.  Floored at
-        1s (never invite a tighter retry loop than the old hardcoded
-        hint) and capped at 60s (a heavy campaign should still be
+        ``admit_latency_ewma * (ingest_max_pending / batch_size)``.
+        Floored at 1s (never invite a tighter retry loop than the old
+        hardcoded hint) and capped at 60s (a heavy campaign should still be
         re-probed within the minute).  Before any admit has been
         observed the EWMA is unset and the floor is the hint.
         """

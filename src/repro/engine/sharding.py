@@ -1,9 +1,11 @@
 """Sharded worker pools under a top-level budget allocator.
 
-The exact cost-JQ frontier enumerates ``2^k`` juries, which caps any
-one scheduler's candidate pool at ~12 workers — a hard ceiling the
-single-scheduler engine inherits no matter how many workers register.
-This module lifts that ceiling *structurally* instead of numerically:
+Every campaign serves through this module: the engine builds one
+:class:`ShardedScheduler` of ``CampaignConfig.num_shards`` shards (one
+by default).  The exact cost-JQ frontier enumerates ``2^k`` juries,
+which caps any one scheduler's candidate pool at ~12 workers no matter
+how many workers register; more than one shard lifts that ceiling
+*structurally* instead of numerically:
 
 * the global :class:`~repro.engine.state.WorkerRegistry` is partitioned
   into K **shards** (a stratified most-informative-first deal, so every
@@ -15,9 +17,9 @@ This module lifts that ceiling *structurally* instead of numerically:
   globally and splits each scheduling round's entitlement across shards
   **proportional to shard quality mass**, re-absorbing unspent grants
   and early-stop refunds into the shared pot each round;
-* a routing policy (``hash``, ``least-loaded``, ``quality-balanced``)
-  assigns arriving tasks to shards, and **rebalancing** migrates idle
-  workers from underloaded to overloaded shards when load skews.
+* a stable hash of each task id routes arriving tasks to shards, and
+  **rebalancing** migrates idle workers from underloaded to overloaded
+  shards when load skews.
 
 The DB-nets line of work (Montali & Rivkin) treats state transitions of
 a data-aware process as explicit, checkable invariants; the sharded
@@ -29,15 +31,12 @@ Worker *state* stays global: seats, spend, vote history, and EM quality
 re-estimation still live in the one registry, so sharding changes who
 *schedules* a worker, never what is known about them.
 
-The engine serves through a :class:`ShardedScheduler` whenever
-``CampaignConfig(num_shards=K)`` has ``K > 1``::
+Shard count is configuration::
 
     campaign = Campaign.open(pool, CampaignConfig(budget=50, num_shards=4))
 
-A one-shard :class:`ShardedScheduler` reproduces the single
-:class:`~repro.engine.scheduler.CampaignScheduler` byte-for-byte (same
-seed => same :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`),
-which the regression suite pins.
+With one shard the allocator grants each round's whole budget to shard
+0, which seats it over the whole registry.
 """
 
 from __future__ import annotations
@@ -52,12 +51,7 @@ from .cache import CacheStats, JQCache
 from .config import CampaignConfig
 from .events import EngineTask
 from .metrics import AllocatorSnapshot, ShardSnapshot
-from .scheduler import (
-    Assignment,
-    CampaignScheduler,
-    SchedulerStats,
-    pro_rata_round_budget,
-)
+from .scheduler import Assignment, CampaignScheduler, SchedulerStats
 from .state import (
     WorkerRegistry,
     WorkerState,
@@ -72,12 +66,37 @@ from .telemetry import NULL_TELEMETRY
 MIN_SHARD_MEMBERS = 2
 
 
+def pro_rata_round_budget(
+    budget: float,
+    expected_tasks: int,
+    entitled: float,
+    new_tasks: int,
+    reserved: float,
+    refunded: float,
+) -> tuple[float, float]:
+    """The engine's one budget-pacing rule.
+
+    Each *new* task grows the cumulative entitlement by its pro-rata
+    share ``budget / expected_tasks`` (capped at the budget); a round
+    may spend up to the entitlement not yet (net) reserved, and never
+    more than what remains of the budget.  Returns ``(new_entitled,
+    round_budget)``.  Early arrivals therefore cannot starve the rest
+    of the campaign, while unspent shares and early-stop refunds carry
+    over to later rounds instead of being forfeited.
+    """
+    share = budget * new_tasks / expected_tasks
+    entitled = min(entitled + share, budget)
+    net_reserved = reserved - refunded
+    remaining = budget - reserved + refunded
+    return entitled, min(remaining, max(entitled - net_reserved, 0.0))
+
+
 class ShardRegistryView:
     """A shard's window onto the global :class:`WorkerRegistry`.
 
     Presents the registry surface the scheduler consumes —
     ``available_pool`` / ``states`` / ``worker`` / ``free_capacity`` /
-    ``assign`` — restricted to the shard's member ids, so an unmodified
+    ``assign`` — restricted to the shard's member ids, so a
     :class:`CampaignScheduler` plugged into a view can only ever see or
     seat its own shard's workers.  Iteration follows the *global*
     registry order (filtered by membership), keeping every downstream
@@ -92,68 +111,67 @@ class ShardRegistryView:
 
     def __init__(self, registry: WorkerRegistry, member_ids: Iterable[str]) -> None:
         self._registry = registry
-        self._members = set(member_ids)
-        for worker_id in self._members:
-            if worker_id not in registry:
-                raise KeyError(f"unknown worker {worker_id!r}")
-        # Member states change only on migration; states themselves are
-        # mutated in place by the registry, so the filtered tuple stays
-        # valid between membership changes.
-        self._states_cache: tuple[WorkerState, ...] | None = None
+        self.set_members(member_ids)
 
     # -- membership ----------------------------------------------------
+    def set_members(self, member_ids: Iterable[str]) -> None:
+        """Replace the membership.  The view holds the members' states
+        in global registry order; the registry mutates states in place,
+        so they stay current between membership changes."""
+        members = set(member_ids)
+        for worker_id in members:
+            if worker_id not in self._registry:
+                raise KeyError(f"unknown worker {worker_id!r}")
+        self._states = {
+            s.worker.worker_id: s
+            for s in self._registry.states
+            if s.worker.worker_id in members
+        }
+        self._state_tuple = tuple(self._states.values())
+
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._states)
 
     def __contains__(self, worker_id: str) -> bool:
-        return worker_id in self._members
+        return worker_id in self._states
 
     @property
     def member_ids(self) -> tuple[str, ...]:
         """Member ids in global registry order."""
-        return tuple(
-            w for w in self._registry.worker_ids if w in self._members
-        )
+        return tuple(self._states)
 
     def add_member(self, worker_id: str) -> None:
-        if worker_id not in self._registry:
-            raise KeyError(f"unknown worker {worker_id!r}")
-        self._members.add(worker_id)
-        self._states_cache = None
+        self.set_members([*self._states, worker_id])
 
     def remove_member(self, worker_id: str) -> None:
-        self._members.remove(worker_id)
-        self._states_cache = None
+        del self._states[worker_id]
+        self._state_tuple = tuple(self._states.values())
 
     # -- the registry surface the scheduler consumes -------------------
     @property
     def states(self) -> tuple[WorkerState, ...]:
-        if self._states_cache is None:
-            self._states_cache = tuple(
-                s
-                for s in self._registry.states
-                if s.worker.worker_id in self._members
-            )
-        return self._states_cache
+        return self._state_tuple
 
     def available_pool(self, exclude: Iterable[str] = ()) -> WorkerPool:
         excluded = set(exclude)
         return WorkerPool(
             s.worker
-            for s in self.states
+            for s in self._state_tuple
             if s.free_capacity > 0 and s.worker.worker_id not in excluded
         )
 
     def worker(self, worker_id: str):
-        return self._registry.worker(worker_id)
+        """A member, with their current estimated quality."""
+        return self._states[worker_id].worker
 
     def free_capacity(self, worker_id: str) -> int:
-        if worker_id not in self._members:
+        state = self._states.get(worker_id)
+        if state is None:
             return 0  # not ours to seat
-        return self._registry.free_capacity(worker_id)
+        return state.free_capacity
 
     def assign(self, worker_id: str, task_id: str) -> None:
-        if worker_id not in self._members:
+        if worker_id not in self._states:
             raise KeyError(
                 f"worker {worker_id!r} is not a member of this shard"
             )
@@ -187,13 +205,13 @@ class ShardRegistryView:
 
 
 class BudgetAllocator:
-    """Top-level budget ledger for a sharded campaign.
+    """The campaign's one budget ledger.
 
-    Reproduces the single scheduler's pro-rata pacing at campaign scope
-    — cumulative *entitlement* grows with each distinct task admitted,
-    a round may grant at most the entitlement not yet (net) reserved —
-    then splits each round's budget across shards proportional to their
-    available quality mass.  Shards reserve out of their grant; whatever
+    Paces the budget pro rata at campaign scope — cumulative
+    *entitlement* grows with each distinct task admitted, a round may
+    grant at most the entitlement not yet (net) reserved — then splits
+    each round's budget across shards proportional to their available
+    quality mass.  Shards reserve out of their grant; whatever
     a grant leaves unreserved is **re-absorbed** immediately (it was
     never debited), and early-stop refunds flow back here rather than
     to any one shard, so the whole campaign — not the lucky shard —
@@ -221,7 +239,9 @@ class BudgetAllocator:
         self.expected_tasks = expected_tasks
         self._mutex = threading.Lock()
         self._entitled = 0.0
-        self._entitled_tasks: set[str] = set()
+        # An insertion-ordered set: checkpoints store it as it grew,
+        # without sorting.
+        self._entitled_tasks: dict[str, None] = {}
         self._reserved = 0.0
         self._refunded = 0.0
         self._granted = 0.0
@@ -264,20 +284,21 @@ class BudgetAllocator:
 
         Entitlement grows once per *distinct* task id — deferred tasks
         retried across rounds must not mint fresh shares.  The pacing
-        arithmetic is :func:`~repro.engine.scheduler.pro_rata_round_budget`
-        — the same function the single scheduler paces itself with,
-        applied campaign-wide, which is what makes the pinned
-        single-shard byte-identity structural.
+        arithmetic is :func:`pro_rata_round_budget`.
         """
         with self._mutex:
             self._rounds += 1
-            new_ids = set(task_ids) - self._entitled_tasks
-            self._entitled_tasks |= new_ids
+            entitled_tasks = self._entitled_tasks
+            new = 0
+            for task_id in task_ids:
+                if task_id not in entitled_tasks:
+                    entitled_tasks[task_id] = None
+                    new += 1
             self._entitled, round_budget = pro_rata_round_budget(
                 self.budget,
                 self.expected_tasks,
                 self._entitled,
-                len(new_ids),
+                new,
                 self._reserved,
                 self._refunded,
             )
@@ -289,18 +310,18 @@ class BudgetAllocator:
         """Split a round's budget across shards proportional to mass.
 
         ``masses`` maps shard id -> available quality mass; only shards
-        present get a grant.  All-zero masses (every listed shard fully
-        saturated) fall back to an equal split — the tasks were already
-        routed there, so starving them entirely would just defer the
-        whole round.
+        present get a grant.  A sole recipient takes the whole round and
+        its mass is never read (it may be ``None``).  All-zero masses
+        (every listed shard fully saturated) fall back to an equal split
+        — the tasks were already routed there, so starving them entirely
+        would just defer the whole round.
         """
         if not masses:
             return {}
         round_budget = max(float(round_budget), 0.0)
         if len(masses) == 1:
             # Sole recipient takes the round exactly — no proportional
-            # arithmetic, so a one-shard campaign's grants match the
-            # single scheduler's pacing bit-for-bit.
+            # arithmetic to round the grant.
             grants = {next(iter(masses)): round_budget}
             with self._mutex:
                 self._granted += round_budget
@@ -338,7 +359,7 @@ class BudgetAllocator:
     def state_dict(self) -> dict:
         return {
             "entitled": self._entitled,
-            "entitled_tasks": sorted(self._entitled_tasks),
+            "entitled_tasks": list(self._entitled_tasks),
             "reserved": self._reserved,
             "refunded": self._refunded,
             "granted": self._granted,
@@ -349,7 +370,7 @@ class BudgetAllocator:
     def load_state(self, state: Mapping) -> None:
         with self._mutex:
             self._entitled = float(state["entitled"])
-            self._entitled_tasks = set(state["entitled_tasks"])
+            self._entitled_tasks = dict.fromkeys(state["entitled_tasks"])
             self._reserved = float(state["reserved"])
             self._refunded = float(state["refunded"])
             self._granted = float(state["granted"])
@@ -382,6 +403,8 @@ class Shard:
     view: ShardRegistryView
     cache: JQCache
     scheduler: CampaignScheduler
+    #: Telemetry labels of the shard's series (empty at one shard).
+    labels: dict
     migrations_in: int = 0
     migrations_out: int = 0
     granted: float = 0.0  # cumulative allocator grants to this shard
@@ -428,14 +451,13 @@ def partition_members(
 class ShardedScheduler:
     """Routes task batches to shards under one budget allocator.
 
-    Presents the same ``admit`` / ``refund`` / ``stats`` surface as
-    :class:`CampaignScheduler`, so the engine event loop drives either
-    interchangeably.  Per round it (1) opens the allocator's round,
-    (2) routes each task to a shard, (3) grants each participating
-    shard its quality-mass share of the round budget, (4) lets each
-    shard's scheduler admit its sub-batch inside its grant, settling
-    reservations and re-absorbing the unspent remainder, and (5)
-    rebalances idle workers if shard load has skewed.
+    The engine's scheduler, at every shard count.  Per round it
+    (1) opens the allocator's round, (2) routes each task to a shard,
+    (3) grants each participating shard its quality-mass share of the
+    round budget, (4) lets each shard's scheduler admit its sub-batch
+    inside its grant, settling reservations and re-absorbing the
+    unspent remainder, and (5) rebalances idle workers if shard load
+    has skewed.
     """
 
     def __init__(
@@ -453,6 +475,8 @@ class ShardedScheduler:
         for shard_id, member_ids in enumerate(
             partition_members(registry, config.num_shards)
         ):
+            # A one-shard campaign's series carry no shard label.
+            labels = {"shard": shard_id} if config.num_shards > 1 else {}
             view = ShardRegistryView(registry, member_ids)
             cache = JQCache(
                 alpha=config.alpha,
@@ -463,20 +487,20 @@ class ShardedScheduler:
             scheduler = CampaignScheduler(
                 view,
                 cache,
-                budget=config.budget,
-                expected_tasks=expected_tasks,
                 frontier_pool_size=config.frontier_pool_size,
                 telemetry=telemetry,
-                shard_id=shard_id,
+                telemetry_labels=labels,
             )
-            self.shards.append(Shard(shard_id, view, cache, scheduler))
+            self.shards.append(
+                Shard(shard_id, view, cache, scheduler, labels)
+            )
         self.migrations = 0
         telemetry.add_collector(self._telemetry_gauges)
 
     def _telemetry_gauges(self):
         """Per-shard pull gauges (collector: read at export time only)."""
         for shard in self.shards:
-            labels = {"shard": shard.shard_id}
+            labels = shard.labels
             yield from shard.cache.stats.telemetry_gauges(**labels)
             yield "shard.workers", labels, float(len(shard.view))
             yield "shard.active_seats", labels, float(shard.view.active_seats)
@@ -485,7 +509,7 @@ class ShardedScheduler:
             yield "shard.reserved", labels, shard.scheduler.reserved
 
     # ------------------------------------------------------------------
-    # The CampaignScheduler surface
+    # The engine's scheduler surface
     # ------------------------------------------------------------------
     def admit(
         self, tasks: Sequence[EngineTask]
@@ -494,10 +518,14 @@ class ShardedScheduler:
             return [], []
         round_budget = self.allocator.open_round(t.task_id for t in tasks)
         routed = self.route(tasks)
-        masses = {
-            shard_id: self.shards[shard_id].view.quality_mass()
-            for shard_id in routed
-        }
+        if len(routed) == 1:
+            # A sole recipient's mass is never read by split.
+            masses = dict.fromkeys(routed)
+        else:
+            masses = {
+                shard_id: self.shards[shard_id].view.quality_mass()
+                for shard_id in routed
+            }
         grants = self.allocator.split(round_budget, masses)
         order = sorted(routed)
         # Every grant opened this round must be settled exactly once —
@@ -554,11 +582,9 @@ class ShardedScheduler:
         self.rebalance()
         return assignments, deferred
 
-    def refund(self, amount: float) -> None:
-        self.allocator.refund(amount)
-
     @property
     def stats(self) -> SchedulerStats:
+        """Counters summed over the shards."""
         merged = SchedulerStats()
         for shard in self.shards:
             stats = shard.scheduler.stats
@@ -576,46 +602,14 @@ class ShardedScheduler:
     def route(
         self, tasks: Sequence[EngineTask]
     ) -> dict[int, list[EngineTask]]:
-        """Assign each task to a shard; returns shard id -> sub-batch
-        (task order preserved within each shard)."""
+        """Assign each task to a shard by a stable hash of its id (sticky
+        and stateless); returns shard id -> sub-batch (task order
+        preserved within each shard)."""
+        count = len(self.shards)
         routed: dict[int, list[EngineTask]] = {}
-        if self.config.routing_policy == "hash":
-            for task in tasks:
-                shard_id = (
-                    zlib.crc32(task.task_id.encode("utf-8"))
-                    % len(self.shards)
-                )
-                routed.setdefault(shard_id, []).append(task)
-            return routed
-
-        # Load-aware policies spread *this* round too: a task routed
-        # now will occupy seats before the next task is placed, so the
-        # running per-shard count joins the live seat load.  Seats and
-        # quality mass cannot change while routing (nothing is seated
-        # yet), so the live aggregates are computed once per round.
-        pending = [0] * len(self.shards)
-        seats = [shard.view.active_seats for shard in self.shards]
-        if self.config.routing_policy == "least-loaded":
-            capacity = [
-                max(shard.view.total_capacity, 1) for shard in self.shards
-            ]
-
-            def score(shard: Shard) -> tuple:
-                k = shard.shard_id
-                return ((seats[k] + pending[k]) / capacity[k], k)
-
-        else:  # quality-balanced
-            mass = [shard.view.quality_mass() for shard in self.shards]
-
-            def score(shard: Shard) -> tuple:
-                k = shard.shard_id
-                # Highest mass per in-flight unit wins; negate for min().
-                return (-mass[k] / (1.0 + seats[k] + pending[k]), k)
-
         for task in tasks:
-            best = min(self.shards, key=score)
-            pending[best.shard_id] += 1
-            routed.setdefault(best.shard_id, []).append(task)
+            shard_id = zlib.crc32(task.task_id.encode("utf-8")) % count
+            routed.setdefault(shard_id, []).append(task)
         return routed
 
     # ------------------------------------------------------------------
@@ -694,11 +688,10 @@ class ShardedScheduler:
                 f"this scheduler was built with {len(self.shards)}"
             )
         for shard, shard_state in zip(self.shards, state["shards"]):
-            shard.view._members = set(shard_state["member_ids"])
-            shard.view._states_cache = None
+            shard.view.set_members(shard_state["member_ids"])
             shard.migrations_in = int(shard_state["migrations_in"])
             shard.migrations_out = int(shard_state["migrations_out"])
-            shard.granted = float(shard_state.get("granted", 0.0))
+            shard.granted = float(shard_state["granted"])
             shard.scheduler.load_state(shard_state["scheduler"])
 
     # ------------------------------------------------------------------
@@ -716,6 +709,5 @@ class ShardedScheduler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedScheduler({len(self.shards)} shards, "
-            f"policy={self.config.routing_policy!r}, "
             f"migrations={self.migrations})"
         )

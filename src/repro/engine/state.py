@@ -77,8 +77,7 @@ def quality_mass(states: Iterable["WorkerState"], available_only: bool = True) -
     """Total informativeness carried by a set of worker states.
 
     The budget allocator splits each round's entitlement across shards
-    proportional to this mass; routing policies use it to keep shards'
-    serving power balanced.  With ``available_only`` (the default) only
+    proportional to this mass.  With ``available_only`` (the default) only
     workers holding at least one free jury seat count — saturated
     workers contribute no schedulable quality this round."""
     return float(

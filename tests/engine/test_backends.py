@@ -134,19 +134,18 @@ class TestSQLiteBackend:
             w for (w,) in conn.execute("SELECT DISTINCT worker_id FROM votes")
         }
         assert vote_workers <= workers
-        # Per-shard caches landed as distinct cache ids (the sharded
-        # engine's campaign-level cache is empty, so it contributes a
-        # ledger meta row but no entry rows).
+        # Per-shard caches landed as distinct cache ids, each with its
+        # counters in a ledger meta row; there is no other cache.
         cache_ids = {
             c for (c,) in conn.execute("SELECT DISTINCT cache_id FROM cache")
         }
-        assert {"shard:0", "shard:1"} <= cache_ids
+        assert cache_ids == {"shard:0", "shard:1"}
         meta_scopes = {
             s for (s,) in conn.execute(
                 "SELECT scope FROM ledger WHERE scope LIKE 'cache-meta:%'"
             )
         }
-        assert "cache-meta:campaign" in meta_scopes
+        assert meta_scopes == {"cache-meta:shard:0", "cache-meta:shard:1"}
         conn.close()
 
     def test_floats_survive_exactly(self, tmp_path):
@@ -160,8 +159,8 @@ class TestSQLiteBackend:
             assert restored["est_quality"] == original["est_quality"]
             assert restored["spend"] == original["spend"]
         for (key_a, value_a), (key_b, value_b) in zip(
-            snapshot["caches"]["campaign"]["entries"],
-            loaded["caches"]["campaign"]["entries"],
+            snapshot["caches"]["shard:0"]["entries"],
+            loaded["caches"]["shard:0"]["entries"],
         ):
             assert list(key_a) == list(key_b)
             assert value_a == value_b
@@ -401,16 +400,17 @@ class TestJournalTails:
         )
         campaign.run(until=20)
         campaign.checkpoint()
-        held = len(campaign.engine.cache)
+        cache = campaign.engine.scheduler.shards[0].cache
+        held = len(cache)
         campaign.run(until=40)
         snapshot, _ = campaign._snapshot()
-        state = snapshot["caches"]["campaign"]
+        state = snapshot["caches"]["shard:0"]
         if appends:
             assert state["base"] == held > 0
-            assert len(state["entries"]) == len(campaign.engine.cache) - held
+            assert len(state["entries"]) == len(cache) - held
         else:
             assert state["base"] == 0
-            assert len(state["entries"]) == len(campaign.engine.cache)
+            assert len(state["entries"]) == len(cache)
 
 
 def rows_written_by_second_checkpoint(num_tasks, tmp_path):
@@ -486,18 +486,42 @@ class TestFailedSave:
 
 
 # ----------------------------------------------------------------------
-# Version-1 checkpoints
+# Older checkpoint versions
 # ----------------------------------------------------------------------
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def _fixture_recipe():
+def _fixture_recipe(version=1):
+    name = f"make_v{version}_checkpoint"
     spec = importlib.util.spec_from_file_location(
-        "make_v1_checkpoint", FIXTURES / "make_v1_checkpoint.py"
+        name, FIXTURES / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _assert_current_layout(path):
+    """The file holds a current-version checkpoint with nothing left of
+    the retired single-scheduler layout: no ``"mode"`` ledger scope and
+    no rows under the retired ``"campaign"`` cache id."""
+    conn = sqlite3.connect(path)
+    assert json.loads(
+        conn.execute(
+            "SELECT value FROM campaign WHERE key = 'version'"
+        ).fetchone()[0]
+    ) == SNAPSHOT_VERSION
+    scopes = {
+        scope for (scope,) in conn.execute("SELECT scope FROM ledger")
+    }
+    assert "mode" not in scopes and "scheduler" not in scopes
+    assert "cache-meta:campaign" not in scopes
+    assert {"allocator", "migrations", "shard:0"} <= scopes
+    (retired,) = conn.execute(
+        "SELECT COUNT(*) FROM cache WHERE cache_id = 'campaign'"
+    ).fetchone()
+    assert retired == 0
+    conn.close()
 
 
 class TestVersion1Checkpoints:
@@ -505,7 +529,7 @@ class TestVersion1Checkpoints:
     def reference(self):
         return _fixture_recipe().open_campaign().run().fingerprint()
 
-    def test_v1_sqlite_file_resumes_and_is_rewritten_as_v2(
+    def test_v1_sqlite_file_resumes_and_is_rewritten_in_current_layout(
         self, reference, tmp_path
     ):
         path = tmp_path / "v1.db"
@@ -520,14 +544,10 @@ class TestVersion1Checkpoints:
         conn = sqlite3.connect(path)
         columns = [row[1] for row in conn.execute("PRAGMA table_info(votes)")]
         assert columns == ["pos", "worker_id", "task_id", "label"]
-        assert json.loads(
-            conn.execute(
-                "SELECT value FROM campaign WHERE key = 'version'"
-            ).fetchone()[0]
-        ) == SNAPSHOT_VERSION
         (records,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
         assert records == _fixture_recipe().PAUSE_AT
         conn.close()
+        _assert_current_layout(path)
 
         again = Campaign.resume(SQLiteBackend(path))
         assert again.run().fingerprint() == reference
@@ -543,6 +563,7 @@ class TestVersion1Checkpoints:
         rewritten = backend.load()
         assert rewritten["version"] == SNAPSHOT_VERSION
         assert len(rewritten["votes"]["rows"]) == len(v1["votes"])
+        assert set(rewritten["caches"]) == {"shard:0", "shard:1"}
         assert Campaign.resume(backend).run().fingerprint() == reference
         assert resumed.run().fingerprint() == reference
 
@@ -561,3 +582,79 @@ class TestVersion1Checkpoints:
         ]
         conn.close()
         assert votes == v1["votes"]
+
+
+class TestVersion2Checkpoints:
+    """A version-2 one-shard checkpoint carries the single scheduler's
+    own pacing ledger and the campaign-level cache; it resumes as shard
+    0 under the allocator, to the uninterrupted fingerprint."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _fixture_recipe(2).open_campaign().run().fingerprint()
+
+    def test_v2_sqlite_file_resumes_and_is_rewritten_in_current_layout(
+        self, reference, tmp_path
+    ):
+        path = tmp_path / "v2.db"
+        shutil.copyfile(FIXTURES / "v2_checkpoint.db", path)
+        backend = SQLiteBackend(path)
+        stored = backend.load()
+        assert stored["version"] == 2
+        assert stored["ledger"]["mode"] == "single"
+        assert stored["caches"]["campaign"]["entries"]
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.completed == _fixture_recipe(2).PAUSE_AT
+        resumed.checkpoint()
+        backend.close()
+        _assert_current_layout(path)
+
+        again = Campaign.resume(SQLiteBackend(path))
+        assert again.run().fingerprint() == reference
+        assert resumed.run().fingerprint() == reference
+
+    def test_v2_memory_snapshot_resumes(self, reference):
+        v2 = json.loads((FIXTURES / "v2_checkpoint.json").read_text())
+        assert v2["version"] == 2
+        backend = MemoryBackend()
+        backend.save(v2)
+        resumed = Campaign.resume(backend)
+        resumed.checkpoint()
+        rewritten = backend.load()
+        assert rewritten["version"] == SNAPSHOT_VERSION
+        assert set(rewritten["caches"]) == {"shard:0"}
+        assert (
+            rewritten["caches"]["shard:0"]["entries"][: len(
+                v2["caches"]["campaign"]["entries"]
+            )]
+            == v2["caches"]["campaign"]["entries"]
+        )
+        assert "mode" not in rewritten["ledger"]
+        assert Campaign.resume(backend).run().fingerprint() == reference
+        assert resumed.run().fingerprint() == reference
+
+    def test_v2_pacing_ledger_becomes_the_allocators(self):
+        v2 = json.loads((FIXTURES / "v2_checkpoint.json").read_text())
+        paced = v2["ledger"]["scheduler"]
+        backend = MemoryBackend()
+        backend.save(v2)
+        scheduler = Campaign.resume(backend).engine.scheduler
+        allocator = scheduler.allocator
+        assert allocator.entitled == paced["entitled"]
+        assert allocator.reserved == paced["reserved"]
+        assert allocator.refunded == paced["refunded"]
+        assert allocator.granted == paced["reserved"]
+        assert allocator.reabsorbed == 0.0
+        assert allocator.rounds == paced["stats"]["batches"]
+        (shard,) = scheduler.shards
+        assert len(shard.view) == len(v2["workers"])
+        assert shard.scheduler.reserved == paced["reserved"]
+        assert shard.granted == paced["reserved"]
+
+    def test_both_v2_fixtures_hold_the_same_state(self, tmp_path):
+        v2 = json.loads((FIXTURES / "v2_checkpoint.json").read_text())
+        path = tmp_path / "v2.db"
+        shutil.copyfile(FIXTURES / "v2_checkpoint.db", path)
+        stored = SQLiteBackend(path).load()
+        for section in ("ledger", "votes", "records", "task_ids", "caches"):
+            assert stored[section] == v2[section], section

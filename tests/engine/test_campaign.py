@@ -54,30 +54,31 @@ class TestCampaignConfig:
         assert engine.config is campaign.config
         assert engine.registry.states[0].capacity == 2
         campaign.run(until=1)
-        assert engine.scheduler.budget == 30.0
+        assert engine.scheduler.allocator.budget == 30.0
 
     def test_sharding_view(self):
-        """``num_shards`` picks the scheduler; the routing fields reach
-        the sharded one unchanged."""
-        campaign = make_campaign(
-            num_shards=4, routing_policy="least-loaded"
-        )
+        """``num_shards`` sets the shard count of the one scheduler
+        every campaign serves through; the sharding fields reach it
+        unchanged."""
+        campaign = make_campaign(num_shards=4, rebalance_max_moves=3)
         campaign.run(until=1)
         scheduler = campaign.engine.scheduler
         assert isinstance(scheduler, ShardedScheduler)
         assert len(scheduler.shards) == 4
-        assert scheduler.config.routing_policy == "least-loaded"
+        assert scheduler.config.rebalance_max_moves == 3
         single = make_campaign()
         single.run(until=1)
-        assert isinstance(single.engine.scheduler, CampaignScheduler)
+        assert isinstance(single.engine.scheduler, ShardedScheduler)
+        assert len(single.engine.scheduler.shards) == 1
+        assert isinstance(
+            single.engine.scheduler.shards[0].scheduler, CampaignScheduler
+        )
 
     def test_validation_delegates_to_subsumed_configs(self):
         with pytest.raises(ValueError):
             CampaignConfig(budget=-1.0)
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, num_shards=0)
-        with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, routing_policy="round-robin")
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, quantization=0)
         with pytest.raises(ValueError):
@@ -106,7 +107,6 @@ class TestCampaignConfig:
         ("quantization", 0, "quantization"),
         ("alpha", 1.5, "prior alpha"),
         ("num_shards", 0, "num_shards"),
-        ("routing_policy", "round-robin", "routing policy"),
         ("rebalance_threshold", 0.0, "rebalance_threshold"),
         ("rebalance_max_moves", -1, "rebalance_max_moves"),
         ("serve_port", 70000, "serve_port"),
@@ -138,6 +138,19 @@ class TestCampaignConfig:
         assert CampaignConfig.from_dict(dispatch) == CampaignConfig(budget=1.0)
         with pytest.raises(ValueError, match="unknown"):
             CampaignConfig.from_dict({**retired, "jq_kernels": "batch"})
+
+    def test_from_dict_replays_only_hash_routing(self):
+        """``routing_policy`` is retired: a stored ``"hash"`` (the one
+        rule left) is dropped; any other stored policy routed tasks
+        differently, so resuming it must fail naming the policy."""
+        stored = CampaignConfig(budget=1.0, num_shards=2).to_dict()
+        hashed = {**stored, "routing_policy": "hash"}
+        assert CampaignConfig.from_dict(hashed) == CampaignConfig(
+            budget=1.0, num_shards=2
+        )
+        for policy in ("least-loaded", "quality-balanced"):
+            with pytest.raises(ValueError, match=policy):
+                CampaignConfig.from_dict({**stored, "routing_policy": policy})
 
 
 class TestFacadeEquivalence:

@@ -96,10 +96,10 @@ class TestEarlyStopRefunds:
             assert record.votes_used >= 1
             assert record.spent_cost < record.reserved_cost
             assert record.refund > 0
-        # Refunds flowed back into the scheduler's pot.
-        assert engine.scheduler.remaining_budget == pytest.approx(
-            config.budget - engine.scheduler.reserved
-            + metrics.total_refunded
+        # Refunds flowed back into the allocator's pot.
+        allocator = engine.scheduler.allocator
+        assert allocator.remaining_budget == pytest.approx(
+            config.budget - allocator.reserved + metrics.total_refunded
         )
 
     def test_full_juries_refund_nothing(self):

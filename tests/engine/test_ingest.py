@@ -420,62 +420,23 @@ def test_async_facade_campaign_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Intake grace: fixed or derived from the admit latency
+# Intake grace
 # ----------------------------------------------------------------------
-def _grace_pool(seed=1):
-    rng = np.random.default_rng(seed)
-    return generate_pool(
-        SyntheticPoolConfig(num_workers=32, quality_ceiling=0.95), rng
-    )
-
-
-def _grace_tasks(num_tasks, seed):
-    rng = np.random.default_rng(seed)
-    truths = rng.integers(0, 2, size=num_tasks)
-    return [
-        EngineTask(f"t{i}", ground_truth=int(t))
-        for i, t in enumerate(truths)
-    ]
-
-
-def test_auto_grace_tracks_admit_latency():
-    with Campaign.open(
-        _grace_pool(),
-        CampaignConfig(
-            budget=25.0, ingestion="async", ingest_grace="auto", seed=3
-        ),
-    ) as campaign:
-        loop = campaign._ingest
-        # Before any admit: the fixed fallback.
-        assert loop._effective_grace() == pytest.approx(0.05)
-        campaign.submit(_grace_tasks(30, seed=3))
-        campaign.run()
-        ewma = campaign.engine.admit_latency_ewma
-        assert ewma is not None and ewma > 0
-        grace = loop._effective_grace()
-        assert 0.01 <= grace <= 0.5
-        assert grace == pytest.approx(min(max(8.0 * ewma, 0.01), 0.5))
-
-
-def test_auto_grace_async_fingerprint_matches_sync():
-    def fingerprint(**overrides):
-        config = CampaignConfig(
-            budget=25.0,
-            capacity=3,
-            batch_size=20,
-            confidence_target=0.95,
-            seed=17,
-            **overrides,
-        )
-        with Campaign.open(_grace_pool(seed=17), config) as campaign:
-            campaign.submit(_grace_tasks(60, seed=17))
-            return campaign.run().fingerprint()
-
-    assert fingerprint(ingestion="async", ingest_grace="auto") == fingerprint()
-
-
 def test_fixed_grace_still_validates():
     with pytest.raises(ValueError, match="grace"):
         CampaignConfig(budget=5.0, ingest_grace="adaptive")
     with pytest.raises(ValueError, match="grace"):
+        CampaignConfig(budget=5.0, ingest_grace="auto")
+    with pytest.raises(ValueError, match="grace"):
         CampaignConfig(budget=5.0, ingest_grace=0.0)
+
+
+def test_stored_auto_grace_resumes_as_the_default():
+    """``ingest_grace="auto"`` is retired; a config stored with it comes
+    back with the fixed default (grace only shapes wall-clock waiting,
+    never a decision)."""
+    stored = CampaignConfig(budget=5.0, ingestion="async").to_dict()
+    stored["ingest_grace"] = "auto"
+    restored = CampaignConfig.from_dict(stored)
+    assert restored.ingest_grace == 0.05
+    assert restored == CampaignConfig(budget=5.0, ingestion="async")

@@ -2,10 +2,9 @@
 
 The DB-nets direction in PAPERS.md treats state transitions of a
 data-aware process as explicit, checkable invariants.  This suite makes
-that executable for the (sharded) campaign engine: seeded randomized
-campaigns across pool sizes, shard counts, and routing policies, with
-the global serving invariants asserted **after every event** the loop
-dispatches:
+that executable for the campaign engine: seeded randomized campaigns
+across pool sizes and shard counts, with the global serving invariants
+asserted **after every event** the loop dispatches:
 
 * **capacity** — no worker ever seated above their concurrent cap;
 * **budget** — gross reservations net of refunds never exceed the
@@ -13,6 +12,9 @@ dispatches:
 * **ledger conservation** — every granted unit is either reserved by a
   shard or re-absorbed, cumulatively and exactly;
 * **spend** — workers are only ever paid out of reserved cost.
+
+The budget and ledger laws are checked once, on the one allocator
+ledger every campaign keeps, whether it has one shard or many.
 
 End-of-run laws (refund conservation across shard re-absorption, spend
 reconciliation between registry and metrics, every submitted task
@@ -42,7 +44,6 @@ from repro.engine import (
     InterleavingSchedule,
     MemoryBackend,
     SQLiteBackend,
-    ShardedScheduler,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -62,6 +63,8 @@ class _CheckedMixin:
         self.check_invariants()
 
     def check_invariants(self):
+        """Seat laws per worker, then the budget and ledger laws on the
+        allocator."""
         budget = self.config.budget
         for state in self.registry.states:
             if state.load > state.capacity:
@@ -77,36 +80,30 @@ class _CheckedMixin:
         scheduler = self.scheduler
         if scheduler is None:
             return
-        if isinstance(scheduler, ShardedScheduler):
-            allocator = scheduler.allocator
-            gross_reserved = allocator.reserved
-            refunded = allocator.refunded
-            if allocator.entitled > budget + EPS:
-                raise InvariantViolation(
-                    f"entitled {allocator.entitled} beyond budget {budget}"
-                )
-            ledger_gap = abs(
-                allocator.granted
-                - (allocator.reserved + allocator.reabsorbed)
+        allocator = scheduler.allocator
+        gross_reserved = allocator.reserved
+        refunded = allocator.refunded
+        if allocator.entitled > budget + EPS:
+            raise InvariantViolation(
+                f"entitled {allocator.entitled} beyond budget {budget}"
             )
-            if ledger_gap > 1e-6:
-                raise InvariantViolation(
-                    f"allocator ledger leaks: granted {allocator.granted} "
-                    f"!= reserved {allocator.reserved} "
-                    f"+ reabsorbed {allocator.reabsorbed}"
-                )
-            shard_reserved = sum(
-                shard.scheduler.reserved for shard in scheduler.shards
+        ledger_gap = abs(
+            allocator.granted - (allocator.reserved + allocator.reabsorbed)
+        )
+        if ledger_gap > 1e-6:
+            raise InvariantViolation(
+                f"allocator ledger leaks: granted {allocator.granted} "
+                f"!= reserved {allocator.reserved} "
+                f"+ reabsorbed {allocator.reabsorbed}"
             )
-            if abs(shard_reserved - gross_reserved) > 1e-6:
-                raise InvariantViolation(
-                    f"shard reservations {shard_reserved} diverge from "
-                    f"allocator ledger {gross_reserved}"
-                )
-        else:
-            gross_reserved = scheduler.reserved
-            refunded = scheduler.refunded
-
+        shard_reserved = sum(
+            shard.scheduler.reserved for shard in scheduler.shards
+        )
+        if abs(shard_reserved - gross_reserved) > 1e-6:
+            raise InvariantViolation(
+                f"shard reservations {shard_reserved} diverge from "
+                f"allocator ledger {gross_reserved}"
+            )
         if gross_reserved - refunded > budget + 1e-6:
             raise InvariantViolation(
                 f"net reservations {gross_reserved - refunded} "
@@ -124,34 +121,11 @@ class CheckedEngine(_CheckedMixin, CampaignEngine):
     pass
 
 
-class _OneShardMixin:
-    """Serve ``num_shards=1`` through a one-shard :class:`ShardedScheduler`
-    instead of the single scheduler the engine builds there — the other
-    side of the single-shard byte-identity pin."""
-
-    def _make_scheduler(self, expected_tasks):
-        return ShardedScheduler(
-            self.registry, self.config, expected_tasks, self.telemetry
-        )
-
-
-class OneShardEngine(_OneShardMixin, CampaignEngine):
-    pass
-
-
-class CheckedOneShardEngine(_CheckedMixin, OneShardEngine):
-    pass
-
-
 def make_engine(pool, shards, checked, **config_kwargs):
-    """``shards=0`` is the single-scheduler engine, ``1`` the one-shard
-    sharded scheduler, ``K > 1`` an ordinary K-shard campaign."""
-    if shards == 1:
-        cls = CheckedOneShardEngine if checked else OneShardEngine
-    else:
-        cls = CheckedEngine if checked else CampaignEngine
-    config = CampaignConfig(num_shards=max(shards, 1), **config_kwargs)
-    return cls(pool, config)
+    """A ``shards``-shard engine, asserting the laws after every event
+    when ``checked``."""
+    cls = CheckedEngine if checked else CampaignEngine
+    return cls(pool, CampaignConfig(num_shards=shards, **config_kwargs))
 
 
 def build_campaign(
@@ -159,7 +133,6 @@ def build_campaign(
     pool_size,
     shards,
     num_tasks=60,
-    policy="hash",
     checked=True,
     reestimate_every=0,
     rebalance_threshold=0.25,
@@ -178,7 +151,6 @@ def build_campaign(
         confidence_target=0.95,
         reestimate_every=reestimate_every,
         seed=seed,
-        routing_policy=policy,
         rebalance_threshold=rebalance_threshold,
     )
     truths = rng.integers(0, 2, size=num_tasks)
@@ -199,29 +171,25 @@ def final_laws(engine, metrics):
     assert metrics.total_spend == pytest.approx(
         engine.registry.total_spend, abs=1e-9
     )
-    if isinstance(engine.scheduler, ShardedScheduler):
-        allocator = engine.scheduler.allocator
-        # Refund conservation across shard re-absorption: everything
-        # the tasks handed back landed in the allocator's pot.
-        assert allocator.refunded == pytest.approx(
-            metrics.total_refunded, abs=1e-9
-        )
-        assert allocator.granted == pytest.approx(
-            allocator.reserved + allocator.reabsorbed, abs=1e-6
-        )
-        assert metrics.allocator_snapshot is not None
-        assert metrics.shard_snapshots is not None
-        reserved = sum(s.reserved for s in metrics.shard_snapshots)
-        assert reserved == pytest.approx(allocator.reserved, abs=1e-6)
+    allocator = engine.scheduler.allocator
+    # Refund conservation across shard re-absorption: everything the
+    # tasks handed back landed in the allocator's pot.
+    assert allocator.refunded == pytest.approx(
+        metrics.total_refunded, abs=1e-9
+    )
+    assert allocator.granted == pytest.approx(
+        allocator.reserved + allocator.reabsorbed, abs=1e-6
+    )
+    assert metrics.allocator_snapshot is not None
+    assert metrics.shard_snapshots is not None
+    reserved = sum(s.reserved for s in metrics.shard_snapshots)
+    assert reserved == pytest.approx(allocator.reserved, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("pool_size,shards", [(12, 1), (24, 2), (48, 4)])
 def test_invariants_hold_after_every_event(seed, pool_size, shards):
-    # Rotate routing policies with the seed so all three are exercised
-    # across the matrix.
-    policy = ("hash", "least-loaded", "quality-balanced")[seed % 3]
-    engine = build_campaign(seed, pool_size, shards, policy=policy)
+    engine = build_campaign(seed, pool_size, shards)
     metrics = engine.run()
     final_laws(engine, metrics)
 
@@ -230,9 +198,7 @@ def test_invariants_hold_after_every_event(seed, pool_size, shards):
 def test_invariants_under_quality_drift(seed):
     """Re-estimation perturbs every quality estimate mid-campaign;
     the budget and capacity laws must be indifferent to it."""
-    engine = build_campaign(
-        seed, 32, 4, policy="least-loaded", reestimate_every=25
-    )
+    engine = build_campaign(seed, 32, 4, reestimate_every=25)
     metrics = engine.run()
     final_laws(engine, metrics)
     assert metrics.reestimations > 0
@@ -248,14 +214,26 @@ def test_replay_is_byte_identical(seed):
     assert first.fingerprint() == second.fingerprint()
 
 
+#: One-shard fingerprints of :func:`build_campaign` ``(seed, 16, 1)`` as
+#: recorded by the engine that still served one shard through a single
+#: self-pacing scheduler (git c1808d5).
+PRESHARDING_FINGERPRINTS = {
+    1: "3e1b5d61b797ddd3bacc02f08009793f5c09922b6cbba93d97d1032299613ee7",
+    7: "137de5349dcd526b1e2f80c375250e55c7d5937a78b5493f319be6d602589759",
+    13: "4a9224c255d520e483517def78db80d29b73e113ed352cf973ae804c7810c1a3",
+    42: "975cf774a5a819b3620ce7e09a9b9f694c8f98d0e1fc9785c60d35b2b26e98ea",
+    2015: "1c763796001b1049511a12fd48907c408dd667e2037eef1fb65520d3b526d3aa",
+}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_shard_matches_presharding_engine(seed):
-    """The single-shard path is pinned to the pre-sharding engine:
-    same seed => byte-identical metrics (fingerprints cover every task
-    record at full float precision plus all campaign counters)."""
-    plain = build_campaign(seed, 16, 0, checked=False).run()
-    sharded = build_campaign(seed, 16, 1, checked=False).run()
-    assert plain.fingerprint() == sharded.fingerprint()
+    """The one-shard path is pinned to the single-scheduler engine it
+    replaced: same seed => byte-identical metrics (fingerprints cover
+    every task record at full float precision plus all campaign
+    counters)."""
+    metrics = build_campaign(seed, 16, 1, checked=False).run()
+    assert metrics.fingerprint() == PRESHARDING_FINGERPRINTS[seed]
 
 
 def test_unfunded_starved_campaign_still_conserves():
@@ -405,9 +383,9 @@ def test_checkpoint_resume_under_quality_drift(seed, tmp_path):
 
 def test_facade_matches_legacy_engines():
     """The facade is a lifecycle wrapper, not a re-implementation: same
-    seed => same fingerprint as the bare engine it drives, single and
-    sharded."""
-    bare = build_campaign(7, 16, 0, checked=False).run().fingerprint()
+    seed => same fingerprint as the bare engine it drives, at one shard
+    and at four."""
+    bare = build_campaign(7, 16, 1, checked=False).run().fingerprint()
     assert build_facade_campaign(7, 16, 1).run().fingerprint() == bare
     bare_sharded = build_campaign(7, 48, 4, checked=False).run().fingerprint()
     assert (
@@ -419,7 +397,7 @@ def test_rebalancing_campaign_migrates_and_conserves():
     """A hash-routed campaign on a skewed pool should trigger idle
     migrations; all laws must survive workers changing shards."""
     engine = build_campaign(
-        11, 48, 4, num_tasks=120, policy="hash", rebalance_threshold=0.05
+        11, 48, 4, num_tasks=120, rebalance_threshold=0.05
     )
     metrics = engine.run()
     final_laws(engine, metrics)
@@ -441,7 +419,6 @@ def build_async_loop(
     interleave=None,
     max_pending=10_000,
     expected_tasks=None,
-    policy="hash",
     rebalance_threshold=0.25,
     grace=0.05,
     telemetry="off",
@@ -467,7 +444,6 @@ def build_async_loop(
         ingestion="async",
         telemetry=telemetry,
         seed=seed,
-        routing_policy=policy,
         rebalance_threshold=rebalance_threshold,
     )
     truths = rng.integers(0, 2, size=num_tasks)

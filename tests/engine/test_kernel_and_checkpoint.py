@@ -115,9 +115,7 @@ class TestFrontierMemoLRU:
             Worker(f"w{i}", 0.6 + 0.05 * i, 1.0) for i in range(pool_size)
         )
         registry = WorkerRegistry(pool, capacity=4)
-        return CampaignScheduler(
-            registry, JQCache(), budget=100.0, expected_tasks=100
-        )
+        return CampaignScheduler(registry, JQCache())
 
     def test_overflow_evicts_lru_not_everything(self):
         scheduler = self._scheduler()
@@ -129,7 +127,7 @@ class TestFrontierMemoLRU:
         scheduler._frontier_memo[("key", 0)] = hit
         # Admit a batch so a real miss inserts at the bound.
         tasks = [EngineTask("t0")]
-        scheduler.admit(tasks)
+        scheduler.admit(tasks, 1.0)
         assert len(scheduler._frontier_memo) == MAX_FRONTIER_MEMO
         assert ("key", 0) in scheduler._frontier_memo  # refreshed: kept
         assert ("key", 1) not in scheduler._frontier_memo  # LRU: evicted
@@ -137,10 +135,10 @@ class TestFrontierMemoLRU:
 
     def test_memo_order_round_trips_through_state(self):
         scheduler = self._scheduler()
-        scheduler.admit([EngineTask("t0")])
+        scheduler.admit([EngineTask("t0")], 1.0)
         # A hit on the same pool must refresh recency, preserving dict
         # order as the LRU order in the persisted state.
-        scheduler.admit([EngineTask("t1")])
+        scheduler.admit([EngineTask("t1")], 1.0)
         state = scheduler.state_dict()
         restored = self._scheduler()
         restored.load_state(state)
@@ -220,6 +218,41 @@ class TestRetiredConfigFields:
         resumed = Campaign.resume(backend)
         assert resumed.metrics.completed >= 50
         assert resumed.run().fingerprint() == reference
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_stored_hash_routing_and_auto_grace_resume_identically(
+        self, num_shards
+    ):
+        """Checkpoints written while ``routing_policy`` and
+        ``ingest_grace="auto"`` existed carry them.  Hash was the
+        default policy and the one that stayed; the grace only shaped
+        wall-clock waiting.  Both resume onto the uninterrupted run."""
+        reference = make_campaign(num_shards=num_shards).run().fingerprint()
+
+        backend = MemoryBackend()
+        campaign = make_campaign(backend=backend, num_shards=num_shards)
+        campaign.run(until=50)
+        campaign.checkpoint()
+        snapshot = backend.load()
+        snapshot["campaign"]["config"].update(
+            routing_policy="hash", ingest_grace="auto"
+        )
+        backend.save(snapshot)
+
+        resumed = Campaign.resume(backend)
+        assert resumed.config.ingest_grace == 0.05
+        assert resumed.run().fingerprint() == reference
+
+    def test_stored_retired_routing_policy_refuses_to_resume(self):
+        backend = MemoryBackend()
+        campaign = make_campaign(backend=backend, num_shards=3)
+        campaign.run(until=10)
+        campaign.checkpoint()
+        snapshot = backend.load()
+        snapshot["campaign"]["config"]["routing_policy"] = "least-loaded"
+        backend.save(snapshot)
+        with pytest.raises(ValueError, match="least-loaded"):
+            Campaign.resume(backend)
 
     def test_other_unknown_fields_still_refuse_to_resume(self):
         backend = MemoryBackend()

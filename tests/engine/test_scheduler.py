@@ -1,13 +1,21 @@
-"""Scheduler invariants: capacity, budget pacing, substitution."""
+"""Scheduler invariants: capacity, budget pacing, substitution.
+
+A :class:`CampaignScheduler` seats one shard's batches inside the grant
+it is handed; the campaign's budget pacing lives in the
+:class:`BudgetAllocator` every :class:`ShardedScheduler` carries, so the
+pacing cases drive a one-shard :class:`ShardedScheduler`."""
 
 import numpy as np
 import pytest
 
 from repro.core import Worker, WorkerPool
 from repro.engine import (
+    BudgetAllocator,
+    CampaignConfig,
     CampaignScheduler,
     EngineTask,
     JQCache,
+    ShardedScheduler,
     SubstituteIndex,
     WorkerRegistry,
     linear_best_substitute,
@@ -28,18 +36,23 @@ class LinearScanIndex:
         return linear_best_substitute(self._ranked, max_cost, exclude)
 
 
-def make_scheduler(
-    pool, budget, expected_tasks, capacity=2, frontier_pool_size=6
-):
+def make_scheduler(pool, capacity=2, frontier_pool_size=6):
     registry = WorkerRegistry(pool, capacity=capacity)
-    cache = JQCache()
     return CampaignScheduler(
-        registry,
-        cache,
-        budget=budget,
-        expected_tasks=expected_tasks,
+        registry, JQCache(), frontier_pool_size=frontier_pool_size
+    )
+
+
+def make_paced(pool, budget, expected_tasks, capacity=2,
+               frontier_pool_size=6):
+    """A one-shard campaign scheduler: the allocator paces ``budget``
+    over ``expected_tasks``, shard 0 seats every round."""
+    registry = WorkerRegistry(pool, capacity=capacity)
+    config = CampaignConfig(
+        budget=budget, capacity=capacity,
         frontier_pool_size=frontier_pool_size,
     )
+    return ShardedScheduler(registry, config, expected_tasks)
 
 
 @pytest.fixture
@@ -57,11 +70,10 @@ def tasks(n, start=0):
 
 class TestCapacityInvariant:
     def test_no_worker_exceeds_capacity(self, pool):
-        scheduler = make_scheduler(pool, budget=100.0, expected_tasks=30,
-                                   capacity=2)
+        scheduler = make_scheduler(pool, capacity=2)
         seated = []
         for batch_start in (0, 10, 20):
-            assignments, _ = scheduler.admit(tasks(10, batch_start))
+            assignments, _ = scheduler.admit(tasks(10, batch_start), 100.0)
             seated.extend(assignments)
             for state in scheduler.registry.states:
                 assert state.load <= state.capacity
@@ -71,9 +83,8 @@ class TestCapacityInvariant:
         """With capacity 1 and plenty of budget, 30 concurrent tasks
         cannot all get the frontier-optimal jury; whatever happens, no
         seat is double-booked and every funded jury is non-empty."""
-        scheduler = make_scheduler(pool, budget=300.0, expected_tasks=30,
-                                   capacity=1)
-        assignments, deferred = scheduler.admit(tasks(30))
+        scheduler = make_scheduler(pool, capacity=1)
+        assignments, deferred = scheduler.admit(tasks(30), 300.0)
         seats: dict[str, int] = {}
         for assignment in assignments:
             for worker_id in assignment.jury.worker_ids:
@@ -94,8 +105,7 @@ class TestCapacityInvariant:
         registry = WorkerRegistry(pool, capacity={"A": 1, "B": 4})
         registry.assign("A", "other")  # saturate A
         scheduler = CampaignScheduler(
-            registry, JQCache(), budget=100.0, expected_tasks=1,
-            frontier_pool_size=2,
+            registry, JQCache(), frontier_pool_size=2
         )
         jury = scheduler._seat_jury(
             EngineTask("t1"), ["A", "B"], 2.0,
@@ -106,11 +116,10 @@ class TestCapacityInvariant:
         assert registry.state("B").load == 1
 
     def test_everything_deferred_when_no_seats(self, pool):
-        scheduler = make_scheduler(pool, budget=100.0, expected_tasks=10,
-                                   capacity=1)
+        scheduler = make_scheduler(pool, capacity=1)
         for worker in pool:
             scheduler.registry.assign(worker.worker_id, "blocker")
-        assignments, deferred = scheduler.admit(tasks(5))
+        assignments, deferred = scheduler.admit(tasks(5), 100.0)
         assert assignments == []
         assert len(deferred) == 5
 
@@ -118,30 +127,32 @@ class TestCapacityInvariant:
 class TestBudgetInvariant:
     def test_reserved_never_exceeds_budget(self, pool):
         budget = 6.0
-        scheduler = make_scheduler(pool, budget=budget, expected_tasks=40,
-                                   capacity=4)
+        scheduler = make_paced(pool, budget=budget, expected_tasks=40,
+                               capacity=4)
         for batch_start in range(0, 40, 10):
             scheduler.admit(tasks(10, batch_start))
-        assert scheduler.reserved <= budget + 1e-9
-        assert scheduler.remaining_budget >= -1e-9
+        allocator = scheduler.allocator
+        assert allocator.reserved <= budget + 1e-9
+        assert allocator.remaining_budget >= -1e-9
 
     def test_batch_share_paces_spend(self, pool):
         """The first batch may only reserve its pro-rata share, leaving
         budget for later arrivals."""
         budget = 40.0
-        scheduler = make_scheduler(pool, budget=budget, expected_tasks=40,
-                                   capacity=4)
+        scheduler = make_paced(pool, budget=budget, expected_tasks=40,
+                               capacity=4)
         scheduler.admit(tasks(10))
-        assert scheduler.reserved <= budget * 10 / 40 + 1e-9
-        assert scheduler.remaining_budget >= budget * 30 / 40 - 1e-9
+        allocator = scheduler.allocator
+        assert allocator.reserved <= budget * 10 / 40 + 1e-9
+        assert allocator.remaining_budget >= budget * 30 / 40 - 1e-9
 
     def test_refund_returns_to_the_pot(self, pool):
-        scheduler = make_scheduler(pool, budget=10.0, expected_tasks=10)
-        assignments, _ = scheduler.admit(tasks(10))
-        reserved = scheduler.reserved
+        scheduler = make_paced(pool, budget=10.0, expected_tasks=10)
+        scheduler.admit(tasks(10))
+        reserved = scheduler.allocator.reserved
         assert reserved > 0
-        scheduler.refund(0.5)
-        assert scheduler.remaining_budget == pytest.approx(
+        scheduler.allocator.refund(0.5)
+        assert scheduler.allocator.remaining_budget == pytest.approx(
             10.0 - reserved + 0.5
         )
 
@@ -153,48 +164,56 @@ class TestBudgetInvariant:
         pool = WorkerPool(
             Worker(f"w{i}", 0.72 + 0.01 * i, 2.0) for i in range(5)
         )
-        scheduler = make_scheduler(pool, budget=10.0, expected_tasks=2,
-                                   capacity=5, frontier_pool_size=5)
+        scheduler = make_paced(pool, budget=10.0, expected_tasks=2,
+                               capacity=5, frontier_pool_size=5)
         first, _ = scheduler.admit([EngineTask("t0")])
         cost_first = first[0].reserved_cost
         assert 0 < cost_first <= 5.0 + 1e-9  # paced to its share
-        scheduler.refund(cost_first)  # t0 stopped before any vote
+        scheduler.allocator.refund(cost_first)  # t0 stopped early
         second, _ = scheduler.admit([EngineTask("t1")])
         # t1's batch may now draw on the refunded share too.
         assert second[0].reserved_cost > 5.0 + 1e-9
-        assert scheduler.remaining_budget >= -1e-9
+        assert scheduler.allocator.remaining_budget >= -1e-9
 
     def test_negative_refund_rejected(self, pool):
-        scheduler = make_scheduler(pool, budget=10.0, expected_tasks=10)
+        scheduler = make_paced(pool, budget=10.0, expected_tasks=10)
         with pytest.raises(ValueError):
-            scheduler.refund(-1.0)
+            scheduler.allocator.refund(-1.0)
 
     def test_jury_cost_within_planned_cost(self, pool):
         """Substitution never produces a jury dearer than the frontier
         point the allocation bought."""
-        scheduler = make_scheduler(pool, budget=50.0, expected_tasks=20,
-                                   capacity=1)
+        scheduler = make_paced(pool, budget=50.0, expected_tasks=20,
+                               capacity=1)
         assignments, _ = scheduler.admit(tasks(20))
         for assignment in assignments:
             if assignment.funded:
                 assert assignment.jury.cost <= assignment.reserved_cost + 1e-9
 
+    @pytest.mark.parametrize("grant", [0.0, 0.7, 2.5, 40.0])
+    def test_shard_scheduler_reserves_within_its_grant(self, pool, grant):
+        scheduler = make_scheduler(pool, capacity=4)
+        assignments, _ = scheduler.admit(tasks(10), grant)
+        reserved = sum(a.reserved_cost for a in assignments)
+        assert reserved == pytest.approx(scheduler.reserved)
+        assert reserved <= grant + 1e-9
+
 
 class TestAdmitMechanics:
     def test_empty_batch_is_noop(self, pool):
-        scheduler = make_scheduler(pool, budget=10.0, expected_tasks=10)
-        assert scheduler.admit([]) == ([], [])
+        scheduler = make_scheduler(pool)
+        assert scheduler.admit([], 10.0) == ([], [])
 
     def test_zero_budget_answers_priors(self, pool):
-        scheduler = make_scheduler(pool, budget=0.0, expected_tasks=5)
+        scheduler = make_paced(pool, budget=0.0, expected_tasks=5)
         assignments, deferred = scheduler.admit(tasks(5))
         assert deferred == []
         assert all(not a.funded for a in assignments)
         assert all(a.reserved_cost == 0.0 for a in assignments)
 
     def test_predicted_jq_is_cached_objective_value(self, pool):
-        scheduler = make_scheduler(pool, budget=50.0, expected_tasks=5)
-        assignments, _ = scheduler.admit(tasks(5))
+        scheduler = make_scheduler(pool)
+        assignments, _ = scheduler.admit(tasks(5), 50.0)
         funded = [a for a in assignments if a.funded]
         assert funded
         for assignment in funded:
@@ -203,27 +222,22 @@ class TestAdmitMechanics:
             )
 
     def test_validation(self, pool):
+        with pytest.raises(ValueError):
+            BudgetAllocator(budget=-1.0, expected_tasks=5)
+        with pytest.raises(ValueError):
+            BudgetAllocator(budget=1.0, expected_tasks=0)
         registry = WorkerRegistry(pool)
         with pytest.raises(ValueError):
-            CampaignScheduler(registry, JQCache(), budget=-1.0,
-                              expected_tasks=5)
+            CampaignScheduler(registry, JQCache(), frontier_pool_size=0)
         with pytest.raises(ValueError):
-            CampaignScheduler(registry, JQCache(), budget=1.0,
-                              expected_tasks=0)
-        with pytest.raises(ValueError):
-            CampaignScheduler(registry, JQCache(), budget=1.0,
-                              expected_tasks=5, frontier_pool_size=0)
-        with pytest.raises(ValueError):
-            CampaignScheduler(registry, JQCache(), budget=1.0,
-                              expected_tasks=5, frontier_pool_size=21)
+            CampaignScheduler(registry, JQCache(), frontier_pool_size=21)
         # 13-20 became legal with the streamed frontier: the scheduler
         # is no longer pinned by the dense lattice's memory wall.
         from repro.engine.scheduler import MAX_FRONTIER_POOL
 
         assert MAX_FRONTIER_POOL == 20
         scheduler = CampaignScheduler(
-            registry, JQCache(), budget=1.0, expected_tasks=5,
-            frontier_pool_size=MAX_FRONTIER_POOL,
+            registry, JQCache(), frontier_pool_size=MAX_FRONTIER_POOL,
         )
         assert scheduler.frontier_pool_size == 20
 

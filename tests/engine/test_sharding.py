@@ -1,6 +1,8 @@
 """Unit tests for the sharded serving layer: partitioning, registry
-views, the budget allocator's ledger, routing policies, rebalancing,
-and the sharded engine's reporting surface."""
+views, the budget allocator's ledger, hash routing, rebalancing, and
+the engine's reporting surface."""
+
+import zlib
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ def make_registry(qualities, capacity=2):
 def make_scheduler(
     num_workers=16,
     shards=4,
-    policy="hash",
     budget=30.0,
     expected=100,
     capacity=2,
@@ -49,7 +50,6 @@ def make_scheduler(
         capacity=capacity,
         seed=seed,
         num_shards=shards,
-        routing_policy=policy,
         **sharding_kw,
     )
     return ShardedScheduler(registry, config, expected)
@@ -62,9 +62,10 @@ class TestShardingConfig:
         with pytest.raises(ValueError, match="num_shards"):
             CampaignConfig(budget=1.0, num_shards=0)
 
-    def test_validates_policy(self):
-        with pytest.raises(ValueError, match="routing policy"):
-            CampaignConfig(budget=1.0, routing_policy="round-robin")
+    def test_routing_policy_is_not_a_field(self):
+        """Hash routing is the one rule; the policy knob is gone."""
+        with pytest.raises(TypeError, match="routing_policy"):
+            CampaignConfig(budget=1.0, routing_policy="hash")
 
     def test_validates_rebalance_threshold(self):
         with pytest.raises(ValueError, match="rebalance_threshold"):
@@ -219,7 +220,7 @@ class TestRouting:
         return [EngineTask(f"t{i}") for i in range(n)]
 
     def test_hash_routing_is_sticky_and_deterministic(self):
-        scheduler = make_scheduler(policy="hash")
+        scheduler = make_scheduler()
         routed = scheduler.route(self.tasks(40))
         again = scheduler.route(self.tasks(40))
         assert {
@@ -228,31 +229,18 @@ class TestRouting:
         assert sum(len(v) for v in routed.values()) == 40
         assert len(routed) > 1  # 40 ids do not all collide
 
-    def test_least_loaded_spreads_a_burst_evenly(self):
-        scheduler = make_scheduler(policy="least-loaded", shards=4)
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_routes_by_crc32_of_the_task_id(self, shards):
+        scheduler = make_scheduler(shards=shards)
         routed = scheduler.route(self.tasks(40))
-        sizes = sorted(len(v) for v in routed.values())
-        assert sizes == [10, 10, 10, 10]
-
-    def test_least_loaded_avoids_a_busy_shard(self):
-        scheduler = make_scheduler(policy="least-loaded", shards=2)
-        busy = scheduler.shards[0]
-        for state in busy.view.states:
-            busy.view.assign(state.worker.worker_id, "hog")
-        routed = scheduler.route(self.tasks(4))
-        assert set(routed) == {1}
-
-    def test_quality_balanced_prefers_the_heavier_shard(self):
-        scheduler = make_scheduler(policy="quality-balanced", shards=2)
-        masses = {
-            k: scheduler.shards[k].view.quality_mass() for k in (0, 1)
-        }
-        heavier = max(masses, key=masses.get)
-        routed = scheduler.route(self.tasks(1))
-        assert set(routed) == {heavier}
+        assert sum(len(sub) for sub in routed.values()) == 40
+        for shard_id, sub in routed.items():
+            for task in sub:
+                crc = zlib.crc32(task.task_id.encode("utf-8"))
+                assert crc % shards == shard_id
 
     def test_routing_preserves_task_order_within_shards(self):
-        scheduler = make_scheduler(policy="hash")
+        scheduler = make_scheduler()
         tasks = self.tasks(30)
         order = {t.task_id: i for i, t in enumerate(tasks)}
         for sub in scheduler.route(tasks).values():
@@ -295,20 +283,8 @@ class TestRebalancing:
         assert scheduler.rebalance() == 0
 
 
-class OneShardEngine(CampaignEngine):
-    """Serves ``num_shards=1`` through a one-shard :class:`ShardedScheduler`
-    (the engine itself builds the single scheduler there)."""
-
-    def _make_scheduler(self, expected_tasks):
-        return ShardedScheduler(
-            self.registry, self.config, expected_tasks, self.telemetry
-        )
-
-
 class TestShardedEngine:
-    def run_campaign(
-        self, shards=4, num_tasks=80, pool_size=32, seed=9, engine_cls=None
-    ):
+    def run_campaign(self, shards=4, num_tasks=80, pool_size=32, seed=9):
         rng = np.random.default_rng(seed)
         pool = generate_pool(
             SyntheticPoolConfig(
@@ -323,7 +299,7 @@ class TestShardedEngine:
             seed=seed,
             num_shards=shards,
         )
-        engine = (engine_cls or CampaignEngine)(pool, config)
+        engine = CampaignEngine(pool, config)
         truths = rng.integers(0, 2, size=num_tasks)
         engine.submit(
             EngineTask(f"t{i}", ground_truth=int(t))
@@ -363,17 +339,34 @@ class TestShardedEngine:
         with pytest.raises(ValueError, match="pool size"):
             CampaignEngine(pool, config)
 
+    #: The one-shard campaign's fingerprint as recorded by the engine
+    #: that still served one shard through a single self-pacing
+    #: scheduler (git c1808d5).
+    PLAIN_ENGINE_FINGERPRINT = (
+        "440eb56a2da27aebbeb4a2be58075a6e1427f1598b8def7aeec10a5d702fbd98"
+    )
+
     def test_matches_plain_engine_at_one_shard(self):
-        """The headline regression: a one-shard sharded scheduler is the
-        single scheduler, bit for bit (full matrix in
-        test_invariants.py)."""
-        engine, sharded = self.run_campaign(
-            shards=1, engine_cls=OneShardEngine
-        )
+        """The headline regression: one shard under the allocator
+        decides exactly what the retired single scheduler did, bit for
+        bit (full matrix in test_invariants.py)."""
+        engine, metrics = self.run_campaign(shards=1)
         assert isinstance(engine.scheduler, ShardedScheduler)
-        plain_engine, plain = self.run_campaign(shards=1)
-        assert not isinstance(plain_engine.scheduler, ShardedScheduler)
-        assert plain.fingerprint() == sharded.fingerprint()
+        assert len(engine.scheduler.shards) == 1
+        assert metrics.fingerprint() == self.PLAIN_ENGINE_FINGERPRINT
+
+    def test_one_shard_reports_the_allocator_ledger(self):
+        engine, metrics = self.run_campaign(shards=1)
+        allocator = metrics.allocator_snapshot
+        assert allocator.rounds == engine.scheduler.stats.batches > 0
+        assert allocator.granted == pytest.approx(
+            allocator.reserved + allocator.reabsorbed
+        )
+        assert allocator.refunded == pytest.approx(metrics.total_refunded)
+        assert metrics.shard_snapshots[0].workers == 32
+        assert metrics.cache_stats == metrics.shard_snapshots[0].cache
+        report = metrics.render(budget=engine.config.budget)
+        assert "sharding     : allocator:" in report
 
 
 class TestAdmitErrorSettlement:

@@ -122,10 +122,14 @@ class TestEngineCommand:
         ]
 
     def test_unsharded_run(self, capsys):
+        """The default run is one shard under the budget allocator, so
+        the report carries the allocator line and one shard line."""
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "Campaign engine report" in out
-        assert "sharding" not in out
+        assert "sharding     : allocator:" in out
+        assert "shard 0:" in out
+        assert "shard 1:" not in out
 
     def test_sharded_run_reports_shards(self, capsys):
         assert main(self.ARGS + ["--num-shards", "4"]) == 0
@@ -134,19 +138,22 @@ class TestEngineCommand:
         assert "shard 3:" in out
 
     def test_shards_one_is_byte_identical_to_presharding(self, capsys):
-        """The CLI output contract: --num-shards 1 produces the exact
-        pre-sharding report (modulo wall clock) — e.g. no sharding
-        lines may appear.  The engine-level single-shard fingerprint
-        pin lives in tests/engine/test_invariants.py."""
+        """The CLI output contract: --num-shards 1 is the default run,
+        report line for line (modulo wall clock).  The engine-level
+        one-shard fingerprint pin lives in
+        tests/engine/test_invariants.py."""
         assert main(self.ARGS) == 0
         plain = self.stable_lines(capsys.readouterr().out)
         assert main(self.ARGS + ["--num-shards", "1"]) == 0
         sharded = self.stable_lines(capsys.readouterr().out)
         assert plain == sharded
 
-    def test_shard_policy_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--num-shards", "2", "--routing-policy", "rr"])
+    def test_routing_policy_flag_is_gone(self):
+        """Hash routing is the one rule: the flag no longer parses."""
+        for policy in ("hash", "least-loaded"):
+            with pytest.raises(SystemExit):
+                main(self.ARGS + ["--num-shards", "2",
+                                  "--routing-policy", policy])
 
     def test_async_ingestion_matches_sync_report(self, capsys):
         """--ingestion async on a pre-submitted sharded campaign must
