@@ -62,7 +62,9 @@ def _config(**overrides):
         confidence_target=0.95,
         seed=SEED,
         vote_source="external",
-        ingest_grace=0.02,
+        # The served campaign starts before any task is POSTed, so it
+        # paces over the declared campaign size.
+        expected_tasks=NUM_TASKS,
     )
     defaults.update(overrides)
     return CampaignConfig(**defaults)

@@ -9,6 +9,7 @@ Commands
 ``simulate-pool``  generate a synthetic Section-6.1.1 pool CSV
 ``experiment``     run one of the paper's figure/table drivers
 ``engine``         run a simulated campaign through the serving engine
+``serve``          serve a campaign over HTTP (tasks and votes on the wire)
 ``trace``          inspect Chrome-trace files written by ``engine``
 
 Every command reads/writes plain CSV/JSON (see :mod:`repro.io`), so the
@@ -188,26 +189,81 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
     p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))
 
+    # Flags shared by `repro engine` and `repro serve`, defined once.
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("--pool", default=None,
+                          help="pool CSV (default: synthetic pool)")
+    campaign.add_argument("--num-workers", type=int, default=50,
+                          help="synthetic pool size when --pool is omitted")
+    campaign.add_argument("--budget", type=float, default=None,
+                          help="total campaign budget (required unless "
+                               "--resume, which restores it from the "
+                               "checkpoint)")
+    campaign.add_argument("--capacity", type=int, default=4,
+                          help="max concurrent jury seats per worker")
+    campaign.add_argument("--batch-size", type=int, default=25)
+    campaign.add_argument("--frontier-pool-size", type=_positive_int,
+                          default=None,
+                          help="per-batch candidate pool for the exact "
+                               "frontier (default 10, max 20; >14 builds "
+                               "through the streamed lattice sweep)")
+    campaign.add_argument("--alpha", type=float, default=0.5)
+    campaign.add_argument("--confidence", type=float, default=0.97,
+                          help="early-stop confidence target")
+    campaign.add_argument("--num-shards", type=_positive_int, default=1,
+                          help="worker-pool shards (tasks route by id "
+                               "hash)")
+    campaign.add_argument("--coordinate", default=None, metavar="PATH",
+                          help="shared seat-lease SQLite file: engines "
+                               "pointing at the same file share one worker "
+                               "pool without double-seating (keep it "
+                               "separate from --state-file)")
+    campaign.add_argument("--lease-ttl", type=_positive_float, default=30.0,
+                          help="seat-lease lifetime in seconds under "
+                               "--coordinate; a crashed engine's seats "
+                               "return after one TTL (serve renews at "
+                               "ttl/3)")
+    campaign.add_argument("--backend", default="memory",
+                          choices=("memory", "sqlite"),
+                          help="campaign state backend (sqlite persists "
+                               "the campaign to --state-file)")
+    campaign.add_argument("--state-file", default=None,
+                          help="SQLite state file (required with "
+                               "--backend sqlite)")
+    campaign.add_argument("--resume", action="store_true",
+                          help="resume the campaign checkpointed in "
+                               "--state-file instead of starting fresh")
+    campaign.add_argument("--checkpoint-every", type=_nonnegative_int,
+                          default=0,
+                          help="checkpoint the campaign to its backend "
+                               "after every N completed tasks (0 = only "
+                               "the final checkpoint; needs --backend "
+                               "sqlite to survive the process)")
+    campaign.add_argument("--telemetry", default=None,
+                          choices=("off", "on"),
+                          help="enable the telemetry hub (counters, spans, "
+                               "trace); implied by --trace-out/"
+                               "--metrics-out (serve's GET /metrics answers "
+                               "either way)")
+    campaign.add_argument("--trace-out", default=None,
+                          help="write a Chrome trace-event JSON here at "
+                               "exit (atomic tmp+rename; open in Perfetto "
+                               "or chrome://tracing)")
+    campaign.add_argument("--metrics-out", default=None,
+                          help="write a telemetry metrics snapshot (JSON) "
+                               "here at exit, and every --metrics-interval "
+                               "while serving (atomic tmp+rename)")
+    campaign.add_argument("--metrics-interval", type=_positive_float,
+                          default=None,
+                          help="windowed-rate interval in seconds for "
+                               "intake/throughput series, and serve's "
+                               "--metrics-out flush period (default 1.0)")
+    campaign.add_argument("--seed", type=int, default=None)
+
     p_eng = sub.add_parser(
-        "engine", help="run a simulated campaign through the serving engine")
-    p_eng.add_argument("--pool", default=None,
-                       help="pool CSV (default: synthetic pool)")
-    p_eng.add_argument("--num-workers", type=int, default=50,
-                       help="synthetic pool size when --pool is omitted")
+        "engine", parents=[campaign],
+        help="run a simulated campaign through the serving engine")
     p_eng.add_argument("--num-tasks", type=int, default=1000)
-    p_eng.add_argument("--budget", type=float, required=True,
-                       help="total campaign budget")
-    p_eng.add_argument("--capacity", type=int, default=4,
-                       help="max concurrent jury seats per worker")
-    p_eng.add_argument("--batch-size", type=int, default=25)
-    p_eng.add_argument("--frontier-pool-size", type=_positive_int,
-                       default=None,
-                       help="per-batch candidate pool for the exact "
-                            "frontier (default 10, max 20; >14 builds "
-                            "through the streamed lattice sweep)")
-    p_eng.add_argument("--alpha", type=float, default=0.5)
-    p_eng.add_argument("--confidence", type=float, default=0.97,
-                       help="early-stop confidence target")
     p_eng.add_argument("--reestimate-every", type=int, default=0,
                        help="re-fit worker qualities every N completions "
                             "(0 = off)")
@@ -215,21 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JQ-cache key grid steps (0 = exact keys; "
                             "'auto' derives the grid from the bucket "
                             "resolution)")
-    p_eng.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (tasks route by id hash)")
     p_eng.add_argument("--cache-max-entries", type=_nonnegative_int,
                        default=0,
                        help="LRU bound per JQ cache (0 = unbounded)")
-    p_eng.add_argument("--backend", default="memory",
-                       choices=("memory", "sqlite"),
-                       help="campaign state backend (sqlite persists the "
-                            "campaign to --state-file)")
-    p_eng.add_argument("--state-file", default=None,
-                       help="SQLite state file (required with "
-                            "--backend sqlite)")
-    p_eng.add_argument("--resume", action="store_true",
-                       help="resume the campaign checkpointed in "
-                            "--state-file instead of starting fresh")
     p_eng.add_argument("--run-until", type=_positive_int, default=None,
                        help="pause after N completed tasks (with a sqlite "
                             "backend the paused state is checkpointed, so "
@@ -238,118 +282,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JQ-cache JSON: imported before a fresh run "
                             "when the file exists, exported after every "
                             "run — ships a warmed cache between campaigns")
-    p_eng.add_argument("--checkpoint-every", type=_nonnegative_int,
-                       default=0,
-                       help="checkpoint the campaign to its backend after "
-                            "every N completed tasks (0 = only the final "
-                            "checkpoint; needs --backend sqlite to "
-                            "survive the process)")
     p_eng.add_argument("--ingestion", default="sync",
                        choices=("sync", "async"),
                        help="arrival intake: 'async' streams tasks "
                             "through a thread-safe bounded intake queue "
                             "(byte-identical to sync for pre-submitted "
                             "campaigns)")
-    p_eng.add_argument("--coordinate", default=None, metavar="PATH",
-                       help="shared seat-lease SQLite file: engines "
-                            "pointing at the same file share one worker "
-                            "pool without double-seating")
-    p_eng.add_argument("--lease-ttl", type=_positive_float, default=30.0,
-                       help="seat-lease lifetime in seconds under "
-                            "--coordinate (crashed engines' seats "
-                            "return after this)")
-    p_eng.add_argument("--telemetry", default=None,
-                       choices=("off", "on"),
-                       help="enable the telemetry hub (counters, spans, "
-                            "trace); implied by --trace-out/--metrics-out")
-    p_eng.add_argument("--trace-out", default=None,
-                       help="write a Chrome trace-event JSON here after "
-                            "the run (open in Perfetto or "
-                            "chrome://tracing)")
-    p_eng.add_argument("--metrics-out", default=None,
-                       help="write a telemetry metrics snapshot (JSON) "
-                            "here after the run")
-    p_eng.add_argument("--metrics-interval", type=_positive_float,
-                       default=None,
-                       help="windowed-rate interval in seconds for "
-                            "intake/throughput series (default 1.0)")
-    p_eng.add_argument("--seed", type=int, default=None)
 
     p_srv = sub.add_parser(
-        "serve",
+        "serve", parents=[campaign],
         help="serve a campaign over HTTP (daemon mode: tasks, "
              "assignments, and votes arrive on the wire)")
-    p_srv.add_argument("--pool", default=None,
-                       help="pool CSV (default: synthetic pool)")
-    p_srv.add_argument("--num-workers", type=int, default=50,
-                       help="synthetic pool size when --pool is omitted")
-    p_srv.add_argument("--budget", type=float, default=None,
-                       help="total campaign budget (required unless "
-                            "--resume, which restores it from the "
-                            "checkpoint)")
-    p_srv.add_argument("--capacity", type=int, default=4)
-    p_srv.add_argument("--batch-size", type=int, default=25)
-    p_srv.add_argument("--frontier-pool-size", type=_positive_int,
-                       default=None,
-                       help="per-batch candidate pool for the exact "
-                            "frontier (default 10, max 20; >14 builds "
-                            "through the streamed lattice sweep)")
-    p_srv.add_argument("--alpha", type=float, default=0.5)
-    p_srv.add_argument("--confidence", type=float, default=0.97,
-                       help="early-stop confidence target")
-    p_srv.add_argument("--num-shards", type=_positive_int, default=1,
-                       help="worker-pool shards (tasks route by id hash)")
-    p_srv.add_argument("--coordinate", default=None, metavar="PATH",
-                       help="shared seat-lease SQLite file: N 'repro "
-                            "serve' processes pointing at the same file "
-                            "share one worker pool without "
-                            "double-seating (keep it separate from "
-                            "--state-file)")
-    p_srv.add_argument("--lease-ttl", type=_positive_float, default=30.0,
-                       help="seat-lease lifetime in seconds under "
-                            "--coordinate; serving renews at ttl/3, a "
-                            "crashed engine's seats return after one "
-                            "TTL")
+    p_srv.add_argument("--expected-tasks", type=_positive_int, default=None,
+                       help="expected campaign size: budget pacing grants "
+                            "each round budget * tasks / expected "
+                            "(required unless --resume)")
     p_srv.add_argument("--vote-source", default="external",
                        choices=("external", "simulated"),
                        help="'external' publishes vote offers and takes "
                             "votes via POST /votes; 'simulated' draws "
                             "votes from worker qualities (tasks still "
                             "arrive via POST /tasks)")
-    p_srv.add_argument("--backend", default="memory",
-                       choices=("memory", "sqlite"))
-    p_srv.add_argument("--state-file", default=None,
-                       help="SQLite state file (required with "
-                            "--backend sqlite)")
-    p_srv.add_argument("--resume", action="store_true",
-                       help="resume the campaign checkpointed in "
-                            "--state-file instead of starting fresh")
-    p_srv.add_argument("--checkpoint-every", type=_nonnegative_int,
-                       default=0,
-                       help="checkpoint after every N completed tasks "
-                            "(0 = only on shutdown)")
     p_srv.add_argument("--host", default=None,
                        help="bind address (default: config serve_host, "
                             "127.0.0.1)")
     p_srv.add_argument("--port", type=_nonnegative_int, default=None,
                        help="bind port; 0 picks an ephemeral port "
                             "(default: config serve_port, 8765)")
-    p_srv.add_argument("--telemetry", default=None, choices=("off", "on"),
-                       help="enable the telemetry hub; implied by "
-                            "--trace-out/--metrics-out (GET /metrics "
-                            "serves Prometheus text either way)")
-    p_srv.add_argument("--trace-out", default=None,
-                       help="write a Chrome trace-event JSON here on "
-                            "shutdown (atomic tmp+rename)")
-    p_srv.add_argument("--metrics-out", default=None,
-                       help="write a telemetry metrics snapshot (JSON) "
-                            "here every --metrics-interval and on "
-                            "shutdown (atomic tmp+rename)")
-    p_srv.add_argument("--metrics-interval", type=_positive_float,
-                       default=None,
-                       help="periodic --metrics-out flush interval in "
-                            "seconds (default 1.0)")
-    p_srv.add_argument("--seed", type=int, default=None)
 
     p_trace = sub.add_parser(
         "trace", help="inspect Chrome-trace files written by the engine")
@@ -441,11 +400,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(result.render())
         return 0
 
-    if args.command == "engine":
-        return _run_engine_command(args)
-
-    if args.command == "serve":
-        return _run_serve_command(args)
+    if args.command in ("engine", "serve"):
+        run = (
+            _run_engine_command if args.command == "engine"
+            else _run_serve_command
+        )
+        try:
+            return run(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "trace":
         return _run_trace_summarize(args)
@@ -453,69 +417,99 @@ def main(argv: Sequence[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _run_engine_command(args) -> int:
-    backend = None
-    if args.backend == "sqlite":
-        if args.state_file is None:
-            print("error: --backend sqlite requires --state-file",
-                  file=sys.stderr)
-            return 2
-        backend = SQLiteBackend(args.state_file)
-    if args.resume:
-        if backend is None:
-            print("error: --resume requires --backend sqlite --state-file",
-                  file=sys.stderr)
-            return 2
-        campaign = Campaign.resume(backend)
-    else:
-        if backend is not None and backend.exists():
-            print(
-                f"error: {args.state_file} already holds a campaign "
-                "checkpoint; pass --resume to continue it, or point "
-                "--state-file at a new file",
-                file=sys.stderr,
-            )
-            return 2
-        rng = np.random.default_rng(args.seed)
-        if args.pool is not None:
-            pool = load_pool_csv(args.pool)
-        else:
-            # Cap qualities below 1: the clipped Gaussian otherwise
-            # mints perfect workers and trivial single-vote juries.
-            pool = generate_pool(
-                SyntheticPoolConfig(
-                    num_workers=args.num_workers, quality_ceiling=0.95
-                ),
-                rng,
-            )
-        # --trace-out / --metrics-out are useless without the hub, so
-        # they imply telemetry unless the user said "off" explicitly.
-        telemetry = args.telemetry
-        if telemetry is None:
-            telemetry = (
-                "on" if (args.trace_out or args.metrics_out) else "off"
-            )
-        config = CampaignConfig(
-            budget=args.budget,
-            capacity=args.capacity,
-            batch_size=args.batch_size,
-            frontier_pool_size=args.frontier_pool_size or 10,
-            alpha=args.alpha,
-            confidence_target=args.confidence,
-            reestimate_every=args.reestimate_every,
-            quantization=args.quantization,
-            cache_max_entries=args.cache_max_entries or None,
-            checkpoint_every=args.checkpoint_every,
-            ingestion=args.ingestion,
-            coordinate_path=args.coordinate,
-            lease_ttl=args.lease_ttl,
-            telemetry=telemetry,
-            trace_path=args.trace_out,
-            metrics_interval=args.metrics_interval or 1.0,
-            seed=args.seed,
-            num_shards=args.num_shards,
+class _UsageError(Exception):
+    """A flag combination ``repro engine``/``repro serve`` cannot run
+    (exit status 2)."""
+
+
+def _open_campaign(args, required=("budget",), **fields):
+    """Validate the backend and resume flags, then resume the
+    checkpointed campaign or open a fresh one from the shared flags plus
+    the command's own config ``fields``.  ``required`` names the flags a
+    fresh campaign cannot do without.  Returns ``(campaign, backend,
+    rng)``; ``rng`` (the seeded generator that drew the synthetic pool)
+    is ``None`` for a resumed campaign."""
+    if args.backend == "sqlite" and args.state_file is None:
+        raise _UsageError("--backend sqlite requires --state-file")
+    if args.resume and args.backend != "sqlite":
+        raise _UsageError("--resume requires --backend sqlite --state-file")
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing and not args.resume:
+        flag = "--" + missing[0].replace("_", "-")
+        raise _UsageError(
+            f"{flag} is required (omit it only with --resume, which "
+            "restores it from the checkpoint)"
         )
-        campaign = Campaign.open(pool, config, backend=backend)
+    backend = (
+        SQLiteBackend(args.state_file) if args.backend == "sqlite" else None
+    )
+    if args.resume:
+        return Campaign.resume(backend), backend, None
+    if backend is not None and backend.exists():
+        backend.close()
+        raise _UsageError(
+            f"{args.state_file} already holds a campaign checkpoint; pass "
+            "--resume to continue it, or point --state-file at a new file"
+        )
+    rng = np.random.default_rng(args.seed)
+    if args.pool is not None:
+        pool = load_pool_csv(args.pool)
+    else:
+        # Cap qualities below 1: the clipped Gaussian otherwise mints
+        # perfect workers and trivial single-vote juries.
+        pool = generate_pool(
+            SyntheticPoolConfig(
+                num_workers=args.num_workers, quality_ceiling=0.95
+            ),
+            rng,
+        )
+    # --trace-out / --metrics-out are useless without the hub, so they
+    # imply telemetry unless the user said "off" explicitly.
+    telemetry = args.telemetry
+    if telemetry is None:
+        telemetry = "on" if (args.trace_out or args.metrics_out) else "off"
+    config = CampaignConfig(
+        budget=args.budget,
+        capacity=args.capacity,
+        batch_size=args.batch_size,
+        frontier_pool_size=args.frontier_pool_size or 10,
+        alpha=args.alpha,
+        confidence_target=args.confidence,
+        checkpoint_every=args.checkpoint_every,
+        coordinate_path=args.coordinate,
+        lease_ttl=args.lease_ttl,
+        telemetry=telemetry,
+        metrics_interval=args.metrics_interval or 1.0,
+        seed=args.seed,
+        num_shards=args.num_shards,
+        **fields,
+    )
+    return Campaign.open(pool, config, backend=backend), backend, rng
+
+
+def _report(campaign, backend, metrics) -> int:
+    """Print the end-of-run report and close the campaign."""
+    if not campaign.done:
+        note = (
+            "checkpointed; rerun with --resume to continue"
+            if backend is not None
+            else "memory backend: paused state dies with this process"
+        )
+        print(f"# paused at {metrics.completed} completed tasks ({note})")
+    print(metrics.render(budget=campaign.config.budget))
+    campaign.close()
+    return 0
+
+
+def _run_engine_command(args) -> int:
+    campaign, backend, rng = _open_campaign(
+        args,
+        reestimate_every=args.reestimate_every,
+        quantization=args.quantization,
+        cache_max_entries=args.cache_max_entries or None,
+        ingestion=args.ingestion,
+    )
+    if rng is not None:
         # Truths must follow the declared prior, or the report's
         # realized-vs-predicted comparison is miscalibrated.
         truths = (rng.random(args.num_tasks) >= args.alpha).astype(int)
@@ -541,16 +535,7 @@ def _run_engine_command(args) -> int:
         # behind (atomic tmp+rename, so they are valid or absent —
         # never truncated).
         _write_observability(campaign, args.trace_out, args.metrics_out)
-    if not campaign.done:
-        note = (
-            "checkpointed; rerun with --resume to continue"
-            if backend is not None
-            else "memory backend: paused state dies with this process"
-        )
-        print(f"# paused at {metrics.completed} completed tasks ({note})")
-    print(metrics.render(budget=campaign.config.budget))
-    campaign.close()
-    return 0
+    return _report(campaign, backend, metrics)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -575,10 +560,6 @@ def _write_observability(campaign, trace_out, metrics_out,
     if trace_out is not None:
         try:
             if campaign.telemetry.enabled:
-                # Fresh runs already wrote config.trace_path during
-                # run(); resumed campaigns carry no CLI-supplied
-                # trace_path, so write explicitly.  Rewriting is
-                # idempotent.
                 count = campaign.write_trace(trace_out)
                 if not quiet:
                     print(f"# wrote trace: {count} events to {trace_out}")
@@ -604,76 +585,21 @@ def _write_observability(campaign, trace_out, metrics_out,
 def _run_serve_command(args) -> int:
     import signal
 
-    backend = None
-    if args.backend == "sqlite":
-        if args.state_file is None:
-            print("error: --backend sqlite requires --state-file",
-                  file=sys.stderr)
-            return 2
-        backend = SQLiteBackend(args.state_file)
-    if args.resume:
-        if backend is None:
-            print("error: --resume requires --backend sqlite --state-file",
-                  file=sys.stderr)
-            return 2
-        campaign = Campaign.resume(backend)
-        if campaign.config.ingestion != "async":
-            print(
-                "error: checkpointed campaign was opened with "
-                "ingestion='sync'; serving requires the async intake",
-                file=sys.stderr,
-            )
-            campaign.close()
-            return 2
-    else:
-        if args.budget is None:
-            print("error: --budget is required (omit it only with "
-                  "--resume, which restores it from the checkpoint)",
-                  file=sys.stderr)
-            return 2
-        if backend is not None and backend.exists():
-            print(
-                f"error: {args.state_file} already holds a campaign "
-                "checkpoint; pass --resume to continue it, or point "
-                "--state-file at a new file",
-                file=sys.stderr,
-            )
-            return 2
-        rng = np.random.default_rng(args.seed)
-        if args.pool is not None:
-            pool = load_pool_csv(args.pool)
-        else:
-            pool = generate_pool(
-                SyntheticPoolConfig(
-                    num_workers=args.num_workers, quality_ceiling=0.95
-                ),
-                rng,
-            )
-        telemetry = args.telemetry
-        if telemetry is None:
-            telemetry = (
-                "on" if (args.trace_out or args.metrics_out) else "off"
-            )
-        config = CampaignConfig(
-            budget=args.budget,
-            capacity=args.capacity,
-            batch_size=args.batch_size,
-            frontier_pool_size=args.frontier_pool_size or 10,
-            alpha=args.alpha,
-            confidence_target=args.confidence,
-            checkpoint_every=args.checkpoint_every,
-            ingestion="async",
-            telemetry=telemetry,
-            metrics_interval=args.metrics_interval or 1.0,
-            vote_source=args.vote_source,
-            seed=args.seed,
-            num_shards=args.num_shards,
-            coordinate_path=args.coordinate,
-            lease_ttl=args.lease_ttl,
-            serve_host=args.host if args.host is not None else "127.0.0.1",
-            serve_port=args.port if args.port is not None else 8765,
+    campaign, backend, _ = _open_campaign(
+        args,
+        required=("budget", "expected_tasks"),
+        expected_tasks=args.expected_tasks,
+        ingestion="async",
+        vote_source=args.vote_source,
+        serve_host=args.host if args.host is not None else "127.0.0.1",
+        serve_port=args.port if args.port is not None else 8765,
+    )
+    if campaign.config.ingestion != "async":
+        campaign.close()
+        raise _UsageError(
+            "the campaign was opened with ingestion='sync'; serving "
+            "requires the async intake"
         )
-        campaign = Campaign.open(pool, config, backend=backend)
 
     server = CampaignServer(campaign, host=args.host, port=args.port)
 
@@ -723,16 +649,7 @@ def _run_serve_command(args) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         _write_observability(campaign, args.trace_out, args.metrics_out)
-    if not campaign.done:
-        note = (
-            "checkpointed; rerun with --resume to continue"
-            if backend is not None
-            else "memory backend: paused state dies with this process"
-        )
-        print(f"# paused at {metrics.completed} completed tasks ({note})")
-    print(metrics.render(budget=campaign.config.budget))
-    campaign.close()
-    return 0
+    return _report(campaign, backend, metrics)
 
 
 def _run_trace_summarize(args) -> int:

@@ -8,7 +8,7 @@ of member qualities (plus ``alpha`` and the bucket resolution), not on
 worker identity or order, so one cache per shard keyed on the
 canonically sorted quality vector collapses all of that repeated work.
 
-Two key modes:
+Three key modes:
 
 * ``quantization=None`` — keys are the exact sorted qualities.  A hit
   returns the **bitwise-identical** value the uncached objective would
@@ -21,6 +21,9 @@ Two key modes:
   (the bucket estimator itself discretizes log-odds far more coarsely
   at the default 50 buckets) for a much higher hit rate once
   re-estimation makes qualities drift continuously.
+* ``quantization="auto"`` (the default) — the ``quantization=k`` grid
+  with ``k`` derived from the bucket resolution by
+  :func:`adaptive_quantization` (200 steps at the default 50 buckets).
 
 ``bench_engine_throughput`` measures the hit rate and speedup under
 simulated load.

@@ -221,7 +221,6 @@ class Campaign:
             self._ingest = AsyncIngestLoop(
                 self._engine,
                 max_pending=self._config.ingest_max_pending,
-                grace=self._config.ingest_grace,
                 producer_quota=self._config.ingest_producer_quota,
             )
 
@@ -352,15 +351,14 @@ class Campaign:
         Under ``ingestion="async"`` the same contract is served through
         the intake loop: live submissions from other threads are folded
         in as they arrive, and ``until=None`` finishes once the queue
-        and the intake have both quiesced (after an ``ingest_grace``
-        straggler window).
+        and the intake have both quiesced (after a short straggler
+        window, :class:`~repro.engine.ingest.AsyncIngestLoop`'s
+        ``grace``).
         """
         self._require_open()
         engine = self._engine
         if self._ingest is not None:
-            metrics = self._ingest.run(until)
-            self._write_configured_trace()
-            return metrics
+            return self._ingest.run(until)
         engine._start()
         start = time.perf_counter()
         while engine._queue and (
@@ -383,16 +381,7 @@ class Campaign:
             # fingerprints are untouched.
             engine._collect_stats()
         engine.metrics.wall_seconds += time.perf_counter() - start
-        self._write_configured_trace()
         return engine.metrics
-
-    def _write_configured_trace(self) -> None:
-        """Honor ``config.trace_path`` after every run (cumulative: the
-        hub keeps its ring buffers across pauses, so the last write
-        carries the fullest trace)."""
-        path = self._config.trace_path
-        if path and self._engine.telemetry.enabled:
-            self._engine.telemetry.write_trace(path)
 
     def serve(
         self,
@@ -405,20 +394,38 @@ class Campaign:
         """Serve-forever daemon mode (requires ``ingestion="async"``).
 
         Blocks the calling thread, idling indefinitely for live traffic
-        — unlike :meth:`run`, which concludes after one quiet
-        ``ingest_grace`` window.  Exits by finalizing once the intake
-        is closed and everything quiesced, or by *pausing* (checkpoint
-        and :meth:`resume` later) once ``stop`` — a
-        ``threading.Event`` — is set.  See
-        :meth:`AsyncIngestLoop.serve` for the hook parameters; the
-        HTTP layer (:class:`~repro.engine.server.CampaignServer`)
-        drives vote delivery and admin commands through them.
+        — unlike :meth:`run`, which concludes after one quiet straggler
+        window.  Exits by finalizing once the intake is closed and
+        everything quiesced, or by *pausing* (checkpoint and
+        :meth:`resume` later) once ``stop`` — a ``threading.Event`` —
+        is set.  See :meth:`AsyncIngestLoop.serve` for the hook
+        parameters; the HTTP layer
+        (:class:`~repro.engine.server.CampaignServer`) drives vote
+        delivery and admin commands through them.
+
+        Raises :class:`ValueError` when a fresh campaign has no
+        ``expected_tasks`` and nothing was submitted yet: the budget
+        pacing baseline is fixed when serving starts.
         """
         self._require_serving()
         if self._ingest is None:
             raise RuntimeError(
                 "serve() requires ingestion='async' "
                 "(CampaignConfig(ingestion='async'))"
+            )
+        engine = self._engine
+        if (
+            engine.scheduler is None
+            and self._config.expected_tasks is None
+            and not engine._queue
+            and not self._ingest.intake.pending
+        ):
+            # With no task in sight the baseline would be 1 task, and
+            # the first round would be granted the whole budget.
+            raise ValueError(
+                "serve() needs CampaignConfig(expected_tasks=...) when no "
+                "task was submitted before serving starts (budget pacing "
+                "spreads the budget over the expected tasks)"
             )
         if self._coordinator is not None:
             # A coordinated engine must renew its seat leases well
@@ -454,15 +461,13 @@ class Campaign:
                 if not caller_interval
                 else min(renew_every, caller_interval)
             )
-        metrics = self._ingest.serve(
+        return self._ingest.serve(
             stop=stop,
             poll=poll,
             drain_hook=drain_hook,
             tick=tick,
             tick_interval=tick_interval,
         )
-        self._write_configured_trace()
-        return metrics
 
     def close_intake(self) -> None:
         """Stop accepting task submissions (idempotent).  The

@@ -1,7 +1,7 @@
 """One configuration for a campaign's whole serving stack.
 
-:class:`CampaignConfig` holds every engine, cache, routing, rebalancing,
-serving and coordination knob in one frozen dataclass, validated in one
+:class:`CampaignConfig` holds every engine, cache, sharding, serving
+and coordination knob in one frozen dataclass, validated in one
 place.  Shard count is an ordinary field: every campaign serves
 through a :class:`~repro.engine.sharding.ShardedScheduler` of
 ``num_shards`` shards (one by default) under its one budget allocator.
@@ -18,18 +18,39 @@ from typing import Mapping
 
 from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 
-#: Fields of retired modes that checkpoints written before their removal
-#: still carry.  Every one was pinned fingerprint-neutral, so
-#: :meth:`CampaignConfig.from_dict` drops them without changing any
-#: decision.
+#: Retired fields that checkpoints written before their removal still
+#: carry and that never shaped a decision (the retired modes were pinned
+#: fingerprint-neutral; ``ingest_grace`` and ``trace_path`` only shaped
+#: wall-clock waiting and output).  :meth:`CampaignConfig.from_dict`
+#: drops them whatever their value.
 _RETIRED_FIELDS = frozenset(
-    {"jq_kernel", "vote_fanout", "parallel_shards", "dispatch"}
+    {
+        "jq_kernel",
+        "vote_fanout",
+        "parallel_shards",
+        "dispatch",
+        "ingest_grace",
+        "trace_path",
+    }
 )
 
-#: The only routing rule left (a stable id hash).  Checkpoints written
-#: while ``routing_policy`` was a field carry it; any other stored policy
-#: routed tasks differently, so its decisions cannot be replayed.
-_ROUTING_POLICY = "hash"
+
+def _retired_constants() -> dict:
+    """Retired decision-affecting fields and the constant each became.
+    A checkpoint may carry one only at that value: any other value made
+    decisions a resumed campaign cannot replay."""
+    from .engine import VOTE_LATENCY
+    from .sharding import REBALANCE_MAX_MOVES, REBALANCE_THRESHOLD
+    from .state import REESTIMATE_RATE
+
+    return {
+        "routing_policy": "hash",
+        "reestimate_method": "one-coin",
+        "reestimate_rate": REESTIMATE_RATE,
+        "vote_latency": VOTE_LATENCY,
+        "rebalance_threshold": REBALANCE_THRESHOLD,
+        "rebalance_max_moves": REBALANCE_MAX_MOVES,
+    }
 
 
 @dataclass(frozen=True)
@@ -42,7 +63,10 @@ class CampaignConfig:
         Total campaign budget across all tasks.
     expected_tasks:
         Expected campaign size, for budget pacing.  ``None`` means "the
-        tasks submitted before the campaign first runs".
+        tasks submitted before the campaign first runs", so a campaign
+        that starts serving before any task arrives must set it
+        (:meth:`~repro.engine.campaign.Campaign.serve` refuses to start
+        otherwise).
     capacity:
         Max concurrent jury seats per worker.
     batch_size:
@@ -70,16 +94,12 @@ class CampaignConfig:
     reestimate_every:
         Re-fit worker qualities after every N completed tasks
         (0 disables).
-    reestimate_method / reestimate_rate:
-        Forwarded to :meth:`WorkerRegistry.reestimate`.
     checkpoint_every:
         Under the :class:`~repro.engine.campaign.Campaign` facade,
         checkpoint the campaign to its backend after every N completed
         tasks (0 disables) — bounds data loss on long runs without
         manual :meth:`~repro.engine.campaign.Campaign.checkpoint`
         calls.  Ignored by the bare engine (no backend to write to).
-    vote_latency:
-        Logical ticks between consecutive jurors' votes.
     ingestion:
         ``"sync"`` (default) is the classic pre-loaded event loop;
         ``"async"`` serves through a thread-safe
@@ -94,10 +114,6 @@ class CampaignConfig:
     ingest_max_pending:
         Async backpressure bound: producers block once this many
         submitted tasks await intake draining.
-    ingest_grace:
-        Async coalescing deadline (seconds): how long an idle serving
-        loop waits for straggler producers before finishing (or
-        returning from a paused run).
     ingest_producer_quota:
         Per-producer share of ``ingest_max_pending`` a single named
         producer may occupy (a fraction in ``(0, 1]``; 0 disables).
@@ -111,10 +127,6 @@ class CampaignConfig:
         histograms, event trace, profiling spans).  Telemetry only
         *observes* — decisions, RNG draws, and fingerprints are
         byte-identical either way (pinned by the telemetry suite).
-    trace_path:
-        Under the Campaign facade, write a Chrome trace-event JSON file
-        here after every ``run()`` (requires ``telemetry="on"``; open it
-        in Perfetto).  Ignored by the bare engine.
     metrics_interval:
         Width (seconds) of the windowed intake/throughput rate buckets
         in the telemetry snapshot.
@@ -134,12 +146,6 @@ class CampaignConfig:
     num_shards:
         Number of shards (>= 1; at most the pool size).  Tasks route to
         shards by a stable hash of their id.
-    rebalance_threshold:
-        Migrate idle workers when the gap between the most- and
-        least-utilised shard's seat ratio exceeds this (``1.0``
-        effectively disables rebalancing — the gap never exceeds 1).
-    rebalance_max_moves:
-        Max workers migrated per scheduling round (0 disables).
     serve_host / serve_port:
         Bind address of ``repro serve`` /
         :class:`~repro.engine.server.CampaignServer`.
@@ -164,25 +170,18 @@ class CampaignConfig:
     cache_max_entries: int | None = None
     frontier_pool_size: int = 10
     reestimate_every: int = 0
-    reestimate_method: str = "one-coin"
-    reestimate_rate: float = 0.3
     checkpoint_every: int = 0
-    vote_latency: float = 1.0
     ingestion: str = "sync"
     parallel_shards: InitVar[int] = 0
     dispatch: InitVar[str] = "threads"
     ingest_max_pending: int = 10_000
-    ingest_grace: float = 0.05
     ingest_producer_quota: float = 0.0
     telemetry: str = "off"
-    trace_path: str | None = None
     metrics_interval: float = 1.0
     vote_source: str = "simulated"
     seed: int | None = None
-    # -- sharding / rebalancing ----------------------------------------
+    # -- sharding ------------------------------------------------------
     num_shards: int = 1
-    rebalance_threshold: float = 0.25
-    rebalance_max_moves: int = 2
     # -- network serving (repro serve / CampaignServer) ----------------
     serve_host: str = "127.0.0.1"
     serve_port: int = 8765
@@ -199,8 +198,6 @@ class CampaignConfig:
             raise ValueError("reestimate_every must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.vote_latency <= 0:
-            raise ValueError("vote_latency must be positive")
         if self.ingestion not in ("sync", "async"):
             raise ValueError("ingestion must be 'sync' or 'async'")
         if parallel_shards != 0 or dispatch != "threads":
@@ -211,8 +208,6 @@ class CampaignConfig:
             )
         if self.ingest_max_pending < 1:
             raise ValueError("ingest_max_pending must be >= 1")
-        if isinstance(self.ingest_grace, str) or self.ingest_grace <= 0:
-            raise ValueError("ingest_grace must be positive (seconds)")
         if not 0.0 <= self.ingest_producer_quota <= 1.0:
             raise ValueError(
                 "ingest_producer_quota must lie in [0, 1] (0 disables)"
@@ -235,10 +230,6 @@ class CampaignConfig:
         validate_prior(self.alpha)
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if not 0.0 < self.rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must lie in (0, 1]")
-        if self.rebalance_max_moves < 0:
-            raise ValueError("rebalance_max_moves must be >= 0")
         if not 0 <= self.serve_port <= 65535:
             raise ValueError("serve_port must lie in [0, 65535]")
         if self.lease_ttl <= 0:
@@ -252,20 +243,18 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, state: Mapping) -> "CampaignConfig":
-        """Rebuild a stored config.  Retired fields are dropped (each
-        was fingerprint-neutral); a stored ``routing_policy`` must be
-        the hash rule that stayed; a stored ``ingest_grace="auto"``
-        resumes as the default fixed grace (the grace only shapes
-        wall-clock waiting, never a decision)."""
+        """Rebuild a stored config.  Retired fields that never shaped a
+        decision are dropped; a retired decision-affecting field must
+        hold the constant that replaced it, or this raises
+        :class:`ValueError` naming the field."""
         state = dict(state)
-        policy = state.pop("routing_policy", _ROUTING_POLICY)
-        if policy != _ROUTING_POLICY:
-            raise ValueError(
-                f"stored routing_policy {policy!r} is retired; only "
-                f"{_ROUTING_POLICY!r} routing can be resumed"
-            )
-        if state.get("ingest_grace") == "auto":
-            del state["ingest_grace"]
+        for name, constant in _retired_constants().items():
+            value = state.pop(name, constant)
+            if value != constant:
+                raise ValueError(
+                    f"stored {name}={value!r} is retired; only "
+                    f"{name}={constant!r} can be resumed"
+                )
         known = {f.name for f in fields(cls)}
         unknown = set(state) - known - _RETIRED_FIELDS
         if unknown:

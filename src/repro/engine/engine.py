@@ -58,6 +58,9 @@ from .sharding import ShardedScheduler
 from .state import WorkerRegistry, informativeness_key
 from .telemetry import NULL_TELEMETRY, Telemetry
 
+#: Logical ticks between consecutive jurors' simulated votes.
+VOTE_LATENCY = 1.0
+
 
 @dataclass
 class _TaskRuntime:
@@ -361,7 +364,7 @@ class CampaignEngine:
         for k, worker in enumerate(jurors):
             self._queue.push(
                 VoteArrival(
-                    self._clock + (k + 1) * self.config.vote_latency,
+                    self._clock + (k + 1) * VOTE_LATENCY,
                     task.task_id,
                     worker.worker_id,
                 )
@@ -482,10 +485,7 @@ class CampaignEngine:
         every = self.config.reestimate_every
         if every and self.metrics.completed % every == 0:
             with self.telemetry.span("reestimate"):
-                self.registry.reestimate(
-                    method=self.config.reestimate_method,
-                    learning_rate=self.config.reestimate_rate,
-                )
+                self.registry.reestimate()
             self.telemetry.event(
                 "re-estimation", passes=self.registry.reestimations
             )

@@ -575,7 +575,7 @@ class AsyncIngestLoop:
         interleave: InterleavingSchedule | None = None,
         producer_quota: float = 0.0,
     ) -> None:
-        if isinstance(grace, str) or grace <= 0:
+        if grace <= 0:
             raise ValueError(f"grace must be positive, got {grace!r}")
         self.engine = engine
         self.grace = grace

@@ -65,6 +65,12 @@ from .telemetry import NULL_TELEMETRY
 #: donate.
 MIN_SHARD_MEMBERS = 2
 
+#: Rebalancing migrates idle workers from the least- to the most-utilised
+#: shard once their seat-ratio gap exceeds ``REBALANCE_THRESHOLD``, at
+#: most ``REBALANCE_MAX_MOVES`` workers per scheduling round.
+REBALANCE_THRESHOLD = 0.25
+REBALANCE_MAX_MOVES = 2
+
 
 def pro_rata_round_budget(
     budget: float,
@@ -468,7 +474,6 @@ class ShardedScheduler:
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.registry = registry
-        self.config = config
         self.telemetry = telemetry
         self.allocator = BudgetAllocator(config.budget, expected_tasks)
         self.shards: list[Shard] = []
@@ -617,16 +622,16 @@ class ShardedScheduler:
     # ------------------------------------------------------------------
     def rebalance(self) -> int:
         """Migrate idle workers from the least- to the most-utilised
-        shard when seat-load skew exceeds the configured threshold.
+        shard when seat-load skew exceeds :data:`REBALANCE_THRESHOLD`.
         Returns the number of workers moved."""
-        if len(self.shards) < 2 or self.config.rebalance_max_moves == 0:
+        if len(self.shards) < 2:
             return 0
         by_ratio = sorted(
             self.shards, key=lambda s: (s.view.load_ratio, s.shard_id)
         )
         donor, needy = by_ratio[0], by_ratio[-1]
         skew = needy.view.load_ratio - donor.view.load_ratio
-        if skew <= self.config.rebalance_threshold:
+        if skew <= REBALANCE_THRESHOLD:
             return 0
         idle = sorted(
             (s for s in donor.view.states if s.load == 0),
@@ -634,7 +639,7 @@ class ShardedScheduler:
         )
         moved = 0
         for state in idle:
-            if moved >= self.config.rebalance_max_moves:
+            if moved >= REBALANCE_MAX_MOVES:
                 break
             if len(donor.view) <= MIN_SHARD_MEMBERS:
                 break

@@ -10,10 +10,9 @@ source of truth for all of that:
 * per-worker **capacity** (max concurrent jury seats) and live load;
 * per-worker **spend** (what the campaign has paid them) and vote
   history, accumulated into an :class:`~repro.estimation.AnswerMatrix`;
-* **quality re-estimation hooks** into :func:`repro.estimation.one_coin_em`
-  and :func:`repro.estimation.dawid_skene`: periodically re-fit
-  qualities from the streamed votes and blend them into the registry's
-  working estimates.
+* **quality re-estimation** through :func:`repro.estimation.one_coin_em`:
+  periodically re-fit qualities from the streamed votes and blend them
+  into the registry's working estimates.
 
 The registry deliberately separates *true* quality (the simulator's
 vote-generating parameter, unknown in production) from *estimated*
@@ -33,12 +32,15 @@ import numpy as np
 
 from ..core.exceptions import ReproError
 from ..core.worker import Worker, WorkerPool
-from ..estimation import AnswerMatrix, dawid_skene, one_coin_em
+from ..estimation import AnswerMatrix, one_coin_em
 from ..quality.bucket import log_odds
 
 #: Estimated qualities are clamped inside (0, 1) so Bayesian updates
 #: never saturate and EM never locks in.
 _QUALITY_CLAMP = 0.02
+
+#: How far one re-estimation pass moves each estimate toward its EM fit.
+REESTIMATE_RATE = 0.3
 
 #: Lock stripes guarding seat assignment/release: ``assign``/``release``
 #: serialize per worker through a sharded lock map: worker id -> one of
@@ -297,16 +299,13 @@ class WorkerRegistry:
     # ------------------------------------------------------------------
     def reestimate(
         self,
-        method: str = "one-coin",
-        learning_rate: float = 0.3,
+        learning_rate: float = REESTIMATE_RATE,
         min_votes: int = 3,
     ) -> dict[str, float]:
         """Re-fit worker qualities from the streamed votes and blend.
 
-        Runs EM (:func:`one_coin_em` for ``"one-coin"``,
-        :func:`dawid_skene` for ``"dawid-skene"``, whose confusion
-        matrix is collapsed to the prior-weighted diagonal) over the
-        accumulated answer matrix, then moves each worker's estimate
+        Runs :func:`one_coin_em` over the accumulated answer matrix,
+        then moves each worker's estimate
 
             q  <-  (1 - learning_rate) * q + learning_rate * q_hat
 
@@ -321,21 +320,7 @@ class WorkerRegistry:
             raise ValueError("learning_rate must lie in (0, 1]")
         if self.answers.num_answers == 0:
             return {}
-        if method == "one-coin":
-            fitted = one_coin_em(self.answers).qualities
-        elif method == "dawid-skene":
-            result = dawid_skene(self.answers)
-            fitted = {
-                worker_id: float(
-                    np.dot(result.class_prior, np.diag(cm.matrix))
-                )
-                for worker_id, cm in result.confusions.items()
-            }
-        else:
-            raise ValueError(
-                f"unknown re-estimation method {method!r} "
-                "(expected 'one-coin' or 'dawid-skene')"
-            )
+        fitted = one_coin_em(self.answers).qualities
         counts = self.answers.participation_counts()
         updated: dict[str, float] = {}
         for worker_id, q_hat in fitted.items():

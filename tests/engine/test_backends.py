@@ -363,7 +363,7 @@ class TestJournalEquivalence:
         resumed.checkpoint()
         whole = make_backend(kind, tmp_path / "whole.db")
         full_save(resumed, whole)
-        assert backend.load() == whole.load()
+        assert loaded(backend) == loaded(whole)
 
 
 class TestJournalTails:
@@ -465,7 +465,7 @@ class TestFailedSave:
         campaign.checkpoint()  # re-sends the same tails
         whole = SQLiteBackend(tmp_path / "whole.db")
         full_save(campaign, whole)
-        assert backend.load() == whole.load()
+        assert loaded(backend) == loaded(whole)
 
     @pytest.mark.parametrize("kind", ["memory", "sqlite"])
     def test_a_tail_that_leaves_a_gap_is_refused(self, kind, tmp_path):

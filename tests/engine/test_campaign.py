@@ -1,6 +1,8 @@
 """The Campaign facade: lifecycle, unified config, resumable stepping,
 equivalence with the bare engine it drives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ from repro.engine import (
     ShardedScheduler,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
+
+#: Config fields retired because no caller set them.
+RETIRED_FIELDS = {
+    "reestimate_method",
+    "reestimate_rate",
+    "vote_latency",
+    "rebalance_threshold",
+    "rebalance_max_moves",
+    "ingest_grace",
+    "trace_path",
+}
 
 
 def make_pool(num_workers=24, seed=1):
@@ -58,14 +71,12 @@ class TestCampaignConfig:
 
     def test_sharding_view(self):
         """``num_shards`` sets the shard count of the one scheduler
-        every campaign serves through; the sharding fields reach it
-        unchanged."""
-        campaign = make_campaign(num_shards=4, rebalance_max_moves=3)
+        every campaign serves through."""
+        campaign = make_campaign(num_shards=4)
         campaign.run(until=1)
         scheduler = campaign.engine.scheduler
         assert isinstance(scheduler, ShardedScheduler)
         assert len(scheduler.shards) == 4
-        assert scheduler.config.rebalance_max_moves == 3
         single = make_campaign()
         single.run(until=1)
         assert isinstance(single.engine.scheduler, ShardedScheduler)
@@ -89,15 +100,12 @@ class TestCampaignConfig:
         ("batch_size", 0, "batch_size"),
         ("reestimate_every", -1, "reestimate_every"),
         ("checkpoint_every", -1, "checkpoint_every"),
-        ("vote_latency", 0.0, "vote_latency"),
         ("ingestion", "batch", "ingestion"),
         ("parallel_shards", -1, "parallel_shards"),
         ("parallel_shards", 1, "parallel_shards"),
         ("dispatch", "fork", "dispatch"),
         ("dispatch", "processes", "dispatch"),
         ("ingest_max_pending", 0, "ingest_max_pending"),
-        ("ingest_grace", 0.0, "ingest_grace"),
-        ("ingest_grace", "soon", "ingest_grace"),
         ("ingest_producer_quota", 1.5, "ingest_producer_quota"),
         ("telemetry", "verbose", "telemetry"),
         ("metrics_interval", 0.0, "metrics_interval"),
@@ -107,8 +115,6 @@ class TestCampaignConfig:
         ("quantization", 0, "quantization"),
         ("alpha", 1.5, "prior alpha"),
         ("num_shards", 0, "num_shards"),
-        ("rebalance_threshold", 0.0, "rebalance_threshold"),
-        ("rebalance_max_moves", -1, "rebalance_max_moves"),
         ("serve_port", 70000, "serve_port"),
         ("lease_ttl", 0.0, "lease_ttl"),
     ])
@@ -151,6 +157,15 @@ class TestCampaignConfig:
         for policy in ("least-loaded", "quality-balanced"):
             with pytest.raises(ValueError, match=policy):
                 CampaignConfig.from_dict({**stored, "routing_policy": policy})
+
+    @pytest.mark.parametrize("field", sorted(RETIRED_FIELDS))
+    def test_retired_fields_are_gone(self, field):
+        """Seven fields no caller set became constants or were
+        deleted; the config keeps 24 stored fields."""
+        assert len(dataclasses.fields(CampaignConfig)) == 24
+        assert field not in CampaignConfig(budget=1.0).to_dict()
+        with pytest.raises(TypeError, match=field):
+            CampaignConfig(budget=1.0, **{field: 1})
 
 
 class TestFacadeEquivalence:

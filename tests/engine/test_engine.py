@@ -170,8 +170,6 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, batch_size=0)
         with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, vote_latency=0.0)
-        with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, confidence_target=0.3)
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, confidence_target=1.1)

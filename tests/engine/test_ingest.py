@@ -385,8 +385,6 @@ def test_async_campaign_validates_config():
         CampaignConfig(budget=1.0, ingestion="bogus")
     with pytest.raises(ValueError, match="ingest_max_pending"):
         CampaignConfig(budget=1.0, ingest_max_pending=0)
-    with pytest.raises(ValueError, match="ingest_grace"):
-        CampaignConfig(budget=1.0, ingest_grace=0.0)
 
 
 def test_async_facade_campaign_round_trip(tmp_path):
@@ -422,21 +420,7 @@ def test_async_facade_campaign_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # Intake grace
 # ----------------------------------------------------------------------
-def test_fixed_grace_still_validates():
-    with pytest.raises(ValueError, match="grace"):
-        CampaignConfig(budget=5.0, ingest_grace="adaptive")
-    with pytest.raises(ValueError, match="grace"):
-        CampaignConfig(budget=5.0, ingest_grace="auto")
-    with pytest.raises(ValueError, match="grace"):
-        CampaignConfig(budget=5.0, ingest_grace=0.0)
-
-
-def test_stored_auto_grace_resumes_as_the_default():
-    """``ingest_grace="auto"`` is retired; a config stored with it comes
-    back with the fixed default (grace only shapes wall-clock waiting,
-    never a decision)."""
-    stored = CampaignConfig(budget=5.0, ingestion="async").to_dict()
-    stored["ingest_grace"] = "auto"
-    restored = CampaignConfig.from_dict(stored)
-    assert restored.ingest_grace == 0.05
-    assert restored == CampaignConfig(budget=5.0, ingestion="async")
+def test_grace_must_be_positive():
+    for grace in (0.0, -1.0):
+        with pytest.raises(ValueError, match="grace"):
+            AsyncIngestLoop(_engine(), grace=grace)

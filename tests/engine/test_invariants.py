@@ -45,6 +45,7 @@ from repro.engine import (
     MemoryBackend,
     SQLiteBackend,
 )
+from repro.engine import sharding
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
 EPS = 1e-9
@@ -135,7 +136,6 @@ def build_campaign(
     num_tasks=60,
     checked=True,
     reestimate_every=0,
-    rebalance_threshold=0.25,
 ):
     rng = np.random.default_rng(seed)
     pool = generate_pool(
@@ -151,7 +151,6 @@ def build_campaign(
         confidence_target=0.95,
         reestimate_every=reestimate_every,
         seed=seed,
-        rebalance_threshold=rebalance_threshold,
     )
     truths = rng.integers(0, 2, size=num_tasks)
     engine.submit(
@@ -393,12 +392,11 @@ def test_facade_matches_legacy_engines():
     )
 
 
-def test_rebalancing_campaign_migrates_and_conserves():
+def test_rebalancing_campaign_migrates_and_conserves(monkeypatch):
     """A hash-routed campaign on a skewed pool should trigger idle
     migrations; all laws must survive workers changing shards."""
-    engine = build_campaign(
-        11, 48, 4, num_tasks=120, rebalance_threshold=0.05
-    )
+    monkeypatch.setattr(sharding, "REBALANCE_THRESHOLD", 0.05)
+    engine = build_campaign(11, 48, 4, num_tasks=120)
     metrics = engine.run()
     final_laws(engine, metrics)
     assert engine.scheduler.migrations > 0
@@ -419,7 +417,6 @@ def build_async_loop(
     interleave=None,
     max_pending=10_000,
     expected_tasks=None,
-    rebalance_threshold=0.25,
     grace=0.05,
     telemetry="off",
 ):
@@ -444,7 +441,6 @@ def build_async_loop(
         ingestion="async",
         telemetry=telemetry,
         seed=seed,
-        rebalance_threshold=rebalance_threshold,
     )
     truths = rng.integers(0, 2, size=num_tasks)
     tasks = [
@@ -603,16 +599,16 @@ def test_scripted_submission_interleavings_match_sync(seed):
     assert async_fp == sync_fp
 
 
-def test_async_rebalance_under_interleaved_load():
+def test_async_rebalance_under_interleaved_load(monkeypatch):
     """Shard rebalancing triggered while interleaved intake is live:
     migrations must happen and every law must survive workers changing
     shards mid-traffic."""
+    monkeypatch.setattr(sharding, "REBALANCE_THRESHOLD", 0.05)
     loop, tasks = build_async_loop(
         11,
         48,
         4,
         num_tasks=120,
-        rebalance_threshold=0.05,
         interleave=InterleavingSchedule(11),
         expected_tasks=120,
     )

@@ -10,6 +10,8 @@ fingerprint-identical to an uninterrupted run.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,21 @@ from repro.engine.metrics import TaskRecord
 from repro.engine.scheduler import MAX_FRONTIER_MEMO, CampaignScheduler
 from repro.engine.state import WorkerRegistry
 from repro.simulation import SyntheticPoolConfig, generate_pool
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Every retired config field a stored checkpoint may still carry, at
+#: the default it had while it was a field.
+RETIRED_DEFAULTS = {
+    "routing_policy": "hash",
+    "reestimate_method": "one-coin",
+    "reestimate_rate": 0.3,
+    "vote_latency": 1.0,
+    "rebalance_threshold": 0.25,
+    "rebalance_max_moves": 2,
+    "ingest_grace": 0.05,
+    "trace_path": None,
+}
 
 
 def make_pool(num_workers=24, seed=1):
@@ -219,40 +236,79 @@ class TestRetiredConfigFields:
         assert resumed.metrics.completed >= 50
         assert resumed.run().fingerprint() == reference
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_stored_hash_routing_and_auto_grace_resume_identically(
-        self, num_shards
-    ):
-        """Checkpoints written while ``routing_policy`` and
-        ``ingest_grace="auto"`` existed carry them.  Hash was the
-        default policy and the one that stayed; the grace only shaped
-        wall-clock waiting.  Both resume onto the uninterrupted run."""
-        reference = make_campaign(num_shards=num_shards).run().fingerprint()
-
+    @staticmethod
+    def resume_with(config_fields, num_shards=3):
+        """Pause a campaign, store ``config_fields`` into its saved
+        config, and resume it."""
         backend = MemoryBackend()
         campaign = make_campaign(backend=backend, num_shards=num_shards)
         campaign.run(until=50)
         campaign.checkpoint()
         snapshot = backend.load()
-        snapshot["campaign"]["config"].update(
-            routing_policy="hash", ingest_grace="auto"
-        )
+        snapshot["campaign"]["config"].update(config_fields)
         backend.save(snapshot)
+        return Campaign.resume(backend)
 
-        resumed = Campaign.resume(backend)
-        assert resumed.config.ingest_grace == 0.05
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("field", sorted(RETIRED_DEFAULTS))
+    def test_retired_field_at_its_old_default_resumes_identically(
+        self, field, num_shards
+    ):
+        """Checkpoints written while these were config fields carry them
+        at their defaults.  Each decision-affecting default is the value
+        its constant kept; the intake grace and the trace path never
+        shaped a decision.  Either way resume lands on the
+        uninterrupted run."""
+        reference = make_campaign(num_shards=num_shards).run().fingerprint()
+        resumed = self.resume_with(
+            {field: RETIRED_DEFAULTS[field]}, num_shards
+        )
+        assert not hasattr(resumed.config, field)
         assert resumed.run().fingerprint() == reference
 
-    def test_stored_retired_routing_policy_refuses_to_resume(self):
+    @pytest.mark.parametrize("field,value", [
+        ("routing_policy", "least-loaded"),
+        ("reestimate_method", "dawid-skene"),
+        ("reestimate_rate", 0.5),
+        ("vote_latency", 2.0),
+        ("rebalance_threshold", 0.1),
+        ("rebalance_max_moves", 0),
+    ])
+    def test_retired_decision_field_off_its_constant_refuses_to_resume(
+        self, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            self.resume_with({field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("ingest_grace", "auto"),
+        ("ingest_grace", 2.5),
+        ("trace_path", "campaign-trace.json"),
+    ])
+    def test_wall_clock_and_output_fields_drop_at_any_value(
+        self, field, value
+    ):
+        reference = make_campaign(num_shards=3).run().fingerprint()
+        resumed = self.resume_with({field: value})
+        assert resumed.run().fingerprint() == reference
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_fixtures_carry_every_retired_field_at_its_default(
+        self, version
+    ):
+        """The committed v1/v2 checkpoints (whose resume is pinned in
+        ``test_backends.py``) were written with all seven fields."""
+        snapshot = json.loads(
+            (FIXTURES / f"v{version}_checkpoint.json").read_text()
+        )
+        config = snapshot["campaign"]["config"]
+        for field, default in RETIRED_DEFAULTS.items():
+            assert config[field] == default, field
         backend = MemoryBackend()
-        campaign = make_campaign(backend=backend, num_shards=3)
-        campaign.run(until=10)
-        campaign.checkpoint()
-        snapshot = backend.load()
-        snapshot["campaign"]["config"]["routing_policy"] = "least-loaded"
         backend.save(snapshot)
-        with pytest.raises(ValueError, match="least-loaded"):
-            Campaign.resume(backend)
+        resumed = Campaign.resume(backend)
+        resumed.run()
+        assert resumed.done
 
     def test_other_unknown_fields_still_refuse_to_resume(self):
         backend = MemoryBackend()

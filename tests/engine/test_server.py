@@ -70,7 +70,9 @@ def make_config(**overrides):
         seed=7,
         ingestion="async",
         vote_source="external",
-        ingest_grace=0.02,
+        # Live serving starts before any task is POSTed, so the
+        # pacing baseline cannot come from the submitted tasks.
+        expected_tasks=10,
     )
     defaults.update(overrides)
     return CampaignConfig(**defaults)
@@ -294,6 +296,39 @@ class TestFingerprintParity:
         assert http_metrics.votes_cast == sync_metrics.votes_cast
         assert http_metrics.votes_cancelled == sync_metrics.votes_cancelled
         assert http_fp == sync_fp
+
+    def test_binding_budget_http_fleet_matches_in_process(self):
+        """A budget that binds makes pacing decide which juries are
+        funded, so the served campaign (started before any task is
+        POSTed) must pace over ``expected_tasks`` exactly like the
+        in-process one paces over its submitted tasks."""
+        tasks = make_tasks(num_tasks=12)
+        budget = 1.2
+        served = make_config(budget=budget, expected_tasks=len(tasks))
+        http_fp, http_metrics = run_http_campaign(served, None, tasks)
+        sync_fp, sync_metrics = run_in_process_campaign(
+            make_config(budget=budget, expected_tasks=None), None, tasks
+        )
+        allocator = http_metrics.allocator_snapshot
+        assert allocator.reserved - allocator.refunded > 0.8 * budget
+        assert http_metrics.completed == len(tasks)
+        assert http_metrics.votes_cast == sync_metrics.votes_cast
+        assert http_fp == sync_fp
+
+    def test_serving_with_no_pacing_baseline_refuses_to_start(self):
+        """Without ``expected_tasks`` and with nothing submitted, the
+        pacing baseline would be one task and the first round would be
+        granted the whole budget."""
+        campaign = Campaign.open(
+            make_pool(),
+            make_config(expected_tasks=None, vote_source="simulated"),
+        )
+        with pytest.raises(ValueError, match="expected_tasks"):
+            campaign.serve()
+        campaign.submit(make_tasks(num_tasks=2))
+        campaign.close_intake()
+        assert campaign.serve().submitted == 2
+        campaign.close()
 
     def test_fleet_seed_changes_the_outcome(self):
         # The pin above is meaningful only if the fingerprint actually

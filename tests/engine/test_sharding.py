@@ -19,6 +19,7 @@ from repro.engine import (
     partition_members,
     quality_mass,
 )
+from repro.engine import sharding
 from repro.engine.sharding import MIN_SHARD_MEMBERS
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -37,7 +38,6 @@ def make_scheduler(
     expected=100,
     capacity=2,
     seed=5,
-    **sharding_kw,
 ):
     rng = np.random.default_rng(seed)
     pool = generate_pool(
@@ -50,7 +50,6 @@ def make_scheduler(
         capacity=capacity,
         seed=seed,
         num_shards=shards,
-        **sharding_kw,
     )
     return ShardedScheduler(registry, config, expected)
 
@@ -66,14 +65,6 @@ class TestShardingConfig:
         """Hash routing is the one rule; the policy knob is gone."""
         with pytest.raises(TypeError, match="routing_policy"):
             CampaignConfig(budget=1.0, routing_policy="hash")
-
-    def test_validates_rebalance_threshold(self):
-        with pytest.raises(ValueError, match="rebalance_threshold"):
-            CampaignConfig(budget=1.0, rebalance_threshold=0.0)
-
-    def test_validates_rebalance_moves(self):
-        with pytest.raises(ValueError, match="rebalance_max_moves"):
-            CampaignConfig(budget=1.0, rebalance_max_moves=-1)
 
 
 class TestPartition:
@@ -249,10 +240,12 @@ class TestRouting:
 
 
 class TestRebalancing:
-    def skewed_scheduler(self, **kw):
-        scheduler = make_scheduler(
-            shards=2, num_workers=12, rebalance_threshold=0.1, **kw
-        )
+    @pytest.fixture(autouse=True)
+    def low_threshold(self, monkeypatch):
+        monkeypatch.setattr(sharding, "REBALANCE_THRESHOLD", 0.1)
+
+    def skewed_scheduler(self):
+        scheduler = make_scheduler(shards=2, num_workers=12)
         # Saturate shard 1, leave shard 0 idle.
         needy = scheduler.shards[1]
         for state in needy.view.states:
@@ -264,22 +257,25 @@ class TestRebalancing:
         scheduler = self.skewed_scheduler()
         before = len(scheduler.shards[1].view)
         moved = scheduler.rebalance()
-        assert moved == scheduler.config.rebalance_max_moves
+        assert moved == sharding.REBALANCE_MAX_MOVES
         assert len(scheduler.shards[1].view) == before + moved
         assert scheduler.shards[0].migrations_out == moved
         assert scheduler.shards[1].migrations_in == moved
 
-    def test_balanced_load_does_not_migrate(self):
-        scheduler = make_scheduler(shards=2, rebalance_threshold=0.5)
+    def test_balanced_load_does_not_migrate(self, monkeypatch):
+        monkeypatch.setattr(sharding, "REBALANCE_THRESHOLD", 0.5)
+        scheduler = make_scheduler(shards=2)
         assert scheduler.rebalance() == 0
 
-    def test_donor_is_never_stripped_below_minimum(self):
-        scheduler = self.skewed_scheduler(rebalance_max_moves=100)
+    def test_donor_is_never_stripped_below_minimum(self, monkeypatch):
+        monkeypatch.setattr(sharding, "REBALANCE_MAX_MOVES", 100)
+        scheduler = self.skewed_scheduler()
         scheduler.rebalance()
         assert len(scheduler.shards[0].view) >= MIN_SHARD_MEMBERS
 
-    def test_zero_max_moves_disables(self):
-        scheduler = self.skewed_scheduler(rebalance_max_moves=0)
+    def test_zero_max_moves_disables(self, monkeypatch):
+        monkeypatch.setattr(sharding, "REBALANCE_MAX_MOVES", 0)
+        scheduler = self.skewed_scheduler()
         assert scheduler.rebalance() == 0
 
 

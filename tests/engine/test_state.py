@@ -113,20 +113,6 @@ class TestReestimation:
         updated = registry.reestimate(min_votes=3)
         assert updated == {}
 
-    def test_dawid_skene_method(self, pool):
-        rng = np.random.default_rng(3)
-        registry = WorkerRegistry(pool, capacity=4, initial_quality=0.55)
-        self._stream_votes(registry, rng)
-        before = registry.estimation_error()
-        registry.reestimate(method="dawid-skene", learning_rate=1.0)
-        assert registry.estimation_error() < before
-
-    def test_unknown_method_rejected(self, pool):
-        registry = WorkerRegistry(pool, capacity=4)
-        registry.record_vote("a", "t1", 1)
-        with pytest.raises(ValueError):
-            registry.reestimate(method="majority-wins")
-
     def test_no_votes_is_a_noop(self, pool):
         registry = WorkerRegistry(pool, capacity=4)
         assert registry.reestimate() == {}

@@ -253,6 +253,21 @@ class TestEngineLifecycleFlags:
                      "--state-file", state, "--resume"]) == 0
         assert "40/40 completed" in capsys.readouterr().out
 
+    def test_resume_needs_no_budget(self, tmp_path, capsys):
+        """The checkpoint carries the budget, so --resume without
+        --budget continues the paused campaign."""
+        state = str(tmp_path / "campaign.db")
+        args = self.ARGS + ["--backend", "sqlite", "--state-file", state]
+        assert main(args + ["--run-until", "20"]) == 0
+        capsys.readouterr()
+        assert main(["engine", "--backend", "sqlite", "--state-file", state,
+                     "--resume"]) == 0
+        assert "40/40 completed" in capsys.readouterr().out
+
+    def test_fresh_run_requires_budget(self, capsys):
+        assert main(["engine", "--num-tasks", "5"]) == 2
+        assert "--budget is required" in capsys.readouterr().err
+
     def test_resume_finished_campaign_reprints_report(self, tmp_path, capsys):
         state = str(tmp_path / "campaign.db")
         args = self.ARGS + ["--backend", "sqlite", "--state-file", state]
@@ -330,6 +345,12 @@ class TestServeCommand:
         assert main(["serve"]) == 2
         assert "--budget is required" in capsys.readouterr().err
 
+    def test_fresh_serve_requires_expected_tasks(self, capsys):
+        # Serving starts before any task arrives, so budget pacing
+        # needs the campaign size up front.
+        assert main(["serve", "--budget", "5"]) == 2
+        assert "--expected-tasks is required" in capsys.readouterr().err
+
     def test_resume_requires_sqlite_backend(self, capsys):
         assert main(["serve", "--budget", "5", "--resume"]) == 2
         assert "--resume requires" in capsys.readouterr().err
@@ -345,7 +366,7 @@ class TestServeCommand:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "serve", "--budget", "3",
+            "serve", "--budget", "3", "--expected-tasks", "5",
             "--backend", "sqlite", "--state-file", str(state),
         ]) == 2
         assert "already holds" in capsys.readouterr().err
@@ -353,7 +374,7 @@ class TestServeCommand:
     # -- subprocess lifecycle ------------------------------------------
 
     @staticmethod
-    def _spawn(tmp_path, *extra):
+    def _spawn(tmp_path, *extra, budget="20", expected_tasks="10"):
         import os
         import re
         import subprocess
@@ -370,8 +391,9 @@ class TestServeCommand:
         process = subprocess.Popen(
             [
                 sys.executable, "-u", "-m", "repro", "serve",
-                "--budget", "20", "--num-workers", "8",
-                "--seed", "3", "--port", "0", *extra,
+                "--budget", budget, "--expected-tasks", expected_tasks,
+                "--num-workers", "8", "--seed", "3", "--port", "0",
+                *extra,
             ],
             stdout=open(log, "w"),
             stderr=subprocess.STDOUT,
@@ -436,6 +458,52 @@ class TestServeCommand:
         campaign = Campaign.resume(SQLiteBackend(state))
         assert campaign.metrics.submitted == 3
         campaign.close()
+
+    def test_served_campaign_with_binding_budget_matches_in_process(
+        self, tmp_path
+    ):
+        """`repro serve` starts before any task is POSTed; with
+        --expected-tasks it paces the budget exactly like an in-process
+        campaign pacing over its submitted tasks.  The budget binds and
+        the batches are small, so a first round granted the whole budget
+        would fund different juries."""
+        import numpy as np
+
+        from repro.engine import Campaign, CampaignConfig, EngineTask
+        from repro.engine import SQLiteBackend
+        from repro.simulation import SyntheticPoolConfig, generate_pool
+
+        state = tmp_path / "campaign.db"
+        rows = [{"task_id": f"t{i}", "ground_truth": i % 2} for i in range(12)]
+        process, url, log = self._spawn(
+            tmp_path,
+            "--backend", "sqlite", "--state-file", str(state),
+            "--vote-source", "simulated", "--batch-size", "4",
+            budget="1.0", expected_tasks="12",
+        )
+        try:
+            assert self._post(url + "/tasks", {"tasks": rows}) == {
+                "staged": 12
+            }
+            self._post(url + "/admin/close", {"mode": "drain"})
+            assert process.wait(timeout=30) == 0
+        finally:
+            process.kill()
+        assert "12/12 completed" in log.read_text()
+
+        pool = generate_pool(
+            SyntheticPoolConfig(num_workers=8, quality_ceiling=0.95),
+            np.random.default_rng(3),
+        )
+        reference = Campaign.open(pool, CampaignConfig(
+            budget=1.0, batch_size=4, seed=3, vote_source="simulated"
+        ))
+        reference.submit(EngineTask(**row) for row in rows)
+        expected = reference.run()
+        assert expected.total_spend > 0.8
+        served = Campaign.resume(SQLiteBackend(state))
+        assert served.metrics.fingerprint() == expected.fingerprint()
+        served.close()
 
     def test_double_signal_force_exits_without_corrupting_sqlite(
         self, tmp_path
