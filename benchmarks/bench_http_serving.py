@@ -76,7 +76,7 @@ def _vote(task_id, worker_id):
 
 
 def run_in_process():
-    campaign = Campaign.open(_pool(), _config(ingestion="sync"))
+    campaign = Campaign.open(_pool(), _config())
     worker_ids = sorted(campaign.registry.worker_ids)
     campaign.submit(_tasks())
     campaign.run()  # seat the first juries; pause for external votes
@@ -106,7 +106,7 @@ def run_in_process():
 
 
 def run_over_http():
-    campaign = Campaign.open(_pool(), _config(ingestion="async"))
+    campaign = Campaign.open(_pool(), _config())
     worker_ids = sorted(campaign.registry.worker_ids)
     server = CampaignServer(campaign, port=0)
     thread = threading.Thread(target=server.serve, daemon=True)

@@ -282,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JQ-cache JSON: imported before a fresh run "
                             "when the file exists, exported after every "
                             "run — ships a warmed cache between campaigns")
-    p_eng.add_argument("--ingestion", default="sync",
-                       choices=("sync", "async"),
-                       help="arrival intake: 'async' streams tasks "
-                            "through a thread-safe bounded intake queue "
-                            "(byte-identical to sync for pre-submitted "
-                            "campaigns)")
 
     p_srv = sub.add_parser(
         "serve", parents=[campaign],
@@ -507,7 +501,6 @@ def _run_engine_command(args) -> int:
         reestimate_every=args.reestimate_every,
         quantization=args.quantization,
         cache_max_entries=args.cache_max_entries or None,
-        ingestion=args.ingestion,
     )
     if rng is not None:
         # Truths must follow the declared prior, or the report's
@@ -589,18 +582,10 @@ def _run_serve_command(args) -> int:
         args,
         required=("budget", "expected_tasks"),
         expected_tasks=args.expected_tasks,
-        ingestion="async",
         vote_source=args.vote_source,
         serve_host=args.host if args.host is not None else "127.0.0.1",
         serve_port=args.port if args.port is not None else 8765,
     )
-    if campaign.config.ingestion != "async":
-        campaign.close()
-        raise _UsageError(
-            "the campaign was opened with ingestion='sync'; serving "
-            "requires the async intake"
-        )
-
     server = CampaignServer(campaign, host=args.host, port=args.port)
 
     # Graceful shutdown: the first SIGINT/SIGTERM pauses the serving

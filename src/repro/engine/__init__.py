@@ -25,11 +25,10 @@ one budget, and finite worker attention".  See the module docstrings:
 ``engine``
     :class:`CampaignEngine` — the event loop.
 ``ingest``
-    :class:`IntakeQueue` / :class:`AsyncIngestLoop` /
-    :class:`InterleavingSchedule` — thread-safe live intake with
-    bounded backpressure, the drain-before-step async serving loop,
-    and seeded replayable interleavings
-    (``CampaignConfig(ingestion="async")``).
+    :class:`IntakeQueue` / :class:`AsyncIngestLoop` — every campaign's
+    one intake: thread-safe staging with bounded backpressure, and the
+    drain-before-step ``serve()`` loop, the only concurrent one
+    (``Campaign.run`` is the stepping loop).
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.
@@ -90,7 +89,6 @@ from .ingest import (
     IngestionOverflow,
     IngestStats,
     IntakeQueue,
-    InterleavingSchedule,
     NoOpenOffer,
 )
 from .leases import LeaseCoordinator
@@ -158,7 +156,6 @@ __all__ = [
     "IngestionError",
     "IngestionOverflow",
     "IntakeQueue",
-    "InterleavingSchedule",
     "LeaseCoordinator",
     "LoopMailbox",
     "MemoryBackend",

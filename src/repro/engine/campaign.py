@@ -29,6 +29,14 @@ the last one it saved (see :mod:`repro.engine.backends`).
 
 Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
 class choice.
+
+Every campaign has one intake (:class:`~repro.engine.ingest.AsyncIngestLoop`)
+and two loops over it.  :meth:`Campaign.run` is the stepping loop on
+the caller's thread; :meth:`Campaign.serve` is the one concurrent loop,
+the one the HTTP layer drives.  :meth:`Campaign.submit` stages through
+the thread-safe intake while ``serve()`` runs and goes straight into
+the event queue otherwise; either way one seen-set catches duplicate
+ids.
 """
 
 from __future__ import annotations
@@ -59,29 +67,21 @@ from .scheduler import Assignment
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
-#: Environment toggles forcing the async intake or the live telemetry
-#: hub — CI runs the whole engine suite under each, so every lifecycle
-#: test doubles as a deadlock/race probe for the async machinery and a
+#: Environment toggle forcing the live telemetry hub — CI runs the
+#: whole engine suite under it, so every lifecycle test doubles as a
 #: decision-neutrality probe for telemetry.  Applied only at the facade
 #: (a bare engine honors its explicit config), and only when the value
 #: is non-empty.
-FORCE_INGESTION_ENV = "REPRO_ENGINE_FORCE_INGESTION"
 FORCE_TELEMETRY_ENV = "REPRO_ENGINE_FORCE_TELEMETRY"
 
 
 def _apply_env_overrides(config: CampaignConfig) -> CampaignConfig:
-    updates: dict = {}
-    ingestion = os.environ.get(FORCE_INGESTION_ENV)
-    if ingestion:
-        updates["ingestion"] = ingestion
-    if os.environ.get(FORCE_TELEMETRY_ENV):
-        # Any non-empty value forces the live hub on — telemetry only
-        # observes, so forcing it must never change a decision (that is
-        # exactly what the CI job running under this toggle verifies).
-        updates["telemetry"] = "on"
-    if not updates:
+    if not os.environ.get(FORCE_TELEMETRY_ENV):
         return config
-    return dataclasses.replace(config, **updates)
+    # Any non-empty value forces the live hub on — telemetry only
+    # observes, so forcing it must never change a decision (that is
+    # exactly what the CI job running under this toggle verifies).
+    return dataclasses.replace(config, telemetry="on")
 
 
 _INTERNAL = object()
@@ -203,26 +203,18 @@ class Campaign:
         self._engine: CampaignEngine | None = None
         self._config: CampaignConfig | None = None
         self._backend: StateBackend = MemoryBackend()
-        self._ingest: AsyncIngestLoop | None = None
+        self._ingest: AsyncIngestLoop | None = None  # set by open/resume
         self._coordinator: LeaseCoordinator | None = None
         self._closed = False
         # What the backend holds of each journal, as of the last save
         # that returned (see _snapshot).
         self._marks = _NO_MARKS
-        # Sync campaigns have no intake queue; external-vote mode still
-        # needs the "no more tasks are coming" handshake before run()
-        # may finalize, so the facade tracks it directly.
-        self._sync_intake_closed = False
 
     def _attach_ingest(self) -> None:
-        """Build the async intake loop when the config asks for it
-        (``ingestion="async"``); the sync path keeps ``None``."""
-        if self._config.ingestion == "async":
-            self._ingest = AsyncIngestLoop(
-                self._engine,
-                max_pending=self._config.ingest_max_pending,
-                producer_quota=self._config.ingest_producer_quota,
-            )
+        """Give the campaign its one intake."""
+        self._ingest = AsyncIngestLoop(
+            self._engine, max_pending=self._config.ingest_max_pending
+        )
 
     def _attach_coordinator(self) -> None:
         """Join the shared seat-lease store when the config names one
@@ -304,8 +296,7 @@ class Campaign:
         first to keep it."""
         if not self._closed:
             self._closed = True
-            if self._ingest is not None:
-                self._ingest.close_intake()
+            self._ingest.close_intake()
             if self._coordinator is not None:
                 self._coordinator.close()
             self._backend.close()
@@ -328,16 +319,14 @@ class Campaign:
     ) -> int:
         """Enqueue task arrivals (see :meth:`CampaignEngine.submit`).
         Allowed any time before the campaign finishes — including
-        between :meth:`run` calls and after a :meth:`resume`.  Under
-        ``ingestion="async"`` submission goes through the thread-safe
-        intake queue (bounded backpressure), so producers on any thread
-        may stream tasks in **while** :meth:`run` is serving;
-        ``timeout`` bounds how long a producer waits out backpressure
-        (async only — the sync path never blocks)."""
+        between :meth:`run` calls and after a :meth:`resume`.  While
+        :meth:`serve` runs, submission stages through the thread-safe
+        intake (bounded backpressure; ``timeout`` bounds how long a
+        producer waits it out), so producers on any thread may stream
+        tasks in; otherwise the tasks go straight into the event queue
+        on the caller's thread and never block."""
         self._require_serving()
-        if self._ingest is not None:
-            return self._ingest.submit(tasks, start_time, spacing, timeout)
-        return self._engine.submit(tasks, start_time, spacing)
+        return self._ingest.submit(tasks, start_time, spacing, timeout)
 
     def run(self, until: int | None = None) -> EngineMetrics:
         """Advance the campaign and return the live metrics.
@@ -348,38 +337,43 @@ class Campaign:
         queued — exactly what :meth:`checkpoint` then persists.
         Calling :meth:`run` again continues from the pause point.
 
-        Under ``ingestion="async"`` the same contract is served through
-        the intake loop: live submissions from other threads are folded
-        in as they arrive, and ``until=None`` finishes once the queue
-        and the intake have both quiesced (after a short straggler
-        window, :class:`~repro.engine.ingest.AsyncIngestLoop`'s
-        ``grace``).
+        Tasks staged on the intake (a ``POST /tasks`` while no loop
+        served) are folded in before the first step, and once more
+        after the intake closes, just before the campaign finalizes.
         """
         self._require_open()
         engine = self._engine
-        if self._ingest is not None:
-            return self._ingest.run(until)
-        engine._start()
+        ingest = self._ingest
         start = time.perf_counter()
-        while engine._queue and (
-            until is None or engine.metrics.completed < until
-        ):
-            engine._step()
-        # External-vote campaigns may only finalize once no jury still
-        # awaits votes and the caller has declared the task stream over
-        # (close_intake()) — otherwise this run() is just a pump.
-        external_waiting = engine.offers is not None and (
-            bool(engine._active) or not self._intake_closed
-        )
-        if not engine._queue and not external_waiting:
-            engine._finish()
-        else:
-            # Paused mid-campaign: fold the live gauges (peak load,
-            # cache stats, re-estimation passes) into the metrics so a
-            # paused report is not all zeros.  The finish pass
-            # overwrites them with final values, so resumed-run
-            # fingerprints are untouched.
-            engine._collect_stats()
+        ingest.quiesce_intake()
+        engine._start()
+        while True:
+            while engine._queue and (
+                until is None or engine.metrics.completed < until
+            ):
+                engine._step()
+            # External-vote campaigns may only finalize once no jury
+            # still awaits votes and the caller has declared the task
+            # stream over (close_intake()) — otherwise this run() is
+            # just a pump.
+            if engine._queue or (
+                engine.offers is not None
+                and (engine._active or not ingest.intake.closed)
+            ):
+                # Paused mid-campaign: fold the live gauges (peak load,
+                # cache stats, re-estimation passes) into the metrics
+                # so a paused report is not all zeros.  The finish pass
+                # overwrites them with final values, so resumed-run
+                # fingerprints are untouched.
+                engine._collect_stats()
+                break
+            # Close before the last fold: nothing can be staged behind
+            # a finished campaign.
+            ingest.close_intake()
+            if not ingest.quiesce_intake():
+                engine._finish()
+                break
+        engine.metrics.intake_stats = ingest.intake.stats.state_dict()
         engine.metrics.wall_seconds += time.perf_counter() - start
         return engine.metrics
 
@@ -391,16 +385,15 @@ class Campaign:
         tick=None,
         tick_interval: float | None = None,
     ) -> EngineMetrics:
-        """Serve-forever daemon mode (requires ``ingestion="async"``).
+        """Serve-forever daemon mode: the campaign's one concurrent loop.
 
         Blocks the calling thread, idling indefinitely for live traffic
-        — unlike :meth:`run`, which concludes after one quiet straggler
-        window.  Exits by finalizing once the intake is closed and
-        everything quiesced, or by *pausing* (checkpoint and
-        :meth:`resume` later) once ``stop`` — a ``threading.Event`` —
-        is set.  See :meth:`AsyncIngestLoop.serve` for the hook
-        parameters; the HTTP layer
-        (:class:`~repro.engine.server.CampaignServer`) drives vote
+        — unlike :meth:`run`, which steps only what is queued.  Exits by
+        finalizing once the intake is closed and everything quiesced,
+        or by *pausing* (checkpoint and :meth:`resume` later) once
+        ``stop`` — a ``threading.Event`` — is set.  See
+        :meth:`AsyncIngestLoop.serve` for the hook parameters; the HTTP
+        layer (:class:`~repro.engine.server.CampaignServer`) drives vote
         delivery and admin commands through them.
 
         Raises :class:`ValueError` when a fresh campaign has no
@@ -408,11 +401,6 @@ class Campaign:
         pacing baseline is fixed when serving starts.
         """
         self._require_serving()
-        if self._ingest is None:
-            raise RuntimeError(
-                "serve() requires ingestion='async' "
-                "(CampaignConfig(ingestion='async'))"
-            )
         engine = self._engine
         if (
             engine.scheduler is None
@@ -472,19 +460,11 @@ class Campaign:
     def close_intake(self) -> None:
         """Stop accepting task submissions (idempotent).  The
         producer-side handshake for live serving: once the last
-        producer joins, closing the intake lets an in-flight ``run()``
-        or ``serve()`` finish instead of idling for more traffic.  For
-        sync external-vote campaigns this is the explicit "no more
-        tasks" declaration that allows :meth:`run` to finalize."""
-        self._sync_intake_closed = True
-        if self._ingest is not None:
-            self._ingest.close_intake()
-
-    @property
-    def _intake_closed(self) -> bool:
-        if self._ingest is not None:
-            return self._ingest.intake.closed
-        return self._sync_intake_closed
+        producer joins, closing the intake lets an in-flight
+        ``serve()`` finish instead of idling for more traffic.  For
+        external-vote campaigns this is the explicit "no more tasks"
+        declaration that allows :meth:`run` to finalize."""
+        self._ingest.close_intake()
 
     def fold_intake(self) -> None:
         """Count every accepted task: fold staged arrivals into the
@@ -496,8 +476,7 @@ class Campaign:
         fingerprint-identical."""
         self._require_open()
         engine = self._engine
-        if self._ingest is not None:
-            self._ingest.quiesce_intake()
+        self._ingest.quiesce_intake()
         if not engine._queue.pending(TaskArrival):
             return
         engine._start()
@@ -519,9 +498,8 @@ class Campaign:
         (single-threaded external driving only — the serve loop owns
         the engine while it runs)."""
         engine = self._engine
+        self._ingest.quiesce_intake()
         engine._start()
-        if self._ingest is not None:
-            self._ingest.quiesce_intake()
         while engine._queue:
             engine._step()
 
@@ -532,7 +510,7 @@ class Campaign:
                 "(CampaignConfig(vote_source='external') enables "
                 "assignments()/vote())"
             )
-        if self._ingest is not None and self._ingest.running:
+        if self._ingest.running:
             raise RuntimeError(
                 "serve() owns the engine; submit assignments/votes "
                 "through the serving endpoint instead"
@@ -566,9 +544,7 @@ class Campaign:
 
     @property
     def intake_stats(self):
-        """Live intake counters (async campaigns; ``None`` for sync)."""
-        if self._ingest is None:
-            return None
+        """Live intake counters."""
         return self._ingest.intake.stats
 
     @property
@@ -609,14 +585,12 @@ class Campaign:
     def checkpoint(self) -> None:
         """Persist the campaign state to the backend, superseding any
         earlier checkpoint: the fixed-size state whole, the journals
-        from what the backend's last save left off.  Async campaigns
-        fold staged intake into the event queue first, so no accepted
-        task is ever lost to a checkpoint taken between drain and
-        schedule.  (Like :meth:`run`, this must be called from the
-        serving thread.)"""
+        from what the backend's last save left off.  Staged intake is
+        folded into the event queue first, so no accepted task is ever
+        lost to a checkpoint taken between drain and schedule.  (Like
+        :meth:`run`, this must be called from the serving thread.)"""
         self._require_open()
-        if self._ingest is not None:
-            self._ingest.quiesce_intake()
+        self._ingest.quiesce_intake()
         self._engine.telemetry.event(
             "checkpoint", completed=self._engine.metrics.completed
         )
@@ -685,11 +659,9 @@ class Campaign:
         after :meth:`submit` (importing forces the serving stack to
         build, which fixes the expected-task pacing baseline)."""
         self._require_open()
-        if self._ingest is not None:
-            # Staged arrivals must reach the event queue before the
-            # stack builds, or the pacing baseline would see none of
-            # them.
-            self._ingest.quiesce_intake()
+        # Staged arrivals must reach the event queue before the stack
+        # builds, or the pacing baseline would see none of them.
+        self._ingest.quiesce_intake()
         self._engine._start()
         return load_cache_file(path, list(self._named_caches().values()))
 
@@ -744,14 +716,10 @@ class Campaign:
             "rng": engine._rng.bit_generator.state,
             "metrics": engine.metrics.aggregate_state(),
             # Observability state rides along (None when telemetry is
-            # off / the intake is sync); restore is .get()-tolerant so
-            # snapshots predating these keys still load.
+            # off); restore is .get()-tolerant so snapshots predating
+            # these keys still load.
             "telemetry": engine.telemetry.state_dict(events=False),
-            "intake_stats": (
-                None
-                if self._ingest is None
-                else self._ingest.intake.stats.state_dict()
-            ),
+            "intake_stats": self._ingest.intake.stats.state_dict(),
         }
 
         # The ledger is empty until the serving stack is built.
@@ -911,7 +879,7 @@ class Campaign:
         self._attach_ingest()
         self._attach_coordinator()
         intake_state = section.get("intake_stats")
-        if self._ingest is not None and intake_state:
+        if intake_state:
             # The intake queue is rebuilt fresh; the counters are not —
             # a resumed campaign's intake totals keep accumulating
             # instead of silently resetting to zero.

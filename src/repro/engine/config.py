@@ -6,9 +6,16 @@ place.  Shard count is an ordinary field: every campaign serves
 through a :class:`~repro.engine.sharding.ShardedScheduler` of
 ``num_shards`` shards (one by default) under its one budget allocator.
 
+There is no intake mode: every campaign has one intake, and
+:meth:`~repro.engine.campaign.Campaign.serve` is its one concurrent
+loop.  ``ingestion`` survives only as a retired init-only argument.
+
 The config round-trips through :meth:`to_dict` / :meth:`from_dict`, so
 state backends persist it alongside the campaign and
-``Campaign.resume`` rebuilds the exact serving stack.
+``Campaign.resume`` rebuilds the exact serving stack.  Checkpoints
+written before a field was retired still resume: ``from_dict`` drops
+the retired fields that never shaped a decision and holds each
+decision-affecting one to the constant that replaced it.
 """
 
 from __future__ import annotations
@@ -20,16 +27,19 @@ from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 
 #: Retired fields that checkpoints written before their removal still
 #: carry and that never shaped a decision (the retired modes were pinned
-#: fingerprint-neutral; ``ingest_grace`` and ``trace_path`` only shaped
-#: wall-clock waiting and output).  :meth:`CampaignConfig.from_dict`
-#: drops them whatever their value.
+#: fingerprint-neutral; the intake grace, the per-producer intake quota
+#: and ``trace_path`` only shaped wall-clock waiting, blocking and
+#: output).  :meth:`CampaignConfig.from_dict` drops them whatever their
+#: value.
 _RETIRED_FIELDS = frozenset(
     {
         "jq_kernel",
         "vote_fanout",
         "parallel_shards",
         "dispatch",
+        "ingestion",
         "ingest_grace",
+        "ingest_producer_quota",
         "trace_path",
     }
 )
@@ -100,26 +110,14 @@ class CampaignConfig:
         tasks (0 disables) — bounds data loss on long runs without
         manual :meth:`~repro.engine.campaign.Campaign.checkpoint`
         calls.  Ignored by the bare engine (no backend to write to).
-    ingestion:
-        ``"sync"`` (default) is the classic pre-loaded event loop;
-        ``"async"`` serves through a thread-safe
-        :class:`~repro.engine.ingest.IntakeQueue`, so live traffic can
-        stream in (``submit`` from any thread, bounded backpressure)
-        while batches are being seated.  A campaign whose tasks are all
-        submitted before ``run`` is fingerprint-byte-identical either
-        way (pinned by the invariant harness).
-    parallel_shards / dispatch:
-        Retired init-only arguments, not stored.  Shard admits always
-        run in-loop, so only ``0`` / ``"threads"`` are accepted.
+    ingestion / parallel_shards / dispatch:
+        Retired init-only arguments, not stored.  Every campaign has
+        one intake and shard admits always run in-loop, so only
+        ``"sync"`` or ``"async"`` / ``0`` / ``"threads"`` are accepted.
     ingest_max_pending:
-        Async backpressure bound: producers block once this many
-        submitted tasks await intake draining.
-    ingest_producer_quota:
-        Per-producer share of ``ingest_max_pending`` a single named
-        producer may occupy (a fraction in ``(0, 1]``; 0 disables).
-        Producers over their share block in ``submit`` until their own
-        staged tasks drain — per-producer backpressure, so one runaway
-        client cannot starve the rest of the intake queue.
+        Intake backpressure bound: producers staging tasks while
+        :meth:`~repro.engine.campaign.Campaign.serve` runs block once
+        this many await the loop's next drain.
     telemetry:
         ``"off"`` (default) serves with the no-op
         :data:`~repro.engine.telemetry.NULL_TELEMETRY`; ``"on"`` attaches
@@ -171,11 +169,10 @@ class CampaignConfig:
     frontier_pool_size: int = 10
     reestimate_every: int = 0
     checkpoint_every: int = 0
-    ingestion: str = "sync"
+    ingestion: InitVar[str] = "sync"
     parallel_shards: InitVar[int] = 0
     dispatch: InitVar[str] = "threads"
     ingest_max_pending: int = 10_000
-    ingest_producer_quota: float = 0.0
     telemetry: str = "off"
     metrics_interval: float = 1.0
     vote_source: str = "simulated"
@@ -189,7 +186,9 @@ class CampaignConfig:
     coordinate_path: str | None = None
     lease_ttl: float = 30.0
 
-    def __post_init__(self, parallel_shards: int, dispatch: str) -> None:
+    def __post_init__(
+        self, ingestion: str, parallel_shards: int, dispatch: str
+    ) -> None:
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if self.batch_size < 1:
@@ -198,8 +197,11 @@ class CampaignConfig:
             raise ValueError("reestimate_every must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.ingestion not in ("sync", "async"):
-            raise ValueError("ingestion must be 'sync' or 'async'")
+        if ingestion not in ("sync", "async"):
+            raise ValueError(
+                "ingestion is retired: every campaign has one intake "
+                "(only ingestion='sync' or 'async' is accepted)"
+            )
         if parallel_shards != 0 or dispatch != "threads":
             raise ValueError(
                 "parallel_shards and dispatch are retired: shard admits "
@@ -208,10 +210,6 @@ class CampaignConfig:
             )
         if self.ingest_max_pending < 1:
             raise ValueError("ingest_max_pending must be >= 1")
-        if not 0.0 <= self.ingest_producer_quota <= 1.0:
-            raise ValueError(
-                "ingest_producer_quota must lie in [0, 1] (0 disables)"
-            )
         if self.telemetry not in ("off", "on"):
             raise ValueError("telemetry must be 'off' or 'on'")
         if self.vote_source not in ("simulated", "external"):

@@ -159,11 +159,11 @@ class CampaignEngine:
 
     def ingest(self, stamped_tasks) -> int:
         """Inject pre-stamped ``(arrival_time, task)`` pairs into the
-        event queue — the async intake path
+        event queue — the intake's path
         (:class:`~repro.engine.ingest.AsyncIngestLoop` stamps arrival
-        times at submission, under the intake mutex, and drains them
-        here on the loop thread).  The event heap is not thread-safe:
-        only the thread driving the loop may call this.
+        times at submission, under the intake mutex, and hands them
+        here from the thread driving the loop).  The event heap is not
+        thread-safe: only that thread may call this.
         """
         count = 0
         for arrival_time, task in stamped_tasks:

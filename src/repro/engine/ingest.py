@@ -1,10 +1,9 @@
-"""Async ingestion: a thread-safe intake queue feeding the event loop.
+"""The intake: a thread-safe queue feeding the one concurrent loop.
 
-The classic engine is fed up front: every arrival is enqueued before
-:meth:`~repro.engine.engine.CampaignEngine.run`, and nothing may touch
-the event heap while the loop drains it.  A serving system cannot live
-like that — live traffic arrives *while* batches are being seated.
-This module splits arrival intake from scheduling:
+The engine's event heap is single-threaded: one thread fires every
+event in ``(time, seq)`` order.  A serving system still has to accept
+live traffic *while* batches are being seated, so this module splits
+arrival intake from scheduling:
 
 * :class:`IntakeQueue` — a thread-safe, **bounded** staging queue.
   Producers call :meth:`~IntakeQueue.submit` from any thread; when the
@@ -13,34 +12,18 @@ This module splits arrival intake from scheduling:
   time *at submission* (under the intake mutex), so the arrival order —
   and therefore the campaign's decisions — is fixed by who got into the
   queue first, not by when the loop happened to look.
-* :class:`AsyncIngestLoop` — drives the engine's event loop off the
-  intake queue with a **drain-before-step** discipline: every pending
-  intake task is injected into the event heap before the next event is
-  dispatched.  The discipline is what makes the async path
-  deterministic given a delivery order — a campaign whose tasks are all
-  submitted before :meth:`~AsyncIngestLoop.run` (or between paused
-  runs) produces a metrics fingerprint **byte-identical to the
-  synchronous path**, which the invariant harness pins.
-* :class:`InterleavingSchedule` — a seeded schedule of drain cadences
-  (events stepped between drains, items taken per drain).  Replayable
-  concurrency: two runs with the same schedule seed and delivery order
-  interleave arrivals with in-flight votes identically, so randomized
-  interleaving stress tests can assert byte-identical fingerprints.
+* :class:`AsyncIngestLoop` — every campaign's one intake and its one
+  concurrent loop, :meth:`~AsyncIngestLoop.serve`, which injects every
+  staged arrival into the event heap before it dispatches the next
+  event (drain-before-step).  While no loop runs, submits skip the
+  queue and go straight into the event heap on the caller's thread;
+  ``Campaign.run`` is the stepping loop, and folds anything staged.
+* :class:`AssignmentBook` — the open external-vote offers.
 
 Batch *coalescing* falls out of the two layers: the intake mutex makes
 bursts arrive as runs of consecutive items, the drain takes everything
-pending at once (up to the schedule's cap), and the engine's own
-``batch_size`` buffering turns the drained run into scheduling batches.
-When the loop goes idle with the intake open it waits ``grace`` seconds
-(the coalescing deadline) for stragglers before finishing, so a slow
-trickle of producers is served in fuller batches instead of one jury
-at a time.
-
-Sharding lives in :class:`~repro.engine.sharding.ShardedScheduler`;
-this module owns the producer-facing half.  The two compose: burst
-traffic streams in through the intake while the loop admits each round
-across K shards — ``benchmarks/bench_async_ingestion.py`` measures the
-intake against the synchronous loop at equal shards.
+pending at once, and the engine's own ``batch_size`` buffering turns
+the drained run into scheduling batches.
 """
 
 from __future__ import annotations
@@ -48,9 +31,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, fields
+from itertools import islice
 
 from ..core.exceptions import ReproError
 from .events import EngineTask
@@ -74,13 +56,7 @@ class IngestionOverflow(IngestionError):
 @dataclass
 class IngestStats:
     """Running intake counters (read under no lock: observability only).
-
-    ``per_producer`` keys on the submitting thread's name and carries
-    ``submits`` / ``overflows`` / ``blocked_seconds`` per producer — the
-    measurement half of per-producer fairness under backpressure: a
-    producer whose ``blocked_seconds`` dwarfs its peers' is the one the
-    bound is starving.
-    """
+    Counts the staged route; direct submits never enter the queue."""
 
     submitted: int = 0
     drained: int = 0
@@ -88,54 +64,16 @@ class IngestStats:
     peak_pending: int = 0
     blocked_submits: int = 0  # staged tasks that had to wait out a full queue
     overflows: int = 0  # submits that gave up after a backpressure timeout
-    quota_blocked: int = 0  # submits that waited on their *own* quota
-    quota_overflows: int = 0  # quota waits that timed out
-    per_producer: dict[str, dict] = field(default_factory=dict)
-
-    def producer(self, name: str) -> dict:
-        """The named producer's counter row (created on first use).
-        Call under the intake mutex."""
-        entry = self.per_producer.get(name)
-        if entry is None:
-            entry = self.per_producer[name] = {
-                "submits": 0,
-                "overflows": 0,
-                "blocked_seconds": 0.0,
-            }
-        return entry
 
     # -- persistence (campaign checkpoints carry intake totals) --------
     def state_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "drained": self.drained,
-            "drains": self.drains,
-            "peak_pending": self.peak_pending,
-            "blocked_submits": self.blocked_submits,
-            "overflows": self.overflows,
-            "quota_blocked": self.quota_blocked,
-            "quota_overflows": self.quota_overflows,
-            "per_producer": {
-                name: dict(entry) for name, entry in self.per_producer.items()
-            },
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_state(cls, state) -> "IngestStats":
-        return cls(
-            submitted=int(state.get("submitted", 0)),
-            drained=int(state.get("drained", 0)),
-            drains=int(state.get("drains", 0)),
-            peak_pending=int(state.get("peak_pending", 0)),
-            blocked_submits=int(state.get("blocked_submits", 0)),
-            overflows=int(state.get("overflows", 0)),
-            quota_blocked=int(state.get("quota_blocked", 0)),
-            quota_overflows=int(state.get("quota_overflows", 0)),
-            per_producer={
-                name: dict(entry)
-                for name, entry in state.get("per_producer", {}).items()
-            },
-        )
+        """Rebuild stored counters; the per-producer rows and quota
+        counters older checkpoints carry are ignored."""
+        return cls(**{f.name: int(state.get(f.name, 0)) for f in fields(cls)})
 
 
 class IntakeQueue:
@@ -152,13 +90,6 @@ class IntakeQueue:
         this from the restored engine), so duplicate submission is
         caught at the intake mutex — before two threads could race the
         engine's own duplicate check.
-    producer_quota:
-        Per-producer fairness bound as a fraction of ``max_pending``
-        (0 disables).  One producer may occupy at most
-        ``max(1, int(producer_quota * max_pending))`` staged slots; a
-        producer over its share blocks until its *own* staged tasks
-        drain, even while the queue as a whole has room — so one
-        firehose producer cannot starve its peers out of the intake.
     """
 
     def __init__(
@@ -166,70 +97,32 @@ class IntakeQueue:
         max_pending: int = 10_000,
         seen_ids=(),
         telemetry=NULL_TELEMETRY,
-        producer_quota: float = 0.0,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if not 0.0 <= producer_quota <= 1.0:
-            raise ValueError("producer_quota must lie in [0, 1]")
         self.max_pending = max_pending
-        self.producer_quota = producer_quota
-        self._quota_cap = (
-            max(1, int(producer_quota * max_pending))
-            if producer_quota > 0
-            else None
-        )
         self.telemetry = telemetry
         self._mutex = threading.Lock()
         self._not_full = threading.Condition(self._mutex)
         self._not_empty = threading.Condition(self._mutex)
-        self._items: deque[tuple[float, EngineTask, str]] = deque()
-        self._staged_by_producer: dict[str, int] = {}
+        self._items: deque[tuple[float, EngineTask]] = deque()
         self._seen: set[str] = set(seen_ids)
         self._closed = False
         self.stats = IngestStats()
         self.telemetry.add_collector(self._telemetry_gauges)
 
     def _telemetry_gauges(self):
-        """Pull-based intake gauges (collector: read at export time
-        only).  Producer names are caller-chosen thread names and land
-        verbatim as label values — the exporter escapes them."""
-        with self._mutex:
-            pending = len(self._items)
-            rows = [
-                (name, dict(entry))
-                for name, entry in self.stats.per_producer.items()
-            ]
-        yield "intake.depth", {}, float(pending)
-        for name, entry in rows:
-            labels = {"producer": name}
-            yield "intake.producer_submits", labels, float(entry["submits"])
-            yield (
-                "intake.producer_overflows",
-                labels,
-                float(entry["overflows"]),
-            )
-            yield (
-                "intake.producer_blocked_seconds",
-                labels,
-                float(entry["blocked_seconds"]),
-            )
+        """Pull-based intake gauge (collector: read at export time)."""
+        yield "intake.depth", {}, float(self.pending)
 
     # ------------------------------------------------------------------
     # Producer side (any thread)
     # ------------------------------------------------------------------
-    def _over_quota(self, producer: str) -> bool:
-        """Whether the producer has its full quota of slots staged
-        (call under the intake mutex)."""
-        return (
-            self._quota_cap is not None
-            and self._staged_by_producer.get(producer, 0) >= self._quota_cap
-        )
-
-    def _must_wait(self, producer: str) -> bool:
-        return len(self._items) >= self.max_pending or self._over_quota(
-            producer
-        )
+    def _require_open(self) -> None:
+        if self._closed:
+            raise IngestionClosed(
+                "intake is closed; the campaign is no longer accepting tasks"
+            )
 
     def submit(
         self,
@@ -246,101 +139,62 @@ class IntakeQueue:
         :class:`IngestionOverflow` when ``timeout`` (seconds, per task)
         expires first, :class:`IngestionClosed` once the queue closed.
         Returns the number of tasks staged.
+
+        The chunk stages under one hold of the intake mutex, so the
+        loop drains all of it or none: the engine flushes a batch when
+        the queue runs out of arrivals, and a chunk drained in two
+        parts would seat different juries.  Only a full queue splits a
+        chunk — the producer then waits for room, releasing the mutex.
         """
-        count = 0
-        producer = threading.current_thread().name
-        for i, task in enumerate(tasks):
-            if not isinstance(task, EngineTask):
-                raise TypeError(
-                    f"expected EngineTask, got {type(task).__name__}"
-                )
-            arrival = start_time + i * spacing
-            with self._not_full:
-                entry = self.stats.producer(producer)
-                if self._must_wait(producer):
-                    # Distinguish *why* at entry: a producer over its
-                    # own quota while the queue has room is throttled
-                    # for fairness, not by global backpressure.
-                    if self._over_quota(producer) and (
-                        len(self._items) < self.max_pending
-                    ):
-                        self.stats.quota_blocked += 1
-                    else:
-                        self.stats.blocked_submits += 1
-                    blocked_at = time.monotonic()
-                    deadline = (
-                        None if timeout is None else blocked_at + timeout
-                    )
-                    try:
-                        while self._must_wait(producer) and not self._closed:
-                            remaining = (
-                                None
-                                if deadline is None
-                                else deadline - time.monotonic()
-                            )
-                            if remaining is not None and remaining <= 0:
-                                if self._over_quota(producer) and (
-                                    len(self._items) < self.max_pending
-                                ):
-                                    self.stats.quota_overflows += 1
-                                    entry["overflows"] += 1
-                                    self.telemetry.inc(
-                                        "intake.quota_overflows"
-                                    )
-                                    self.telemetry.event(
-                                        "intake-quota-overflow",
-                                        producer=producer,
-                                        staged=self._staged_by_producer.get(
-                                            producer, 0
-                                        ),
-                                    )
-                                    raise IngestionOverflow(
-                                        f"producer {producer!r} is over its "
-                                        f"intake quota ({self._quota_cap} "
-                                        f"staged) for {timeout:g}s"
-                                    )
-                                self.stats.overflows += 1
-                                entry["overflows"] += 1
-                                self.telemetry.inc("intake.overflows")
-                                self.telemetry.event(
-                                    "intake-overflow",
-                                    producer=producer,
-                                    pending=len(self._items),
-                                )
-                                raise IngestionOverflow(
-                                    f"intake full ({self.max_pending} pending) "
-                                    f"for {timeout:g}s"
-                                )
-                            self._not_full.wait(remaining)
-                    finally:
-                        entry["blocked_seconds"] += (
-                            time.monotonic() - blocked_at
+        staged = 0
+        with self._not_full:
+            try:
+                for i, task in enumerate(tasks):
+                    if not isinstance(task, EngineTask):
+                        raise TypeError(
+                            f"expected EngineTask, got {type(task).__name__}"
                         )
-                if self._closed:
-                    raise IngestionClosed(
-                        "intake is closed; the campaign is no longer "
-                        "accepting tasks"
+                    if len(self._items) >= self.max_pending:
+                        self._wait_for_room(timeout)
+                    self._require_open()
+                    if task.task_id in self._seen:
+                        raise ValueError(f"duplicate task id {task.task_id!r}")
+                    self._seen.add(task.task_id)
+                    self._items.append((start_time + i * spacing, task))
+                    staged += 1
+                    self.stats.submitted += 1
+                    self.stats.peak_pending = max(
+                        self.stats.peak_pending, len(self._items)
                     )
-                if task.task_id in self._seen:
-                    raise ValueError(f"duplicate task id {task.task_id!r}")
-                self._seen.add(task.task_id)
-                self._items.append((arrival, task, producer))
-                self._staged_by_producer[producer] = (
-                    self._staged_by_producer.get(producer, 0) + 1
+            finally:
+                # Tasks staged before an error stay staged: wake the
+                # loop for them too.
+                if staged:
+                    self._not_empty.notify_all()
+                    self.telemetry.inc("intake.submitted", staged)
+        if staged:
+            self.telemetry.event("intake-submit", staged=staged)
+        return staged
+
+    def _wait_for_room(self, timeout: float | None) -> None:
+        """Wait out a full queue (call under the intake mutex)."""
+        self.stats.blocked_submits += 1
+        # The loop may be parked waiting for traffic: wake it to drain
+        # what this chunk staged so far.
+        self._not_empty.notify_all()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while len(self._items) >= self.max_pending and not self._closed:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                self.stats.overflows += 1
+                self.telemetry.inc("intake.overflows")
+                self.telemetry.event(
+                    "intake-overflow", pending=len(self._items)
                 )
-                self.stats.submitted += 1
-                entry["submits"] += 1
-                self.stats.peak_pending = max(
-                    self.stats.peak_pending, len(self._items)
+                raise IngestionOverflow(
+                    f"intake full ({self.max_pending} pending) for {timeout:g}s"
                 )
-                self._not_empty.notify_all()
-            self.telemetry.inc("intake.submitted")
-            count += 1
-        if count:
-            self.telemetry.event(
-                "intake-submit", producer=producer, staged=count
-            )
-        return count
+            self._not_full.wait(remaining)
 
     def close(self) -> None:
         """Stop accepting tasks (idempotent).  Producers blocked on
@@ -353,35 +207,30 @@ class IntakeQueue:
     # ------------------------------------------------------------------
     # Consumer side (the serving loop's thread)
     # ------------------------------------------------------------------
-    def drain(self, max_items: int | None = None) -> list[tuple[float, EngineTask]]:
-        """Pop up to ``max_items`` staged ``(arrival_time, task)`` pairs
-        (everything pending when ``None``), oldest first.  Never blocks."""
+    def drain(self) -> list[tuple[float, EngineTask]]:
+        """Pop every staged ``(arrival_time, task)`` pair, oldest first.
+        Never blocks."""
         # The drain is called once per loop step (usually empty), so the
         # timing probe only fires when telemetry is live.
         timed = self.telemetry.enabled
         t0 = time.monotonic() if timed else 0.0
         with self._not_full:
-            take = len(self._items)
-            if max_items is not None:
-                take = min(take, max(int(max_items), 0))
-            out = []
-            for _ in range(take):
-                arrival, task, producer = self._items.popleft()
-                staged = self._staged_by_producer.get(producer, 0) - 1
-                if staged > 0:
-                    self._staged_by_producer[producer] = staged
-                else:
-                    self._staged_by_producer.pop(producer, None)
-                out.append((arrival, task))
-            if out:
-                self.stats.drained += len(out)
-                self.stats.drains += 1
-                self._not_full.notify_all()
+            out = self._take()
         if out and timed:
             self.telemetry.observe(
                 "intake_drain_seconds", time.monotonic() - t0
             )
             self.telemetry.event("intake-drain", count=len(out))
+        return out
+
+    def _take(self) -> list[tuple[float, EngineTask]]:
+        """Pop every staged pair (call under the intake mutex)."""
+        out = list(self._items)
+        self._items.clear()
+        if out:
+            self.stats.drained += len(out)
+            self.stats.drains += 1
+            self._not_full.notify_all()
         return out
 
     def wait_for_traffic(self, timeout: float) -> bool:
@@ -520,71 +369,27 @@ class AssignmentBook:
         )
 
 
-class InterleavingSchedule:
-    """Seeded drain cadence for replayable concurrent runs.
-
-    Draws, from one seeded generator consumed in call order, how many
-    events the loop dispatches between intake drains
-    (:meth:`next_chunk`) and how many staged tasks each drain may take
-    (:meth:`next_take`).  Fixing the seed fixes where arrivals land
-    between in-flight vote events — the whole interleaving — so two
-    runs over the same delivery order are byte-identical, while
-    different seeds explore genuinely different schedules.  This is the
-    deterministic mode the concurrency stress harness replays.
-    """
-
-    def __init__(self, seed: int, max_chunk: int = 8, max_take: int = 16) -> None:
-        if max_chunk < 1:
-            raise ValueError("max_chunk must be >= 1")
-        if max_take < 1:
-            raise ValueError("max_take must be >= 1")
-        self._rng = np.random.default_rng(seed)
-        self.max_chunk = max_chunk
-        self.max_take = max_take
-
-    def next_chunk(self) -> int:
-        return int(self._rng.integers(1, self.max_chunk + 1))
-
-    def next_take(self) -> int:
-        return int(self._rng.integers(1, self.max_take + 1))
-
-
 class AsyncIngestLoop:
-    """Drives one engine's event loop off a live intake queue.
+    """A campaign's one intake and its one concurrent serving loop.
 
-    The loop owns the engine's thread: events are dispatched, juries
-    seated, and votes processed on the thread that calls :meth:`run`,
-    exactly like the synchronous path — only *arrival intake* is
-    concurrent.  The drain-before-step discipline (inject every staged
-    arrival before dispatching the next event) plus submission-time
-    stamping make the result deterministic in the delivery order alone.
+    :meth:`serve` owns the engine's thread while it runs: events are
+    dispatched, juries seated and votes processed on the thread that
+    calls it — only *arrival intake* is concurrent.  The
+    drain-before-step discipline (inject every staged arrival before
+    dispatching the next event) plus submission-time stamping make the
+    result deterministic in the delivery order alone.
 
-    ``run(until=None)`` serves to quiescence: when the event queue and
-    the intake are both empty it waits ``grace`` seconds for straggler
-    producers, then finalizes the campaign and closes the intake.
-    ``run(until=N)`` pauses after N completions with the intake still
-    open — staged tasks are folded into the (checkpointable) event
-    queue first, so a paused async campaign snapshots completely.
+    :meth:`submit` picks its route under the intake mutex, which
+    :meth:`serve` also holds while it takes or gives back the engine:
+    while the loop runs, tasks stage through the intake; otherwise they
+    go straight into the event queue on the caller's thread, so a
+    direct submit never overlaps the loop.
     """
 
-    def __init__(
-        self,
-        engine,
-        max_pending: int = 10_000,
-        grace: float = 0.05,
-        interleave: InterleavingSchedule | None = None,
-        producer_quota: float = 0.0,
-    ) -> None:
-        if grace <= 0:
-            raise ValueError(f"grace must be positive, got {grace!r}")
+    def __init__(self, engine, max_pending: int = 10_000) -> None:
         self.engine = engine
-        self.grace = grace
-        self.interleave = interleave
         self.intake = IntakeQueue(
-            max_pending,
-            seen_ids=engine._task_ids,
-            telemetry=engine.telemetry,
-            producer_quota=producer_quota,
+            max_pending, seen_ids=engine._task_ids, telemetry=engine.telemetry
         )
         self._running = False
         self._idle = False
@@ -599,9 +404,30 @@ class AsyncIngestLoop:
         spacing: float = 1.0,
         timeout: float | None = None,
     ) -> int:
-        """Thread-safe :meth:`CampaignEngine.submit` (see
-        :meth:`IntakeQueue.submit` for blocking semantics)."""
-        return self.intake.submit(tasks, start_time, spacing, timeout)
+        """:meth:`CampaignEngine.submit` from any thread: staged through
+        the intake (see :meth:`IntakeQueue.submit` for blocking) while
+        :meth:`serve` runs, pushed into the event queue directly
+        otherwise.  One seen-set catches duplicates across both routes:
+        a direct submit records the ids the engine took in it."""
+        intake = self.intake
+        with intake._mutex:
+            if not self._running:
+                intake._require_open()
+                engine = self.engine
+                ids = engine._task_ids
+                known = len(ids)
+                try:
+                    # Staged tasks were submitted first.  Folded in, they
+                    # fall under the engine's own duplicate check.
+                    engine.ingest(intake._take())
+                    return engine.submit(tasks, start_time, spacing)
+                finally:
+                    # The ids taken are the newest in the engine's
+                    # insertion-ordered index.
+                    intake._seen.update(
+                        islice(reversed(ids), len(ids) - known)
+                    )
+        return intake.submit(tasks, start_time, spacing, timeout)
 
     def close_intake(self) -> None:
         self.intake.close()
@@ -610,103 +436,26 @@ class AsyncIngestLoop:
     # The serving loop
     # ------------------------------------------------------------------
     def quiesce_intake(self) -> int:
-        """Fold every staged arrival into the engine's event queue (loop
-        thread only — the event heap is not thread-safe).  Returns the
-        number injected.  Called before checkpoints so a snapshot never
-        loses tasks that were accepted but not yet scheduled."""
+        """Fold every staged arrival into the engine's event queue (the
+        thread driving the engine only — the event heap is not
+        thread-safe).  Returns the number injected.  Called before
+        checkpoints so a snapshot never loses tasks that were accepted
+        but not yet scheduled."""
         return self.engine.ingest(self.intake.drain())
-
-    def run(self, until: int | None = None) -> EngineMetrics:
-        """Serve until quiescence (``until=None``) or pause after
-        ``until`` completed tasks.  Not reentrant; producers may submit
-        concurrently throughout."""
-        if self._running:
-            raise RuntimeError("AsyncIngestLoop.run is not reentrant")
-        self._running = True
-        engine = self.engine
-        start = time.perf_counter()
-        try:
-            self.quiesce_intake()
-            engine._start()
-            chunk = 0
-            paused = False
-            while True:
-                if until is not None and engine.metrics.completed >= until:
-                    paused = True
-                    break
-                if self.interleave is None:
-                    self.quiesce_intake()
-                elif chunk <= 0:
-                    engine.ingest(
-                        self.intake.drain(self.interleave.next_take())
-                    )
-                    chunk = self.interleave.next_chunk()
-                if engine._queue:
-                    engine._step()
-                    chunk -= 1
-                    continue
-                # Event queue drained: serve freshly staged traffic, or
-                # give straggler producers one grace window.
-                chunk = 0
-                if self.intake.pending:
-                    continue
-                if engine.offers is not None and engine._active:
-                    # External-vote campaign with votes outstanding:
-                    # run() cannot conjure them (vote delivery is the
-                    # caller's job), so pause rather than idle or
-                    # finalize a half-voted campaign.  serve() is the
-                    # blocking mode that waits for that traffic.
-                    paused = True
-                    break
-                if not self.intake.closed and self.intake.wait_for_traffic(
-                    self.grace
-                ):
-                    continue
-                # Quiescence candidate: nothing queued, nothing staged,
-                # and the grace window produced nothing (or the intake
-                # was closed).  Close the intake *before* concluding —
-                # a submit that raced the check above is now staged
-                # behind a closed door, so fold it in and keep serving;
-                # none can race the next pass.
-                self.intake.close()
-                self.quiesce_intake()
-                if not engine._queue:
-                    break
-            if paused:
-                # Paused at the target: juries in flight, the intake
-                # stays open for more traffic.  Stage everything
-                # accepted so far (a checkpoint must capture it) and
-                # fold the live gauges in so a paused report is not all
-                # zeros (the finish pass overwrites them, so resumed
-                # fingerprints are untouched).
-                self.quiesce_intake()
-                engine._collect_stats()
-            else:
-                # Quiesced: every accepted task was served; finalize
-                # exactly like the synchronous path.
-                engine._finish()
-        finally:
-            self._running = False
-            # Fold intake totals into the report on every exit (pause,
-            # finish, or error) — render-only, excluded from the
-            # fingerprint, so sync/async parity is untouched.
-            engine.metrics.intake_stats = self.intake.stats.state_dict()
-            engine.metrics.wall_seconds += time.perf_counter() - start
-        return engine.metrics
 
     @property
     def running(self) -> bool:
-        """Whether a serving loop (:meth:`run` or :meth:`serve`) owns
-        the engine right now."""
+        """Whether :meth:`serve` owns the engine right now."""
         return self._running
 
     @property
     def idle(self) -> bool:
         """Whether a live :meth:`serve` loop is parked waiting for
         traffic (nothing staged, queued, or delivered on its last
-        pass).  The quiescence half of an HTTP client's barrier:
-        ``idle and staged == 0 and queued_events == 0`` means every
-        previously accepted task has been seated."""
+        pass).  The quiescence half of an HTTP client's barrier: read
+        after the counters, ``staged == 0 and queued_events == 0 and
+        idle`` means every previously accepted task has been seated —
+        each pass clears the flag before it touches any work."""
         return self._idle
 
     def serve(
@@ -719,9 +468,7 @@ class AsyncIngestLoop:
     ) -> EngineMetrics:
         """Serve-forever daemon loop.
 
-        Unlike :meth:`run` — which concludes after one quiet
-        ``grace`` window — this loop idles indefinitely, waiting for
-        traffic, until one of two exits:
+        Idles indefinitely, waiting for traffic, until one of two exits:
 
         - the intake is **closed** and everything has quiesced (no
           staged arrivals, no queued events, no tasks awaiting external
@@ -738,10 +485,12 @@ class AsyncIngestLoop:
         periodic observability flushes.  ``poll`` bounds how long the
         idle loop sleeps between checks for side-channel traffic.
         """
-        if self._running:
-            raise RuntimeError("AsyncIngestLoop is already serving")
         if poll <= 0:
             raise ValueError("poll must be positive")
+        with self.intake._mutex:
+            if self._running:
+                raise RuntimeError("AsyncIngestLoop is already serving")
+            self._running = True
         # The idle sleeps must never outlast the tick cadence: ``tick``
         # carries the coordinator's lease renewals, so an idle serve
         # loop sleeping a full ``poll > tick_interval`` would let live
@@ -749,7 +498,6 @@ class AsyncIngestLoop:
         effective_poll = (
             poll if not tick_interval else min(poll, tick_interval)
         )
-        self._running = True
         engine = self.engine
         start = time.perf_counter()
         last_tick = time.monotonic()
@@ -758,6 +506,10 @@ class AsyncIngestLoop:
             self.quiesce_intake()
             engine._start()
             while True:
+                # Not idle from here until this pass finds nothing to
+                # do: a /status poll must not see the barrier while the
+                # pass drains the intake or applies a mailbox command.
+                self._idle = False
                 if stop is not None and stop.is_set():
                     break
                 if (
@@ -770,8 +522,6 @@ class AsyncIngestLoop:
                 progressed = self.quiesce_intake() > 0
                 if drain_hook is not None and drain_hook():
                     progressed = True
-                if progressed or engine._queue:
-                    self._idle = False
                 if engine._queue:
                     engine._step()
                     continue
@@ -799,8 +549,9 @@ class AsyncIngestLoop:
                 self.quiesce_intake()
                 engine._collect_stats()
         finally:
-            self._running = False
             self._idle = False
             engine.metrics.intake_stats = self.intake.stats.state_dict()
             engine.metrics.wall_seconds += time.perf_counter() - start
+            with self.intake._mutex:
+                self._running = False
         return engine.metrics

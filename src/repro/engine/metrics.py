@@ -127,9 +127,10 @@ class EngineMetrics:
     quality_estimation_error: float | None = None
     shard_snapshots: tuple[ShardSnapshot, ...] | None = None
     allocator_snapshot: AllocatorSnapshot | None = None
-    # Async-intake totals (an IngestStats.state_dict() dict), folded in
-    # when the campaign serves through an IntakeQueue.  Render-only —
-    # wall-clock-tinged (blocked time), so the fingerprint excludes it.
+    # Intake totals (an IngestStats.state_dict() dict), folded in when
+    # run() or serve() returns; the report shows them once anything was
+    # staged.  Render-only — timing-dependent (blocked submits), so the
+    # fingerprint excludes it.
     intake_stats: dict | None = None
 
     # ------------------------------------------------------------------
@@ -333,7 +334,7 @@ class EngineMetrics:
             )
         if self.cache_stats is not None:
             lines.append(f"cache        : {self.cache_stats.render()}")
-        if self.intake_stats:
+        if self.intake_stats and self.intake_stats.get("submitted"):
             stats = self.intake_stats
             lines.append(
                 f"intake       : {stats.get('submitted', 0)} submitted, "

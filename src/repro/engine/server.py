@@ -6,7 +6,7 @@ producers.  :class:`CampaignServer` puts a network endpoint on the
 platforms — or a seeded test fleet — can drive a campaign over the
 wire::
 
-    POST /tasks              submit tasks into the async intake
+    POST /tasks              stage tasks on the campaign's intake
     GET  /assignments?worker= the worker's open vote offers
     POST /votes              deliver one vote (applied synchronously)
     GET  /status             live campaign/loop counters
@@ -20,9 +20,10 @@ The listener is a stdlib ``ThreadingHTTPServer``: one handler thread
 per connection.  The engine's event heap is single-threaded, so handler
 threads never touch it directly:
 
-- **Task submission** goes through the thread-safe
+- **Task submission** always stages on the thread-safe
   :class:`~repro.engine.ingest.IntakeQueue` (bounded backpressure →
-  503 + ``Retry-After`` on overflow).
+  503 + ``Retry-After`` on overflow), even while the loop is not
+  running; the next ``serve()`` or ``run()`` folds it in.
 - **Votes and admin commands** are staged on a :class:`LoopMailbox`
   and *applied on the serving-loop thread* at its next drain point;
   the handler blocks until the application ran and reports the real
@@ -170,11 +171,6 @@ class CampaignServer:
         command_timeout: float = DEFAULT_COMMAND_TIMEOUT,
         max_body: int = DEFAULT_MAX_BODY,
     ) -> None:
-        if campaign._ingest is None:
-            raise ValueError(
-                "CampaignServer requires ingestion='async' — the "
-                "listener's handler threads need the thread-safe intake"
-            )
         self.campaign = campaign
         self.submit_timeout = submit_timeout
         self.command_timeout = command_timeout
@@ -211,9 +207,7 @@ class CampaignServer:
 
     def _kick(self) -> None:
         """Wake an idle serving loop (side-channel traffic arrived)."""
-        ingest = self.campaign._ingest
-        if ingest is not None:
-            ingest.intake.kick()
+        self.campaign._ingest.intake.kick()
 
     def _drain(self) -> bool:
         """The serve loop's drain hook (loop thread only): apply every
@@ -302,12 +296,18 @@ class CampaignServer:
     # ------------------------------------------------------------- status
     def status_payload(self) -> dict:
         """Observational snapshot for ``GET /status``.  Counter reads
-        are lock-free (ints/bools); the barrier triple a seeded client
-        fleet polls is ``idle and staged == 0 and queued_events == 0``."""
+        are lock-free (ints/bools).  The barrier a seeded client fleet
+        polls is ``idle and staged == 0 and queued_events == 0 and
+        pending_commands == 0``; ``idle`` is read after the three
+        counters, so work the loop took between the reads shows as
+        ``idle: false`` (each pass clears it before touching work)."""
         campaign = self.campaign
         engine = campaign.engine
         ingest = campaign._ingest
-        intake = ingest.intake
+        queued_events = len(engine._queue)
+        staged = ingest.intake.pending
+        pending_commands = self.mailbox.pending
+        idle = ingest.idle
         metrics = engine.metrics
         offers = engine.offers
         coordinator = campaign.coordinator
@@ -320,7 +320,7 @@ class CampaignServer:
             "lease_owner": None if coordinator is None else coordinator.owner,
             "lease_epoch": None if coordinator is None else coordinator.epoch,
             "serving": ingest.running,
-            "idle": ingest.idle,
+            "idle": idle,
             "done": campaign.done,
             "vote_source": campaign.config.vote_source,
             "num_shards": campaign.config.num_shards,
@@ -330,11 +330,11 @@ class CampaignServer:
             "votes_cancelled": metrics.votes_cancelled,
             "active": len(engine._active),
             "deferred": len(engine._deferred),
-            "queued_events": len(engine._queue),
-            "staged": intake.pending,
-            "intake_closed": intake.closed,
+            "queued_events": queued_events,
+            "staged": staged,
+            "intake_closed": ingest.intake.closed,
             "open_offers": None if offers is None else offers.open_count,
-            "pending_commands": self.mailbox.pending,
+            "pending_commands": pending_commands,
             "uptime_seconds": time.monotonic() - self._started,
         }
 
@@ -361,9 +361,11 @@ class CampaignServer:
 
     # ----------------------------------------------------- command bodies
     def submit_tasks(self, payload: dict) -> dict:
-        """``POST /tasks`` body → staged count.  Raises ``ValueError``
-        (400/409) / ``IngestionOverflow`` (503) / ``IngestionClosed``
-        (409) — mapped to HTTP statuses by the handler."""
+        """``POST /tasks`` body → staged count.  Always stages on the
+        intake, so a handler thread never touches the engine.  Raises
+        ``ValueError`` (400/409) / ``IngestionOverflow`` (503) /
+        ``IngestionClosed`` / ``RuntimeError`` (409) — mapped to HTTP
+        statuses by the handler."""
         rows = payload.get("tasks")
         if not isinstance(rows, list) or not rows:
             raise ValueError("body must carry a non-empty 'tasks' list")
@@ -384,7 +386,8 @@ class CampaignServer:
                     ground_truth=None if truth is None else int(truth),
                 )
             )
-        staged = self.campaign.submit(
+        self.campaign._require_serving()
+        staged = self.campaign._ingest.intake.submit(
             tasks, start_time, spacing, timeout=self.submit_timeout
         )
         return {"staged": staged}

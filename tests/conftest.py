@@ -10,10 +10,10 @@ import pytest
 
 from repro.core import Jury, Worker, WorkerPool
 
-#: Optional per-test wall-clock limit (seconds).  CI sets this when it
-#: re-runs the engine suite with async ingestion forced on (see
-#: ``REPRO_ENGINE_FORCE_INGESTION`` in ``repro.engine.campaign``): a deadlock in the concurrent path then
-#: fails the one stuck test fast instead of hanging the whole job.
+#: Optional per-test wall-clock limit (seconds).  CI sets this for the
+#: jobs that exercise the concurrent serving loop (the server suite, the
+#: engine suite with telemetry forced on): a deadlock then fails the one
+#: stuck test fast instead of hanging the whole job.
 _TIMEOUT_ENV = "REPRO_TEST_TIMEOUT"
 
 

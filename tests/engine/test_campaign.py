@@ -25,6 +25,7 @@ RETIRED_FIELDS = {
     "rebalance_threshold",
     "rebalance_max_moves",
     "ingest_grace",
+    "ingest_producer_quota",
     "trace_path",
 }
 
@@ -106,7 +107,6 @@ class TestCampaignConfig:
         ("dispatch", "fork", "dispatch"),
         ("dispatch", "processes", "dispatch"),
         ("ingest_max_pending", 0, "ingest_max_pending"),
-        ("ingest_producer_quota", 1.5, "ingest_producer_quota"),
         ("telemetry", "verbose", "telemetry"),
         ("metrics_interval", 0.0, "metrics_interval"),
         ("vote_source", "oracle", "vote_source"),
@@ -160,9 +160,11 @@ class TestCampaignConfig:
 
     @pytest.mark.parametrize("field", sorted(RETIRED_FIELDS))
     def test_retired_fields_are_gone(self, field):
-        """Seven fields no caller set became constants or were
-        deleted; the config keeps 24 stored fields."""
-        assert len(dataclasses.fields(CampaignConfig)) == 24
+        """Fields no caller set became constants or were deleted, and
+        ``ingestion`` became a retired init-only argument; the config
+        keeps 22 stored fields."""
+        assert len(dataclasses.fields(CampaignConfig)) == 22
+        assert "ingestion" not in CampaignConfig(budget=1.0).to_dict()
         assert field not in CampaignConfig(budget=1.0).to_dict()
         with pytest.raises(TypeError, match=field):
             CampaignConfig(budget=1.0, **{field: 1})

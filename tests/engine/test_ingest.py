@@ -1,13 +1,14 @@
-"""Unit tests for the async intake layer (`repro.engine.ingest`).
+"""Unit tests for the intake layer (`repro.engine.ingest`).
 
-The concurrency *invariants* (budget/capacity/ledger laws under
-interleaving, fingerprint pins against the sync path) live in
-``test_invariants.py``; this file covers the intake queue's own
+The concurrency *invariants* (budget/capacity/ledger laws while
+producers stream into a served campaign, served-vs-``run()`` fingerprint
+pins) live in ``test_invariants.py``; this file covers the intake's own
 contract: stamping, ordering, bounded backpressure, close semantics,
-duplicate detection across threads, and the seeded interleaving
-schedule's replayability.
+duplicate detection across threads and across the staged and direct
+submit routes, and how ``run()`` folds what is staged.
 """
 
+import sys
 import threading
 import time
 
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    AsyncIngestLoop,
     Campaign,
     CampaignConfig,
     EngineTask,
@@ -23,9 +23,7 @@ from repro.engine import (
     IngestionOverflow,
     IngestStats,
     IntakeQueue,
-    InterleavingSchedule,
 )
-from repro.engine.engine import CampaignEngine
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
 
@@ -49,15 +47,6 @@ def test_submit_stamps_arrival_times_in_order():
     assert queue.stats.submitted == 3
     assert queue.stats.drained == 3
     assert queue.stats.peak_pending == 3
-
-
-def test_drain_max_items_takes_oldest_first():
-    queue = IntakeQueue()
-    queue.submit(tasks(5))
-    first = queue.drain(2)
-    assert [task.task_id for _, task in first] == ["t0", "t1"]
-    assert queue.pending == 3
-    assert [task.task_id for _, task in queue.drain()] == ["t2", "t3", "t4"]
 
 
 def test_rejects_non_tasks_and_duplicates():
@@ -95,11 +84,11 @@ def test_backpressure_unblocks_when_drained():
     thread = threading.Thread(target=producer)
     thread.start()
     time.sleep(0.02)  # let the producer hit the full queue
-    queue.drain(1)
+    assert [task.task_id for _, task in queue.drain()] == ["t0", "t1"]
     thread.join(timeout=5.0)
     assert not thread.is_alive()
     assert staged == [1]
-    assert {task.task_id for _, task in queue.drain()} == {"t1", "t9"}
+    assert [task.task_id for _, task in queue.drain()] == ["t9"]
 
 
 def test_close_wakes_blocked_producer_with_closed_error():
@@ -122,6 +111,30 @@ def test_close_wakes_blocked_producer_with_closed_error():
     assert len(errors) == 1
     with pytest.raises(IngestionClosed):
         queue.submit([EngineTask("t10")])
+
+
+def test_one_submit_stages_its_chunk_whole():
+    """A drain racing a submit gets the whole chunk or none of it: the
+    engine flushes a batch when the queue runs out of arrivals, so a
+    chunk drained in two parts would seat different juries."""
+    queue = IntakeQueue()
+    drained, drainers = [], []
+
+    def chunk():
+        yield EngineTask("t0")
+        # The loop looks while the rest of the chunk is still coming.
+        drainer = threading.Thread(target=lambda: drained.append(queue.drain()))
+        drainer.start()
+        drainer.join(timeout=0.2)
+        drainers.append(drainer)
+        yield EngineTask("t1")
+
+    assert queue.submit(chunk()) == 2
+    drainers[0].join(timeout=5.0)
+    assert not drainers[0].is_alive()
+    assert [[task.task_id for _, task in got] for got in drained] == [
+        ["t0", "t1"]
+    ]
 
 
 def test_wait_for_traffic():
@@ -166,131 +179,36 @@ def test_concurrent_producers_stage_everything_exactly_once():
 def test_intake_validation():
     with pytest.raises(ValueError):
         IntakeQueue(max_pending=0)
-    with pytest.raises(ValueError):
-        InterleavingSchedule(0, max_chunk=0)
-    with pytest.raises(ValueError):
-        IntakeQueue(producer_quota=1.5)
-    with pytest.raises(ValueError):
-        IntakeQueue(producer_quota=-0.1)
+
+
+def test_stored_producer_rows_and_quota_counters_are_ignored():
+    """Checkpoints written while the intake kept per-producer rows and
+    quota counters still restore their totals."""
+    stored = {
+        "submitted": 9,
+        "drained": 7,
+        "drains": 3,
+        "peak_pending": 4,
+        "blocked_submits": 1,
+        "overflows": 2,
+        "quota_blocked": 1,
+        "quota_overflows": 1,
+        "per_producer": {"Thread-1": {"submits": 9}},
+    }
+    stats = IngestStats.from_state(stored)
+    assert stats == IngestStats(9, 7, 3, 4, 1, 2)
+    assert "per_producer" not in stats.state_dict()
 
 
 # ----------------------------------------------------------------------
-# Per-producer intake quota
+# One intake per campaign: submit routes, run() folding
 # ----------------------------------------------------------------------
-def test_quota_caps_one_producer_without_starving_peers():
-    # cap = max(1, int(0.25 * 8)) = 2 staged slots per producer.
-    queue = IntakeQueue(max_pending=8, producer_quota=0.25)
-    queue.submit(tasks(2, prefix="a"))
-    with pytest.raises(IngestionOverflow, match="quota"):
-        queue.submit([EngineTask("a9")], timeout=0.02)
-    assert queue.stats.quota_blocked == 1
-    assert queue.stats.quota_overflows == 1
-    # The firehose producer being throttled leaves room for a peer.
-    staged = []
-    peer = threading.Thread(
-        target=lambda: staged.append(queue.submit(tasks(2, prefix="b"))),
-        name="peer-producer",
-    )
-    peer.start()
-    peer.join(timeout=5.0)
-    assert staged == [2]
-    assert queue.pending == 4
-
-
-def test_quota_frees_as_own_tasks_drain():
-    queue = IntakeQueue(max_pending=8, producer_quota=0.25)
-    queue.submit(tasks(2))
-    released = []
-
-    def producer():
-        released.append(queue.submit([EngineTask("t9")], timeout=5.0))
-
-    # Quota is keyed by the submitting thread's name: impersonate the
-    # main thread so the helper counts against the same producer.
-    thread = threading.Thread(
-        target=producer, name=threading.current_thread().name
-    )
-    thread.start()
-    time.sleep(0.02)
-    assert not released  # still over quota
-    queue.drain(1)  # the producer's own staged count drops below cap
-    thread.join(timeout=5.0)
-    assert released == [1]
-    assert queue.stats.quota_overflows == 0
-
-
-def test_quota_floor_is_one_slot():
-    # A tiny quota never rounds to zero — every producer may always
-    # stage at least one task.
-    queue = IntakeQueue(max_pending=4, producer_quota=0.01)
-    assert queue.submit(tasks(1)) == 1
-    with pytest.raises(IngestionOverflow, match="quota"):
-        queue.submit([EngineTask("t9")], timeout=0.02)
-
-
-def test_quota_zero_disables_enforcement():
-    queue = IntakeQueue(max_pending=4, producer_quota=0.0)
-    assert queue.submit(tasks(4)) == 4  # one producer fills the queue
-
-
-def test_quota_counters_survive_state_round_trip():
-    queue = IntakeQueue(max_pending=4, producer_quota=0.25)
-    queue.submit(tasks(1))
-    with pytest.raises(IngestionOverflow):
-        queue.submit([EngineTask("t9")], timeout=0.01)
-    state = queue.stats.state_dict()
-    restored = IngestStats.from_state(state)
-    assert restored.quota_blocked == 1
-    assert restored.quota_overflows == 1
-    # Old checkpoints without the quota keys still load.
-    legacy = {k: v for k, v in state.items() if not k.startswith("quota")}
-    assert IngestStats.from_state(legacy).quota_overflows == 0
-
-
-def test_campaign_config_threads_quota_to_the_loop():
-    rng = np.random.default_rng(0)
-    pool = generate_pool(SyntheticPoolConfig(num_workers=8), rng)
-    with Campaign.open(
-        pool,
-        CampaignConfig(
-            budget=5.0,
-            ingestion="async",
-            ingest_max_pending=8,
-            ingest_producer_quota=0.25,
-        ),
-    ) as campaign:
-        intake = campaign._ingest.intake
-        assert intake.producer_quota == 0.25
-        assert intake._quota_cap == 2
-    with pytest.raises(ValueError, match="quota"):
-        CampaignConfig(budget=5.0, ingest_producer_quota=1.5)
-    with pytest.raises(ValueError):
-        InterleavingSchedule(0, max_take=0)
-
-
-def test_interleaving_schedule_replays_per_seed():
-    a = InterleavingSchedule(7)
-    b = InterleavingSchedule(7)
-    draws_a = [(a.next_take(), a.next_chunk()) for _ in range(50)]
-    draws_b = [(b.next_take(), b.next_chunk()) for _ in range(50)]
-    assert draws_a == draws_b
-    assert all(
-        1 <= take <= a.max_take and 1 <= chunk <= a.max_chunk
-        for take, chunk in draws_a
-    )
-    c = InterleavingSchedule(8)
-    assert [(c.next_take(), c.next_chunk()) for _ in range(50)] != draws_a
-
-
-# ----------------------------------------------------------------------
-# AsyncIngestLoop / facade plumbing
-# ----------------------------------------------------------------------
-def _engine(num_tasks=20, seed=3):
+def make_campaign(num_tasks=20, seed=3, **overrides):
     rng = np.random.default_rng(seed)
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=12, quality_ceiling=0.95), rng
     )
-    config = CampaignConfig(
+    config = dict(
         budget=0.3 * num_tasks,
         capacity=3,
         batch_size=10,
@@ -298,129 +216,203 @@ def _engine(num_tasks=20, seed=3):
         expected_tasks=num_tasks,
         seed=seed,
     )
-    return CampaignEngine(pool, config)
+    config.update(overrides)
+    return Campaign.open(pool, CampaignConfig(**config))
 
 
-def test_loop_run_is_not_reentrant():
-    loop = AsyncIngestLoop(_engine())
-    loop._running = True
-    with pytest.raises(RuntimeError, match="not reentrant"):
-        loop.run()
-
-
-def test_finished_loop_closes_its_intake():
-    loop = AsyncIngestLoop(_engine())
-    loop.submit(tasks(20))
-    metrics = loop.run()
+def test_run_closes_the_intake_before_it_finishes():
+    campaign = make_campaign()
+    campaign.submit(tasks(20))
+    metrics = campaign.run()
     assert metrics.completed == 20
-    assert loop.intake.closed
+    assert campaign.done
+    assert campaign._ingest.intake.closed
     with pytest.raises(IngestionClosed):
-        loop.submit(tasks(1, prefix="late"))
+        campaign._ingest.submit(tasks(1, prefix="late"))
 
 
-def test_paused_at_target_leaves_intake_open_even_when_queue_drains():
-    """run(until=N) must pause with the intake open — even when the
-    Nth completion happens to drain the event queue — so live
-    producers can keep submitting across the pause."""
-    loop = AsyncIngestLoop(_engine(num_tasks=25))
-    loop.submit(tasks(20))
-    metrics = loop.run(until=20)  # target lands exactly on exhaustion
-    assert metrics.completed == 20
-    assert not loop.engine._finished
-    assert not loop.intake.closed
-    loop.submit(tasks(5, prefix="late"))  # must still be accepted
-    metrics = loop.run()
-    assert metrics.completed == 25
-    assert loop.engine._finished
-    assert loop.intake.closed
+def test_direct_and_staged_submits_share_one_duplicate_check():
+    """A submit outside serve() goes straight into the event queue;
+    one staged on the intake (what a POST /tasks does) waits for the
+    next loop.  Either route refuses an id the other one took."""
+    campaign = make_campaign()
+    intake = campaign._ingest.intake
+    assert campaign.submit(tasks(10)) == 10
+    assert intake.pending == 0 and intake.stats.submitted == 0
+    with pytest.raises(ValueError, match="duplicate"):
+        intake.submit([EngineTask("t3")])
+    assert intake.submit(tasks(10, prefix="s")) == 10
+    with pytest.raises(ValueError, match="duplicate"):
+        campaign.submit([EngineTask("s4")])
+    metrics = campaign.run()
+    assert metrics.completed == metrics.submitted == 20
+    assert intake.pending == 0
 
 
-def test_run_to_quiescence_serves_submits_that_race_the_exit():
-    """A submit landing in the window between the final grace check and
-    the intake close must still be served before run(until=None)
-    finalizes — never left staged in a 'finished' campaign."""
-    loop = AsyncIngestLoop(_engine(num_tasks=21), grace=0.01)
-    loop.submit(tasks(20))
-    real_wait = loop.intake.wait_for_traffic
-    raced = []
-
-    def racing_wait(timeout):
-        # Simulate the adversarial interleaving: traffic arrives right
-        # as the grace window concludes there is none.
-        if not raced:
-            raced.append(True)
-            loop.submit(tasks(1, prefix="raced"))
-            return False  # the stale answer the loop must survive
-        return real_wait(timeout)
-
-    loop.intake.wait_for_traffic = racing_wait
-    metrics = loop.run()
-    assert raced
-    assert metrics.completed == 21  # the raced task was served
-    assert loop.engine._finished
-    assert loop.intake.pending == 0
+@pytest.mark.parametrize("route", ["direct", "staged"])
+def test_each_route_refuses_a_repeat_of_its_own_ids(route):
+    """A repeated id is refused on the route that took it first, and
+    the refused chunk leaves the campaign unchanged."""
+    campaign = make_campaign()
+    intake = campaign._ingest.intake
+    submit = campaign.submit if route == "direct" else intake.submit
+    assert submit(tasks(10)) == 10
+    with pytest.raises(ValueError, match="duplicate"):
+        submit([EngineTask("t3")])
+    metrics = campaign.run()
+    assert metrics.completed == metrics.submitted == 10
 
 
-def test_loop_grace_window_serves_straggler_producers():
-    """A producer that appears while the loop idles inside its grace
-    window is served in the same run."""
-    loop = AsyncIngestLoop(_engine(num_tasks=30), grace=5.0)
-    loop.submit(tasks(10))
+def test_run_serves_tasks_staged_while_it_steps():
+    """A task staged while run() steps (a handler thread's POST /tasks)
+    is folded in before the campaign finalizes, never left behind a
+    finished campaign."""
+    campaign = make_campaign(num_tasks=21)
+    campaign.submit(tasks(20))
+    engine = campaign.engine
+    real_step = engine._step
+    staged = []
 
-    def straggler():
-        time.sleep(0.05)
-        loop.submit(tasks(20, prefix="late"))
-        loop.close_intake()
+    def step():
+        if not staged:
+            staged.append(campaign._ingest.intake.submit(tasks(1, "late")))
+        real_step()
 
-    thread = threading.Thread(target=straggler)
+    engine._step = step
+    metrics = campaign.run()
+    assert staged == [1]
+    assert metrics.completed == 21
+    assert campaign.done
+    assert campaign._ingest.intake.pending == 0
+
+
+def test_small_intake_bound_never_blocks_a_direct_submit():
+    """``ingest_max_pending`` bounds what waits for the serving loop;
+    a submit before run() never waits for a loop, so it never blocks."""
+    campaign = make_campaign(num_tasks=50, ingest_max_pending=8)
+    assert campaign.submit(tasks(50), timeout=0.05) == 50
+    assert campaign.run().completed == 50
+
+
+def test_submit_stages_only_while_serve_runs():
+    campaign = make_campaign(num_tasks=20)
+    intake = campaign._ingest.intake
+    campaign.submit(tasks(10))
+    assert intake.stats.submitted == 0
+    thread = threading.Thread(target=campaign.serve, daemon=True)
     thread.start()
-    metrics = loop.run()
-    thread.join(timeout=5.0)
-    assert metrics.completed == 30
-    assert metrics.submitted == 30
+    deadline = time.monotonic() + 10
+    while not campaign._ingest.running and time.monotonic() < deadline:
+        time.sleep(0.001)
+    campaign.submit(tasks(10, prefix="live"))
+    assert intake.stats.submitted == 10
+    campaign.close_intake()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert campaign.done
+    assert campaign.metrics.completed == 20
+    assert "10 submitted" in campaign.render()
+
+
+def test_submit_routes_stay_sound_while_serve_starts_and_stops():
+    """Producers submit through ``Campaign.submit`` while serve()
+    starts and stops under them.  Each route choice is made under the
+    intake mutex that serve() also takes, so every task is queued
+    exactly once and the campaign serves all of them."""
+    campaign = make_campaign(num_tasks=800)
+    errors = []
+
+    def recording(fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    def producer(j):
+        for i in range(200):
+            campaign.submit([EngineTask(f"p{j}-{i}")], start_time=float(i))
+            time.sleep(0)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        producers = [
+            threading.Thread(target=recording, args=(producer, j))
+            for j in range(4)
+        ]
+        for thread in producers:
+            thread.start()
+        while any(thread.is_alive() for thread in producers):
+            stop = threading.Event()
+            loop = threading.Thread(
+                target=recording,
+                args=(lambda: campaign.serve(stop=stop),),
+                daemon=True,
+            )
+            loop.start()
+            time.sleep(0.002)
+            stop.set()
+            loop.join(timeout=10)
+            assert not loop.is_alive()
+        for thread in producers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors
+    metrics = campaign.run()
+    assert metrics.completed == metrics.submitted == 800
+    assert len({record.task_id for record in metrics.records}) == 800
+    # A push racing a step would lose an update to the queue's counts.
+    assert not any(campaign.engine._queue._pending.values())
+
+
+def test_serve_waits_for_a_direct_submit_in_flight():
+    """A direct submit holds the intake mutex while it pushes into the
+    event queue, so serve() cannot take the engine until it returns."""
+    campaign = make_campaign()
+    engine = campaign.engine
+    real_ingest = engine.ingest
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_ingest(stamped):
+        entered.set()
+        assert release.wait(10)
+        return real_ingest(stamped)
+
+    engine.ingest = slow_ingest
+    producer = threading.Thread(target=campaign.submit, args=(tasks(20),))
+    producer.start()
+    assert entered.wait(10)
+    engine.ingest = real_ingest
+    loop = threading.Thread(target=campaign.serve, daemon=True)
+    loop.start()
+    try:
+        time.sleep(0.05)
+        assert not campaign._ingest.running
+    finally:
+        release.set()
+    producer.join(timeout=10)
+    assert not producer.is_alive()
+    campaign.close_intake()
+    loop.join(timeout=10)
+    assert not loop.is_alive()
+    assert campaign.metrics.completed == 20
+
+
+def test_serve_is_not_reentrant():
+    campaign = make_campaign()
+    campaign._ingest._running = True
+    with pytest.raises(RuntimeError, match="already serving"):
+        campaign._ingest.serve()
 
 
 def test_async_campaign_validates_config():
+    for retired in ("sync", "async"):
+        assert "ingestion" not in CampaignConfig(
+            budget=1.0, ingestion=retired
+        ).to_dict()
     with pytest.raises(ValueError, match="ingestion"):
         CampaignConfig(budget=1.0, ingestion="bogus")
     with pytest.raises(ValueError, match="ingest_max_pending"):
         CampaignConfig(budget=1.0, ingest_max_pending=0)
-
-
-def test_async_facade_campaign_round_trip(tmp_path):
-    """The facade surface (submit -> run -> report) works end to end
-    with async ingestion over two shards, and duplicate submission is
-    caught at the intake."""
-    rng = np.random.default_rng(5)
-    pool = generate_pool(
-        SyntheticPoolConfig(num_workers=24, quality_ceiling=0.95), rng
-    )
-    campaign = Campaign.open(
-        pool,
-        CampaignConfig(
-            budget=9.0,
-            capacity=3,
-            batch_size=10,
-            confidence_target=0.95,
-            seed=5,
-            num_shards=2,
-            ingestion="async",
-        ),
-    )
-    campaign.submit(tasks(30))
-    with pytest.raises(ValueError, match="duplicate"):
-        campaign.submit([EngineTask("t0")])
-    metrics = campaign.run()
-    assert campaign.done
-    assert metrics.completed == 30
-    assert "Campaign engine report" in campaign.render()
-    campaign.close()
-
-
-# ----------------------------------------------------------------------
-# Intake grace
-# ----------------------------------------------------------------------
-def test_grace_must_be_positive():
-    for grace in (0.0, -1.0):
-        with pytest.raises(ValueError, match="grace"):
-            AsyncIngestLoop(_engine(), grace=grace)

@@ -21,13 +21,12 @@ reconciliation between registry and metrics, every submitted task
 completing) and **byte-identical replay** for identical seeds round out
 the harness.
 
-The second half is the *concurrency* stress harness for the async
-ingestion path (`repro.engine.ingest`): the same per-event laws under
-randomized seeded interleavings (submit-while-running producers,
-pause/checkpoint mid-flight, shard rebalance under load),
-byte-identical replay of seeded interleavings, and the
-deterministic-mode pins — a preloaded or run-boundary-fed async
-campaign must reproduce the sync path's fingerprint.
+The second half is the *concurrency* stress harness for the one
+concurrent loop, ``serve()`` over the campaign's intake
+(`repro.engine.ingest`): the same per-event laws while producer
+threads stream tasks in under backpressure, and the determinism pins —
+a served campaign fed up front, or paused, checkpointed and resumed
+mid-flight, must reproduce the ``run()`` fingerprint.
 """
 
 import threading
@@ -41,7 +40,6 @@ from repro.engine import (
     CampaignConfig,
     CampaignEngine,
     EngineTask,
-    InterleavingSchedule,
     MemoryBackend,
     SQLiteBackend,
 )
@@ -406,21 +404,19 @@ def test_rebalancing_campaign_migrates_and_conserves(monkeypatch):
 
 
 # ======================================================================
-# Concurrency stress harness: async ingestion
+# Concurrency stress harness: the serve() loop
 # ======================================================================
-def build_async_loop(
+def build_served_loop(
     seed,
     pool_size,
     shards,
     num_tasks=60,
     checked=True,
-    interleave=None,
     max_pending=10_000,
     expected_tasks=None,
-    grace=0.05,
     telemetry="off",
 ):
-    """The :func:`build_campaign` scenario served through an
+    """The :func:`build_campaign` scenario behind an
     :class:`AsyncIngestLoop` (checked engines assert the global laws
     after every event, concurrency or not).  Returns ``(loop, tasks)``
     with the tasks *not yet submitted* — the test decides who submits
@@ -438,7 +434,6 @@ def build_async_loop(
         batch_size=20,
         confidence_target=0.95,
         expected_tasks=expected_tasks,
-        ingestion="async",
         telemetry=telemetry,
         seed=seed,
     )
@@ -447,52 +442,54 @@ def build_async_loop(
         EngineTask(f"t{i}", ground_truth=int(t))
         for i, t in enumerate(truths)
     ]
-    loop = AsyncIngestLoop(
-        engine, max_pending=max_pending, grace=grace, interleave=interleave
-    )
-    return loop, tasks
+    return AsyncIngestLoop(engine, max_pending=max_pending), tasks
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("pool_size,shards", [(16, 1), (48, 4)])
-def test_async_preloaded_matches_sync_fingerprint(seed, pool_size, shards):
-    """Deterministic async mode, preloaded: the intake path must
-    reproduce the synchronous engine's fingerprint byte for byte —
-    while the checked engine asserts every per-event law along the
-    way."""
+def test_served_preloaded_matches_run_fingerprint(seed, pool_size, shards):
+    """Every task staged on the intake before serving: serve() folds
+    them in before its first step and must reproduce the stepping
+    loop's fingerprint byte for byte — while the checked engine asserts
+    every per-event law along the way."""
     reference = build_campaign(
         seed, pool_size, shards, checked=False
     ).run().fingerprint()
-    loop, tasks = build_async_loop(seed, pool_size, shards)
-    loop.submit(tasks)
-    metrics = loop.run()
+    loop, tasks = build_served_loop(seed, pool_size, shards)
+    loop.intake.submit(tasks)
+    loop.close_intake()
+    metrics = loop.serve()
     final_laws(loop.engine, metrics)
     assert metrics.fingerprint() == reference
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_seeded_interleavings_replay_and_conserve(seed):
-    """Randomized seeded interleavings: the schedule chops intake
-    drains into odd-sized bites at odd moments, so arrivals interleave
-    with in-flight votes very differently from the batch path — every
-    per-event law must hold regardless, every task must complete, and
-    the same schedule seed must replay byte-identically."""
+def serve_with_producers(loop, tasks, producers=4):
+    """Serve on this thread while ``producers`` threads stage ``tasks``
+    round-robin on the intake (as HTTP handler threads do), and a
+    closer thread closes the intake once every producer is done."""
+    chunks = [tasks[i::producers] for i in range(producers)]
 
-    def one_run():
-        loop, tasks = build_async_loop(
-            seed,
-            48,
-            4,
-            interleave=InterleavingSchedule(seed * 31 + 1),
-            expected_tasks=60,
-        )
-        loop.submit(tasks)
-        metrics = loop.run()
-        final_laws(loop.engine, metrics)
-        assert metrics.completed == metrics.submitted == 60
-        return metrics.fingerprint()
+    def producer(chunk):
+        for k, task in enumerate(chunk):
+            loop.intake.submit([task], start_time=float(k))
 
-    assert one_run() == one_run()
+    threads = [
+        threading.Thread(target=producer, args=(chunk,)) for chunk in chunks
+    ]
+
+    def closer():
+        for thread in threads:
+            thread.join()
+        loop.close_intake()
+
+    closer_thread = threading.Thread(target=closer)
+    for thread in threads:
+        thread.start()
+    closer_thread.start()
+    metrics = loop.serve()
+    closer_thread.join(timeout=10.0)
+    assert not closer_thread.is_alive()
+    return metrics
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -502,121 +499,58 @@ def test_submit_while_running_under_backpressure(seed):
     shards.  Backpressure must bound staging, every
     task must be served exactly once, and the per-event laws must hold
     throughout."""
-    loop, tasks = build_async_loop(
-        seed,
-        32,
-        4,
-        max_pending=8,
-        expected_tasks=60,
-        grace=2.0,
+    loop, tasks = build_served_loop(
+        seed, 32, 4, max_pending=8, expected_tasks=60
     )
-    chunks = [tasks[i::4] for i in range(4)]
-
-    def producer(chunk):
-        for k, task in enumerate(chunk):
-            loop.submit([task], start_time=float(k))
-
-    producers = [
-        threading.Thread(target=producer, args=(chunk,)) for chunk in chunks
-    ]
-
-    def closer():
-        for thread in producers:
-            thread.join()
-        loop.close_intake()
-
-    closer_thread = threading.Thread(target=closer)
-    for thread in producers:
-        thread.start()
-    closer_thread.start()
-    metrics = loop.run()
-    closer_thread.join(timeout=10.0)
-    assert not closer_thread.is_alive()
+    metrics = serve_with_producers(loop, tasks)
     final_laws(loop.engine, metrics)
     assert metrics.completed == metrics.submitted == 60
     assert loop.intake.stats.submitted == 60
     assert loop.intake.stats.peak_pending <= 8
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_shard_serves_concurrent_producers_exactly_once(seed):
+    """The one-shard campaign under live traffic: three producer
+    threads race a four-slot intake while one shard seats every jury.
+    Each task is served exactly once, staging stays bounded, and the
+    per-event laws hold throughout."""
+    loop, tasks = build_served_loop(
+        seed, 16, 1, max_pending=4, expected_tasks=60
+    )
+    metrics = serve_with_producers(loop, tasks, producers=3)
+    final_laws(loop.engine, metrics)
+    assert metrics.completed == metrics.submitted == 60
+    assert loop.intake.stats.submitted == 60
+    assert loop.intake.stats.peak_pending <= 4
+
+
 @pytest.mark.parametrize("seed", CHECKPOINT_SEEDS)
-def test_async_pause_checkpoint_resume_matches_sync(seed, tmp_path):
-    """Pause/checkpoint mid-flight on the async path: a concurrent
-    campaign checkpointed with juries in flight and resumed from SQLite
-    must land on the synchronous path's fingerprint."""
+def test_served_pause_checkpoint_resume_matches_run(seed, tmp_path):
+    """Pause/checkpoint mid-flight on the serving loop: a served
+    campaign stopped with juries in flight, checkpointed and resumed
+    from SQLite must land on the stepping loop's fingerprint."""
     reference = build_facade_campaign(seed, 48, 4).run().fingerprint()
 
-    path = tmp_path / f"async-{seed}.db"
-    interrupted = build_facade_campaign(
-        seed,
-        48,
-        4,
-        SQLiteBackend(path),
-        ingestion="async",
-    )
-    interrupted.run(until=10 + (seed % 3) * 15)
+    path = tmp_path / f"served-{seed}.db"
+    interrupted = build_facade_campaign(seed, 48, 4, SQLiteBackend(path))
+    target = 10 + (seed % 3) * 15
+    stop = threading.Event()
+
+    def pause_at_target():
+        if interrupted.metrics.completed >= target:
+            stop.set()
+
+    interrupted.serve(stop=stop, drain_hook=pause_at_target)
     assert not interrupted.done
+    assert interrupted.metrics.completed >= target
     interrupted.checkpoint()
     interrupted.close()
 
     resumed = Campaign.resume(SQLiteBackend(path))
-    assert resumed.config.ingestion == "async"
     assert resumed.run().fingerprint() == reference
     final_laws(resumed.engine, resumed.metrics)
     resumed.close()
-
-
-@pytest.mark.parametrize("seed", CHECKPOINT_SEEDS)
-def test_scripted_submission_interleavings_match_sync(seed):
-    """Submit-while-running, deterministically: a seeded script of
-    (submit a batch, serve until N) steps drives a sync campaign and an
-    async one through identical run-boundary traffic; the async path —
-    intake, drain-before-step — must reproduce the
-    sync fingerprint byte for byte."""
-    rng = np.random.default_rng(seed)
-    splits = np.sort(rng.choice(np.arange(5, 55), size=2, replace=False))
-    batches = (int(splits[0]), int(splits[1] - splits[0]), int(60 - splits[1]))
-    cut_a = int(rng.integers(1, splits[0]))
-    cut_b = int(rng.integers(cut_a + 1, splits[1]))
-
-    def scripted(**config_kwargs):
-        campaign, tasks = build_facade_campaign(
-            seed, 48, 4, submit=False, expected_tasks=60, **config_kwargs
-        )
-        first = batches[0]
-        second = batches[0] + batches[1]
-        campaign.submit(tasks[:first])
-        campaign.run(until=cut_a)
-        campaign.submit(tasks[first:second])
-        campaign.run(until=cut_b)
-        campaign.submit(tasks[second:])
-        metrics = campaign.run()
-        assert campaign.done
-        assert metrics.completed == 60
-        return metrics.fingerprint()
-
-    sync_fp = scripted()
-    async_fp = scripted(ingestion="async")
-    assert async_fp == sync_fp
-
-
-def test_async_rebalance_under_interleaved_load(monkeypatch):
-    """Shard rebalancing triggered while interleaved intake is live:
-    migrations must happen and every law must survive workers changing
-    shards mid-traffic."""
-    monkeypatch.setattr(sharding, "REBALANCE_THRESHOLD", 0.05)
-    loop, tasks = build_async_loop(
-        11,
-        48,
-        4,
-        num_tasks=120,
-        interleave=InterleavingSchedule(11),
-        expected_tasks=120,
-    )
-    loop.submit(tasks)
-    metrics = loop.run()
-    final_laws(loop.engine, metrics)
-    assert metrics.completed == 120
-    assert loop.engine.scheduler.migrations > 0
 
 
 def _assert_histogram_invariants(telemetry):
@@ -636,42 +570,15 @@ def _assert_histogram_invariants(telemetry):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_telemetry_histograms_consistent_under_concurrent_stress(seed):
-    """Telemetry on during the threaded submit-while-running scenario:
+    """Telemetry on during the threaded submit-while-serving scenario:
     producers and the serving loop report into the hub
     concurrently.  Every histogram must conserve
     its counts, the hub's counters must reconcile with the intake's own
     ledger, and the per-event campaign laws must hold throughout."""
-    loop, tasks = build_async_loop(
-        seed,
-        32,
-        4,
-        max_pending=8,
-        expected_tasks=60,
-        grace=2.0,
-        telemetry="on",
+    loop, tasks = build_served_loop(
+        seed, 32, 4, max_pending=8, expected_tasks=60, telemetry="on"
     )
-    chunks = [tasks[i::4] for i in range(4)]
-
-    def producer(chunk):
-        for k, task in enumerate(chunk):
-            loop.submit([task], start_time=float(k))
-
-    producers = [
-        threading.Thread(target=producer, args=(chunk,)) for chunk in chunks
-    ]
-
-    def closer():
-        for thread in producers:
-            thread.join()
-        loop.close_intake()
-
-    closer_thread = threading.Thread(target=closer)
-    for thread in producers:
-        thread.start()
-    closer_thread.start()
-    metrics = loop.run()
-    closer_thread.join(timeout=10.0)
-    assert not closer_thread.is_alive()
+    metrics = serve_with_producers(loop, tasks)
     final_laws(loop.engine, metrics)
     assert metrics.completed == metrics.submitted == 60
 
@@ -683,31 +590,3 @@ def test_telemetry_histograms_consistent_under_concurrent_stress(seed):
     assert counters["intake.submitted"] == loop.intake.stats.submitted == 60
     assert counters["engine.tasks_submitted"] == 60
     assert counters["engine.tasks_completed"] == 60
-    # Per-producer rows cover every submitting thread and reconcile.
-    per_producer = loop.intake.stats.per_producer
-    assert sum(row["submits"] for row in per_producer.values()) == 60
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_telemetry_is_observation_only_under_seeded_interleavings(seed):
-    """The deterministic interleaved path must land on the same
-    fingerprint with the hub recording as with NullTelemetry — spans,
-    counters, and drain timing never leak into campaign decisions."""
-
-    def one_run(telemetry):
-        loop, tasks = build_async_loop(
-            seed,
-            48,
-            4,
-            interleave=InterleavingSchedule(seed * 31 + 1),
-            expected_tasks=60,
-            checked=False,
-            telemetry=telemetry,
-        )
-        loop.submit(tasks)
-        metrics = loop.run()
-        if telemetry == "on":
-            _assert_histogram_invariants(loop.engine.telemetry)
-        return metrics.fingerprint()
-
-    assert one_run("off") == one_run("on")

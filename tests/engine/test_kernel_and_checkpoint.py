@@ -43,6 +43,8 @@ RETIRED_DEFAULTS = {
     "rebalance_max_moves": 2,
     "ingest_grace": 0.05,
     "trace_path": None,
+    "ingestion": "sync",
+    "ingest_producer_quota": 0.0,
 }
 
 
@@ -256,14 +258,14 @@ class TestRetiredConfigFields:
     ):
         """Checkpoints written while these were config fields carry them
         at their defaults.  Each decision-affecting default is the value
-        its constant kept; the intake grace and the trace path never
-        shaped a decision.  Either way resume lands on the
+        its constant kept; the intake mode, grace and quota and the
+        trace path never shaped a decision.  Either way resume lands on the
         uninterrupted run."""
         reference = make_campaign(num_shards=num_shards).run().fingerprint()
         resumed = self.resume_with(
             {field: RETIRED_DEFAULTS[field]}, num_shards
         )
-        assert not hasattr(resumed.config, field)
+        assert field not in resumed.config.to_dict()
         assert resumed.run().fingerprint() == reference
 
     @pytest.mark.parametrize("field,value", [
@@ -284,6 +286,10 @@ class TestRetiredConfigFields:
         ("ingest_grace", "auto"),
         ("ingest_grace", 2.5),
         ("trace_path", "campaign-trace.json"),
+        ("ingestion", "async"),
+        ("ingestion", "batch"),
+        ("ingest_producer_quota", 0.25),
+        ("ingest_producer_quota", 1.0),
     ])
     def test_wall_clock_and_output_fields_drop_at_any_value(
         self, field, value
@@ -297,7 +303,7 @@ class TestRetiredConfigFields:
         self, version
     ):
         """The committed v1/v2 checkpoints (whose resume is pinned in
-        ``test_backends.py``) were written with all seven fields."""
+        ``test_backends.py``) were written with every retired field."""
         snapshot = json.loads(
             (FIXTURES / f"v{version}_checkpoint.json").read_text()
         )

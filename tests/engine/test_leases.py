@@ -391,7 +391,6 @@ def test_serve_with_long_poll_keeps_leases_renewed(tmp_path):
             batch_size=4,
             confidence_target=0.95,
             seed=3,
-            ingestion="async",
             vote_source="external",
             coordinate_path=coord_path,
             lease_ttl=0.9,  # renew_every = 0.3s

@@ -68,7 +68,6 @@ def make_config(**overrides):
         batch_size=4,
         confidence_target=0.95,
         seed=7,
-        ingestion="async",
         vote_source="external",
         # Live serving starts before any task is POSTed, so the
         # pacing baseline cannot come from the submitted tasks.
@@ -155,17 +154,23 @@ class serving:
 # ---------------------------------------------------------------------------
 
 
+def at_barrier(status):
+    """The documented client barrier: every accepted task is seated and
+    every delivered command applied."""
+    return (
+        status["idle"]
+        and status["staged"] == 0
+        and status["queued_events"] == 0
+        and status["pending_commands"] == 0
+    )
+
+
 def barrier_http(url, deadline=20.0):
-    """Wait until every accepted task is seated (idle && staged == 0 &&
-    queued_events == 0) — the documented client barrier."""
+    """Wait until ``/status`` reports the barrier."""
     end = time.monotonic() + deadline
     while time.monotonic() < end:
         _, status = http_get(url + "/status")
-        if (
-            status["idle"]
-            and status["staged"] == 0
-            and status["queued_events"] == 0
-        ):
+        if at_barrier(status):
             return status
         time.sleep(0.005)
     raise AssertionError("campaign never quiesced")
@@ -436,6 +441,27 @@ class TestEndpoints:
                 code, _ = http_post(srv.url + "/tasks", payload)
                 assert code == 400, payload
 
+    def test_duplicate_of_a_direct_submit_409_and_serving_continues(self):
+        """An id submitted straight into the event queue before serving
+        is caught by the intake's duplicate check, and the loop keeps
+        serving."""
+        campaign = Campaign.open(make_pool(), make_config())
+        tasks = make_tasks(3)
+        campaign.submit(tasks[:2])
+        with serving(campaign=campaign) as srv:
+            code, body = http_post(
+                srv.url + "/tasks", {"tasks": task_rows(tasks[1:2])}
+            )
+            assert code == 409
+            assert "duplicate" in body["error"]
+            code, _ = http_post(
+                srv.url + "/tasks", {"tasks": task_rows(tasks[2:])}
+            )
+            assert code == 202
+            status = barrier_http(srv.url)
+            assert status["serving"] is True
+            assert status["submitted"] == 3
+
     def test_duplicate_task_409(self):
         with serving() as srv:
             rows = task_rows(make_tasks(2))
@@ -505,6 +531,57 @@ class TestEndpoints:
                 srv.url + "/admin/close", {"mode": "detonate"}
             )
             assert code == 400
+
+
+class TestStatusBarrier:
+    @pytest.mark.parametrize("blocked_in", ["mailbox", "intake"])
+    def test_barrier_is_never_reported_mid_drain(self, blocked_in):
+        """Block the loop inside its drain — in a mailbox command, or
+        between draining the intake and queueing what it drained.
+        While it blocks, ``/status`` must not report the barrier; once
+        it returns and the loop parks, it must."""
+        entered, release = threading.Event(), threading.Event()
+
+        def block():
+            entered.set()
+            assert release.wait(10)
+
+        with serving() as srv:
+            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
+            barrier_http(srv.url)
+            if blocked_in == "mailbox":
+                client = threading.Thread(
+                    target=srv.server.mailbox.call, args=(block,)
+                )
+            else:
+                engine = srv.campaign.engine
+                real_ingest = engine.ingest
+
+                def ingest(stamped):
+                    stamped = list(stamped)
+                    if stamped:
+                        block()
+                    return real_ingest(stamped)
+
+                engine.ingest = ingest
+                rows = task_rows(make_tasks(3)[2:])
+                client = threading.Thread(
+                    target=http_post,
+                    args=(srv.url + "/tasks", {"tasks": rows}),
+                )
+            client.start()
+            try:
+                assert entered.wait(10)
+                for _ in range(20):
+                    _, status = http_get(srv.url + "/status")
+                    assert not at_barrier(status), status
+            finally:
+                release.set()
+            client.join(timeout=10)
+            assert not client.is_alive()
+            assert barrier_http(srv.url)["submitted"] == (
+                2 if blocked_in == "mailbox" else 3
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -639,22 +716,70 @@ def assert_valid_prometheus(body):
         assert _PROM_SAMPLE.match(line), f"invalid exposition line: {line!r}"
 
 
+def series_keys(body):
+    """The exposition's series: each sample line without its value."""
+    return {
+        line.rsplit(" ", 1)[0]
+        for line in body.splitlines()
+        if line and not line.startswith("#")
+    }
+
+
+def leaf_count(value):
+    if isinstance(value, dict):
+        return sum(leaf_count(v) for v in value.values())
+    return 1
+
+
 class TestHostileMetricsLabels:
-    def test_metrics_endpoint_survives_hostile_producer_names(self):
-        hostile = 'evil"producer\nname\\with everything'
-        with serving(config=make_config(telemetry="on")) as srv:
-            thread = threading.Thread(
-                target=srv.campaign.submit,
-                args=(make_tasks(3),),
-                name=hostile,
-            )
-            thread.start()
-            thread.join(timeout=10)
-            barrier_http(srv.url)
-            status, body = http_get(srv.url + "/metrics", raw=True)
-            assert status == 200
+    def test_task_posts_add_no_series_or_checkpoint_rows(self):
+        """The intake keys nothing on the submitting thread.  The
+        listener runs a thread per connection, so 40 ``POST /tasks``
+        come from 40 threads, one of them with a hostile name; they
+        must add no ``/metrics`` series and no checkpoint rows beyond
+        what the first one adds.  The tasks stage with no loop running
+        (nothing else moves the series) and the next serve() runs
+        them."""
+        backend = MemoryBackend()
+        config = make_config(
+            telemetry="on", expected_tasks=40, vote_source="simulated"
+        )
+        campaign = Campaign.open(make_pool(), config, backend=backend)
+        server = CampaignServer(campaign, port=0)
+        server.start_listener()
+        rows = task_rows(make_tasks(40))
+
+        def scrape():
+            campaign.checkpoint()
+            intake_stats = backend.load()["campaign"]["intake_stats"]
+            _, body = http_get(server.url + "/metrics", raw=True)
             assert_valid_prometheus(body)
-            assert 'evil\\"producer\\nname\\\\with everything' in body
+            return series_keys(body), leaf_count(intake_stats)
+
+        try:
+            http_get(server.url + "/metrics", raw=True)
+            assert http_post(server.url + "/tasks", {"tasks": rows[:1]})[0] == 202
+            first_series, first_rows = scrape()
+            hostile = threading.Thread(
+                target=http_post,
+                args=(server.url + "/tasks", {"tasks": rows[1:2]}),
+                name='evil"producer\nname\\with everything',
+            )
+            hostile.start()
+            hostile.join(timeout=10)
+            for row in rows[2:]:
+                code, _ = http_post(server.url + "/tasks", {"tasks": [row]})
+                assert code == 202
+            series, checkpoint_rows = scrape()
+            assert campaign.intake_stats.submitted == 40
+            assert series == first_series
+            assert checkpoint_rows == first_rows
+            assert "producer" not in " ".join(series)
+            server.close_intake()
+            assert server.serve().completed == 40
+        finally:
+            server.shutdown()
+            campaign.close()
 
     def test_server_response_labels_are_escaped(self):
         with serving(config=make_config(telemetry="on")) as srv:
@@ -941,14 +1066,24 @@ class TestLoopMailbox:
 
 
 class TestServerConstruction:
-    def test_requires_async_ingestion(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_FORCE_INGESTION", raising=False)
-        campaign = Campaign.open(
-            make_pool(), make_config(ingestion="sync")
-        )
-        with pytest.raises(ValueError, match="async"):
-            CampaignServer(campaign)
+    def test_accepts_a_resumed_sync_checkpoint(self, tmp_path):
+        """A campaign opened with the retired ``ingestion="sync"`` and
+        paused by ``run()`` serves after a resume like any other."""
+        backend = SQLiteBackend(tmp_path / "sync.db")
+        config = make_config(ingestion="sync", vote_source="simulated")
+        campaign = Campaign.open(make_pool(), config, backend=backend)
+        campaign.submit(make_tasks(6))
+        campaign.run(until=2)
+        campaign.checkpoint()
         campaign.close()
+
+        resumed = Campaign.resume(SQLiteBackend(tmp_path / "sync.db"))
+        with serving(campaign=resumed) as srv:
+            code, _ = http_post(srv.url + "/admin/close", {"mode": "drain"})
+            assert code == 200
+            metrics = srv.join()
+        assert resumed.done
+        assert metrics.completed == 6
 
     def test_ephemeral_port_is_reported(self):
         campaign = Campaign.open(make_pool(), make_config())

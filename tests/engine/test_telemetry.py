@@ -1,10 +1,10 @@
 """Telemetry subsystem: hub semantics, observation-only discipline,
-persistence, per-producer intake accounting, exports, CLI surface.
+persistence, intake accounting, exports, CLI surface.
 
 The load-bearing law is *observation only*: enabling telemetry must not
 change a single campaign decision.  The parity matrix pins
 :meth:`EngineMetrics.fingerprint` byte-identical with telemetry on vs
-off across seeds x shard counts x sync/async ingestion; everything else
+off across seeds x shard counts; everything else
 here checks that what the hub records is internally consistent
 (histogram bucket conservation, ring bounds, resume-monotonic clocks)
 and reaches every export surface (JSON snapshot, Prometheus text,
@@ -276,24 +276,30 @@ class TestPersistence:
         assert len(hub.snapshot()["counters"]) == 1
 
 
-FINGERPRINT_MATRIX = [
-    (shards, ingestion)
-    for shards in (1, 4)
-    for ingestion in ("sync", "async")
-]
-
-
 class TestObservationOnly:
     """Telemetry never feeds back into campaign decisions."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("shards,ingestion", FINGERPRINT_MATRIX)
-    def test_fingerprint_identical_on_vs_off(self, seed, shards, ingestion):
-        off = make_campaign(seed, shards, telemetry="off", ingestion=ingestion)
-        on = make_campaign(seed, shards, telemetry="on", ingestion=ingestion)
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_fingerprint_identical_on_vs_off(self, seed, shards):
+        off = make_campaign(seed, shards, telemetry="off")
+        on = make_campaign(seed, shards, telemetry="on")
         assert off.run().fingerprint() == on.run().fingerprint()
         assert on.telemetry.enabled
         assert not off.telemetry.enabled
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shards", (1, 4))
+    def test_served_fingerprint_identical_on_vs_off(self, seed, shards):
+        """The same law on the concurrent loop: a campaign fed up front
+        and served lands on the stepping loop's fingerprint whether the
+        hub records or not."""
+        reference = make_campaign(seed, shards).run().fingerprint()
+        for telemetry in ("off", "on"):
+            campaign = make_campaign(seed, shards, telemetry=telemetry)
+            campaign.close_intake()
+            assert campaign.serve().fingerprint() == reference
+            assert campaign.telemetry.enabled == (telemetry == "on")
 
     def test_force_env_toggle_is_observation_only(self, monkeypatch):
         reference = make_campaign(11, 4).run().fingerprint()
@@ -480,38 +486,9 @@ class TestCampaignIntegration:
 
 
 class TestIntakeAccounting:
-    """Satellites: per-producer counters + IngestStats persistence."""
+    """IngestStats counters, their persistence, and the report line."""
 
-    def test_per_producer_counters_under_threads(self):
-        intake = IntakeQueue(max_pending=1000)
-        tasks = [EngineTask(f"t{i}") for i in range(40)]
-        chunks = [tasks[i::4] for i in range(4)]
-
-        def producer(chunk):
-            intake.submit(chunk)
-
-        threads = [
-            threading.Thread(
-                target=producer, args=(chunk,), name=f"producer-{i}"
-            )
-            for i, chunk in enumerate(chunks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = intake.stats
-        assert stats.submitted == 40
-        assert sorted(stats.per_producer) == [
-            f"producer-{i}" for i in range(4)
-        ]
-        for row in stats.per_producer.values():
-            assert row["submits"] == 10
-            assert row["overflows"] == 0
-            assert row["blocked_seconds"] >= 0.0
-        assert sum(r["submits"] for r in stats.per_producer.values()) == 40
-
-    def test_overflow_counts_against_its_producer(self):
+    def test_overflow_is_counted_and_traced(self):
         hub = Telemetry()
         intake = IntakeQueue(max_pending=2, telemetry=hub)
         intake.submit([EngineTask("a"), EngineTask("b")])
@@ -521,9 +498,7 @@ class TestIntakeAccounting:
             intake.submit([EngineTask("c")], timeout=0.01)
         stats = intake.stats
         assert stats.overflows == 1
-        producer = threading.current_thread().name
-        assert stats.per_producer[producer]["overflows"] == 1
-        assert stats.per_producer[producer]["blocked_seconds"] > 0.0
+        assert stats.blocked_submits == 1
         kinds = [e.kind for e in hub.trace_events()]
         assert "intake-overflow" in kinds
         counters = {
@@ -540,13 +515,15 @@ class TestIntakeAccounting:
             blocked_submits=1,
             overflows=2,
         )
-        stats.producer("p0")["submits"] = 9
         clone = IngestStats.from_state(
             json.loads(json.dumps(stats.state_dict()))
         )
         assert clone == stats
 
     def test_intake_stats_survive_checkpoint_resume(self):
+        """Tasks staged on the intake (as ``POST /tasks`` does) are
+        counted; the counters ride the checkpoint and keep accumulating
+        after a resume."""
         backend = MemoryBackend()
         rng = np.random.default_rng(31)
         pool = generate_pool(
@@ -554,16 +531,11 @@ class TestIntakeAccounting:
         )
         campaign = Campaign.open(
             pool,
-            CampaignConfig(
-                budget=18.0,
-                confidence_target=0.95,
-                seed=31,
-                ingestion="async",
-            ),
+            CampaignConfig(budget=18.0, confidence_target=0.95, seed=31),
             backend=backend,
         )
         truths = rng.integers(0, 2, size=60)
-        campaign.submit(
+        campaign._ingest.intake.submit(
             EngineTask(f"t{i}", ground_truth=int(t))
             for i, t in enumerate(truths)
         )
@@ -571,7 +543,7 @@ class TestIntakeAccounting:
         campaign.checkpoint()
         submitted = campaign._ingest.intake.stats.submitted
         drained = campaign._ingest.intake.stats.drained
-        assert submitted == 60
+        assert submitted == drained == 60
 
         resumed = Campaign.resume(backend)
         stats = resumed._ingest.intake.stats
@@ -586,9 +558,17 @@ class TestIntakeAccounting:
 
 class TestRenderExtensions:
     def test_render_shows_intake_and_shard_lines(self):
-        campaign = make_campaign(7, 4, ingestion="async")
+        campaign = make_campaign(7, 4)
         campaign.run()
         report = campaign.metrics.render()
+        # Nothing was staged: every task went straight to the queue.
+        assert "intake" not in report
+        staged = make_campaign(7, 4, num_tasks=0)
+        staged._ingest.intake.submit(
+            EngineTask(f"t{i}", ground_truth=i % 2) for i in range(60)
+        )
+        staged.run()
+        report = staged.metrics.render()
         assert "intake" in report
         assert "60 submitted" in report
         assert "seats" in report
@@ -677,8 +657,8 @@ class TestCLI:
 
 
 class TestPrometheusLabelEscaping:
-    """Label values reaching the exporter are producer-controlled
-    (thread names, shard tags); per the text-format v0.0.4 spec,
+    """Label values reaching the exporter can be client-controlled
+    (request routes); per the text-format v0.0.4 spec,
     backslash, double-quote, and newline must be escaped or the
     exposition is unparseable."""
 
@@ -700,7 +680,9 @@ class TestPrometheusLabelEscaping:
             'repro_requests_total{producer="evil\\"name\\nwith\\\\stuff"} 1'
         )
 
-    def test_hostile_producer_thread_name_flows_through_intake(self):
+    def test_producer_thread_name_never_becomes_a_label(self):
+        """The intake keys nothing on the submitting thread: a handler
+        thread per connection must not mint a series per request."""
         telemetry = Telemetry()
         queue = IntakeQueue(telemetry=telemetry)
         thread = threading.Thread(
@@ -711,7 +693,8 @@ class TestPrometheusLabelEscaping:
         thread.start()
         thread.join(timeout=10)
         text = telemetry.render_prometheus()
-        assert 'producer="prod\\"uc\\ner\\\\1"' in text
+        assert "producer" not in text
+        assert "repro_intake_submitted_total 2" in text
         # One sample per line: no raw newline/quote survived into a
         # label value, so every line parses under the v0.0.4 grammar.
         sample = re.compile(

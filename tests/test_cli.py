@@ -155,20 +155,11 @@ class TestEngineCommand:
                 main(self.ARGS + ["--num-shards", "2",
                                   "--routing-policy", policy])
 
-    def test_async_ingestion_matches_sync_report(self, capsys):
-        """--ingestion async on a pre-submitted sharded campaign must
-        print the exact sync report (modulo wall clock): the
-        deterministic-mode pin, surfaced at the CLI."""
-        sharded = self.ARGS + ["--num-shards", "4"]
-        assert main(sharded) == 0
-        sync_out = self.stable_lines(capsys.readouterr().out)
-        assert main(sharded + ["--ingestion", "async"]) == 0
-        async_out = self.stable_lines(capsys.readouterr().out)
-        assert async_out == sync_out
-
-    def test_ingestion_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            main(self.ARGS + ["--ingestion", "threaded"])
+    def test_ingestion_flag_is_gone(self):
+        """Every campaign has one intake: the flag no longer parses."""
+        for mode in ("sync", "async"):
+            with pytest.raises(SystemExit):
+                main(self.ARGS + ["--ingestion", mode])
 
     def test_nonpositive_shard_count_rejected(self):
         """--num-shards 0 must fail loudly, not silently run unsharded."""
@@ -351,6 +342,13 @@ class TestServeCommand:
         assert main(["serve", "--budget", "5"]) == 2
         assert "--expected-tasks is required" in capsys.readouterr().err
 
+    def test_ingestion_flag_is_gone(self):
+        """Serving needs no mode switch: the flag no longer parses."""
+        for mode in ("sync", "async"):
+            with pytest.raises(SystemExit):
+                main(["serve", "--budget", "5", "--expected-tasks", "5",
+                      "--ingestion", mode])
+
     def test_resume_requires_sqlite_backend(self, capsys):
         assert main(["serve", "--budget", "5", "--resume"]) == 2
         assert "--resume requires" in capsys.readouterr().err
@@ -504,6 +502,40 @@ class TestServeCommand:
         served = Campaign.resume(SQLiteBackend(state))
         assert served.metrics.fingerprint() == expected.fingerprint()
         served.close()
+
+    def test_serve_resumes_a_campaign_checkpointed_by_engine(self, tmp_path):
+        """A campaign paused and checkpointed by `repro engine` is served
+        to completion by `repro serve --resume`, landing on the
+        fingerprint of an uninterrupted `repro engine` run."""
+        from repro.engine import Campaign, SQLiteBackend
+
+        flags = ["--budget", "20", "--num-tasks", "60", "--num-workers", "8",
+                 "--seed", "3", "--backend", "sqlite"]
+        state = tmp_path / "campaign.db"
+        assert main(["engine", *flags, "--state-file", str(state),
+                     "--run-until", "30"]) == 0
+        whole = tmp_path / "whole.db"
+        assert main(["engine", *flags, "--state-file", str(whole)]) == 0
+
+        process, url, log = self._spawn(
+            tmp_path, "--backend", "sqlite", "--state-file", str(state),
+            "--resume",
+        )
+        try:
+            assert self._post(url + "/admin/close", {"mode": "drain"}) == {
+                "closing": "drain"
+            }
+            assert process.wait(timeout=30) == 0
+        finally:
+            process.kill()
+        assert "60/60 completed" in log.read_text()
+
+        served = Campaign.resume(SQLiteBackend(state))
+        reference = Campaign.resume(SQLiteBackend(whole))
+        assert served.done and reference.done
+        assert served.metrics.fingerprint() == reference.metrics.fingerprint()
+        served.close()
+        reference.close()
 
     def test_double_signal_force_exits_without_corrupting_sqlite(
         self, tmp_path
