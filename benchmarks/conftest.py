@@ -10,8 +10,9 @@ disk and partial runs refresh only their own tables.
 
 Engine benchmarks additionally record a machine-readable trajectory
 through ``emit_json``: one entry per benchmark id in
-``benchmarks/BENCH_engine.json`` (tasks/sec, cache hit rates, frontier
-build times, speedups), so CI — and anyone bisecting a regression —
+``benchmarks/BENCH_engine.json`` (frontier build times and memory,
+checkpoint timings, telemetry overhead), so CI — and anyone bisecting a
+regression —
 can diff performance numbers without parsing the rendered tables.
 """
 
@@ -65,7 +66,7 @@ def emit(capsys):
 def emit_json():
     """Merge one benchmark's metrics into ``BENCH_engine.json``.
 
-    ``emit_json("engine-throughput", {"tasks_per_sec": ...})`` — values
+    ``emit_json("checkpoint-scaling", {"time_ratio": ...})`` — values
     must be JSON-serializable scalars/lists; keys are overwritten per
     benchmark id, so re-running a single benchmark refreshes only its
     own entry.

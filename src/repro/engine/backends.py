@@ -254,10 +254,8 @@ class SQLiteBackend:
         campaign(key TEXT PRIMARY KEY, value TEXT)    -- version, config
                                                       --  + event-loop JSON
         workers(position INTEGER PRIMARY KEY, worker_id TEXT UNIQUE, ...)
-        ledger(scope TEXT PRIMARY KEY, value TEXT,
-               version INTEGER)                       -- allocator/shard
-                                                      --  ledgers + CAS
-                                                      --  version
+        ledger(scope TEXT PRIMARY KEY, value TEXT)    -- allocator/shard
+                                                      --  ledgers
         votes(pos INTEGER PRIMARY KEY, worker_id, task_id, label)
                                                       -- arrival order
         records(pos INTEGER PRIMARY KEY, task_id, answer, confidence,
@@ -283,11 +281,9 @@ class SQLiteBackend:
     journal first.  A checkpoint therefore costs what changed since the
     last one, not what the campaign has accumulated.
 
-    The ``leases`` / ``engines`` tables and the CAS-versioned ledger
-    scopes (``version`` >= 1) belong to the cross-process coordination
-    layer (:mod:`repro.engine.leases`); checkpoint scopes are the
-    ``version`` 0 rows, and ``save`` never touches anything else, so
-    checkpointing one engine cannot clobber seats or shared ledgers
+    The ``leases`` / ``engines`` tables belong to the cross-process
+    coordination layer (:mod:`repro.engine.leases`) and ``save`` never
+    touches them, so checkpointing one engine cannot clobber seats
     other engines hold in a shared coordination file.
 
     A file written by layout version 1 (``votes`` keyed by by-worker
@@ -393,8 +389,7 @@ class SQLiteBackend:
                     spend REAL NOT NULL,
                     peak_load INTEGER NOT NULL);
                 CREATE TABLE IF NOT EXISTS ledger(
-                    scope TEXT PRIMARY KEY, value TEXT NOT NULL,
-                    version INTEGER NOT NULL DEFAULT 0);
+                    scope TEXT PRIMARY KEY, value TEXT NOT NULL);
                 """
                 + self._VOTES_TABLE
                 + """;
@@ -435,18 +430,6 @@ class SQLiteBackend:
                 COMMIT;
                 """
             )
-            # Files written before the lease layer predate the ledger's
-            # optimistic-concurrency column; add it in place so old
-            # checkpoints keep loading (rows default to version 0).
-            columns = [
-                row[1]
-                for row in self._conn.execute("PRAGMA table_info(ledger)")
-            ]
-            if "version" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE ledger "
-                    "ADD COLUMN version INTEGER NOT NULL DEFAULT 0"
-                )
 
     @staticmethod
     def _v1_votes(conn) -> bool:
@@ -484,7 +467,7 @@ class SQLiteBackend:
                 ),
             )
             caches = snapshot["caches"]
-            conn.execute("DELETE FROM ledger WHERE version = 0")
+            conn.execute("DELETE FROM ledger")
             conn.executemany(
                 "INSERT INTO ledger(scope, value) VALUES (?,?)",
                 [
@@ -649,7 +632,7 @@ class SQLiteBackend:
             )
         cache_meta: dict[str, dict] = {}
         for scope, value in conn.execute(
-            "SELECT scope, value FROM ledger WHERE version = 0"
+            "SELECT scope, value FROM ledger"
         ):
             if scope.startswith("cache-meta:"):
                 cache_meta[scope[len("cache-meta:"):]] = json.loads(value)
@@ -892,47 +875,6 @@ class SQLiteBackend:
                 (now,),
             )
         )
-
-    # ------------------------------------------------------------------
-    # Optimistic concurrency on the ledger
-    # ------------------------------------------------------------------
-    def read_ledger(self, scope: str):
-        """Return ``(value, version)`` for one ledger scope, or ``None``
-        when the scope does not exist."""
-        row = self._connect().execute(
-            "SELECT value, version FROM ledger WHERE scope = ?", (scope,)
-        ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0]), int(row[1])
-
-    def cas_ledger(self, scope: str, value, expected_version=None) -> bool:
-        """Compare-and-swap one ledger scope.
-
-        With ``expected_version=None`` the scope must not exist yet
-        (create); otherwise the write lands only if the stored version
-        still matches, and bumps it.  Returns ``False`` on a lost race —
-        the caller re-reads and retries (see
-        ``LeaseCoordinator.update_shared_ledger``).
-        """
-        payload = json.dumps(value)
-        with self._immediate() as conn:
-            if expected_version is None:
-                try:
-                    conn.execute(
-                        "INSERT INTO ledger(scope, value, version) "
-                        "VALUES (?, ?, 1)",
-                        (scope, payload),
-                    )
-                except sqlite3.IntegrityError:
-                    return False
-                return True
-            cursor = conn.execute(
-                "UPDATE ledger SET value = ?, version = version + 1 "
-                "WHERE scope = ? AND version = ?",
-                (payload, scope, int(expected_version)),
-            )
-            return cursor.rowcount == 1
 
     def close(self) -> None:
         if self._conn is not None:

@@ -35,6 +35,7 @@ throughput metric), never branched on.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -151,7 +152,8 @@ class CampaignEngine:
         """Enqueue task arrivals at evenly spaced logical times.
 
         Returns the number of tasks enqueued.  May be called repeatedly
-        before :meth:`run`.
+        before :meth:`run`.  A NaN or infinite arrival time raises
+        ``ValueError``.
         """
         return self.ingest(
             (start_time + i * spacing, task) for i, task in enumerate(tasks)
@@ -171,10 +173,16 @@ class CampaignEngine:
                 raise TypeError(
                     f"expected EngineTask, got {type(task).__name__}"
                 )
+            arrival_time = float(arrival_time)
+            # NaN or inf would break the queue's (time, seq) order.
+            if not math.isfinite(arrival_time):
+                raise ValueError(
+                    f"arrival time must be finite, got {arrival_time!r}"
+                )
             if task.task_id in self._task_ids:
                 raise ValueError(f"duplicate task id {task.task_id!r}")
             self._task_ids[task.task_id] = None
-            self._queue.push(TaskArrival(float(arrival_time), task))
+            self._queue.push(TaskArrival(arrival_time, task))
             count += 1
         return count
 

@@ -28,6 +28,7 @@ the drained run into scheduling batches.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -157,10 +158,16 @@ class IntakeQueue:
                     if len(self._items) >= self.max_pending:
                         self._wait_for_room(timeout)
                     self._require_open()
+                    arrival_time = start_time + i * spacing
+                    if not math.isfinite(arrival_time):
+                        raise ValueError(
+                            "arrival time must be finite, "
+                            f"got {arrival_time!r}"
+                        )
                     if task.task_id in self._seen:
                         raise ValueError(f"duplicate task id {task.task_id!r}")
                     self._seen.add(task.task_id)
-                    self._items.append((start_time + i * spacing, task))
+                    self._items.append((arrival_time, task))
                     staged += 1
                     self.stats.submitted += 1
                     self.stats.peak_pending = max(

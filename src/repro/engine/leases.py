@@ -40,7 +40,7 @@ import os
 import socket
 import threading
 
-from .backends import BackendError, SQLiteBackend
+from .backends import SQLiteBackend
 
 
 def default_owner() -> str:
@@ -124,34 +124,6 @@ class LeaseCoordinator:
         """The worker's live (unexpired) seat count across all engines."""
         with self._mutex:
             return self.backend.count_leases(worker_id)
-
-    def update_shared_ledger(self, scope: str, update, retries: int = 16):
-        """Read-modify-CAS one shared ledger scope.
-
-        ``update`` maps the current value (``None`` when the scope does
-        not exist yet) to the new value.  Lost races re-read and retry —
-        the optimistic-concurrency loop over the ledger's version
-        column that lets N engines keep one cross-process conservation
-        ledger (e.g. total granted/reserved) without a held lock.
-        Returns the value that was written.
-        """
-        for _ in range(retries):
-            with self._mutex:
-                row = self.backend.read_ledger(scope)
-                if row is None:
-                    value = update(None)
-                    if self.backend.cas_ledger(scope, value):
-                        return value
-                else:
-                    current, version = row
-                    value = update(current)
-                    if self.backend.cas_ledger(
-                        scope, value, expected_version=version
-                    ):
-                        return value
-        raise BackendError(
-            f"ledger scope {scope!r} CAS lost {retries} races in a row"
-        )
 
     def release_all(self) -> int:
         """Drop every lease this incarnation holds (graceful shutdown);

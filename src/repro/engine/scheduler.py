@@ -151,7 +151,7 @@ def linear_best_substitute(
     ``max_cost`` in a most-informative-first pre-sorted sequence.  This
     is the original O(pool)-per-seat scan, kept as the oracle that
     :class:`SubstituteIndex` must agree with (equivalence is asserted by
-    the scheduler tests and the substitution micro-benchmark)."""
+    the scheduler tests)."""
     for state in ranked_states:
         worker = state.worker
         if (
@@ -399,9 +399,10 @@ class CampaignScheduler:
         return WorkerPool(ranked[: self.frontier_pool_size])
 
     def _make_substitute_index(self):
-        """Per-batch substitution index.  Hook: the substitution
-        micro-benchmark swaps in the linear reference scan here to
-        compare the two on identical traffic."""
+        """Per-batch substitution index.  Test seam:
+        ``TestSubstituteIndex::test_identical_seatings_on_seeded_campaigns``
+        swaps in the linear reference scan here and compares the two
+        campaigns' fingerprints."""
         return SubstituteIndex(self.registry.states)
 
     def _seat_jury(

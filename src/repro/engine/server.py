@@ -73,6 +73,12 @@ class ServerError(RuntimeError):
     """The serving loop could not accept or apply a command."""
 
 
+def _is_bit(value) -> bool:
+    """True for the JSON integers ``0`` and ``1`` only (not ``true``,
+    not ``0.9``)."""
+    return type(value) is int and value in (0, 1)
+
+
 class _Command:
     """One unit of work staged for the serving-loop thread."""
 
@@ -379,11 +385,13 @@ class CampaignServer:
             if not isinstance(task_id, str) or not task_id:
                 raise ValueError("each task needs a non-empty 'task_id'")
             truth = row.get("ground_truth")
+            if truth is not None and not _is_bit(truth):
+                raise ValueError("'ground_truth' must be 0, 1 or null")
             tasks.append(
                 EngineTask(
                     task_id,
                     prior=float(row.get("prior", 0.5)),
-                    ground_truth=None if truth is None else int(truth),
+                    ground_truth=truth,
                 )
             )
         self.campaign._require_serving()
@@ -607,7 +615,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(worker_id, str) or not worker_id:
             self._send_json(400, {"error": "'worker_id' must be a string"})
             return
-        if not isinstance(vote, int) or isinstance(vote, bool) or vote not in (0, 1):
+        if not _is_bit(vote):
             self._send_json(400, {"error": "'vote' must be 0 or 1"})
             return
         try:

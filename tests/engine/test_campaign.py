@@ -236,6 +236,21 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="finished"):
             campaign.submit([EngineTask("too-late")])
 
+    def test_non_finite_arrival_times_are_refused(self):
+        """A NaN queue key breaks the event queue's ``(time, seq)``
+        order; ``0 * inf`` is NaN too."""
+        campaign = make_campaign()
+        for stamps in (
+            {"start_time": float("nan")},
+            {"start_time": float("-inf")},
+            {"spacing": float("inf")},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                campaign.submit([EngineTask("odd")], **stamps)
+        # The refused id was not taken.
+        campaign.submit([EngineTask("odd", ground_truth=1)])
+        assert campaign.run().completed == 81
+
     def test_closed_campaign_refuses_everything(self):
         campaign = make_campaign()
         campaign.close()

@@ -1,13 +1,13 @@
-"""Worker leases + optimistic concurrency: N engines, one worker pool.
+"""Worker leases: N engines, one worker pool.
 
 The coordination layer's contract, bottom-up:
 
 * ``SQLiteBackend`` lease tables — atomic check-then-insert seat
-  acquisition, TTL expiry reclaim, epoch fencing, CAS-versioned ledger
-  scopes.  Two *processes* racing one remaining seat serialize on the
-  database: exactly one wins (pinned with real ``multiprocessing``).
-* ``LeaseCoordinator`` — the engine-side client: renewal, shared-ledger
-  read-modify-CAS under contention, release-on-close.
+  acquisition, TTL expiry reclaim, epoch fencing.  Two *processes*
+  racing one remaining seat serialize on the database: exactly one
+  wins (pinned with real ``multiprocessing``).
+* ``LeaseCoordinator`` — the engine-side client: renewal, epoch
+  fencing, release-on-close.
 * ``WorkerRegistry`` integration — two engines sharing a coordination
   file never double-seat; a killed engine's seats return after one TTL
   and a second engine finishes the campaign with conservation intact.
@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    BackendError,
     Campaign,
     CampaignConfig,
     CapacityError,
@@ -183,46 +182,6 @@ class TestLeaseTables:
         assert backend.load()["campaign"]["anything"] == "at all"
         backend.close()
 
-    def test_checkpoint_save_keeps_shared_ledger_scopes(self, tmp_path):
-        # The checkpoint file may double as the coordination file
-        # (LeaseCoordinator(backend)); a save replaces only the ledger
-        # scopes it wrote itself, never the CAS-versioned shared ones.
-        backend = SQLiteBackend(tmp_path / "c.db")
-        coordinator = LeaseCoordinator(backend, ttl=30, owner="e1")
-        coordinator.update_shared_ledger("spend", lambda cur: (cur or 0.0) + 2.5)
-        backend.save(minimal_snapshot(ledger={"mode": "unstarted"}))
-        assert backend.read_ledger("spend") == (2.5, 1)
-        backend.save(minimal_snapshot(ledger={"mode": "single", "x": 1}))
-        assert backend.read_ledger("spend") == (2.5, 1)
-        assert backend.load()["ledger"] == {"mode": "single", "x": 1}
-        coordinator.close()
-        backend.close()
-
-
-class TestCasLedger:
-    def test_create_then_cas(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        assert backend.read_ledger("spend") is None
-        assert backend.cas_ledger("spend", {"total": 1.0})
-        value, version = backend.read_ledger("spend")
-        assert value == {"total": 1.0} and version == 1
-        assert backend.cas_ledger(
-            "spend", {"total": 2.0}, expected_version=1
-        )
-        assert backend.read_ledger("spend") == ({"total": 2.0}, 2)
-        backend.close()
-
-    def test_stale_version_loses(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        backend.cas_ledger("spend", 10)
-        assert backend.cas_ledger("spend", 20, expected_version=1)
-        # A writer still holding version 1 lost the race.
-        assert not backend.cas_ledger("spend", 30, expected_version=1)
-        # Creating an existing scope also loses.
-        assert not backend.cas_ledger("spend", 40)
-        assert backend.read_ledger("spend") == (20, 2)
-        backend.close()
-
 
 # ----------------------------------------------------------------------
 # LeaseCoordinator
@@ -254,38 +213,6 @@ class TestLeaseCoordinator:
         c = LeaseCoordinator(path, ttl=30, owner="c")
         assert not c.acquire("w1", "t3", capacity=1)
         c.close()
-
-    def test_update_shared_ledger_read_modify_cas(self, tmp_path):
-        path = tmp_path / "coord.db"
-        a = LeaseCoordinator(path, ttl=30, owner="a")
-        b = LeaseCoordinator(path, ttl=30, owner="b")
-        assert a.update_shared_ledger(
-            "granted", lambda cur: (cur or 0.0) + 1.5
-        ) == 1.5
-        assert b.update_shared_ledger(
-            "granted", lambda cur: (cur or 0.0) + 2.5
-        ) == 4.0
-        value, version = a.backend.read_ledger("granted")
-        assert value == 4.0 and version == 2
-        a.close()
-        b.close()
-
-    def test_update_shared_ledger_gives_up_after_races(self, tmp_path):
-        a = LeaseCoordinator(tmp_path / "coord.db", ttl=30, owner="a")
-
-        def hostile(cur):
-            # Sabotage every attempt by bumping the version out from
-            # under the CAS between read and write.
-            row = a.backend.read_ledger("hot")
-            if row is None:
-                a.backend.cas_ledger("hot", -1)
-            else:
-                a.backend.cas_ledger("hot", -1, expected_version=row[1])
-            return 99
-
-        with pytest.raises(BackendError, match="races"):
-            a.update_shared_ledger("hot", hostile, retries=3)
-        a.close()
 
     def test_deposed_coordinator_raises_stale_epoch(self, tmp_path):
         path = tmp_path / "coord.db"

@@ -441,6 +441,43 @@ class TestEndpoints:
                 code, _ = http_post(srv.url + "/tasks", payload)
                 assert code == 400, payload
 
+    def test_non_finite_arrival_stamps_400(self):
+        """``json.loads`` parses ``NaN`` and ``Infinity``, and a NaN
+        arrival time would break the event queue's ``(time, seq)``
+        order (``0 * Infinity`` is NaN too)."""
+        rows = [{"task_id": "t0"}]
+        with serving() as srv:
+            for stamps in (
+                {"start_time": float("nan")},
+                {"start_time": float("inf")},
+                {"spacing": float("inf")},
+            ):
+                code, body = http_post(
+                    srv.url + "/tasks", {"tasks": rows, **stamps}
+                )
+                assert code == 400, stamps
+                assert "finite" in body["error"]
+            code, _ = http_post(srv.url + "/tasks", {"tasks": rows})
+            assert code == 202
+            assert barrier_http(srv.url)["submitted"] == 1
+
+    def test_ground_truth_must_be_0_1_or_null_400(self):
+        # int() would have scored a 0.9 truth as 0.
+        with serving() as srv:
+            for truth in (0.9, 1.0, True, "1", 2):
+                code, body = http_post(
+                    srv.url + "/tasks",
+                    {"tasks": [{"task_id": "t0", "ground_truth": truth}]},
+                )
+                assert code == 400, truth
+                assert "ground_truth" in body["error"]
+            rows = [
+                {"task_id": "t0", "ground_truth": 1},
+                {"task_id": "t1", "ground_truth": None},
+            ]
+            code, _ = http_post(srv.url + "/tasks", {"tasks": rows})
+            assert code == 202
+
     def test_duplicate_of_a_direct_submit_409_and_serving_continues(self):
         """An id submitted straight into the event queue before serving
         is caught by the intake's duplicate check, and the loop keeps

