@@ -607,11 +607,13 @@ def _run_serve_command(args) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM)
     }
 
-    tick = None
+    periodic = ()
     if args.metrics_out is not None:
-        def tick():
-            _write_observability(campaign, None, args.metrics_out,
-                                 quiet=True)
+        periodic = ((
+            args.metrics_interval or 1.0,
+            lambda: _write_observability(campaign, None, args.metrics_out,
+                                         quiet=True),
+        ),)
 
     print(f"# serving campaign on {server.url} "
           f"(vote_source={campaign.config.vote_source}, "
@@ -621,10 +623,7 @@ def _run_serve_command(args) -> int:
           "POST /admin/close")
     try:
         with server:
-            metrics = server.serve(
-                tick=tick,
-                tick_interval=args.metrics_interval or 1.0,
-            )
+            metrics = server.serve(periodic=periodic)
         # Shutdown in one order, with the listener already down: count
         # every acknowledged task, checkpoint, then flush (finally).
         campaign.fold_intake()

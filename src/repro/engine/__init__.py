@@ -33,9 +33,10 @@ one budget, and finite worker attention".  See the module docstrings:
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.
 ``leases``
-    :class:`LeaseCoordinator` — cross-process seat leases over a
-    shared SQLite file, so N serving engines share one worker pool
-    without double-seating (``coordinate_path=...``).
+    :class:`LeaseCoordinator` — cross-process seat leases in a
+    shared SQLite file (the module owns its tables), so N serving
+    engines share one worker pool without double-seating
+    (``coordinate_path=...``).
 ``server``
     :class:`CampaignServer` — the HTTP serving layer: task intake,
     vote-offer assignments, synchronous vote delivery, status/metrics
@@ -59,7 +60,6 @@ from .backends import (
     BackendError,
     MemoryBackend,
     SQLiteBackend,
-    StaleEpochError,
     StateBackend,
 )
 from .cache import (
@@ -91,7 +91,7 @@ from .ingest import (
     IntakeQueue,
     NoOpenOffer,
 )
-from .leases import LeaseCoordinator
+from .leases import LeaseCoordinator, StaleEpochError
 from .metrics import (
     AllocatorSnapshot,
     EngineMetrics,

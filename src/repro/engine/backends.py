@@ -75,7 +75,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import time
 from contextlib import contextmanager
 from typing import Protocol, runtime_checkable
 
@@ -100,14 +99,57 @@ class BackendError(ReproError, RuntimeError):
     """A state backend could not save or load a campaign snapshot."""
 
 
-class StaleEpochError(BackendError):
-    """A lease operation carried a deposed registration epoch.
+#: How long (ms) a writer waits on a locked database before sqlite
+#: raises.  WAL keeps ordinary readers out of writers' way, but a
+#: reader mid-transaction when the WAL needs checkpointing — or a
+#: second writer (another engine process) — takes the lock briefly;
+#: without a busy timeout a write would raise ``database is locked``
+#: *immediately* instead of riding out a sub-second hold.
+DEFAULT_BUSY_TIMEOUT_MS = 5_000
 
-    Raised when an engine whose owner id has since re-registered (it
-    crashed and restarted, or an operator replaced it) tries to touch
-    leases under its old epoch — the fencing that keeps a zombie
-    process from seating workers against leases it no longer owns.
+
+def connect(
+    path: str, schema: str, busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS
+) -> sqlite3.Connection:
+    """Open a WAL-mode connection to ``path`` and create ``schema`` in
+    it (``;``-terminated ``CREATE TABLE IF NOT EXISTS`` statements).
+
+    ``timeout`` installs the busy handler before the first statement
+    runs (the WAL/schema setup already needs it under contention); the
+    PRAGMA keeps the value explicit and introspectable on the live
+    connection.  ``check_same_thread=False``: a connection may be
+    opened on one thread (the serving loop) and closed on another (the
+    main thread after the loop exits); its owner serializes every use,
+    so only the same-thread assertion is waived.
     """
+    conn = sqlite3.connect(
+        path, timeout=busy_timeout_ms / 1000.0, check_same_thread=False
+    )
+    conn.execute(f"PRAGMA busy_timeout={busy_timeout_ms}")
+    conn.execute("PRAGMA journal_mode=WAL")
+    with conn:
+        # One write transaction, taken up front so a racing opener
+        # waits on the busy timeout: in autocommit mode every CREATE
+        # would commit (and sync) on its own.
+        conn.executescript(f"BEGIN IMMEDIATE;{schema}COMMIT;")
+    return conn
+
+
+@contextmanager
+def immediate(conn: sqlite3.Connection):
+    """One write transaction holding the lock from the first read, so a
+    check-then-write inside it is atomic against every other process
+    sharing the file."""
+    if conn.in_transaction:  # pragma: no cover - defensive
+        conn.commit()
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield conn
+    except BaseException:
+        conn.rollback()
+        raise
+    else:
+        conn.commit()
 
 
 @runtime_checkable
@@ -267,10 +309,6 @@ class SQLiteBackend:
         cache(cache_id TEXT, position INTEGER, key TEXT, value REAL,
               PRIMARY KEY(cache_id, position))        -- JQ-cache entries
                                                       --  in LRU order
-        leases(worker_id, task_id, owner, epoch, expires,
-               PRIMARY KEY(worker_id, task_id))       -- cross-process
-                                                      --  seat leases
-        engines(owner TEXT PRIMARY KEY, epoch, registered)
 
     ``save`` runs in one transaction, so a reader never observes a
     half-written checkpoint.  It rewrites ``campaign``, ``workers`` and
@@ -279,12 +317,9 @@ class SQLiteBackend:
     ``base`` is not the journal's current size raises
     :class:`BackendError` and writes nothing, and ``base`` 0 empties the
     journal first.  A checkpoint therefore costs what changed since the
-    last one, not what the campaign has accumulated.
-
-    The ``leases`` / ``engines`` tables belong to the cross-process
-    coordination layer (:mod:`repro.engine.leases`) and ``save`` never
-    touches them, so checkpointing one engine cannot clobber seats
-    other engines hold in a shared coordination file.
+    last one, not what the campaign has accumulated.  Tables the
+    backend does not define are never touched, so a file it shares
+    with another store keeps that store's rows.
 
     A file written by layout version 1 (``votes`` keyed by by-worker
     position ``wpos``, with a ``tpos`` column) loads as a version-1
@@ -309,28 +344,61 @@ class SQLiteBackend:
             task_id TEXT NOT NULL,
             label INTEGER NOT NULL)"""
 
-    #: How long (ms) a writer waits on a locked database before
-    #: sqlite raises.  WAL keeps ordinary readers out of writers' way,
-    #: but a reader mid-transaction when the WAL needs checkpointing —
-    #: or a second writer (another engine process warming its cache) —
-    #: takes the lock briefly; without a busy timeout ``checkpoint()``
-    #: would raise ``database is locked`` *immediately* instead of
-    #: riding out a sub-second hold.
-    DEFAULT_BUSY_TIMEOUT_MS = 5_000
+    _SCHEMA = (
+        """
+        CREATE TABLE IF NOT EXISTS campaign(
+            key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE IF NOT EXISTS workers(
+            position INTEGER PRIMARY KEY,
+            worker_id TEXT UNIQUE NOT NULL,
+            est_quality REAL NOT NULL,
+            true_quality REAL NOT NULL,
+            cost REAL NOT NULL,
+            capacity INTEGER NOT NULL,
+            active_tasks TEXT NOT NULL,
+            votes_cast INTEGER NOT NULL,
+            agreements REAL NOT NULL,
+            resolved_votes INTEGER NOT NULL,
+            spend REAL NOT NULL,
+            peak_load INTEGER NOT NULL);
+        CREATE TABLE IF NOT EXISTS ledger(
+            scope TEXT PRIMARY KEY, value TEXT NOT NULL);
+        """
+        + _VOTES_TABLE
+        + """;
+        -- Untyped numeric columns keep ints ints and floats
+        -- floats, exactly as the JSON path does.
+        CREATE TABLE IF NOT EXISTS records(
+            pos INTEGER PRIMARY KEY,
+            task_id TEXT NOT NULL,
+            answer, confidence, predicted_jq, reserved_cost,
+            spent_cost, votes_used,
+            reason TEXT NOT NULL,
+            correct);
+        CREATE TABLE IF NOT EXISTS task_ids(
+            pos INTEGER PRIMARY KEY, task_id TEXT NOT NULL);
+        CREATE TABLE IF NOT EXISTS events(
+            seq INTEGER PRIMARY KEY,
+            ts REAL NOT NULL,
+            kind TEXT NOT NULL,
+            span_id INTEGER NOT NULL,
+            fields TEXT NOT NULL);
+        CREATE TABLE IF NOT EXISTS cache(
+            cache_id TEXT NOT NULL,
+            position INTEGER NOT NULL,
+            key TEXT NOT NULL,
+            value REAL NOT NULL,
+            PRIMARY KEY(cache_id, position));
+        """
+    )
 
-    def __init__(
-        self, path, busy_timeout_ms: int | None = None, clock=None
-    ) -> None:
+    def __init__(self, path, busy_timeout_ms: int | None = None) -> None:
         self.path = str(path)
         self.busy_timeout_ms = (
-            self.DEFAULT_BUSY_TIMEOUT_MS
+            DEFAULT_BUSY_TIMEOUT_MS
             if busy_timeout_ms is None
             else int(busy_timeout_ms)
         )
-        # Lease expiry runs on the wall clock (the only clock shared
-        # across processes and hosts); ``clock`` is injectable so the
-        # skewed-clock degradation contract is testable.
-        self._clock = time.time if clock is None else clock
         self._conn: sqlite3.Connection | None = None
 
     def _connect(self) -> sqlite3.Connection:
@@ -342,94 +410,10 @@ class SQLiteBackend:
         later resume could be pointed at by accident.
         """
         if self._conn is None:
-            # ``timeout`` installs the busy handler before the first
-            # statement runs (the WAL/schema setup below already needs
-            # it under contention); the PRAGMA keeps the value explicit
-            # and introspectable on the live connection.
-            # ``check_same_thread=False``: under ``repro serve`` the
-            # connection is created by a checkpoint on the serving-loop
-            # thread but closed from the main thread after the loop
-            # exits.  Accesses are never concurrent — every save/load
-            # happens on whichever single thread owns the campaign at
-            # that moment — so only the same-thread assertion, not
-            # actual serialization, is being waived.
-            self._conn = sqlite3.connect(
-                self.path,
-                timeout=self.busy_timeout_ms / 1000.0,
-                check_same_thread=False,
+            self._conn = connect(
+                self.path, self._SCHEMA, self.busy_timeout_ms
             )
-            self._conn.execute(
-                f"PRAGMA busy_timeout={self.busy_timeout_ms}"
-            )
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._ensure_schema()
         return self._conn
-
-    def _ensure_schema(self) -> None:
-        with self._conn:
-            # One write transaction, taken up front so a racing opener
-            # waits on the busy timeout: in autocommit mode every CREATE
-            # would commit (and sync) on its own.
-            self._conn.executescript(
-                """
-                BEGIN IMMEDIATE;
-                CREATE TABLE IF NOT EXISTS campaign(
-                    key TEXT PRIMARY KEY, value TEXT NOT NULL);
-                CREATE TABLE IF NOT EXISTS workers(
-                    position INTEGER PRIMARY KEY,
-                    worker_id TEXT UNIQUE NOT NULL,
-                    est_quality REAL NOT NULL,
-                    true_quality REAL NOT NULL,
-                    cost REAL NOT NULL,
-                    capacity INTEGER NOT NULL,
-                    active_tasks TEXT NOT NULL,
-                    votes_cast INTEGER NOT NULL,
-                    agreements REAL NOT NULL,
-                    resolved_votes INTEGER NOT NULL,
-                    spend REAL NOT NULL,
-                    peak_load INTEGER NOT NULL);
-                CREATE TABLE IF NOT EXISTS ledger(
-                    scope TEXT PRIMARY KEY, value TEXT NOT NULL);
-                """
-                + self._VOTES_TABLE
-                + """;
-                -- Untyped numeric columns keep ints ints and floats
-                -- floats, exactly as the JSON path does.
-                CREATE TABLE IF NOT EXISTS records(
-                    pos INTEGER PRIMARY KEY,
-                    task_id TEXT NOT NULL,
-                    answer, confidence, predicted_jq, reserved_cost,
-                    spent_cost, votes_used,
-                    reason TEXT NOT NULL,
-                    correct);
-                CREATE TABLE IF NOT EXISTS task_ids(
-                    pos INTEGER PRIMARY KEY, task_id TEXT NOT NULL);
-                CREATE TABLE IF NOT EXISTS events(
-                    seq INTEGER PRIMARY KEY,
-                    ts REAL NOT NULL,
-                    kind TEXT NOT NULL,
-                    span_id INTEGER NOT NULL,
-                    fields TEXT NOT NULL);
-                CREATE TABLE IF NOT EXISTS cache(
-                    cache_id TEXT NOT NULL,
-                    position INTEGER NOT NULL,
-                    key TEXT NOT NULL,
-                    value REAL NOT NULL,
-                    PRIMARY KEY(cache_id, position));
-                CREATE TABLE IF NOT EXISTS leases(
-                    worker_id TEXT NOT NULL,
-                    task_id TEXT NOT NULL,
-                    owner TEXT NOT NULL,
-                    epoch INTEGER NOT NULL,
-                    expires REAL NOT NULL,
-                    PRIMARY KEY(worker_id, task_id));
-                CREATE TABLE IF NOT EXISTS engines(
-                    owner TEXT PRIMARY KEY,
-                    epoch INTEGER NOT NULL,
-                    registered REAL NOT NULL);
-                COMMIT;
-                """
-            )
 
     @staticmethod
     def _v1_votes(conn) -> bool:
@@ -443,7 +427,7 @@ class SQLiteBackend:
     # ------------------------------------------------------------------
     def save(self, snapshot: dict) -> None:
         _validate(snapshot)
-        with self._immediate() as conn:
+        with immediate(self._connect()) as conn:
             if self._v1_votes(conn):
                 conn.execute("DROP TABLE votes")
                 conn.execute(self._VOTES_TABLE)
@@ -663,218 +647,6 @@ class SQLiteBackend:
             "SELECT 1 FROM campaign WHERE key = 'campaign'"
         ).fetchone()
         return row is not None
-
-    # ------------------------------------------------------------------
-    # Cross-process coordination: seat leases + epoch fencing
-    # ------------------------------------------------------------------
-    # These methods back repro.engine.leases.  Every
-    # mutation runs inside one BEGIN IMMEDIATE transaction: the write
-    # lock is taken up front, so a check-then-insert (count seats, then
-    # lease one) is atomic against every other engine process sharing
-    # the file — two engines racing a worker's last seat serialize on
-    # the database and exactly one wins.
-
-    @contextmanager
-    def _immediate(self):
-        """One write transaction holding the lock from the first read."""
-        conn = self._connect()
-        if conn.in_transaction:  # pragma: no cover - defensive
-            conn.commit()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield conn
-        except BaseException:
-            conn.rollback()
-            raise
-        else:
-            conn.commit()
-
-    @staticmethod
-    def _check_epoch(conn, owner: str, epoch: int) -> None:
-        row = conn.execute(
-            "SELECT epoch FROM engines WHERE owner = ?", (owner,)
-        ).fetchone()
-        if row is None or int(row[0]) != int(epoch):
-            current = "unregistered" if row is None else f"epoch {row[0]}"
-            raise StaleEpochError(
-                f"engine {owner!r} holds stale epoch {epoch} ({current})"
-            )
-
-    @staticmethod
-    def _purge_expired(conn, now: float) -> None:
-        """Reclaim expired leases — and *depose* their owners.
-
-        Expiry runs on the wall clock, which NTP can step under a live
-        engine.  Deleting a lease without fencing its owner would let
-        the (possibly still healthy) owner keep operating while a peer
-        re-seats the same worker — double-seating, the exact failure
-        the lease layer exists to prevent.  Bumping the owner's epoch
-        here turns every later write from that incarnation into
-        :class:`StaleEpochError`: a skewed clock degrades to a fenced
-        engine, never to two engines on one seat.
-        """
-        owners = [
-            row[0]
-            for row in conn.execute(
-                "SELECT DISTINCT owner FROM leases WHERE expires <= ?",
-                (now,),
-            )
-        ]
-        if not owners:
-            return
-        conn.execute("DELETE FROM leases WHERE expires <= ?", (now,))
-        conn.executemany(
-            "UPDATE engines SET epoch = epoch + 1 WHERE owner = ?",
-            [(owner,) for owner in owners],
-        )
-
-    def register_engine(self, owner: str) -> int:
-        """Register (or re-register) an engine owner; returns its epoch.
-
-        Re-registration bumps the epoch, deposing any earlier
-        incarnation of the same owner id: the zombie's subsequent lease
-        calls fail with :class:`StaleEpochError`, and its leases —
-        now unrenewable — expire back into the pool.
-        """
-        now = self._clock()
-        with self._immediate() as conn:
-            conn.execute(
-                "INSERT INTO engines(owner, epoch, registered) "
-                "VALUES (?, 1, ?) "
-                "ON CONFLICT(owner) DO UPDATE SET "
-                "epoch = epoch + 1, registered = excluded.registered",
-                (owner, now),
-            )
-            (epoch,) = conn.execute(
-                "SELECT epoch FROM engines WHERE owner = ?", (owner,)
-            ).fetchone()
-            return int(epoch)
-
-    def acquire_lease(
-        self,
-        worker_id: str,
-        task_id: str,
-        owner: str,
-        epoch: int,
-        ttl: float,
-        capacity: int,
-    ) -> bool:
-        """Atomically lease one ``(worker, task)`` seat.
-
-        Inside a single immediate transaction: purge expired leases
-        (a crashed engine's seats return to the pool here, and their
-        owners are deposed — see :meth:`_purge_expired`), fence the
-        caller's epoch, count the worker's live seats against
-        ``capacity``, and insert.  Returns ``False`` when the worker is
-        saturated across all engines or the seat is already leased.
-        Purging before the fence means a caller whose *own* leases just
-        expired (e.g. a forward clock step) gets
-        :class:`StaleEpochError` instead of silently re-seating.
-        """
-        now = self._clock()
-        with self._immediate() as conn:
-            self._purge_expired(conn, now)
-            self._check_epoch(conn, owner, epoch)
-            (held,) = conn.execute(
-                "SELECT COUNT(*) FROM leases WHERE worker_id = ?",
-                (worker_id,),
-            ).fetchone()
-            if held >= capacity:
-                return False
-            try:
-                conn.execute(
-                    "INSERT INTO leases VALUES (?,?,?,?,?)",
-                    (worker_id, task_id, owner, int(epoch), now + ttl),
-                )
-            except sqlite3.IntegrityError:
-                return False
-            return True
-
-    def release_lease(
-        self, worker_id: str, task_id: str, owner: str, epoch=None
-    ) -> bool:
-        """Drop one seat lease if this owner holds it (idempotent).
-
-        With ``epoch`` given, only that incarnation's row is dropped —
-        a deposed zombie releasing on shutdown cannot delete a seat its
-        successor re-acquired under a newer epoch.
-        """
-        with self._immediate() as conn:
-            query = (
-                "DELETE FROM leases "
-                "WHERE worker_id = ? AND task_id = ? AND owner = ?"
-            )
-            params = [worker_id, task_id, owner]
-            if epoch is not None:
-                query += " AND epoch = ?"
-                params.append(int(epoch))
-            cursor = conn.execute(query, params)
-            return cursor.rowcount > 0
-
-    def renew_leases(self, owner: str, epoch: int, ttl: float) -> int:
-        """Extend every lease the owner still has on file; returns the
-        count.
-
-        Fences on epoch first — a deposed engine cannot keep its zombie
-        leases alive by renewing them.  Two clock-skew safeties beyond
-        the fence:
-
-        * the new expiry is ``MAX(expires, now + ttl)`` — a backward
-          clock step can never *shorten* a lease;
-        * rows are renewed even when ``expires`` already passed, as
-          long as no peer purged them yet (purging deposes the owner,
-          which the fence above catches).  A briefly-late but healthy
-          engine keeps its seats; one that actually lost them learns so
-          via :class:`StaleEpochError`, not by silently renewing a seat
-          someone else now holds.
-        """
-        now = self._clock()
-        with self._immediate() as conn:
-            self._check_epoch(conn, owner, epoch)
-            cursor = conn.execute(
-                "UPDATE leases SET expires = MAX(expires, ?) "
-                "WHERE owner = ? AND epoch = ?",
-                (now + ttl, owner, int(epoch)),
-            )
-            return cursor.rowcount
-
-    def count_leases(self, worker_id: str) -> int:
-        """The worker's live seat count across all engines (expired
-        leases are purged first, deposing their owners)."""
-        now = self._clock()
-        with self._immediate() as conn:
-            self._purge_expired(conn, now)
-            (held,) = conn.execute(
-                "SELECT COUNT(*) FROM leases WHERE worker_id = ?",
-                (worker_id,),
-            ).fetchone()
-            return int(held)
-
-    def release_owner(self, owner: str, epoch=None) -> int:
-        """Drop every lease an owner holds (graceful shutdown);
-        returns the number released.  With ``epoch`` given, only that
-        incarnation's rows are dropped (zombie-shutdown safety, as in
-        :meth:`release_lease`)."""
-        with self._immediate() as conn:
-            query = "DELETE FROM leases WHERE owner = ?"
-            params = [owner]
-            if epoch is not None:
-                query += " AND epoch = ?"
-                params.append(int(epoch))
-            cursor = conn.execute(query, params)
-            return cursor.rowcount
-
-    def list_leases(self) -> list[tuple]:
-        """Live ``(worker_id, task_id, owner, epoch, expires)`` rows —
-        observability for tests and the ``/status`` endpoint."""
-        now = self._clock()
-        return list(
-            self._connect().execute(
-                "SELECT worker_id, task_id, owner, epoch, expires "
-                "FROM leases WHERE expires > ? ORDER BY worker_id, task_id",
-                (now,),
-            )
-        )
 
     def close(self) -> None:
         if self._conn is not None:

@@ -382,8 +382,7 @@ class Campaign:
         stop=None,
         poll: float = 0.05,
         drain_hook=None,
-        tick=None,
-        tick_interval: float | None = None,
+        periodic=(),
     ) -> EngineMetrics:
         """Serve-forever daemon mode: the campaign's one concurrent loop.
 
@@ -418,43 +417,13 @@ class Campaign:
         if self._coordinator is not None:
             # A coordinated engine must renew its seat leases well
             # inside the TTL or a live engine's seats get reclaimed as
-            # if it had crashed.  Renewal rides the serve loop's tick
-            # at ttl/3; the caller's own tick keeps its own cadence.
-            # A StaleEpochError out of renew() (this owner re-registered
-            # elsewhere) propagates and stops serving — fenced means
-            # fenced.
+            # if it had crashed.  A StaleEpochError out of renew() (this
+            # owner re-registered elsewhere) propagates and stops
+            # serving — fenced means fenced.
             coordinator = self._coordinator
-            renew_every = coordinator.ttl / 3.0
-            caller_tick, caller_interval = tick, tick_interval
-            last = {
-                "renew": time.monotonic(),
-                "tick": time.monotonic(),
-            }
-
-            def tick() -> None:
-                now = time.monotonic()
-                if now - last["renew"] >= renew_every:
-                    last["renew"] = now
-                    coordinator.renew()
-                if (
-                    caller_tick is not None
-                    and caller_interval
-                    and now - last["tick"] >= caller_interval
-                ):
-                    last["tick"] = now
-                    caller_tick()
-
-            tick_interval = (
-                renew_every
-                if not caller_interval
-                else min(renew_every, caller_interval)
-            )
+            periodic = (*periodic, (coordinator.ttl / 3.0, coordinator.renew))
         return self._ingest.serve(
-            stop=stop,
-            poll=poll,
-            drain_hook=drain_hook,
-            tick=tick,
-            tick_interval=tick_interval,
+            stop=stop, poll=poll, drain_hook=drain_hook, periodic=periodic
         )
 
     def close_intake(self) -> None:

@@ -35,7 +35,6 @@ throughput metric), never branched on.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,7 +51,7 @@ from .events import (
     TaskComplete,
     VoteArrival,
 )
-from .ingest import AssignmentBook, NoOpenOffer
+from .ingest import AssignmentBook, NoOpenOffer, check_chunk
 from .metrics import EngineMetrics, TaskRecord
 from .scheduler import Assignment
 from .sharding import ShardedScheduler
@@ -152,8 +151,9 @@ class CampaignEngine:
         """Enqueue task arrivals at evenly spaced logical times.
 
         Returns the number of tasks enqueued.  May be called repeatedly
-        before :meth:`run`.  A NaN or infinite arrival time raises
-        ``ValueError``.
+        before :meth:`run`.  A NaN or infinite arrival time or a
+        duplicate id raises ``ValueError`` and enqueues none of the
+        chunk.
         """
         return self.ingest(
             (start_time + i * spacing, task) for i, task in enumerate(tasks)
@@ -167,24 +167,11 @@ class CampaignEngine:
         here from the thread driving the loop).  The event heap is not
         thread-safe: only that thread may call this.
         """
-        count = 0
-        for arrival_time, task in stamped_tasks:
-            if not isinstance(task, EngineTask):
-                raise TypeError(
-                    f"expected EngineTask, got {type(task).__name__}"
-                )
-            arrival_time = float(arrival_time)
-            # NaN or inf would break the queue's (time, seq) order.
-            if not math.isfinite(arrival_time):
-                raise ValueError(
-                    f"arrival time must be finite, got {arrival_time!r}"
-                )
-            if task.task_id in self._task_ids:
-                raise ValueError(f"duplicate task id {task.task_id!r}")
+        stamped = check_chunk(stamped_tasks, self._task_ids)
+        for arrival_time, task in stamped:
             self._task_ids[task.task_id] = None
             self._queue.push(TaskArrival(arrival_time, task))
-            count += 1
-        return count
+        return len(stamped)
 
     # ------------------------------------------------------------------
     # The event loop

@@ -54,6 +54,32 @@ class IngestionOverflow(IngestionError):
     the submitter was willing to wait."""
 
 
+def check_chunk(stamped, known) -> list[tuple[float, EngineTask]]:
+    """Validate a chunk of ``(arrival_time, task)`` pairs whole, before
+    any of its ids is taken, so a refused chunk leaves nothing queued:
+    every task an :class:`EngineTask`, every stamp finite (NaN or inf
+    would break the event queue's ``(time, seq)`` order), and no id in
+    ``known`` or twice in the chunk.  Returns the pairs as a list with
+    float stamps; raises ``TypeError`` or ``ValueError`` otherwise.
+    Both submit routes (the intake and the direct one) use it."""
+    out = []
+    ids = set()
+    for arrival_time, task in stamped:
+        if not isinstance(task, EngineTask):
+            raise TypeError(f"expected EngineTask, got {type(task).__name__}")
+        arrival_time = float(arrival_time)
+        if not math.isfinite(arrival_time):
+            raise ValueError(
+                f"arrival time must be finite, got {arrival_time!r}"
+            )
+        task_id = task.task_id
+        if task_id in known or task_id in ids:
+            raise ValueError(f"duplicate task id {task_id!r}")
+        ids.add(task_id)
+        out.append((arrival_time, task))
+    return out
+
+
 @dataclass
 class IngestStats:
     """Running intake counters (read under no lock: observability only).
@@ -141,38 +167,42 @@ class IntakeQueue:
         expires first, :class:`IngestionClosed` once the queue closed.
         Returns the number of tasks staged.
 
-        The chunk stages under one hold of the intake mutex, so the
-        loop drains all of it or none: the engine flushes a batch when
-        the queue runs out of arrivals, and a chunk drained in two
-        parts would seat different juries.  Only a full queue splits a
-        chunk — the producer then waits for room, releasing the mutex.
+        A chunk that fails :func:`check_chunk` (a bad type, a
+        non-finite stamp, a duplicate id) stages nothing.  A valid one
+        stages under one hold of the intake mutex, so the loop drains
+        all of it or none: the engine flushes a batch when the queue
+        runs out of arrivals, and a chunk drained in two parts would
+        seat different juries.  Only a full queue splits a chunk — the
+        producer then waits for room, releasing the mutex.  If the
+        wait overflows or the queue closes meanwhile, the tasks staged
+        before it stay staged (the loop may already have taken them)
+        and the rest are refused, their ids free for a retry.
         """
         staged = 0
         with self._not_full:
+            stamped = check_chunk(
+                ((start_time + i * spacing, task)
+                 for i, task in enumerate(tasks)),
+                self._seen,
+            )
+            # Taken up front: a producer waiting for room holds its ids.
+            self._seen.update(task.task_id for _, task in stamped)
             try:
-                for i, task in enumerate(tasks):
-                    if not isinstance(task, EngineTask):
-                        raise TypeError(
-                            f"expected EngineTask, got {type(task).__name__}"
-                        )
+                for item in stamped:
                     if len(self._items) >= self.max_pending:
                         self._wait_for_room(timeout)
                     self._require_open()
-                    arrival_time = start_time + i * spacing
-                    if not math.isfinite(arrival_time):
-                        raise ValueError(
-                            "arrival time must be finite, "
-                            f"got {arrival_time!r}"
-                        )
-                    if task.task_id in self._seen:
-                        raise ValueError(f"duplicate task id {task.task_id!r}")
-                    self._seen.add(task.task_id)
-                    self._items.append((arrival_time, task))
+                    self._items.append(item)
                     staged += 1
                     self.stats.submitted += 1
                     self.stats.peak_pending = max(
                         self.stats.peak_pending, len(self._items)
                     )
+            except BaseException:
+                self._seen.difference_update(
+                    task.task_id for _, task in stamped[staged:]
+                )
+                raise
             finally:
                 # Tasks staged before an error stay staged: wake the
                 # loop for them too.
@@ -470,8 +500,7 @@ class AsyncIngestLoop:
         stop: threading.Event | None = None,
         poll: float = 0.05,
         drain_hook=None,
-        tick=None,
-        tick_interval: float | None = None,
+        periodic=(),
     ) -> EngineMetrics:
         """Serve-forever daemon loop.
 
@@ -488,26 +517,28 @@ class AsyncIngestLoop:
         ``drain_hook()`` runs on the loop thread once per iteration —
         the serving layer applies externally delivered votes and admin
         commands through it (return truthy when anything was applied).
-        ``tick()`` runs at most every ``tick_interval`` seconds —
-        periodic observability flushes.  ``poll`` bounds how long the
-        idle loop sleeps between checks for side-channel traffic.
+        ``periodic`` is a sequence of ``(interval, fn)`` jobs: each
+        ``fn()`` runs on the loop thread once ``interval`` seconds have
+        passed since it last ran (lease renewal, observability
+        flushes).  ``poll`` bounds how long the idle loop sleeps
+        between checks for side-channel traffic.
         """
         if poll <= 0:
             raise ValueError("poll must be positive")
+        jobs = [[interval, fn, time.monotonic()] for interval, fn in periodic]
+        if any(job[0] <= 0 for job in jobs):
+            raise ValueError("periodic intervals must be positive")
         with self.intake._mutex:
             if self._running:
                 raise RuntimeError("AsyncIngestLoop is already serving")
             self._running = True
-        # The idle sleeps must never outlast the tick cadence: ``tick``
-        # carries the coordinator's lease renewals, so an idle serve
-        # loop sleeping a full ``poll > tick_interval`` would let live
-        # leases expire mid-serve and another engine steal the seats.
-        effective_poll = (
-            poll if not tick_interval else min(poll, tick_interval)
-        )
+        # The idle sleeps must never outlast the shortest interval: a
+        # job may carry the coordinator's lease renewals, so an idle
+        # loop sleeping a full ``poll`` past it would let live leases
+        # expire mid-serve and another engine steal the seats.
+        poll = min([poll, *(job[0] for job in jobs)])
         engine = self.engine
         start = time.perf_counter()
-        last_tick = time.monotonic()
         finished = False
         try:
             self.quiesce_intake()
@@ -519,13 +550,12 @@ class AsyncIngestLoop:
                 self._idle = False
                 if stop is not None and stop.is_set():
                     break
-                if (
-                    tick is not None
-                    and tick_interval
-                    and time.monotonic() - last_tick >= tick_interval
-                ):
-                    last_tick = time.monotonic()
-                    tick()
+                if jobs:
+                    now = time.monotonic()
+                    for job in jobs:
+                        if now - job[2] >= job[0]:
+                            job[2] = now
+                            job[1]()
                 progressed = self.quiesce_intake() > 0
                 if drain_hook is not None and drain_hook():
                     progressed = True
@@ -542,12 +572,12 @@ class AsyncIngestLoop:
                         # side-channel traffic once closed, so sleep
                         # out a poll window instead).
                         self._idle = True
-                        time.sleep(effective_poll)
+                        time.sleep(poll)
                         continue
                     finished = True
                     break
                 self._idle = True
-                self.intake.wait_for_traffic(effective_poll)
+                self.intake.wait_for_traffic(poll)
             if finished:
                 engine._finish()
             else:

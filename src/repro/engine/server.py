@@ -68,6 +68,14 @@ DEFAULT_MAX_BODY = 1 << 20
 #: before giving up with 503 (the loop may be mid-checkpoint).
 DEFAULT_COMMAND_TIMEOUT = 30.0
 
+#: The request paths the handler routes; any other path is labelled
+#: ``"unmatched"`` in ``server.responses``, so hostile paths cannot grow
+#: the series count (or the telemetry state checkpoints store).
+ROUTES = frozenset(
+    ("/status", "/metrics", "/assignments", "/tasks", "/votes",
+     "/admin/checkpoint", "/admin/close")
+)
+
 
 class ServerError(RuntimeError):
     """The serving loop could not accept or apply a command."""
@@ -129,10 +137,18 @@ class LoopMailbox:
         if self._kick is not None:
             self._kick()
         if not command.done.wait(timeout):
-            raise ServerError(
-                f"serving loop did not apply the command within "
-                f"{timeout:g}s"
-            )
+            with self._mutex:
+                queued = command in self._items
+                if queued:
+                    self._items.remove(command)
+            if queued:
+                # Withdrawn unrun: the refusal is the real outcome.
+                raise ServerError(
+                    f"serving loop did not apply the command within "
+                    f"{timeout:g}s"
+                )
+            # The loop took it before the deadline; report what it did.
+            command.done.wait()
         if command.error is not None:
             raise command.error
         return command.result
@@ -220,14 +236,20 @@ class CampaignServer:
         staged vote/admin command, dispatching queued events first so
         each application sees the same quiescent engine state an
         in-process single-threaded driver would."""
-        applied = False
         engine = self.campaign.engine
-        for command in self.mailbox.drain():
-            while engine._queue:
-                engine._step()
-            command.run()
-            applied = True
-        return applied
+        commands = self.mailbox.drain()
+        try:
+            for command in commands:
+                while engine._queue:
+                    engine._step()
+                command.run()
+        except BaseException:
+            # A step that raised ends serving: fail what it left unrun
+            # (their callers wait for an outcome with no deadline).
+            for command in commands:
+                command.fail(ServerError("campaign is no longer serving"))
+            raise
+        return bool(commands)
 
     # ------------------------------------------------------------ control
     def start_listener(self) -> None:
@@ -243,19 +265,19 @@ class CampaignServer:
             )
             self._listener.start()
 
-    def serve(self, tick=None, tick_interval: float | None = None) -> EngineMetrics:
+    def serve(self, periodic=()) -> EngineMetrics:
         """Serve forever on the calling thread (see
         :meth:`Campaign.serve`): starts the listener, drains votes and
-        admin commands at the loop's drain points, and returns the
-        campaign metrics once the intake closes and drains — or once
-        :meth:`stop` pauses the loop."""
+        admin commands at the loop's drain points, runs the
+        ``(interval, fn)`` ``periodic`` jobs on the loop thread, and
+        returns the campaign metrics once the intake closes and drains
+        — or once :meth:`stop` pauses the loop."""
         self.start_listener()
         try:
             return self.campaign.serve(
                 stop=self._stop,
                 drain_hook=self._drain,
-                tick=tick,
-                tick_interval=tick_interval,
+                periodic=periodic,
             )
         finally:
             self.mailbox.reject_all(
@@ -464,8 +486,11 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
             # a proportionally later retry instead of an instant storm.
             headers = (("Retry-After", str(self.ctx.retry_after_hint())),)
         self._send(status, body, "application/json", headers)
+        route = self.path.split("?", 1)[0]
         self.ctx.campaign.telemetry.inc(
-            "server.responses", route=self.path.split("?")[0], status=status
+            "server.responses",
+            route=route if route in ROUTES else "unmatched",
+            status=status,
         )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:

@@ -22,7 +22,11 @@ from repro.engine import (
     SQLiteBackend,
 )
 from repro.engine import campaign as campaign_module
-from repro.engine.backends import SNAPSHOT_SECTIONS, SNAPSHOT_VERSION
+from repro.engine.backends import (
+    DEFAULT_BUSY_TIMEOUT_MS,
+    SNAPSHOT_SECTIONS,
+    SNAPSHOT_VERSION,
+)
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
 
@@ -197,7 +201,7 @@ class TestSQLiteBackend:
         backend.save(checkpointed_snapshot())
         assert (
             backend._conn.execute("PRAGMA busy_timeout").fetchone()[0]
-            == SQLiteBackend.DEFAULT_BUSY_TIMEOUT_MS
+            == DEFAULT_BUSY_TIMEOUT_MS
         )
         custom = SQLiteBackend(tmp_path / "d.db", busy_timeout_ms=123)
         custom.save(checkpointed_snapshot())

@@ -251,6 +251,28 @@ class TestLifecycle:
         campaign.submit([EngineTask("odd", ground_truth=1)])
         assert campaign.run().completed == 81
 
+    def test_a_refused_chunk_queues_none_of_it(self):
+        """A chunk refused for its second task (a repeat inside the
+        chunk, a stamp that overflows to inf, a non-task) queues none
+        of its arrivals and takes none of its ids."""
+        campaign = make_campaign()
+        queued = len(campaign.engine._queue)
+        for chunk, stamps in (
+            ([EngineTask("a"), EngineTask("a")], {}),
+            (
+                [EngineTask("a"), EngineTask("b")],
+                {"start_time": 1e308, "spacing": 1e308},
+            ),
+            ([EngineTask("a"), "not a task"], {}),
+        ):
+            with pytest.raises((TypeError, ValueError)):
+                campaign.submit(chunk, **stamps)
+            assert len(campaign.engine._queue) == queued
+        campaign.submit(
+            [EngineTask("a", ground_truth=1), EngineTask("b", ground_truth=0)]
+        )
+        assert campaign.run().completed == 82
+
     def test_closed_campaign_refuses_everything(self):
         campaign = make_campaign()
         campaign.close()

@@ -263,6 +263,26 @@ def test_each_route_refuses_a_repeat_of_its_own_ids(route):
     assert metrics.completed == metrics.submitted == 10
 
 
+def test_a_refused_chunk_stages_none_of_it():
+    """A chunk refused for its second task (a repeat inside the chunk,
+    a stamp that overflows to inf, a non-task) stages none of it and
+    takes none of its ids: the same ids go through on a retry."""
+    queue = IntakeQueue()
+    for chunk, stamps in (
+        ([EngineTask("a"), EngineTask("a")], {}),
+        (
+            [EngineTask("a"), EngineTask("b")],
+            {"start_time": 1e308, "spacing": 1e308},
+        ),
+        ([EngineTask("a"), "not a task"], {}),
+    ):
+        with pytest.raises((TypeError, ValueError)):
+            queue.submit(chunk, **stamps)
+        assert queue.pending == 0
+        assert queue.stats.submitted == 0
+    assert queue.submit([EngineTask("a"), EngineTask("b")]) == 2
+
+
 def test_run_serves_tasks_staged_while_it_steps():
     """A task staged while run() steps (a handler thread's POST /tasks)
     is folded in before the campaign finalizes, never left behind a
@@ -312,6 +332,41 @@ def test_submit_stages_only_while_serve_runs():
     assert campaign.done
     assert campaign.metrics.completed == 20
     assert "10 submitted" in campaign.render()
+
+
+def test_periodic_jobs_keep_their_own_cadence_through_a_long_poll():
+    """Each ``(interval, fn)`` job runs once its own interval passed,
+    and the idle sleep is clamped to the shortest one: a 5 s poll must
+    not hold back a 20 ms job."""
+    campaign = make_campaign(num_tasks=5)
+    campaign.submit(tasks(5))
+    runs = {"fast": 0, "slow": 0}
+
+    def job(name):
+        def run():
+            runs[name] += 1
+
+        return run
+
+    with pytest.raises(ValueError, match="positive"):
+        campaign.serve(periodic=((0.0, job("fast")),))
+    stop = threading.Event()
+    thread = threading.Thread(
+        target=campaign.serve,
+        kwargs={
+            "stop": stop,
+            "poll": 5.0,
+            "periodic": ((0.02, job("fast")), (60.0, job("slow"))),
+        },
+        daemon=True,
+    )
+    thread.start()
+    time.sleep(0.5)
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert runs["fast"] >= 3
+    assert runs["slow"] == 0
 
 
 def test_submit_routes_stay_sound_while_serve_starts_and_stops():

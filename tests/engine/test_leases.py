@@ -2,12 +2,12 @@
 
 The coordination layer's contract, bottom-up:
 
-* ``SQLiteBackend`` lease tables — atomic check-then-insert seat
-  acquisition, TTL expiry reclaim, epoch fencing.  Two *processes*
-  racing one remaining seat serialize on the database: exactly one
-  wins (pinned with real ``multiprocessing``).
-* ``LeaseCoordinator`` — the engine-side client: renewal, epoch
-  fencing, release-on-close.
+* ``LeaseCoordinator`` lease primitives — atomic check-then-insert
+  seat acquisition, TTL expiry reclaim, epoch fencing.  Two
+  *processes* racing one remaining seat serialize on the database:
+  exactly one wins (pinned with real ``multiprocessing``).
+* ``LeaseCoordinator`` across engines: shared capacity, epoch fencing,
+  release-on-close, wall-clock skew.
 * ``WorkerRegistry`` integration — two engines sharing a coordination
   file never double-seat; a killed engine's seats return after one TTL
   and a second engine finishes the campaign with conservation intact.
@@ -57,130 +57,101 @@ def make_pool(num_workers=24, seed=1):
 
 
 # ----------------------------------------------------------------------
-# Backend lease primitives
+# Lease primitives
 # ----------------------------------------------------------------------
 class TestLeaseTables:
     def test_acquire_counts_against_capacity(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        epoch = backend.register_engine("e1")
-        assert backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=epoch, ttl=30, capacity=2
-        )
-        assert backend.acquire_lease(
-            "w1", "t2", owner="e1", epoch=epoch, ttl=30, capacity=2
-        )
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
+        assert e1.acquire("w1", "t1", capacity=2)
+        assert e1.acquire("w1", "t2", capacity=2)
         # Third seat on a capacity-2 worker is denied...
-        assert not backend.acquire_lease(
-            "w1", "t3", owner="e1", epoch=epoch, ttl=30, capacity=2
-        )
+        assert not e1.acquire("w1", "t3", capacity=2)
         # ...but another worker's seats are independent.
-        assert backend.acquire_lease(
-            "w2", "t3", owner="e1", epoch=epoch, ttl=30, capacity=2
-        )
-        assert backend.count_leases("w1") == 2
-        backend.close()
+        assert e1.acquire("w2", "t3", capacity=2)
+        assert e1.shared_load("w1") == 2
+        e1.close()
 
     def test_duplicate_seat_is_denied(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        e1 = backend.register_engine("e1")
-        e2 = backend.register_engine("e2")
-        assert backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=e1, ttl=30, capacity=4
-        )
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
+        e2 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e2")
+        assert e1.acquire("w1", "t1", capacity=4)
         # The same (worker, task) seat cannot be leased twice — not by
         # the holder, not by a peer: that's the double-seating bug the
         # layer exists to prevent.
-        assert not backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=e1, ttl=30, capacity=4
-        )
-        assert not backend.acquire_lease(
-            "w1", "t1", owner="e2", epoch=e2, ttl=30, capacity=4
-        )
-        backend.close()
+        assert not e1.acquire("w1", "t1", capacity=4)
+        assert not e2.acquire("w1", "t1", capacity=4)
+        e1.close()
+        e2.close()
 
     def test_expiry_reclaims_seats(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        e1 = backend.register_engine("e1")
-        e2 = backend.register_engine("e2")
-        assert backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=e1, ttl=0.05, capacity=1
-        )
-        assert not backend.acquire_lease(
-            "w1", "t2", owner="e2", epoch=e2, ttl=30, capacity=1
-        )
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=0.05, owner="e1")
+        e2 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e2")
+        assert e1.acquire("w1", "t1", capacity=1)
+        assert not e2.acquire("w1", "t2", capacity=1)
         time.sleep(0.08)
         # e1's lease expired: the seat is back in the pool.
-        assert backend.acquire_lease(
-            "w1", "t2", owner="e2", epoch=e2, ttl=30, capacity=1
-        )
-        rows = backend.list_leases()
+        assert e2.acquire("w1", "t2", capacity=1)
+        rows = e2.list_leases()
         assert [(r[0], r[1], r[2]) for r in rows] == [("w1", "t2", "e2")]
-        backend.close()
+        e1.close(release=False)
+        e2.close()
 
     def test_renew_extends_only_live_leases(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        epoch = backend.register_engine("e1")
-        backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=epoch, ttl=0.2, capacity=2
-        )
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=0.2, owner="e1")
+        peer = LeaseCoordinator(tmp_path / "c.db", ttl=0.2, owner="peer")
+        e1.acquire("w1", "t1", capacity=2)
         for _ in range(4):
             time.sleep(0.08)
-            assert backend.renew_leases("e1", epoch=epoch, ttl=0.2) == 1
+            assert e1.renew() == 1
         # Renewed past several original TTLs, still alive.
-        assert backend.count_leases("w1") == 1
+        assert peer.shared_load("w1") == 1
         time.sleep(0.25)
         # Expired but not yet purged by any peer: a late-but-healthy
         # owner may still renew its own rows (the safety margin).
-        assert backend.renew_leases("e1", epoch=epoch, ttl=0.2) == 1
-        assert backend.count_leases("w1") == 1
+        assert e1.renew() == 1
+        assert peer.shared_load("w1") == 1
         time.sleep(0.25)
         # A peer's purge reclaims the seat AND deposes the owner: from
         # here renewal is fenced, not a resurrection.
-        assert backend.count_leases("w1") == 0
+        assert peer.shared_load("w1") == 0
         with pytest.raises(StaleEpochError):
-            backend.renew_leases("e1", epoch=epoch, ttl=0.2)
-        backend.close()
+            e1.renew()
+        e1.close(release=False)
+        peer.close()
 
     def test_stale_epoch_is_fenced(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        old = backend.register_engine("e1")
-        new = backend.register_engine("e1")  # re-registration deposes
-        assert new == old + 1
+        old = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
+        # Re-registration deposes.
+        new = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
+        assert new.epoch == old.epoch + 1
         with pytest.raises(StaleEpochError):
-            backend.acquire_lease(
-                "w1", "t1", owner="e1", epoch=old, ttl=30, capacity=4
-            )
+            old.acquire("w1", "t1", capacity=4)
         with pytest.raises(StaleEpochError):
-            backend.renew_leases("e1", epoch=old, ttl=30)
+            old.renew()
         # The new incarnation proceeds normally.
-        assert backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=new, ttl=30, capacity=4
-        )
-        backend.close()
+        assert new.acquire("w1", "t1", capacity=4)
+        old.close(release=False)
+        new.close()
 
-    def test_release_owner_drops_everything(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "c.db")
-        epoch = backend.register_engine("e1")
+    def test_release_all_drops_everything(self, tmp_path):
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
         for task in ("t1", "t2", "t3"):
-            backend.acquire_lease(
-                "w1", task, owner="e1", epoch=epoch, ttl=30, capacity=4
-            )
-        assert backend.release_owner("e1") == 3
-        assert backend.count_leases("w1") == 0
-        backend.close()
+            e1.acquire("w1", task, capacity=4)
+        assert e1.release_all() == 3
+        assert e1.shared_load("w1") == 0
+        e1.close()
 
     def test_checkpoint_save_leaves_leases_untouched(self, tmp_path):
         # One file serving both as a checkpoint store and a lease store
         # must not lose leases to a snapshot (save replaces tables).
+        e1 = LeaseCoordinator(tmp_path / "c.db", ttl=30, owner="e1")
+        e1.acquire("w1", "t1", capacity=4)
         backend = SQLiteBackend(tmp_path / "c.db")
-        epoch = backend.register_engine("e1")
-        backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=epoch, ttl=30, capacity=4
-        )
         backend.save(minimal_snapshot(campaign={"anything": "at all"}))
-        assert backend.count_leases("w1") == 1
+        assert e1.shared_load("w1") == 1
         assert backend.load()["campaign"]["anything"] == "at all"
         backend.close()
+        e1.close()
 
 
 # ----------------------------------------------------------------------
@@ -242,26 +213,20 @@ class TestClockSkew:
         operates the seat at any time."""
         path = tmp_path / "c.db"
         now = {"t": 1000.0}
-        a = SQLiteBackend(path, clock=lambda: now["t"])
-        b = SQLiteBackend(path, clock=lambda: now["t"] + 100.0)
-        ea = a.register_engine("a")
-        eb = b.register_engine("b")
-        assert a.acquire_lease(
-            "w1", "t1", owner="a", epoch=ea, ttl=30, capacity=1
+        a = LeaseCoordinator(path, ttl=30, owner="a", clock=lambda: now["t"])
+        b = LeaseCoordinator(
+            path, ttl=30, owner="b", clock=lambda: now["t"] + 100.0
         )
+        assert a.acquire("w1", "t1", capacity=1)
         # b's skewed clock is past a's expiry: purge reclaims the seat
         # and deposes a in the same transaction.
-        assert b.count_leases("w1") == 0
-        assert b.acquire_lease(
-            "w1", "t2", owner="b", epoch=eb, ttl=30, capacity=1
-        )
+        assert b.shared_load("w1") == 0
+        assert b.acquire("w1", "t2", capacity=1)
         # a cannot renew or re-seat against its zombie epoch...
         with pytest.raises(StaleEpochError):
-            a.renew_leases("a", epoch=ea, ttl=30)
+            a.renew()
         with pytest.raises(StaleEpochError):
-            a.acquire_lease(
-                "w2", "t1", owner="a", epoch=ea, ttl=30, capacity=1
-            )
+            a.acquire("w2", "t1", capacity=1)
         # ...so exactly one live seat exists on w1.
         assert [r[2] for r in b.list_leases()] == ["b"]
         a.close()
@@ -272,18 +237,17 @@ class TestClockSkew:
         clock step cannot pull a live lease's expiry earlier (which
         would hand the seat to a peer while the owner still works)."""
         now = {"t": 1000.0}
-        backend = SQLiteBackend(tmp_path / "c.db", clock=lambda: now["t"])
-        epoch = backend.register_engine("e1")
-        assert backend.acquire_lease(
-            "w1", "t1", owner="e1", epoch=epoch, ttl=30, capacity=1
-        )  # expires at 1030
+        e1 = LeaseCoordinator(
+            tmp_path / "c.db", ttl=30, owner="e1", clock=lambda: now["t"]
+        )
+        assert e1.acquire("w1", "t1", capacity=1)  # expires at 1030
         now["t"] = 900.0  # backward NTP step on the owner's host
-        assert backend.renew_leases("e1", epoch=epoch, ttl=30) == 1
-        (row,) = backend.list_leases()
+        assert e1.renew() == 1
+        (row,) = e1.list_leases()
         assert row[4] >= 1030.0  # not shortened to 930
         now["t"] = 1020.0
-        assert backend.count_leases("w1") == 1  # still held
-        backend.close()
+        assert e1.shared_load("w1") == 1  # still held
+        e1.close()
 
     def test_zombie_shutdown_cannot_release_successor_seats(self, tmp_path):
         """Releases are epoch-scoped: a deposed incarnation shutting
@@ -324,7 +288,7 @@ def test_serve_with_long_poll_keeps_leases_renewed(tmp_path):
         ),
     )
     campaign.submit([EngineTask(f"t{i}") for i in range(4)])
-    observer = SQLiteBackend(coord_path)
+    observer = LeaseCoordinator(coord_path, owner="observer")
     stop = threading.Event()
     thread = threading.Thread(
         target=campaign.serve,
@@ -397,21 +361,18 @@ class TestRegistryLeases:
 # Real multi-process races
 # ----------------------------------------------------------------------
 def _race_for_seat(path, owner, barrier, queue):
-    backend = SQLiteBackend(path)
-    epoch = backend.register_engine(owner)
+    coordinator = LeaseCoordinator(path, ttl=30, owner=owner)
     barrier.wait(timeout=10)
-    won = backend.acquire_lease(
-        "w1", f"task-{owner}", owner=owner, epoch=epoch, ttl=30, capacity=1
-    )
+    won = coordinator.acquire("w1", f"task-{owner}", capacity=1)
     queue.put((owner, won))
-    backend.close()
+    coordinator.close(release=False)
 
 
 def test_two_processes_race_one_seat_exactly_one_wins(tmp_path):
     path = str(tmp_path / "race.db")
     # Create the schema before forking so both children race the seat,
     # not the CREATE TABLE.
-    SQLiteBackend(path).close()
+    LeaseCoordinator(path, owner="setup").close()
     ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(2)
     queue = ctx.Queue()
@@ -425,9 +386,9 @@ def test_two_processes_race_one_seat_exactly_one_wins(tmp_path):
     for p in procs:
         p.join(timeout=10)
     assert sorted(results.values()) == [False, True]
-    backend = SQLiteBackend(path)
-    assert backend.count_leases("w1") == 1
-    backend.close()
+    probe = LeaseCoordinator(path, owner="probe")
+    assert probe.shared_load("w1") == 1
+    probe.close()
 
 
 def _crash_mid_save(path, ready):
@@ -604,7 +565,7 @@ def _serve_and_die(path, coord_path, ready):
 
 def test_killed_engine_leases_expire_and_peer_completes(tmp_path):
     coord_path = str(tmp_path / "coord.db")
-    SQLiteBackend(coord_path).close()
+    LeaseCoordinator(coord_path, owner="setup").close()
     ctx = multiprocessing.get_context("fork")
     ready = ctx.Event()
     proc = ctx.Process(target=_serve_and_die, args=(None, coord_path, ready))
@@ -613,7 +574,7 @@ def test_killed_engine_leases_expire_and_peer_completes(tmp_path):
     os.kill(proc.pid, signal.SIGKILL)  # crash mid-admit: leases stranded
     proc.join(timeout=10)
 
-    shared = SQLiteBackend(coord_path)
+    shared = LeaseCoordinator(coord_path, owner="observer")
     stranded = len(shared.list_leases())
     assert stranded > 0  # the victim died holding seats
     time.sleep(0.6)  # one TTL passes, nobody renews

@@ -509,6 +509,21 @@ class TestEndpoints:
             assert code == 409
             assert "duplicate" in body["error"]
 
+    def test_refused_chunk_stages_nothing_and_a_retry_is_accepted(self):
+        with serving() as srv:
+            code, body = http_post(
+                srv.url + "/tasks",
+                {"tasks": [{"task_id": "a"}, {"task_id": "a"}]},
+            )
+            assert code == 409
+            assert "duplicate" in body["error"]
+            assert barrier_http(srv.url)["submitted"] == 0
+            code, body = http_post(
+                srv.url + "/tasks", {"tasks": [{"task_id": "a"}]}
+            )
+            assert code == 202 and body == {"staged": 1}
+            assert barrier_http(srv.url)["submitted"] == 1
+
     def test_vote_payload_validation_400(self):
         with serving() as srv:
             for payload in (
@@ -818,6 +833,26 @@ class TestHostileMetricsLabels:
             server.shutdown()
             campaign.close()
 
+    def test_unknown_paths_share_one_response_series(self):
+        """Responses are labelled by route, so hostile paths cannot grow
+        the ``/metrics`` series (or the checkpointed telemetry state)."""
+
+        def response_series():
+            _, body = http_get(srv.url + "/metrics", raw=True)
+            return {
+                key
+                for key in series_keys(body)
+                if key.startswith("repro_server_responses_total")
+            }
+
+        with serving(config=make_config(telemetry="on")) as srv:
+            http_get(srv.url + "/status")
+            before = response_series()
+            for i in range(50):
+                with pytest.raises(urllib.error.HTTPError):
+                    http_get(f"{srv.url}/probe/{i}")
+            assert len(response_series() - before) <= 1
+
     def test_server_response_labels_are_escaped(self):
         with serving(config=make_config(telemetry="on")) as srv:
             code, _ = http_post(srv.url + '/votes?x="\n', {})
@@ -1061,8 +1096,51 @@ class TestLoopMailbox:
 
     def test_call_times_out_when_nobody_drains(self):
         mailbox = LoopMailbox()
+        ran = []
         with pytest.raises(ServerError, match="did not apply"):
-            mailbox.call(lambda: None, timeout=0.05)
+            mailbox.call(lambda: ran.append(1), timeout=0.05)
+        # The refused command was withdrawn: nothing runs it later.
+        assert mailbox.pending == 0
+        for command in mailbox.drain():
+            command.run()
+        assert ran == []
+
+    def test_a_vote_answered_503_is_never_cast(self):
+        """A vote whose handler gave up on a busy loop (503, "did not
+        apply") is withdrawn: once the loop frees up the offer is still
+        open, and the client's retry is the vote that counts."""
+        entered, release = threading.Event(), threading.Event()
+
+        def block():
+            entered.set()
+            assert release.wait(10)
+
+        with serving(command_timeout=0.2) as srv:
+            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
+            barrier_http(srv.url)
+            row = srv.campaign.offers.open_offers()[0]
+            vote = {
+                "task_id": row["task_id"],
+                "worker_id": row["worker_id"],
+                "vote": 1,
+            }
+            cast = srv.campaign.metrics.votes_cast
+            blocker = threading.Thread(
+                target=srv.server.mailbox.call, args=(block, 10)
+            )
+            blocker.start()
+            try:
+                assert entered.wait(10)
+                code, body = http_post(srv.url + "/votes", vote)
+                assert code == 503, body
+            finally:
+                release.set()
+            blocker.join(timeout=10)
+            barrier_http(srv.url)
+            assert srv.campaign.metrics.votes_cast == cast
+            assert row in srv.campaign.offers.for_worker(row["worker_id"])
+            code, body = http_post(srv.url + "/votes", vote)
+            assert code == 200 and body == {"applied": True}
 
     def test_reject_all_fails_pending_and_future_calls(self):
         mailbox = LoopMailbox()
