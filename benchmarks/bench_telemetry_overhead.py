@@ -3,11 +3,13 @@
 Serves one seeded 1k-task campaign (60 workers, capacity 6, batches of
 25, budget 0.35/task) with telemetry off (the :class:`NullTelemetry`
 default — instrumentation sites cost an attribute lookup and an empty
-call) and on (the full hub: counters, spans, histograms, event trace),
-as ``PAIRS`` back-to-back off/on pairs whose order alternates, so
-machine drift hits both modes alike.  One pair's on/off wall-time
-ratio swings by tens of percent on a shared 2-core host; the gate
-reads the median pair:
+call) and on (the full hub: per-batch counters, spans, histograms and
+trace events, the per-task intake/throughput rate marks, and the
+engine's own tallies pulled as counters at export time — nothing is
+pushed per vote), as ``PAIRS`` back-to-back off/on pairs whose order
+alternates, so machine drift hits both modes alike.  One pair's on/off
+wall-time ratio swings by tens of percent on a shared 2-core host; the
+gate reads the median pair:
 
 * acceptance bar: telemetry **on** costs at most **10%** wall time
   against the NullTelemetry baseline, in the median pair;
@@ -35,9 +37,8 @@ PAIRS = 9
 MAX_OVERHEAD = 0.10
 
 
-def _timed_run(telemetry: str) -> tuple[float, str]:
-    """Wall time of one whole campaign (pool, open, submit, run)."""
-    start = time.perf_counter()
+def open_campaign(telemetry: str) -> Campaign:
+    """The gated campaign, opened with every task submitted."""
     rng = np.random.default_rng(SEED)
     pool = generate_pool(
         SyntheticPoolConfig(num_workers=60, quality_ceiling=0.95), rng
@@ -59,7 +60,13 @@ def _timed_run(telemetry: str) -> tuple[float, str]:
         EngineTask(f"t{i}", ground_truth=int(t))
         for i, t in enumerate(truths)
     )
-    metrics = campaign.run()
+    return campaign
+
+
+def _timed_run(telemetry: str) -> tuple[float, str]:
+    """Wall time of one whole campaign (pool, open, submit, run)."""
+    start = time.perf_counter()
+    metrics = open_campaign(telemetry).run()
     elapsed = time.perf_counter() - start
     assert metrics.completed == NUM_TASKS
     return elapsed, metrics.fingerprint()

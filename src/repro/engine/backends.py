@@ -10,11 +10,12 @@ allocator ledger, shard membership, metrics, RNG state, the shards' JQ
 caches and frontier memos, and every pending event — into a
 *snapshot* dict, and a :class:`StateBackend` persists it.
 
-A campaign only grows its votes, task records, task ids, JQ-cache
-entries and telemetry events, so those five sections are *journals*:
-a snapshot carries only the rows added since the backend's last save,
-and the backend appends them.  Everything else is fixed-size and
-replaced whole on every save.
+A campaign only grows its votes, task records, task ids and JQ-cache
+entries, so those four sections are *journals*: a snapshot carries
+only the rows added since the backend's last save, and the backend
+appends them.  Everything else is fixed-size and replaced whole on
+every save.  The telemetry hub's metric state rides in ``campaign``;
+its trace rings are per-process diagnostics and are not persisted.
 
 Snapshot contract, version 3 (all values plain JSON types)::
 
@@ -26,8 +27,6 @@ Snapshot contract, version 3 (all values plain JSON types)::
       "votes":    {"base": n, "rows": [[worker_id, task_id, label], ...]},
       "records":  {"base": n, "rows": [task_record, ...]},
       "task_ids": {"base": n, "rows": [task_id, ...]},
-      "events":   {"base": seq, "floor": seq,
-                   "rows": [[seq, ts, kind, span_id, fields], ...]},
       "caches":   {cache_id: {"hits": .., "misses": .., "evictions": ..,
                               "base": n, "entries": [[key, value], ...]}},
     }
@@ -36,23 +35,25 @@ The ledger scopes are ``allocator``, ``migrations`` and one
 ``shard:<k>`` per shard (empty before the campaign first runs); cache
 ids are ``shard:<k>``.
 
-Journal semantics: ``base`` is what the store must already hold before
-the new rows — the row count (votes in arrival order, records and task
-ids in completion and submission order, cache entries in LRU order),
-or for the event ring the highest ``seq`` held; the ring also drops
-every held row below ``floor``, its oldest live ``seq``.  ``base`` 0
-replaces the journal (a first save, a foreign file, a bounded cache
-that reordered or evicted).  A ``base`` that does not match what the
-store holds raises :class:`BackendError` instead of writing a gap.
-:meth:`StateBackend.load` returns every journal whole, at ``base`` 0.
+Journal semantics: ``base`` is the row count the store must already
+hold before the new rows (votes in arrival order, records and task ids
+in completion and submission order, cache entries in LRU order).
+``base`` 0 replaces the journal (a first save, a foreign file, a
+bounded cache that reordered or evicted).  A ``base`` that does not
+match what the store holds raises :class:`BackendError` instead of
+writing a gap.  :meth:`StateBackend.load` returns every journal whole,
+at ``base`` 0.
 
 Older snapshots still load, and :meth:`Campaign.resume
 <repro.engine.campaign.Campaign.resume>` upgrades them; the first save
-after it rewrites the store in the version-3 layout.  Version 2 had the
-same sections, but a one-shard campaign kept a single-scheduler ledger
-(``"mode": "single"``) and a campaign-level cache (id ``"campaign"``).
-Version 1 also had votes as ``[worker_id, task_id, label, wpos, tpos]``
-rows; records, task ids and events inside ``campaign``; no journals.
+after it rewrites the store in the version-3 layout.  Older code also
+journaled the telemetry event ring as an ``events`` section (an
+``events`` table in SQLite) and kept the span ring in ``campaign``;
+both are ignored on load.  Version 2 had the same sections, but a
+one-shard campaign kept a single-scheduler ledger (``"mode":
+"single"``) and a campaign-level cache (id ``"campaign"``).  Version 1
+also had votes as ``[worker_id, task_id, label, wpos, tpos]`` rows;
+records, task ids and events inside ``campaign``; no journals.
 
 Two implementations:
 
@@ -85,7 +86,7 @@ SNAPSHOT_VERSION = 3
 
 #: Sections appended to rather than replaced (``caches`` holds one
 #: journal per cache id on top of these).
-JOURNAL_SECTIONS = ("votes", "records", "task_ids", "events")
+JOURNAL_SECTIONS = ("votes", "records", "task_ids")
 
 #: Top-level sections every snapshot must carry.
 SNAPSHOT_SECTIONS = ("campaign", "workers", "ledger", "caches") + JOURNAL_SECTIONS
@@ -189,12 +190,7 @@ def _validate(snapshot: dict) -> None:
 
 
 def _gap_error(name: str, base: int, held: int | None) -> BackendError:
-    if held is None:
-        holds = "no such journal"
-    elif name == "events":
-        holds = f"events up to seq {held}"
-    else:
-        holds = f"{held} rows"
+    holds = "no such journal" if held is None else f"{held} rows"
     return BackendError(
         f"{name} journal tail starts at {base} but the store holds "
         f"{holds}; save a full snapshot (base 0) instead"
@@ -217,9 +213,7 @@ class MemoryBackend:
     def __init__(self) -> None:
         self._payload: str | None = None
         # Journal key (a section name, or ("cache", cache_id)) ->
-        # [size, floor, chunks]: what ``base`` must match (rows held,
-        # or the event ring's highest seq), the ring's floor, and
-        # (last seq, JSON rows) chunks.
+        # (rows held, JSON texts of the tails that hold them).
         self._journals: dict = {}
 
     def save(self, snapshot: dict) -> None:
@@ -242,34 +236,24 @@ class MemoryBackend:
         for key, tail in tails.items():
             rows = tail.get("rows" if isinstance(key, str) else "entries", [])
             base = tail.get("base", 0)
-            size, floor, chunks = (0, 0, [])
+            chunks = []
             if base:
                 held = self._journals.get(key)
                 if held is None or held[0] != base:
                     name = key if isinstance(key, str) else f"cache {key[1]}"
                     raise _gap_error(name, base, None if held is None else held[0])
-                size, floor, chunks = held
-            if key == "events":
-                floor = tail.get("floor", 0)
-                size = rows[-1][0] if rows else base
-                chunks = [chunk for chunk in chunks if chunk[0] >= floor]
-            else:
-                size = base + len(rows)
-                chunks = list(chunks)
+                chunks = list(held[1])
             if rows:
-                last = rows[-1][0] if key == "events" else 0
-                chunks.append((last, json.dumps(rows)))
-            journals[key] = [size, floor, chunks]
+                chunks.append(json.dumps(rows))
+            journals[key] = (base + len(rows), chunks)
         self._payload, self._journals = json.dumps(fixed), journals
 
     def load(self) -> dict:
         if self._payload is None:
             raise BackendError("MemoryBackend holds no checkpoint")
         snapshot = json.loads(self._payload)
-        for key, (_size, floor, chunks) in self._journals.items():
-            rows = [row for _, text in chunks for row in json.loads(text)]
-            if key == "events":
-                rows = [row for row in rows if row[0] >= floor]
+        for key, (_size, chunks) in self._journals.items():
+            rows = [row for text in chunks for row in json.loads(text)]
             if isinstance(key, str):
                 snapshot[key] = {"base": 0, "rows": rows}
             else:
@@ -304,8 +288,6 @@ class SQLiteBackend:
                 predicted_jq, reserved_cost, spent_cost, votes_used,
                 reason, correct)                      -- completion order
         task_ids(pos INTEGER PRIMARY KEY, task_id)    -- submission order
-        events(seq INTEGER PRIMARY KEY, ts, kind, span_id,
-               fields)                                -- telemetry ring
         cache(cache_id TEXT, position INTEGER, key TEXT, value REAL,
               PRIMARY KEY(cache_id, position))        -- JQ-cache entries
                                                       --  in LRU order
@@ -313,13 +295,14 @@ class SQLiteBackend:
     ``save`` runs in one transaction, so a reader never observes a
     half-written checkpoint.  It rewrites ``campaign``, ``workers`` and
     its own ledger scopes, and appends to the journal tables ``votes``,
-    ``records``, ``task_ids``, ``events`` and ``cache``: a tail whose
+    ``records``, ``task_ids`` and ``cache``: a tail whose
     ``base`` is not the journal's current size raises
     :class:`BackendError` and writes nothing, and ``base`` 0 empties the
     journal first.  A checkpoint therefore costs what changed since the
     last one, not what the campaign has accumulated.  Tables the
     backend does not define are never touched, so a file it shares
-    with another store keeps that store's rows.
+    with another store keeps that store's rows; so does the ``events``
+    table (the telemetry event ring) older code kept in the same file.
 
     A file written by layout version 1 (``votes`` keyed by by-worker
     position ``wpos``, with a ``tpos`` column) loads as a version-1
@@ -377,12 +360,6 @@ class SQLiteBackend:
             correct);
         CREATE TABLE IF NOT EXISTS task_ids(
             pos INTEGER PRIMARY KEY, task_id TEXT NOT NULL);
-        CREATE TABLE IF NOT EXISTS events(
-            seq INTEGER PRIMARY KEY,
-            ts REAL NOT NULL,
-            kind TEXT NOT NULL,
-            span_id INTEGER NOT NULL,
-            fields TEXT NOT NULL);
         CREATE TABLE IF NOT EXISTS cache(
             cache_id TEXT NOT NULL,
             position INTEGER NOT NULL,
@@ -493,24 +470,6 @@ class SQLiteBackend:
                 task_ids.get("base", 0),
                 ((task_id,) for task_id in task_ids.get("rows", ())),
             )
-            events = snapshot.get("events") or {}
-            base = events.get("base", 0)
-            if base:
-                (held,) = conn.execute("SELECT MAX(seq) FROM events").fetchone()
-                if (held or 0) != base:
-                    raise _gap_error("events", base, held or 0)
-                conn.execute(
-                    "DELETE FROM events WHERE seq < ?", (events.get("floor", 0),)
-                )
-            else:
-                conn.execute("DELETE FROM events")
-            conn.executemany(
-                "INSERT INTO events VALUES (?,?,?,?,?)",
-                (
-                    (seq, ts, kind, span_id, json.dumps(fields))
-                    for seq, ts, kind, span_id, fields in events.get("rows", ())
-                ),
-            )
 
             conn.execute(
                 "DELETE FROM cache WHERE cache_id NOT IN "
@@ -605,13 +564,6 @@ class SQLiteBackend:
                 task_id
                 for (task_id,) in conn.execute(
                     "SELECT task_id FROM task_ids ORDER BY pos"
-                )
-            )
-            snapshot["events"] = self._journal(
-                [seq, ts, kind, span_id, json.loads(fields)]
-                for seq, ts, kind, span_id, fields in conn.execute(
-                    "SELECT seq, ts, kind, span_id, fields FROM events "
-                    "ORDER BY seq"
                 )
             )
         cache_meta: dict[str, dict] = {}

@@ -23,9 +23,11 @@ and frontier memos — so a campaign checkpointed mid-run and resumed
 produces a :meth:`~repro.engine.metrics.EngineMetrics.fingerprint`
 byte-identical to an uninterrupted run (pinned by the invariant
 harness, across backends and shard counts).  The state that only grows
-(votes, task records, task ids, JQ-cache entries, telemetry events) is
-journaled: each checkpoint hands the backend only what was added since
-the last one it saved (see :mod:`repro.engine.backends`).
+(votes, task records, task ids, JQ-cache entries) is journaled: each
+checkpoint hands the backend only what was added since the last one it
+saved (see :mod:`repro.engine.backends`).  The telemetry hub's metric
+state rides along; its trace rings cover one process and are not
+saved.
 
 Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
 class choice.
@@ -88,29 +90,23 @@ _INTERNAL = object()
 
 #: Journal marks of a backend that holds nothing of this campaign: the
 #: next checkpoint writes every journal whole (base 0).
-_NO_MARKS = {"votes": 0, "records": 0, "task_ids": 0, "events": 0, "caches": {}}
-
-_EVENT_FIELDS = ("seq", "ts", "kind", "span_id", "fields")
+_NO_MARKS = {"votes": 0, "records": 0, "task_ids": 0, "caches": {}}
 
 
 def _upgrade_v1(snapshot: dict) -> dict:
     """Lay a version-1 snapshot out as version 3, every journal whole.
 
-    Version 1 kept the task records, task ids and telemetry event ring
-    inside the campaign section, and the votes as ``[worker_id,
-    task_id, label, wpos, tpos]`` rows: two view orders, which merge
-    into one arrival order that replays to the same matrix.
+    Version 1 kept the task records and task ids inside the campaign
+    section, and the votes as ``[worker_id, task_id, label, wpos,
+    tpos]`` rows: two view orders, which merge into one arrival order
+    that replays to the same matrix.  (Its telemetry state also holds
+    the event ring, which the hub ignores on load.)
     """
     section = dict(snapshot["campaign"])
     metrics = dict(section["metrics"])
     records = metrics.pop("records")
     section["metrics"] = metrics
     task_ids = section.pop("task_ids")
-    events = []
-    if section.get("telemetry"):
-        telemetry = dict(section["telemetry"])
-        events = sorted(telemetry.pop("events", []), key=lambda e: e["seq"])
-        section["telemetry"] = telemetry
     votes = AnswerMatrix.from_vote_rows(snapshot["votes"]).arrival_rows()
     return _upgrade_v2({
         "version": 2,
@@ -120,14 +116,6 @@ def _upgrade_v1(snapshot: dict) -> dict:
         "votes": {"base": 0, "rows": votes},
         "records": {"base": 0, "rows": records},
         "task_ids": {"base": 0, "rows": task_ids},
-        "events": {
-            "base": 0,
-            "rows": [
-                [e["seq"], e["ts"], e["kind"], e.get("span_id", 0),
-                 e.get("fields", {})]
-                for e in events
-            ],
-        },
         "caches": {
             cache_id: {**state, "base": 0}
             for cache_id, state in snapshot["caches"].items()
@@ -687,7 +675,7 @@ class Campaign:
             # Observability state rides along (None when telemetry is
             # off); restore is .get()-tolerant so snapshots predating
             # these keys still load.
-            "telemetry": engine.telemetry.state_dict(events=False),
+            "telemetry": engine.telemetry.state_dict(),
             "intake_stats": self._ingest.intake.stats.state_dict(),
         }
 
@@ -700,7 +688,6 @@ class Campaign:
             for shard_state in state["shards"]:
                 ledger[f"shard:{shard_state['shard_id']}"] = shard_state
 
-        floor, events = engine.telemetry.event_rows(marks["events"])
         snapshot = {
             "version": SNAPSHOT_VERSION,
             "campaign": campaign_section,
@@ -720,7 +707,6 @@ class Campaign:
                     itertools.islice(engine._task_ids, marks["task_ids"], None)
                 ),
             },
-            "events": {"base": marks["events"], "floor": floor, "rows": events},
             "caches": {
                 cache_id: cache.state_dict(
                     since=marks["caches"].get(cache_id)
@@ -728,19 +714,16 @@ class Campaign:
                 for cache_id, cache in self._named_caches().items()
             },
         }
-        return snapshot, self._journal_marks(
-            events[-1][0] if events else marks["events"]
-        )
+        return snapshot, self._journal_marks()
 
-    def _journal_marks(self, last_event: int) -> dict:
+    def _journal_marks(self) -> dict:
         """Marks for a backend that holds every journal as it stands
-        now, the event ring up to ``seq`` ``last_event``."""
+        now."""
         engine = self._engine
         return {
             "votes": engine.registry.answers.num_arrivals,
             "records": len(engine.metrics.records),
             "task_ids": len(engine._task_ids),
-            "events": last_event,
             "caches": {
                 cache_id: cache.journal_mark
                 for cache_id, cache in self._named_caches().items()
@@ -830,21 +813,12 @@ class Campaign:
                 shard.cache.load_state(
                     snapshot["caches"][f"shard:{shard.shard_id}"]
                 )
-        telemetry_state = section.get("telemetry")
-        event_rows = snapshot["events"]["rows"]
-        if telemetry_state:
-            telemetry_state = {
-                **telemetry_state,
-                "events": [dict(zip(_EVENT_FIELDS, row)) for row in event_rows],
-            }
-        engine.telemetry.load_state(telemetry_state)
+        engine.telemetry.load_state(section.get("telemetry"))
         self._config = config
         self._engine = engine
         engine._checkpoint_hook = self.checkpoint
         # The backend holds exactly the journals just loaded.
-        self._marks = self._journal_marks(
-            event_rows[-1][0] if event_rows else 0
-        )
+        self._marks = self._journal_marks()
         self._attach_ingest()
         self._attach_coordinator()
         intake_state = section.get("intake_stats")

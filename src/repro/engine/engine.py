@@ -36,6 +36,7 @@ throughput metric), never branched on.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,7 @@ class CampaignEngine:
             else NULL_TELEMETRY
         )
         self.telemetry.add_collector(self._telemetry_gauges)
+        self.telemetry.add_collector(self._telemetry_counters, kind="counter")
         # External-vote serving: seated juries become open offers on
         # the book instead of simulated VoteArrival events.
         self.offers: AssignmentBook | None = (
@@ -248,6 +250,18 @@ class CampaignEngine:
         if self.offers is not None:
             yield "engine.open_offers", {}, float(self.offers.open_count)
 
+    def _telemetry_counters(self):
+        """The engine's own tallies as telemetry counters (collector:
+        read at export time, from a handler thread too, so it reads
+        only ints and the append-only record list)."""
+        metrics = self.metrics
+        yield "engine.tasks_submitted", {}, metrics.submitted
+        yield "engine.votes_cast", {}, metrics.votes_cast
+        yield "engine.votes_cancelled", {}, metrics.votes_cancelled
+        reasons = Counter(record.reason for record in metrics.records)
+        for reason, count in reasons.items():
+            yield "engine.tasks_completed", {"reason": reason}, count
+
     def _collect_stats(self) -> None:
         """Fold end-of-run state into the metrics: the merge of the
         shard caches' stats plus the shard and allocator snapshots."""
@@ -279,7 +293,6 @@ class CampaignEngine:
     def _on_arrival(self, event: TaskArrival) -> None:
         self._batch.append(event.task)
         self.metrics.submitted += 1
-        self.telemetry.inc("engine.tasks_submitted")
         self.telemetry.mark("intake")
         if (
             len(self._batch) >= self.config.batch_size
@@ -368,7 +381,8 @@ class CampaignEngine:
     def _on_vote(self, event: VoteArrival) -> None:
         runtime = self._active.get(event.task_id)
         if runtime is None or runtime.done:
-            self._cancel_vote(event.task_id, event.worker_id)
+            # The vote landed after its task completed.
+            self.metrics.votes_cancelled += 1
             return
         q_true = self.registry.true_quality(event.worker_id)
         truth = runtime.sim_truth
@@ -399,7 +413,7 @@ class CampaignEngine:
             raise ValueError(f"vote must be 0 or 1, got {vote!r}")
         runtime = self._active.get(task_id)
         if runtime is None or runtime.done:
-            self._cancel_vote(task_id, worker_id)
+            self.metrics.votes_cancelled += 1
             return False
         if worker_id not in runtime.pending_workers:
             raise NoOpenOffer(
@@ -413,12 +427,6 @@ class CampaignEngine:
             self.offers.revoke_task(task_id)
         return True
 
-    def _cancel_vote(self, task_id: str, worker_id: str) -> None:
-        """Count a vote that landed after its task completed."""
-        self.metrics.votes_cancelled += 1
-        self.telemetry.inc("engine.votes_cancelled")
-        self.telemetry.event("cancel", task=task_id, worker=worker_id)
-
     def _apply_vote(
         self, runtime: _TaskRuntime, worker_id: str, vote: int, at: float
     ) -> None:
@@ -428,10 +436,6 @@ class CampaignEngine:
         runtime.session.add_vote(self.registry.worker(worker_id), vote)
         self.registry.record_vote(worker_id, task_id, vote)
         self.metrics.votes_cast += 1
-        self.telemetry.inc("engine.votes_cast")
-        self.telemetry.event(
-            "vote", task=task_id, worker=worker_id, vote=vote
-        )
         runtime.pending_workers.remove(worker_id)
 
         if not runtime.pending_workers:
@@ -474,7 +478,6 @@ class CampaignEngine:
                 )
             )
 
-        self.telemetry.inc("engine.tasks_completed", reason=event.reason)
         self.telemetry.mark("throughput")
 
         every = self.config.reestimate_every

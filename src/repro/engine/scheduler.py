@@ -211,7 +211,9 @@ class CampaignScheduler:
     telemetry:
         Observability hub (:data:`~repro.engine.telemetry.NULL_TELEMETRY`
         by default).  The scheduler reports admit/frontier-build spans
-        and memo hit/build counters, each with ``telemetry_labels``.
+        and memo hit/build counters, each with ``telemetry_labels``;
+        its :class:`SchedulerStats` reach exports through the
+        :class:`~repro.engine.sharding.ShardedScheduler` collector.
     telemetry_labels:
         Labels of those reports: ``{"shard": k}`` when the campaign has
         more than one shard, so per-shard latency is separable in
@@ -287,9 +289,6 @@ class CampaignScheduler:
             # No seats anywhere: defer everything rather than answer
             # priors for tasks that could be served next batch.
             self.stats.deferred += len(tasks)
-            self.telemetry.inc(
-                "scheduler.deferred", len(tasks), **self._telemetry_labels
-            )
             return [], list(tasks)
 
         grid = self.cache.quantization
@@ -371,16 +370,6 @@ class CampaignScheduler:
                 Assignment(task, jury, self.objective(jury), cost)
             )
             self.stats.admitted += 1
-        funded = sum(1 for a in assignments if a.funded)
-        labels = self._telemetry_labels
-        if funded:
-            self.telemetry.inc("scheduler.admitted", funded, **labels)
-        if len(assignments) > funded:
-            self.telemetry.inc(
-                "scheduler.unfunded", len(assignments) - funded, **labels
-            )
-        if deferred:
-            self.telemetry.inc("scheduler.deferred", len(deferred), **labels)
         return assignments, deferred
 
     # ------------------------------------------------------------------

@@ -501,6 +501,7 @@ class ShardedScheduler:
             )
         self.migrations = 0
         telemetry.add_collector(self._telemetry_gauges)
+        telemetry.add_collector(self._telemetry_counters, kind="counter")
 
     def _telemetry_gauges(self):
         """Per-shard pull gauges (collector: read at export time only)."""
@@ -512,6 +513,15 @@ class ShardedScheduler:
             yield "shard.capacity", labels, float(shard.view.total_capacity)
             yield "shard.granted", labels, shard.granted
             yield "shard.reserved", labels, shard.scheduler.reserved
+
+    def _telemetry_counters(self):
+        """Each shard's :class:`SchedulerStats` admission tallies as
+        telemetry counters (collector: read at export time only)."""
+        for shard in self.shards:
+            stats = shard.scheduler.stats
+            yield "scheduler.admitted", shard.labels, stats.admitted
+            yield "scheduler.unfunded", shard.labels, stats.unfunded
+            yield "scheduler.deferred", shard.labels, stats.deferred
 
     # ------------------------------------------------------------------
     # The engine's scheduler surface

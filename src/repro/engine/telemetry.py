@@ -7,6 +7,11 @@ never feeds anything back into the deterministic engine state — the
 engine's RNG stream, event ordering, and :meth:`EngineMetrics.fingerprint`
 are byte-identical whether telemetry is on or off.
 
+Counts the serving stack already keeps (``EngineMetrics``, the
+shards' ``SchedulerStats``, cache stats, registry load) are not pushed
+into the hub a second time: their owners register *collectors* the
+hub reads at export time (:meth:`Telemetry.add_collector`).
+
 Three export surfaces cover the usual consumers:
 
 * :meth:`Telemetry.snapshot` — a JSON-serialisable dict (counters,
@@ -15,6 +20,11 @@ Three export surfaces cover the usual consumers:
 * :meth:`Telemetry.chrome_trace` — Chrome trace-event JSON; load the
   file written by :meth:`write_trace` directly in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.
+
+The metric state (counters, gauges, histograms, rates and the clock)
+survives ``checkpoint()``/``resume()`` through :meth:`Telemetry.state_dict`.
+The trace and span rings do not: they are this process's diagnostics,
+and a resumed campaign's trace starts empty.
 
 The default for every engine is :data:`NULL_TELEMETRY`, a
 :class:`NullTelemetry` whose methods are no-ops, so instrumented hot
@@ -25,7 +35,7 @@ Producers (intake threads), HTTP handler threads and the serving loop
 all report concurrently; every public method takes the lock for a
 handful of dict operations only and never calls back out while holding
 it, so the hub cannot participate in a lock cycle with engine-side
-locks.
+locks.  Collectors run outside the lock on whichever thread exports.
 """
 
 from __future__ import annotations
@@ -100,15 +110,6 @@ class TraceEvent:
     span_id: int  # 0 when the event is not tied to a span
     fields: dict[str, Any] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "ts": self.ts,
-            "kind": self.kind,
-            "span_id": self.span_id,
-            "fields": dict(self.fields),
-        }
-
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -120,16 +121,6 @@ class SpanRecord:
     duration: float
     thread: int
     labels: dict[str, str] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "start": self.start,
-            "duration": self.duration,
-            "thread": self.thread,
-            "labels": dict(self.labels),
-        }
 
 
 class _Histogram:
@@ -270,7 +261,9 @@ class NullTelemetry:
     def timer(self, name: str, **labels: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def add_collector(self, collector: Callable[[], Iterable]) -> None:
+    def add_collector(
+        self, collector: Callable[[], Iterable], kind: str = "gauge"
+    ) -> None:
         pass
 
     def snapshot(self) -> dict[str, Any]:
@@ -291,11 +284,8 @@ class NullTelemetry:
     def completed_spans(self) -> list[SpanRecord]:
         return []
 
-    def state_dict(self, events: bool = True) -> None:
+    def state_dict(self) -> None:
         return None
-
-    def event_rows(self, since: int = 0) -> tuple[int, list[list]]:
-        return 0, []
 
     def load_state(self, state: Any) -> None:
         pass
@@ -307,6 +297,8 @@ NULL_TELEMETRY = NullTelemetry()
 
 class Telemetry:
     """Thread-safe metrics registry + bounded structured event trace."""
+
+    _COLLECTOR_KINDS = ("gauge", "counter")
 
     enabled = True
 
@@ -328,14 +320,12 @@ class Telemetry:
         # series name -> {window index -> count}; insertion-ordered so
         # trimming drops the oldest window first.
         self._rates: dict[str, dict[int, int]] = {}
-        # Events are stored as bare (seq, ts, kind, span_id, fields)
-        # tuples — the emit side runs once per vote, so it skips the
-        # dataclass construction; readers materialize TraceEvent.
-        self._events: deque[tuple] = deque(maxlen=trace_capacity)
+        self._events: deque[TraceEvent] = deque(maxlen=trace_capacity)
         self._spans: deque[SpanRecord] = deque(maxlen=span_capacity)
         self._event_seq = itertools.count(1)
         self._span_seq = itertools.count(1)
-        self._collectors: list[Callable[[], Iterable]] = []
+        # (kind, collector) pairs, kind one of _COLLECTOR_KINDS.
+        self._collectors: list[tuple[str, Callable[[], Iterable]]] = []
 
     # ----------------------------------------------------------- clock
 
@@ -385,10 +375,9 @@ class Telemetry:
     def event(self, kind: str, span_id: int = 0, **fields: Any) -> None:
         now = self.now()
         with self._mutex:
-            # Numbered under the mutex, so the ring is in ``seq`` order
-            # (what lets a checkpoint journal it by ``seq``).
+            # Numbered under the mutex, so the ring is in ``seq`` order.
             self._events.append(
-                (next(self._event_seq), now, kind, span_id, fields)
+                TraceEvent(next(self._event_seq), now, kind, span_id, fields)
             )
 
     def span(self, name: str, **labels: Any) -> _Span:
@@ -418,8 +407,7 @@ class Telemetry:
 
     def trace_events(self) -> list[TraceEvent]:
         with self._mutex:
-            rows = list(self._events)
-        return [TraceEvent(*row) for row in rows]
+            return list(self._events)
 
     def completed_spans(self) -> list[SpanRecord]:
         with self._mutex:
@@ -427,25 +415,48 @@ class Telemetry:
 
     # ------------------------------------------------------ collectors
 
-    def add_collector(self, collector: Callable[[], Iterable]) -> None:
-        """Register a pull-based gauge source.
+    def add_collector(
+        self, collector: Callable[[], Iterable], kind: str = "gauge"
+    ) -> None:
+        """Register a pull-based source of gauges or counters.
 
-        ``collector()`` is invoked only at snapshot/export time and must
-        yield ``(name, labels_dict, value)`` triples — zero hot-path
-        cost for stats the owner already maintains (cache hit rates,
-        registry load, intake depth).
+        ``collector()`` is invoked only at snapshot/export time, on
+        whichever thread exports, and must yield ``(name, labels_dict,
+        value)`` triples — zero hot-path cost for stats the owner
+        already maintains (cache hit rates, registry load, intake
+        depth, the engine's vote and task tallies).  It must not
+        iterate a dict the serving loop mutates.
+
+        ``kind="counter"`` reports running totals: each series is
+        exported as a counter, replaces a stored counter with the same
+        name and labels (a checkpoint of older code carries those), and
+        appears only once its value is positive, as a pushed counter
+        does.
         """
+        if kind not in self._COLLECTOR_KINDS:
+            raise ValueError(
+                f"collector kind must be one of {self._COLLECTOR_KINDS}"
+            )
         with self._mutex:
-            self._collectors.append(collector)
+            self._collectors.append((kind, collector))
 
-    def _collected_gauges(self) -> dict[tuple[str, tuple], float]:
-        gauges: dict[tuple[str, tuple], float] = {}
+    def _metric_maps(self) -> tuple[dict, dict]:
+        """``(counters, gauges)``: the stored maps merged with what the
+        collectors report right now (the caller holds no lock)."""
         with self._mutex:
             collectors = list(self._collectors)
-        for collector in collectors:
+        pulled: dict[tuple[str, tuple], float] = {}
+        collected: dict[tuple[str, tuple], float] = {}
+        for kind, collector in collectors:
+            table = pulled if kind == "counter" else collected
             for name, labels, value in collector():
-                gauges[(name, _labels_key(labels))] = value
-        return gauges
+                table[(name, _labels_key(labels))] = value
+        with self._mutex:
+            counters = dict(self._counters)
+            gauges = dict(self._gauges)
+        counters.update((key, value) for key, value in pulled.items() if value)
+        gauges.update(collected)
+        return counters, gauges
 
     # --------------------------------------------------------- exports
 
@@ -468,14 +479,11 @@ class Telemetry:
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable view of every metric surface."""
-        collected = self._collected_gauges()
+        counters, gauges = self._metric_maps()
         with self._mutex:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = {k: h.as_dict() for k, h in self._histograms.items()}
             n_events = len(self._events)
             n_spans = len(self._spans)
-        gauges.update(collected)
 
         def rows(table: dict[tuple[str, tuple], Any]) -> list[dict[str, Any]]:
             return [
@@ -506,9 +514,9 @@ class Telemetry:
         """Escape a label value per the Prometheus text format (v0.0.4):
         backslash, double-quote, and line-feed are the three characters
         the spec requires escaping inside quoted label values.  Label
-        values are otherwise free-form UTF-8 — producer thread names
-        (arbitrary caller-chosen strings) flow through here, so a
-        hostile name must never break the exposition."""
+        values are otherwise free-form UTF-8, and any caller of
+        :meth:`inc` or :meth:`set_gauge` may pass one, so a hostile
+        value must never break the exposition."""
         return (
             str(value)
             .replace("\\", "\\\\")
@@ -528,15 +536,12 @@ class Telemetry:
 
     def render_prometheus(self) -> str:
         """Prometheus text-format exposition (v0.0.4)."""
-        collected = self._collected_gauges()
+        counters, gauges = self._metric_maps()
         with self._mutex:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = {
                 key: (hist.cumulative(), hist.total, hist.count)
                 for key, hist in self._histograms.items()
             }
-        gauges.update(collected)
 
         lines: list[str] = []
         seen_types: set[str] = set()
@@ -577,7 +582,7 @@ class Telemetry:
         """
         with self._mutex:
             spans = list(self._spans)
-            events = [TraceEvent(*row) for row in self._events]
+            events = list(self._events)
         trace_events: list[dict[str, Any]] = [
             {
                 "name": "process_name",
@@ -640,27 +645,12 @@ class Telemetry:
 
     # ----------------------------------------------------- persistence
 
-    def event_rows(self, since: int = 0) -> tuple[int, list[list]]:
-        """``(floor, rows)``: the ``seq`` of the oldest event the ring
-        still holds (0 when empty), and ``[seq, ts, kind, span_id,
-        fields]`` rows of the events numbered above ``since``, oldest
-        first — the tail a checkpoint appends to its event journal."""
+    def state_dict(self) -> dict[str, Any]:
+        """JSON-serialisable metric state for checkpoint/resume
+        survival: the clock, counters, gauges, histograms and rates.
+        The trace and span rings stay out (per-process diagnostics)."""
         with self._mutex:
-            rows = []
-            for entry in reversed(self._events):
-                if entry[0] <= since:
-                    break
-                rows.append(list(entry))
-            rows.reverse()
-            floor = self._events[0][0] if self._events else 0
-        return floor, rows
-
-    def state_dict(self, events: bool = True) -> dict[str, Any]:
-        """JSON-serialisable state for checkpoint/resume survival
-        (``events=False`` leaves the event ring out, for a checkpoint
-        that journals it through :meth:`event_rows`)."""
-        with self._mutex:
-            state = {
+            return {
                 "elapsed": self.now(),
                 "interval": self.interval,
                 "counters": [
@@ -679,23 +669,11 @@ class Telemetry:
                     name: [[idx, count] for idx, count in windows.items()]
                     for name, windows in self._rates.items()
                 },
-                "spans": [record.as_dict() for record in self._spans],
-                # Highest ids retained in the rings (ids restart above
-                # them on resume; the itertools counters cannot be
-                # inspected without consuming them, and spans finish
-                # out of id order, hence the max).
-                "event_seq": self._events[-1][0] if self._events else 0,
-                "span_seq": max(
-                    (record.span_id for record in self._spans), default=0
-                ),
             }
-            if events:
-                state["events"] = [
-                    TraceEvent(*row).as_dict() for row in self._events
-                ]
-            return state
 
     def load_state(self, state: dict[str, Any] | None) -> None:
+        """Restore :meth:`state_dict` output; the rings and sequence
+        marks that older checkpoints also carry are ignored."""
         if not state:
             return
         with self._mutex:
@@ -719,35 +697,3 @@ class Telemetry:
                 name: {int(idx): int(count) for idx, count in windows}
                 for name, windows in state.get("rates", {}).items()
             }
-            self._events.clear()
-            # Rings saved before events were numbered under the mutex
-            # may be slightly out of ``seq`` order; restore them sorted.
-            for row in sorted(state.get("events", []), key=lambda r: r["seq"]):
-                self._events.append(
-                    (
-                        int(row["seq"]),
-                        float(row["ts"]),
-                        str(row["kind"]),
-                        int(row.get("span_id", 0)),
-                        dict(row.get("fields", {})),
-                    )
-                )
-            self._spans.clear()
-            for row in state.get("spans", []):
-                self._spans.append(
-                    SpanRecord(
-                        span_id=int(row["span_id"]),
-                        name=str(row["name"]),
-                        start=float(row["start"]),
-                        duration=float(row["duration"]),
-                        thread=int(row.get("thread", 0)),
-                        labels=dict(row.get("labels", {})),
-                    )
-                )
-            # A checkpoint journals the ring apart from this state, so
-            # its newest event may postdate ``event_seq``.
-            last_event = self._events[-1][0] if self._events else 0
-            self._event_seq = itertools.count(
-                max(int(state.get("event_seq", 0)), last_event) + 1
-            )
-            self._span_seq = itertools.count(int(state.get("span_seq", 0)) + 1)

@@ -371,26 +371,6 @@ class TestJournalEquivalence:
 
 
 class TestJournalTails:
-    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
-    def test_event_ring_drops_rows_below_its_floor(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path / "c.db")
-        snapshot = checkpointed_snapshot()
-        event = lambda seq: [seq, float(seq), "vote", 0, {"task": f"t{seq}"}]
-        snapshot["events"] = {
-            "base": 0, "floor": 1, "rows": [event(s) for s in range(1, 6)]
-        }
-        backend.save(snapshot)
-        snapshot["events"] = {
-            "base": 5, "floor": 4, "rows": [event(6), event(7)]
-        }
-        backend.save(snapshot)
-        assert backend.load()["events"] == {
-            "base": 0, "rows": [event(s) for s in range(4, 8)]
-        }
-        snapshot["events"] = {"base": 6, "floor": 4, "rows": []}
-        with pytest.raises(BackendError, match="events journal"):
-            backend.save(snapshot)
-
     @pytest.mark.parametrize(
         "max_entries,appends", [(None, True), (40, False)]
     )
@@ -662,3 +642,50 @@ class TestVersion2Checkpoints:
         stored = SQLiteBackend(path).load()
         for section in ("ledger", "votes", "records", "task_ids", "caches"):
             assert stored[section] == v2[section], section
+
+
+class TestTraceRingCheckpoints:
+    """Older code journaled the telemetry event ring as an ``events``
+    table and kept the span ring in the campaign section.  Such a
+    version-3 file resumes to the uninterrupted fingerprint; the table
+    stays as it was, and later saves write neither ring."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _fixture_recipe(3).open_campaign().run().fingerprint()
+
+    @staticmethod
+    def _events_table(path):
+        conn = sqlite3.connect(path)
+        rows = conn.execute("SELECT * FROM events ORDER BY seq").fetchall()
+        (section,) = conn.execute(
+            "SELECT value FROM campaign WHERE key = 'campaign'"
+        ).fetchone()
+        conn.close()
+        return rows, json.loads(section)["telemetry"]
+
+    def test_v3_file_with_trace_rings_resumes_and_saves_no_ring(
+        self, reference, tmp_path
+    ):
+        path = tmp_path / "v3.db"
+        shutil.copyfile(FIXTURES / "v3_checkpoint.db", path)
+        events_before, telemetry = self._events_table(path)
+        assert events_before and telemetry["spans"]
+        backend = SQLiteBackend(path)
+        stored = backend.load()
+        assert stored["version"] == SNAPSHOT_VERSION
+        assert "events" not in stored
+        resumed = Campaign.resume(backend)
+        assert resumed.metrics.completed == _fixture_recipe(3).PAUSE_AT
+        assert resumed.telemetry.trace_events() == []
+        resumed.run(until=25)
+        resumed.checkpoint()
+        backend.close()
+
+        events_after, telemetry = self._events_table(path)
+        assert events_after == events_before
+        assert "spans" not in telemetry and "events" not in telemetry
+
+        again = Campaign.resume(SQLiteBackend(path))
+        assert again.run().fingerprint() == reference
+        assert resumed.run().fingerprint() == reference
