@@ -600,6 +600,8 @@ def _run_serve_command(args) -> int:
         signal_count["n"] += 1
         if signal_count["n"] >= 2:
             os._exit(130)
+        # Lock-free: wakes the serve loop, which runs on this same
+        # thread, through call_soon_threadsafe.
         server.stop()
 
     previous = {
@@ -622,18 +624,23 @@ def _run_serve_command(args) -> int:
           "GET /status, GET /metrics, POST /admin/checkpoint, "
           "POST /admin/close")
     try:
-        with server:
-            metrics = server.serve(periodic=periodic)
-        # Shutdown in one order, with the listener already down: count
-        # every acknowledged task, checkpoint, then flush (finally).
-        campaign.fold_intake()
-        if backend is not None:
-            campaign.checkpoint()
+        try:
+            with server:
+                metrics = server.serve(periodic=periodic)
+            # Shutdown in one order, with the listener already down:
+            # count every acknowledged task, checkpoint, then flush.
+            campaign.fold_intake()
+            if backend is not None:
+                campaign.checkpoint()
+        finally:
+            _write_observability(campaign, args.trace_out, args.metrics_out)
+        return _report(campaign, backend, metrics)
     finally:
+        # After a shutdown signal the process is about to exit, and the
+        # interpreter resets a Python handler to the default (die by
+        # the signal) mid-teardown: ignore further signals instead.
         for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        _write_observability(campaign, args.trace_out, args.metrics_out)
-    return _report(campaign, backend, metrics)
+            signal.signal(sig, signal.SIG_IGN if signal_count["n"] else handler)
 
 
 def _run_trace_summarize(args) -> int:

@@ -27,7 +27,8 @@ one budget, and finite worker attention".  See the module docstrings:
 ``ingest``
     :class:`IntakeQueue` / :class:`AsyncIngestLoop` — every campaign's
     one intake: thread-safe staging with bounded backpressure, and the
-    drain-before-step ``serve()`` loop, the only concurrent one
+    drain-before-step ``serve()`` loop, the only concurrent one, an
+    ``asyncio`` coroutine the HTTP layer shares its thread with
     (``Campaign.run`` is the stepping loop).
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
@@ -38,10 +39,10 @@ one budget, and finite worker attention".  See the module docstrings:
     engines share one worker pool without double-seating
     (``coordinate_path=...``).
 ``server``
-    :class:`CampaignServer` — the HTTP serving layer: task intake,
-    vote-offer assignments, synchronous vote delivery, status/metrics
-    endpoints, and admin checkpoint/close over a live campaign in
-    serve-forever daemon mode (``repro serve``).
+    :class:`CampaignServer` — the HTTP serving layer, answered on the
+    serve loop's own thread: task intake, vote-offer assignments, vote
+    delivery, status/metrics endpoints, and admin checkpoint/close over
+    a live campaign in serve-forever daemon mode (``repro serve``).
 ``telemetry``
     :class:`Telemetry` / :data:`NULL_TELEMETRY` — thread-safe metrics
     registry (counters, gauges, latency histograms), bounded structured
@@ -98,11 +99,7 @@ from .metrics import (
     ShardSnapshot,
     TaskRecord,
 )
-from .server import (
-    CampaignServer,
-    LoopMailbox,
-    ServerError,
-)
+from .server import CampaignServer
 from .scheduler import (
     Assignment,
     CampaignScheduler,
@@ -157,14 +154,12 @@ __all__ = [
     "IngestionOverflow",
     "IntakeQueue",
     "LeaseCoordinator",
-    "LoopMailbox",
     "MemoryBackend",
     "NULL_TELEMETRY",
     "NoOpenOffer",
     "NullTelemetry",
     "SQLiteBackend",
     "SchedulerStats",
-    "ServerError",
     "Shard",
     "ShardRegistryView",
     "SpanRecord",

@@ -35,14 +35,16 @@ class choice.
 Every campaign has one intake (:class:`~repro.engine.ingest.AsyncIngestLoop`)
 and two loops over it.  :meth:`Campaign.run` is the stepping loop on
 the caller's thread; :meth:`Campaign.serve` is the one concurrent loop,
-the one the HTTP layer drives.  :meth:`Campaign.submit` stages through
-the thread-safe intake while ``serve()`` runs and goes straight into
-the event queue otherwise; either way one seen-set catches duplicate
-ids.
+an ``asyncio`` coroutine the HTTP layer shares its thread with.
+:meth:`Campaign.submit` stages through the thread-safe intake while
+``serve()`` runs and goes straight into the event queue otherwise;
+either way one seen-set catches duplicate ids.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -366,11 +368,7 @@ class Campaign:
         return engine.metrics
 
     def serve(
-        self,
-        stop=None,
-        poll: float = 0.05,
-        drain_hook=None,
-        periodic=(),
+        self, stop=None, poll: float = 0.05, periodic=(), front_end=None
     ) -> EngineMetrics:
         """Serve-forever daemon mode: the campaign's one concurrent loop.
 
@@ -378,10 +376,13 @@ class Campaign:
         — unlike :meth:`run`, which steps only what is queued.  Exits by
         finalizing once the intake is closed and everything quiesced,
         or by *pausing* (checkpoint and :meth:`resume` later) once
-        ``stop`` — a ``threading.Event`` — is set.  See
-        :meth:`AsyncIngestLoop.serve` for the hook parameters; the HTTP
-        layer (:class:`~repro.engine.server.CampaignServer`) drives vote
-        delivery and admin commands through them.
+        ``stop`` — a ``threading.Event`` — is set.  Runs
+        :meth:`AsyncIngestLoop.serve_async` (see it for ``poll`` and
+        ``periodic``) on a fresh ``asyncio`` event loop.  ``front_end``,
+        an async context manager, is entered on that loop before serving
+        starts and exited once it ends: the HTTP layer
+        (:class:`~repro.engine.server.CampaignServer`) answers requests
+        there, between engine steps.
 
         Raises :class:`ValueError` when a fresh campaign has no
         ``expected_tasks`` and nothing was submitted yet: the budget
@@ -410,9 +411,12 @@ class Campaign:
             # serving — fenced means fenced.
             coordinator = self._coordinator
             periodic = (*periodic, (coordinator.ttl / 3.0, coordinator.renew))
-        return self._ingest.serve(
-            stop=stop, poll=poll, drain_hook=drain_hook, periodic=periodic
-        )
+
+        async def serving():
+            async with front_end or contextlib.nullcontext():
+                return await self._ingest.serve_async(stop, poll, periodic)
+
+        return asyncio.run(serving())
 
     def close_intake(self) -> None:
         """Stop accepting task submissions (idempotent).  The
@@ -452,8 +456,8 @@ class Campaign:
 
     def _pump(self) -> None:
         """Drive the engine to a quiescent point on the caller's thread
-        (single-threaded external driving only — the serve loop owns
-        the engine while it runs)."""
+        (single-threaded external driving, or the serve loop's thread
+        between steps: the serve loop owns the engine while it runs)."""
         engine = self._engine
         self._ingest.quiesce_intake()
         engine._start()

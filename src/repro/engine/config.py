@@ -117,7 +117,8 @@ class CampaignConfig:
     ingest_max_pending:
         Intake backpressure bound: producers staging tasks while
         :meth:`~repro.engine.campaign.Campaign.serve` runs block once
-        this many await the loop's next drain.
+        this many await the loop's next drain, and ``POST /tasks``
+        refuses (503) a chunk that would pass it.
     telemetry:
         ``"off"`` (default) serves with the no-op
         :data:`~repro.engine.telemetry.NULL_TELEMETRY`; ``"on"`` attaches

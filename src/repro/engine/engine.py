@@ -252,7 +252,7 @@ class CampaignEngine:
 
     def _telemetry_counters(self):
         """The engine's own tallies as telemetry counters (collector:
-        read at export time, from a handler thread too, so it reads
+        read at export time, on whichever thread exports, so it reads
         only ints and the append-only record list)."""
         metrics = self.metrics
         yield "engine.tasks_submitted", {}, metrics.submitted

@@ -8,16 +8,19 @@ arrival intake from scheduling:
 * :class:`IntakeQueue` — a thread-safe, **bounded** staging queue.
   Producers call :meth:`~IntakeQueue.submit` from any thread; when the
   queue is full they block (backpressure) until the serving loop drains
-  or the queue closes.  Tasks are stamped with their logical arrival
-  time *at submission* (under the intake mutex), so the arrival order —
-  and therefore the campaign's decisions — is fixed by who got into the
+  or the queue closes, or, with ``timeout=0``, are refused the whole
+  chunk.  Tasks are stamped with their logical arrival time *at
+  submission* (under the intake mutex), so the arrival order — and
+  therefore the campaign's decisions — is fixed by who got into the
   queue first, not by when the loop happened to look.
 * :class:`AsyncIngestLoop` — every campaign's one intake and its one
   concurrent loop, :meth:`~AsyncIngestLoop.serve`, which injects every
   staged arrival into the event heap before it dispatches the next
-  event (drain-before-step).  While no loop runs, submits skip the
-  queue and go straight into the event heap on the caller's thread;
-  ``Campaign.run`` is the stepping loop, and folds anything staged.
+  event (drain-before-step).  The loop is an ``asyncio`` coroutine that
+  yields between engine steps, so the HTTP layer answers requests on
+  the same thread.  While no loop runs, submits skip the queue and go
+  straight into the event heap on the caller's thread; ``Campaign.run``
+  is the stepping loop, and folds anything staged.
 * :class:`AssignmentBook` — the open external-vote offers.
 
 Batch *coalescing* falls out of the two layers: the intake mutex makes
@@ -28,11 +31,13 @@ the drained run into scheduling batches.
 
 from __future__ import annotations
 
+import asyncio
 import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import islice
 
 from ..core.exceptions import ReproError
@@ -50,8 +55,8 @@ class IngestionClosed(IngestionError):
 
 
 class IngestionOverflow(IngestionError):
-    """Backpressure timed out: the intake stayed full for longer than
-    the submitter was willing to wait."""
+    """Backpressure refused a chunk: the intake stayed full for longer
+    than the submitter was willing to wait."""
 
 
 def check_chunk(stamped, known) -> list[tuple[float, EngineTask]]:
@@ -131,7 +136,8 @@ class IntakeQueue:
         self.telemetry = telemetry
         self._mutex = threading.Lock()
         self._not_full = threading.Condition(self._mutex)
-        self._not_empty = threading.Condition(self._mutex)
+        # Set by a running serve loop: wakes it from any thread.
+        self._waker = None
         self._items: deque[tuple[float, EngineTask]] = deque()
         self._seen: set[str] = set(seen_ids)
         self._closed = False
@@ -165,7 +171,8 @@ class IntakeQueue:
         backpressure bound.  Blocks while the queue is full; raises
         :class:`IngestionOverflow` when ``timeout`` (seconds, per task)
         expires first, :class:`IngestionClosed` once the queue closed.
-        Returns the number of tasks staged.
+        ``timeout=0`` never waits: a chunk that does not fit whole is
+        refused whole.  Returns the number of tasks staged.
 
         A chunk that fails :func:`check_chunk` (a bad type, a
         non-finite stamp, a duplicate id) stages nothing.  A valid one
@@ -185,6 +192,11 @@ class IntakeQueue:
                  for i, task in enumerate(tasks)),
                 self._seen,
             )
+            if timeout == 0 and (
+                len(self._items) + len(stamped) > self.max_pending
+            ):
+                self._require_open()
+                self._overflow(timeout)
             # Taken up front: a producer waiting for room holds its ids.
             self._seen.update(task.task_id for _, task in stamped)
             try:
@@ -207,7 +219,7 @@ class IntakeQueue:
                 # Tasks staged before an error stay staged: wake the
                 # loop for them too.
                 if staged:
-                    self._not_empty.notify_all()
+                    self._notify()
                     self.telemetry.inc("intake.submitted", staged)
         if staged:
             self.telemetry.event("intake-submit", staged=staged)
@@ -218,20 +230,34 @@ class IntakeQueue:
         self.stats.blocked_submits += 1
         # The loop may be parked waiting for traffic: wake it to drain
         # what this chunk staged so far.
-        self._not_empty.notify_all()
+        self._notify()
         deadline = None if timeout is None else time.monotonic() + timeout
         while len(self._items) >= self.max_pending and not self._closed:
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
-                self.stats.overflows += 1
-                self.telemetry.inc("intake.overflows")
-                self.telemetry.event(
-                    "intake-overflow", pending=len(self._items)
-                )
-                raise IngestionOverflow(
-                    f"intake full ({self.max_pending} pending) for {timeout:g}s"
-                )
+                self._overflow(timeout)
             self._not_full.wait(remaining)
+
+    def _overflow(self, timeout: float) -> None:
+        """Count and raise a refusal (call under the intake mutex)."""
+        self.stats.overflows += 1
+        self.telemetry.inc("intake.overflows")
+        self.telemetry.event("intake-overflow", pending=len(self._items))
+        raise IngestionOverflow(
+            f"intake cannot take the chunk: {len(self._items)} of "
+            f"{self.max_pending} pending (waited {timeout:g}s)"
+        )
+
+    def _notify(self) -> None:
+        """Wake a serve loop parked for traffic (any thread; a no-op
+        while no loop serves).  Takes no lock, so a signal handler may
+        call it."""
+        waker = self._waker
+        if waker is not None:
+            try:
+                waker()
+            except RuntimeError:
+                pass  # that serve() ended and closed its event loop
 
     def close(self) -> None:
         """Stop accepting tasks (idempotent).  Producers blocked on
@@ -239,7 +265,7 @@ class IntakeQueue:
         with self._mutex:
             self._closed = True
             self._not_full.notify_all()
-            self._not_empty.notify_all()
+            self._notify()
 
     # ------------------------------------------------------------------
     # Consumer side (the serving loop's thread)
@@ -270,22 +296,6 @@ class IntakeQueue:
             self._not_full.notify_all()
         return out
 
-    def wait_for_traffic(self, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds for something to drain;
-        returns whether anything is pending.  Wakes early on close."""
-        with self._not_empty:
-            if not self._items and not self._closed:
-                self._not_empty.wait(timeout)
-            return bool(self._items)
-
-    def kick(self) -> None:
-        """Wake a consumer blocked in :meth:`wait_for_traffic` without
-        staging anything — side channels (vote submission, admin
-        commands) use this so the serving loop notices their traffic
-        promptly instead of sleeping out the poll window."""
-        with self._mutex:
-            self._not_empty.notify_all()
-
     @property
     def pending(self) -> int:
         with self._mutex:
@@ -309,7 +319,7 @@ class NoOpenOffer(ReproError, LookupError):
 
 
 class AssignmentBook:
-    """Thread-safe registry of open external-vote offers.
+    """Registry of open external-vote offers (loop thread only).
 
     Under ``vote_source="external"`` the engine stops simulating votes:
     seating a jury *publishes* one offer per seated worker here, and the
@@ -322,12 +332,11 @@ class AssignmentBook:
     The book is observational bookkeeping on top of the engine's own
     per-task ``pending_workers`` state (and is rebuilt from it on
     resume); claims are what make vote delivery idempotent-safe under
-    concurrent spammy clients — the second claim of the same seat
-    raises :class:`NoOpenOffer` instead of double-voting.
+    spammy clients — the second claim of the same seat raises
+    :class:`NoOpenOffer` instead of double-voting.
     """
 
     def __init__(self) -> None:
-        self._mutex = threading.Lock()
         # worker id -> {task id -> offer row}; rows are plain dicts so
         # the HTTP layer can serialize them without translation.
         self._by_worker: dict[str, dict[str, dict]] = {}
@@ -336,68 +345,62 @@ class AssignmentBook:
         self.revoked = 0
 
     def publish(self, task_id: str, worker_ids, prior: float) -> None:
-        with self._mutex:
-            for worker_id in worker_ids:
-                self._by_worker.setdefault(worker_id, {})[task_id] = {
-                    "task_id": task_id,
-                    "worker_id": worker_id,
-                    "prior": prior,
-                }
-                self.published += 1
+        for worker_id in worker_ids:
+            self._by_worker.setdefault(worker_id, {})[task_id] = {
+                "task_id": task_id,
+                "worker_id": worker_id,
+                "prior": prior,
+            }
+            self.published += 1
 
     def claim(self, task_id: str, worker_id: str) -> dict:
         """Close the (task, worker) offer and return its row; raises
         :class:`NoOpenOffer` when it is not open."""
-        with self._mutex:
-            offers = self._by_worker.get(worker_id)
-            row = None if offers is None else offers.pop(task_id, None)
-            if row is None:
-                raise NoOpenOffer(
-                    f"no open offer for worker {worker_id!r} on task "
-                    f"{task_id!r}"
-                )
-            if not offers:
-                del self._by_worker[worker_id]
-            self.claimed += 1
-            return row
+        offers = self._by_worker.get(worker_id)
+        row = None if offers is None else offers.pop(task_id, None)
+        if row is None:
+            raise NoOpenOffer(
+                f"no open offer for worker {worker_id!r} on task "
+                f"{task_id!r}"
+            )
+        if not offers:
+            del self._by_worker[worker_id]
+        self.claimed += 1
+        return row
 
     def revoke_task(self, task_id: str) -> int:
         """Close every remaining offer for a completed task (early stop
         releases seats whose votes are no longer needed).  Returns the
         number revoked."""
         revoked = 0
-        with self._mutex:
-            for worker_id in list(self._by_worker):
-                offers = self._by_worker[worker_id]
-                if offers.pop(task_id, None) is not None:
-                    revoked += 1
-                    if not offers:
-                        del self._by_worker[worker_id]
-            self.revoked += revoked
+        for worker_id in list(self._by_worker):
+            offers = self._by_worker[worker_id]
+            if offers.pop(task_id, None) is not None:
+                revoked += 1
+                if not offers:
+                    del self._by_worker[worker_id]
+        self.revoked += revoked
         return revoked
 
     def for_worker(self, worker_id: str) -> list[dict]:
         """The worker's open offers, oldest first (dicts are copies —
         safe to mutate/serialize)."""
-        with self._mutex:
-            offers = self._by_worker.get(worker_id, {})
-            return [dict(row) for row in offers.values()]
+        offers = self._by_worker.get(worker_id, {})
+        return [dict(row) for row in offers.values()]
 
     def open_offers(self) -> list[dict]:
         """Every open offer, sorted by (task, worker) for deterministic
         iteration by seeded client fleets."""
-        with self._mutex:
-            rows = [
-                dict(row)
-                for offers in self._by_worker.values()
-                for row in offers.values()
-            ]
+        rows = [
+            dict(row)
+            for offers in self._by_worker.values()
+            for row in offers.values()
+        ]
         return sorted(rows, key=lambda r: (r["task_id"], r["worker_id"]))
 
     @property
     def open_count(self) -> int:
-        with self._mutex:
-            return sum(len(offers) for offers in self._by_worker.values())
+        return sum(len(offers) for offers in self._by_worker.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -429,7 +432,7 @@ class AsyncIngestLoop:
             max_pending, seen_ids=engine._task_ids, telemetry=engine.telemetry
         )
         self._running = False
-        self._idle = False
+        self._stop_requested = False
 
     # ------------------------------------------------------------------
     # Producer surface
@@ -485,22 +488,24 @@ class AsyncIngestLoop:
         """Whether :meth:`serve` owns the engine right now."""
         return self._running
 
-    @property
-    def idle(self) -> bool:
-        """Whether a live :meth:`serve` loop is parked waiting for
-        traffic (nothing staged, queued, or delivered on its last
-        pass).  The quiescence half of an HTTP client's barrier: read
-        after the counters, ``staged == 0 and queued_events == 0 and
-        idle`` means every previously accepted task has been seated —
-        each pass clears the flag before it touches any work."""
-        return self._idle
+    def wake(self) -> None:
+        """Wake a parked :meth:`serve` loop (any thread, signal handlers
+        too; a no-op while none runs)."""
+        self.intake._notify()
 
-    def serve(
-        self,
-        stop: threading.Event | None = None,
-        poll: float = 0.05,
-        drain_hook=None,
-        periodic=(),
+    def stop(self) -> None:
+        """Pause the running :meth:`serve` from any thread, or the next
+        one to start if none runs yet."""
+        self._stop_requested = True
+        self.wake()
+
+    def serve(self, stop=None, poll=0.05, periodic=()) -> EngineMetrics:
+        """Run :meth:`serve_async` to its end on a fresh event loop on
+        the calling thread."""
+        return asyncio.run(self.serve_async(stop, poll, periodic))
+
+    async def serve_async(
+        self, stop: threading.Event | None = None, poll=0.05, periodic=()
     ) -> EngineMetrics:
         """Serve-forever daemon loop.
 
@@ -509,30 +514,36 @@ class AsyncIngestLoop:
         - the intake is **closed** and everything has quiesced (no
           staged arrivals, no queued events, no tasks awaiting external
           votes): the campaign finalizes exactly like ``run()``;
-        - ``stop`` is set: the loop folds staged arrivals into the
-          (checkpointable) event queue and **pauses** without
-          finalizing — the graceful-shutdown path: checkpoint, exit,
-          ``Campaign.resume`` later.
+        - ``stop`` is set, or :meth:`stop` is called: the loop folds
+          staged arrivals into the (checkpointable) event queue and
+          **pauses** without finalizing — the graceful-shutdown path:
+          checkpoint, exit, ``Campaign.resume`` later.
 
-        ``drain_hook()`` runs on the loop thread once per iteration —
-        the serving layer applies externally delivered votes and admin
-        commands through it (return truthy when anything was applied).
-        ``periodic`` is a sequence of ``(interval, fn)`` jobs: each
-        ``fn()`` runs on the loop thread once ``interval`` seconds have
-        passed since it last ran (lease renewal, observability
-        flushes).  ``poll`` bounds how long the idle loop sleeps
-        between checks for side-channel traffic.
+        The loop yields to the event loop after every engine step and
+        while it idles, so coroutines sharing it (the HTTP layer) run
+        between steps and never during one.  Staging on the intake,
+        closing it, :meth:`wake` and :meth:`stop` wake an idle loop
+        through ``call_soon_threadsafe``.  ``periodic`` is a sequence of
+        ``(interval, fn)`` jobs: each ``fn()`` runs on the loop thread
+        once ``interval`` seconds have passed since it last ran (lease
+        renewal, observability flushes).  ``poll`` bounds how long the
+        idle loop sleeps between checks of ``stop``.
         """
         if poll <= 0:
             raise ValueError("poll must be positive")
         jobs = [[interval, fn, time.monotonic()] for interval, fn in periodic]
         if any(job[0] <= 0 for job in jobs):
             raise ValueError("periodic intervals must be positive")
-        with self.intake._mutex:
+        wake = asyncio.Event()
+        intake = self.intake
+        with intake._mutex:
             if self._running:
                 raise RuntimeError("AsyncIngestLoop is already serving")
             self._running = True
-        # The idle sleeps must never outlast the shortest interval: a
+            intake._waker = partial(
+                asyncio.get_running_loop().call_soon_threadsafe, wake.set
+            )
+        # The idle waits must never outlast the shortest interval: a
         # job may carry the coordinator's lease renewals, so an idle
         # loop sleeping a full ``poll`` past it would let live leases
         # expire mid-serve and another engine steal the seats.
@@ -543,41 +554,34 @@ class AsyncIngestLoop:
         try:
             self.quiesce_intake()
             engine._start()
-            while True:
-                # Not idle from here until this pass finds nothing to
-                # do: a /status poll must not see the barrier while the
-                # pass drains the intake or applies a mailbox command.
-                self._idle = False
-                if stop is not None and stop.is_set():
-                    break
+            while not (
+                self._stop_requested or (stop is not None and stop.is_set())
+            ):
                 if jobs:
                     now = time.monotonic()
                     for job in jobs:
                         if now - job[2] >= job[0]:
                             job[2] = now
                             job[1]()
-                progressed = self.quiesce_intake() > 0
-                if drain_hook is not None and drain_hook():
-                    progressed = True
+                self.quiesce_intake()
                 if engine._queue:
                     engine._step()
+                    await asyncio.sleep(0)
                     continue
-                if progressed:
-                    continue
-                # Idle: nothing queued, staged, or delivered this pass.
-                if self.intake.closed:
-                    if engine.offers is not None and engine._active:
-                        # Votes still owed to seated juries: keep
-                        # serving (the intake condition cannot wake on
-                        # side-channel traffic once closed, so sleep
-                        # out a poll window instead).
-                        self._idle = True
-                        time.sleep(poll)
-                        continue
+                # Finished once the intake is closed and empty (``pending``
+                # is read after ``closed``) and no seated jury owes votes.
+                if intake.closed and not intake.pending and not (
+                    engine.offers is not None and engine._active
+                ):
                     finished = True
                     break
-                self._idle = True
-                self.intake.wait_for_traffic(poll)
+                # Idle: nothing staged or queued.  A wake-up scheduled
+                # before this clear runs after it, so none is lost.
+                wake.clear()
+                try:
+                    await asyncio.wait_for(wake.wait(), poll)
+                except asyncio.TimeoutError:
+                    pass
             if finished:
                 engine._finish()
             else:
@@ -586,9 +590,10 @@ class AsyncIngestLoop:
                 self.quiesce_intake()
                 engine._collect_stats()
         finally:
-            self._idle = False
-            engine.metrics.intake_stats = self.intake.stats.state_dict()
+            engine.metrics.intake_stats = intake.stats.state_dict()
             engine.metrics.wall_seconds += time.perf_counter() - start
-            with self.intake._mutex:
+            with intake._mutex:
                 self._running = False
+                intake._waker = None
+            self._stop_requested = False
         return engine.metrics

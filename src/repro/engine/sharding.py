@@ -41,7 +41,6 @@ With one shard the allocator grants each round's whole budget to shard
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -229,11 +228,6 @@ class BudgetAllocator:
       cumulatively;
     * ``reserved - refunded <= budget`` at every instant;
     * ``entitled <= budget`` always.
-
-    Every ledger mutation (``open_round`` / ``split`` / ``settle`` /
-    ``refund``) is atomic under one mutex, so an early-stop refund
-    racing a settling round can never interleave half-applied ledger
-    updates.
     """
 
     def __init__(self, budget: float, expected_tasks: int) -> None:
@@ -243,7 +237,6 @@ class BudgetAllocator:
             raise ValueError("expected_tasks must be >= 1")
         self.budget = float(budget)
         self.expected_tasks = expected_tasks
-        self._mutex = threading.Lock()
         self._entitled = 0.0
         # An insertion-ordered set: checkpoints store it as it grew,
         # without sorting.
@@ -292,23 +285,22 @@ class BudgetAllocator:
         retried across rounds must not mint fresh shares.  The pacing
         arithmetic is :func:`pro_rata_round_budget`.
         """
-        with self._mutex:
-            self._rounds += 1
-            entitled_tasks = self._entitled_tasks
-            new = 0
-            for task_id in task_ids:
-                if task_id not in entitled_tasks:
-                    entitled_tasks[task_id] = None
-                    new += 1
-            self._entitled, round_budget = pro_rata_round_budget(
-                self.budget,
-                self.expected_tasks,
-                self._entitled,
-                new,
-                self._reserved,
-                self._refunded,
-            )
-            return round_budget
+        self._rounds += 1
+        entitled_tasks = self._entitled_tasks
+        new = 0
+        for task_id in task_ids:
+            if task_id not in entitled_tasks:
+                entitled_tasks[task_id] = None
+                new += 1
+        self._entitled, round_budget = pro_rata_round_budget(
+            self.budget,
+            self.expected_tasks,
+            self._entitled,
+            new,
+            self._reserved,
+            self._refunded,
+        )
+        return round_budget
 
     def split(
         self, round_budget: float, masses: Mapping[int, float]
@@ -328,10 +320,8 @@ class BudgetAllocator:
         if len(masses) == 1:
             # Sole recipient takes the round exactly — no proportional
             # arithmetic to round the grant.
-            grants = {next(iter(masses)): round_budget}
-            with self._mutex:
-                self._granted += round_budget
-            return grants
+            self._granted += round_budget
+            return {next(iter(masses)): round_budget}
         total = float(sum(masses.values()))
         if total <= 0.0:
             grants = {k: round_budget / len(masses) for k in masses}
@@ -339,8 +329,7 @@ class BudgetAllocator:
             grants = {
                 k: round_budget * mass / total for k, mass in masses.items()
             }
-        with self._mutex:
-            self._granted += sum(grants.values())
+        self._granted += sum(grants.values())
         return grants
 
     def settle(self, granted: float, reserved: float) -> None:
@@ -350,16 +339,14 @@ class BudgetAllocator:
             raise ValueError(
                 f"shard reserved {reserved} beyond its grant {granted}"
             )
-        with self._mutex:
-            self._reserved += max(float(reserved), 0.0)
-            self._reabsorbed += max(float(granted) - float(reserved), 0.0)
+        self._reserved += max(float(reserved), 0.0)
+        self._reabsorbed += max(float(granted) - float(reserved), 0.0)
 
     def refund(self, amount: float) -> None:
         """Return unspent reservation (early-stopped task) to the pot."""
         if amount < -1e-9:
             raise ValueError(f"refund must be non-negative, got {amount}")
-        with self._mutex:
-            self._refunded += max(float(amount), 0.0)
+        self._refunded += max(float(amount), 0.0)
 
     # -- persistence ---------------------------------------------------
     def state_dict(self) -> dict:
@@ -374,14 +361,13 @@ class BudgetAllocator:
         }
 
     def load_state(self, state: Mapping) -> None:
-        with self._mutex:
-            self._entitled = float(state["entitled"])
-            self._entitled_tasks = dict.fromkeys(state["entitled_tasks"])
-            self._reserved = float(state["reserved"])
-            self._refunded = float(state["refunded"])
-            self._granted = float(state["granted"])
-            self._reabsorbed = float(state["reabsorbed"])
-            self._rounds = int(state["rounds"])
+        self._entitled = float(state["entitled"])
+        self._entitled_tasks = dict.fromkeys(state["entitled_tasks"])
+        self._reserved = float(state["reserved"])
+        self._refunded = float(state["refunded"])
+        self._granted = float(state["granted"])
+        self._reabsorbed = float(state["reabsorbed"])
+        self._rounds = int(state["rounds"])
 
     def snapshot(self) -> AllocatorSnapshot:
         return AllocatorSnapshot(

@@ -24,7 +24,6 @@ wrong and watch re-estimation pull them toward truth.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -41,12 +40,6 @@ _QUALITY_CLAMP = 0.02
 
 #: How far one re-estimation pass moves each estimate toward its EM fit.
 REESTIMATE_RATE = 0.3
-
-#: Lock stripes guarding seat assignment/release: ``assign``/``release``
-#: serialize per worker through a sharded lock map: worker id -> one of
-#: this many locks.  Uncontended acquisition is ~100ns, so the
-#: single-threaded path pays nothing measurable.
-_LOCK_STRIPES = 16
 
 
 class CapacityError(ReproError, RuntimeError):
@@ -167,12 +160,7 @@ class WorkerRegistry:
             )
         self.answers = AnswerMatrix(num_labels=2)
         self.reestimations = 0
-        self._locks = tuple(threading.Lock() for _ in range(_LOCK_STRIPES))
         self._lease = None
-
-    def _seat_lock(self, worker_id: str) -> threading.Lock:
-        """The stripe serializing this worker's seat mutations."""
-        return self._locks[hash(worker_id) % len(self._locks)]
 
     def attach_lease_coordinator(self, coordinator) -> None:
         """Route every seat through a shared
@@ -248,36 +236,32 @@ class WorkerRegistry:
     # ------------------------------------------------------------------
     def assign(self, worker_id: str, task_id: str) -> None:
         """Seat a worker on a task's jury; raises :class:`CapacityError`
-        when they are already at capacity.  The check-then-seat is
-        atomic under the worker's lock stripe, so two admits can never
-        overshoot a worker's capacity by racing the check."""
+        when they are already at capacity."""
         state = self._states[worker_id]
-        with self._seat_lock(worker_id):
-            if task_id in state.active_tasks:
-                raise ValueError(
-                    f"worker {worker_id!r} already assigned to task {task_id!r}"
-                )
-            if state.free_capacity <= 0:
-                raise CapacityError(
-                    f"worker {worker_id!r} is at capacity "
-                    f"({state.load}/{state.capacity})"
-                )
-            if self._lease is not None and not self._lease.acquire(
-                worker_id, task_id, capacity=state.capacity
-            ):
-                raise CapacityError(
-                    f"worker {worker_id!r} is at shared capacity "
-                    f"(another engine holds the remaining seats)"
-                )
-            state.active_tasks.add(task_id)
-            state.peak_load = max(state.peak_load, state.load)
+        if task_id in state.active_tasks:
+            raise ValueError(
+                f"worker {worker_id!r} already assigned to task {task_id!r}"
+            )
+        if state.free_capacity <= 0:
+            raise CapacityError(
+                f"worker {worker_id!r} is at capacity "
+                f"({state.load}/{state.capacity})"
+            )
+        if self._lease is not None and not self._lease.acquire(
+            worker_id, task_id, capacity=state.capacity
+        ):
+            raise CapacityError(
+                f"worker {worker_id!r} is at shared capacity "
+                f"(another engine holds the remaining seats)"
+            )
+        state.active_tasks.add(task_id)
+        state.peak_load = max(state.peak_load, state.load)
 
     def release(self, worker_id: str, task_id: str) -> None:
         """Free the worker's seat on a task (idempotent)."""
-        with self._seat_lock(worker_id):
-            self._states[worker_id].active_tasks.discard(task_id)
-            if self._lease is not None:
-                self._lease.release(worker_id, task_id)
+        self._states[worker_id].active_tasks.discard(task_id)
+        if self._lease is not None:
+            self._lease.release(worker_id, task_id)
 
     def record_vote(self, worker_id: str, task_id: str, vote: int) -> None:
         """Record a landed vote: pay the worker, log the answer."""
@@ -374,9 +358,6 @@ class WorkerRegistry:
         restored answer matrix."""
         registry = cls.__new__(cls)
         registry._states = {}
-        registry._locks = tuple(
-            threading.Lock() for _ in range(_LOCK_STRIPES)
-        )
         registry._lease = None
         for row in sorted(worker_rows, key=lambda r: r["position"]):
             worker = Worker(

@@ -137,18 +137,6 @@ def test_one_submit_stages_its_chunk_whole():
     ]
 
 
-def test_wait_for_traffic():
-    queue = IntakeQueue()
-    start = time.monotonic()
-    assert queue.wait_for_traffic(0.03) is False
-    assert time.monotonic() - start >= 0.03
-    queue.submit(tasks(1))
-    assert queue.wait_for_traffic(0.03) is True
-    queue.drain()
-    queue.close()  # closed + empty: returns promptly, nothing pending
-    assert queue.wait_for_traffic(5.0) is False
-
-
 def test_concurrent_producers_stage_everything_exactly_once():
     queue = IntakeQueue(max_pending=64)
     per_thread = 50
@@ -284,7 +272,7 @@ def test_a_refused_chunk_stages_none_of_it():
 
 
 def test_run_serves_tasks_staged_while_it_steps():
-    """A task staged while run() steps (a handler thread's POST /tasks)
+    """A task staged while run() steps (a producer thread's submit)
     is folded in before the campaign finalizes, never left behind a
     finished campaign."""
     campaign = make_campaign(num_tasks=21)

@@ -465,7 +465,7 @@ def test_served_preloaded_matches_run_fingerprint(seed, pool_size, shards):
 
 def serve_with_producers(loop, tasks, producers=4):
     """Serve on this thread while ``producers`` threads stage ``tasks``
-    round-robin on the intake (as HTTP handler threads do), and a
+    round-robin on the intake (as in-process producers do), and a
     closer thread closes the intake once every producer is done."""
     chunks = [tasks[i::producers] for i in range(producers)]
 
@@ -541,7 +541,8 @@ def test_served_pause_checkpoint_resume_matches_run(seed, tmp_path):
         if interrupted.metrics.completed >= target:
             stop.set()
 
-    interrupted.serve(stop=stop, drain_hook=pause_at_target)
+    # A job due on every pass: the loop runs it between engine steps.
+    interrupted.serve(stop=stop, periodic=((1e-9, pause_at_target),))
     assert not interrupted.done
     assert interrupted.metrics.completed >= target
     interrupted.checkpoint()

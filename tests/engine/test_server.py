@@ -1,5 +1,6 @@
-"""The HTTP serving layer: endpoint correctness, adversarial traffic,
-daemon lifecycle, and the HTTP-vs-in-process fingerprint parity pin.
+"""The HTTP serving layer: endpoint correctness, the request reader
+over raw sockets, adversarial traffic, daemon lifecycle, and the
+HTTP-vs-in-process fingerprint parity pin.
 
 The parity pin is the load-bearing test: a seeded client fleet driving
 a campaign over the wire (POST /tasks, GET /assignments, POST /votes)
@@ -7,10 +8,12 @@ must land on a fingerprint byte-identical to the same fleet driving the
 synchronous facade in-process — across shard counts and state backends.
 """
 
+import contextlib
 import hashlib
 import http.client
 import json
 import re
+import socket
 import threading
 import time
 import urllib.error
@@ -24,11 +27,9 @@ from repro.engine import (
     CampaignConfig,
     CampaignServer,
     EngineTask,
-    LoopMailbox,
     MemoryBackend,
     NoOpenOffer,
     SQLiteBackend,
-    ServerError,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -112,10 +113,46 @@ def http_post(url, payload, timeout=10):
         return error.code, json.loads(error.read())
 
 
+def raw_request(method, path, body=b"", headers=()):
+    """One HTTP/1.1 request as bytes, for raw-socket clients."""
+    lines = [f"{method} {path} HTTP/1.1", "Host: test"]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    lines.extend(headers)
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def read_response(stream):
+    """Read one response off a socket's binary file:
+    ``(status, headers, body)``, headers keyed in lower case."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def read_until_closed(sock):
+    """Everything the server sends before it closes the connection."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    return b"".join(chunks)
+
+
 class serving:
     """Context manager: a Campaign served by a CampaignServer on an
     ephemeral port, with the serve loop on a background thread.  Always
-    shuts the listener down; joins the loop when the test drained it."""
+    closes the listening socket; joins the loop when the test drained
+    it, and keeps what ``serve()`` raised in :attr:`error`."""
 
     def __init__(self, config=None, backend=None, campaign=None, **server_kw):
         self.campaign = campaign or Campaign.open(
@@ -124,9 +161,13 @@ class serving:
         self.server = CampaignServer(self.campaign, port=0, **server_kw)
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.metrics = None
+        self.error = None
 
     def _serve(self):
-        self.metrics = self.server.serve()
+        try:
+            self.metrics = self.server.serve()
+        except Exception as exc:  # asserted by the tests that cause it
+            self.error = exc
 
     def __enter__(self):
         self.thread.start()
@@ -174,6 +215,18 @@ def barrier_http(url, deadline=20.0):
             return status
         time.sleep(0.005)
     raise AssertionError("campaign never quiesced")
+
+
+@contextlib.contextmanager
+def drains_held(campaign):
+    """Keep the serve loop from draining the intake, so what is staged
+    stays staged (and nothing it would seat moves the metrics)."""
+    intake = campaign._ingest.intake
+    intake.drain = lambda: []
+    try:
+        yield intake
+    finally:
+        del intake.drain
 
 
 def drive_fleet_http(url, worker_ids, seed=0, deadline=30.0):
@@ -461,6 +514,39 @@ class TestEndpoints:
             assert code == 202
             assert barrier_http(srv.url)["submitted"] == 1
 
+    def test_numeric_fields_must_be_json_numbers_400(self):
+        """``start_time``, ``spacing`` and ``prior`` are JSON numbers:
+        no booleans, no strings, and no integer too large for a float
+        (``float()`` raised OverflowError on it: a 500)."""
+        huge = 10 ** 400
+        with serving() as srv:
+            for stamps in (
+                {"start_time": huge},
+                {"spacing": huge},
+                {"start_time": "NaN"},
+                {"start_time": "2.5"},
+                {"spacing": True},
+            ):
+                code, body = http_post(
+                    srv.url + "/tasks", {"tasks": [{"task_id": "t0"}], **stamps}
+                )
+                assert code == 400, stamps
+                assert "number" in body["error"] or "large" in body["error"]
+            for prior in (huge, True, "0.7"):
+                code, body = http_post(
+                    srv.url + "/tasks",
+                    {"tasks": [{"task_id": "t0", "prior": prior}]},
+                )
+                assert code == 400, prior
+                assert "prior" in body["error"]
+            code, _ = http_post(srv.url + "/tasks", {
+                "tasks": [{"task_id": "t0", "prior": 0.7}],
+                "start_time": 3,
+                "spacing": 0.5,
+            })
+            assert code == 202
+            assert barrier_http(srv.url)["submitted"] == 1
+
     def test_ground_truth_must_be_0_1_or_null_400(self):
         # int() would have scored a 0.9 truth as 0.
         with serving() as srv:
@@ -568,12 +654,15 @@ class TestEndpoints:
             assert metrics.completed == 4
 
     def test_submit_after_close_409(self):
+        # Seated juries still owe votes, so the loop serves on after
+        # the close and answers the late submit.
         with serving() as srv:
+            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
+            barrier_http(srv.url)
             code, _ = http_post(srv.url + "/admin/close", {"mode": "drain"})
             assert code == 200
-            srv.join()
             code, _ = http_post(
-                srv.url + "/tasks", {"tasks": task_rows(make_tasks(1))}
+                srv.url + "/tasks", {"tasks": task_rows(make_tasks(3)[2:])}
             )
             assert code == 409
 
@@ -586,54 +675,121 @@ class TestEndpoints:
 
 
 class TestStatusBarrier:
-    @pytest.mark.parametrize("blocked_in", ["mailbox", "intake"])
-    def test_barrier_is_never_reported_mid_drain(self, blocked_in):
-        """Block the loop inside its drain — in a mailbox command, or
-        between draining the intake and queueing what it drained.
-        While it blocks, ``/status`` must not report the barrier; once
-        it returns and the loop parks, it must."""
-        entered, release = threading.Event(), threading.Event()
+    def test_barrier_is_never_reported_mid_drain(self):
+        """Requests are answered between engine steps, so right after a
+        202 on ``POST /tasks`` the chunk is staged, queued or counted:
+        ``/status`` never shows the barrier with it uncounted."""
+        config = make_config(vote_source="simulated", expected_tasks=200)
+        with serving(config=config) as srv:
+            for i in range(200):
+                code, _ = http_post(
+                    srv.url + "/tasks", {"tasks": [{"task_id": f"t{i}"}]}
+                )
+                assert code == 202
+                _, status = http_get(srv.url + "/status")
+                if at_barrier(status):
+                    assert status["submitted"] == i + 1, status
+            assert barrier_http(srv.url)["submitted"] == 200
 
-        def block():
-            entered.set()
-            assert release.wait(10)
 
+class TestRequestReader:
+    """The minimal HTTP/1.1 reader, driven over raw sockets."""
+
+    @staticmethod
+    def exchange(srv, data, timeout=10):
+        """Send ``data`` on a fresh connection and read one response."""
+        with socket.create_connection(
+            (srv.server.host, srv.server.port), timeout=timeout
+        ) as sock:
+            sock.sendall(data)
+            with sock.makefile("rb") as stream:
+                return read_response(stream)
+
+    def test_overlong_request_line_or_headers_4xx_and_serving_continues(self):
         with serving() as srv:
-            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
-            barrier_http(srv.url)
-            if blocked_in == "mailbox":
-                client = threading.Thread(
-                    target=srv.server.mailbox.call, args=(block,)
-                )
-            else:
-                engine = srv.campaign.engine
-                real_ingest = engine.ingest
-
-                def ingest(stamped):
-                    stamped = list(stamped)
-                    if stamped:
-                        block()
-                    return real_ingest(stamped)
-
-                engine.ingest = ingest
-                rows = task_rows(make_tasks(3)[2:])
-                client = threading.Thread(
-                    target=http_post,
-                    args=(srv.url + "/tasks", {"tasks": rows}),
-                )
-            client.start()
-            try:
-                assert entered.wait(10)
-                for _ in range(20):
-                    _, status = http_get(srv.url + "/status")
-                    assert not at_barrier(status), status
-            finally:
-                release.set()
-            client.join(timeout=10)
-            assert not client.is_alive()
-            assert barrier_http(srv.url)["submitted"] == (
-                2 if blocked_in == "mailbox" else 3
+            cases = (
+                (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+                (raw_request("GET", "/status", headers=(
+                    "X-Big: " + "b" * 70_000,)), 431),
+                (raw_request("GET", "/status", headers=tuple(
+                    f"X-H{i}: {i}" for i in range(101))), 431),
             )
+            for data, expected in cases:
+                status, headers, _ = self.exchange(srv, data)
+                assert status == expected
+                assert headers["connection"] == "close"
+                code, body = http_get(srv.url + "/status")
+                assert code == 200 and body["serving"] is True
+            status, _, _ = self.exchange(srv, raw_request(
+                "GET", "/status",
+                headers=tuple(f"X-H{i}: {i}" for i in range(99)),
+            ))
+            assert status == 200
+
+    def test_chunked_body_is_refused_without_reading_it(self):
+        with serving() as srv:
+            status, headers, body = self.exchange(srv, raw_request(
+                "POST", "/tasks", headers=("Transfer-Encoding: chunked",)
+            ))
+            assert status == 411
+            assert headers["connection"] == "close"
+            assert "Content-Length" in json.loads(body)["error"]
+            assert barrier_http(srv.url)["submitted"] == 0
+
+    def test_unsupported_method_501(self):
+        with serving() as srv:
+            for method in ("PUT", "DELETE", "HEAD"):
+                status, _, _ = self.exchange(
+                    srv, raw_request(method, "/tasks")
+                )
+                assert status == 501, method
+
+    def test_stalled_body_does_not_delay_other_clients(self):
+        with serving() as srv:
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as stalled:
+                body = json.dumps({"tasks": [{"task_id": "t0"}]}).encode()
+                stalled.sendall(
+                    raw_request("POST", "/tasks", body)[: -len(body) // 2]
+                )
+                time.sleep(0.05)  # the server has read the headers
+                start = time.perf_counter()
+                code, status = http_get(srv.url + "/status")
+                assert time.perf_counter() - start < 0.5
+                assert code == 200 and status["submitted"] == 0
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        # curl sends this header with any body over 1 KiB.
+        with serving() as srv:
+            body = json.dumps({"tasks": [{"task_id": "t0"}]}).encode()
+            request = raw_request(
+                "POST", "/tasks", body, headers=("Expect: 100-continue",)
+            )
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                sock.sendall(request[: -len(body)])
+                with sock.makefile("rb") as stream:
+                    assert stream.readline().split()[1] == b"100"
+                    assert stream.readline() == b"\r\n"
+                    sock.sendall(body)
+                    assert read_response(stream)[0] == 202
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        with serving() as srv:
+            body = json.dumps({"tasks": [{"task_id": "t0"}]}).encode()
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    raw_request("POST", "/tasks", body)
+                    + raw_request("POST", "/tasks", body)
+                    + raw_request("GET", "/nope")
+                )
+                with sock.makefile("rb") as stream:
+                    answers = [read_response(stream)[0] for _ in range(3)]
+            assert answers == [202, 409, 404]
 
 
 # ---------------------------------------------------------------------------
@@ -785,53 +941,52 @@ def leaf_count(value):
 
 class TestHostileMetricsLabels:
     def test_task_posts_add_no_series_or_checkpoint_rows(self):
-        """The intake keys nothing on the submitting thread.  The
-        listener runs a thread per connection, so 40 ``POST /tasks``
-        come from 40 threads, one of them with a hostile name; they
-        must add no ``/metrics`` series and no checkpoint rows beyond
-        what the first one adds.  The tasks stage with no loop running
-        (nothing else moves the series) and the next serve() runs
-        them."""
+        """The intake keys nothing on the submitting thread.  Thread
+        names exist only for in-process producers: of 40 tasks, one
+        arrives through ``Campaign.submit`` on a thread with a hostile
+        name and the rest through ``POST /tasks``.  They must add no
+        ``/metrics`` series and no checkpoint rows beyond what the first
+        one adds.  The loop's drains are held, so the tasks stay staged
+        (nothing else moves the series) until the close runs them."""
         backend = MemoryBackend()
         config = make_config(
             telemetry="on", expected_tasks=40, vote_source="simulated"
         )
         campaign = Campaign.open(make_pool(), config, backend=backend)
-        server = CampaignServer(campaign, port=0)
-        server.start_listener()
-        rows = task_rows(make_tasks(40))
+        tasks = make_tasks(40)
+        rows = task_rows(tasks)
+        with serving(campaign=campaign) as srv:
 
-        def scrape():
-            campaign.checkpoint()
-            intake_stats = backend.load()["campaign"]["intake_stats"]
-            _, body = http_get(server.url + "/metrics", raw=True)
-            assert_valid_prometheus(body)
-            return series_keys(body), leaf_count(intake_stats)
+            def scrape():
+                code, _ = http_post(srv.url + "/admin/checkpoint", {})
+                assert code == 200
+                intake_stats = backend.load()["campaign"]["intake_stats"]
+                _, body = http_get(srv.url + "/metrics", raw=True)
+                assert_valid_prometheus(body)
+                return series_keys(body), leaf_count(intake_stats)
 
-        try:
-            http_get(server.url + "/metrics", raw=True)
-            assert http_post(server.url + "/tasks", {"tasks": rows[:1]})[0] == 202
-            first_series, first_rows = scrape()
-            hostile = threading.Thread(
-                target=http_post,
-                args=(server.url + "/tasks", {"tasks": rows[1:2]}),
-                name='evil"producer\nname\\with everything',
-            )
-            hostile.start()
-            hostile.join(timeout=10)
-            for row in rows[2:]:
-                code, _ = http_post(server.url + "/tasks", {"tasks": [row]})
+            with drains_held(campaign):
+                http_get(srv.url + "/metrics", raw=True)
+                code, _ = http_post(srv.url + "/tasks", {"tasks": rows[:1]})
                 assert code == 202
-            series, checkpoint_rows = scrape()
+                first_series, first_rows = scrape()
+                hostile = threading.Thread(
+                    target=campaign.submit,
+                    args=(tasks[1:2],),
+                    name='evil"producer\nname\\with everything',
+                )
+                hostile.start()
+                hostile.join(timeout=10)
+                for row in rows[2:]:
+                    code, _ = http_post(srv.url + "/tasks", {"tasks": [row]})
+                    assert code == 202
+                series, checkpoint_rows = scrape()
             assert campaign.intake_stats.submitted == 40
             assert series == first_series
             assert checkpoint_rows == first_rows
             assert "producer" not in " ".join(series)
-            server.close_intake()
-            assert server.serve().completed == 40
-        finally:
-            server.shutdown()
-            campaign.close()
+            srv.server.close_intake()
+            assert srv.join().completed == 40
 
     def test_unknown_paths_share_one_response_series(self):
         """Responses are labelled by route, so hostile paths cannot grow
@@ -942,6 +1097,24 @@ class TestDaemonLifecycle:
             assert resumed.done
             assert metrics.fingerprint() == baseline_fp
 
+    def test_an_engine_error_under_a_request_ends_serving(self):
+        """A step that raises while a request settles the engine leaves
+        it in no known state: the request gets 500 and ``serve()``
+        re-raises the error, as it would for a step inside the loop."""
+        with serving() as srv:
+            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
+            barrier_http(srv.url)
+
+            def broken_step():
+                raise RuntimeError("step failed")
+
+            srv.campaign._pump = broken_step
+            code, body = http_post(srv.url + "/admin/checkpoint", {})
+            assert code == 500 and "step failed" in body["error"]
+            srv.thread.join(timeout=10)
+            assert not srv.thread.is_alive()
+            assert str(srv.error) == "step failed"
+
     def test_fold_intake_counts_staged_tasks_and_resumes_identically(self):
         """Tasks the intake acknowledged but the loop had not scheduled
         when it paused (a shutdown signal racing a POST /tasks) are
@@ -971,13 +1144,46 @@ class TestDaemonLifecycle:
         resumed.close_intake()
         assert resumed.run().fingerprint() == reference_fp
 
-    def test_stopped_server_rejects_staged_commands(self):
-        with serving() as srv:
+    def test_stopped_server_rejects_staged_commands(self, tmp_path):
+        """After ``serve()`` returns no request is answered or applied:
+        a kept-alive connection is closed, and a new one waits in the
+        backlog until the listener closes."""
+        backend = SQLiteBackend(tmp_path / "stopped.db")
+        with serving(backend=backend) as srv:
+            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
+            barrier_http(srv.url)
+            row = srv.campaign.offers.open_offers()[0]
+            vote = json.dumps({
+                "task_id": row["task_id"],
+                "worker_id": row["worker_id"],
+                "vote": 1,
+            }).encode()
+            kept = http.client.HTTPConnection(
+                srv.server.host, srv.server.port, timeout=10
+            )
+            kept.request("GET", "/status")
+            assert kept.getresponse().read()
             srv.server.stop()
             srv.join()
-            code, body = http_post(srv.url + "/admin/checkpoint", {})
-            assert code == 503
-            assert "no longer serving" in body["error"]
+            late = socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            )
+            for conn in (kept.sock, late):
+                conn.sendall(
+                    raw_request("POST", "/votes", vote)
+                    + raw_request("POST", "/admin/checkpoint", b"{}")
+                )
+            assert read_until_closed(kept.sock) == b""
+            late.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                late.recv(1)
+            srv.server.shutdown()
+            assert read_until_closed(late) == b""
+            kept.close()
+            late.close()
+            assert srv.campaign.metrics.votes_cast == 0
+            assert row in srv.campaign.offers.for_worker(row["worker_id"])
+        assert not backend.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1025,159 +1231,33 @@ class TestRetryAfterHint:
         campaign.close()
 
     def test_503_carries_the_derived_hint_both_regimes(self):
+        """A chunk that would push the intake past ``ingest_max_pending``
+        is refused whole with 503, and its ids stay free for a retry."""
         campaign = Campaign.open(
             make_pool(), make_config(ingest_max_pending=100)
         )
+        over = {"tasks": [{"task_id": "late0"}, {"task_id": "late1"}]}
         with serving(campaign=campaign) as srv:
-            srv.server.stop()
-            srv.join()
-            # Cold regime: no admits observed yet → the floor.
-            code, headers = http_post_headers(
-                srv.url + "/admin/checkpoint", {}
-            )
-            assert code == 503
-            assert headers["Retry-After"] == "1"
-            # Heavy regime: a slow admit EWMA must push the hint out —
-            # the hardcoded "1" invited retry storms exactly here.
-            campaign.engine.admit_latency_ewma = 2.0
-            code, headers = http_post_headers(
-                srv.url + "/admin/checkpoint", {}
-            )
-            assert code == 503
-            assert headers["Retry-After"] == "50"  # 2.0s * (100/4)
-
-
-# ---------------------------------------------------------------------------
-# LoopMailbox unit behavior
-# ---------------------------------------------------------------------------
-
-
-class TestLoopMailbox:
-    def test_call_blocks_until_drained(self):
-        mailbox = LoopMailbox()
-        results = []
-        thread = threading.Thread(
-            target=lambda: results.append(mailbox.call(lambda: 42)),
-            daemon=True,
-        )
-        thread.start()
-        deadline = time.monotonic() + 5
-        while mailbox.pending == 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        for command in mailbox.drain():
-            command.run()
-        thread.join(timeout=5)
-        assert results == [42]
-        assert mailbox.pending == 0
-
-    def test_call_propagates_the_commands_exception(self):
-        mailbox = LoopMailbox()
-        errors = []
-
-        def caller():
-            try:
-                mailbox.call(self._boom)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        thread = threading.Thread(target=caller, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 5
-        while mailbox.pending == 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        for command in mailbox.drain():
-            command.run()
-        thread.join(timeout=5)
-        assert errors == ["kaboom"]
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("kaboom")
-
-    def test_call_times_out_when_nobody_drains(self):
-        mailbox = LoopMailbox()
-        ran = []
-        with pytest.raises(ServerError, match="did not apply"):
-            mailbox.call(lambda: ran.append(1), timeout=0.05)
-        # The refused command was withdrawn: nothing runs it later.
-        assert mailbox.pending == 0
-        for command in mailbox.drain():
-            command.run()
-        assert ran == []
-
-    def test_a_vote_answered_503_is_never_cast(self):
-        """A vote whose handler gave up on a busy loop (503, "did not
-        apply") is withdrawn: once the loop frees up the offer is still
-        open, and the client's retry is the vote that counts."""
-        entered, release = threading.Event(), threading.Event()
-
-        def block():
-            entered.set()
-            assert release.wait(10)
-
-        with serving(command_timeout=0.2) as srv:
-            http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
-            barrier_http(srv.url)
-            row = srv.campaign.offers.open_offers()[0]
-            vote = {
-                "task_id": row["task_id"],
-                "worker_id": row["worker_id"],
-                "vote": 1,
-            }
-            cast = srv.campaign.metrics.votes_cast
-            blocker = threading.Thread(
-                target=srv.server.mailbox.call, args=(block, 10)
-            )
-            blocker.start()
-            try:
-                assert entered.wait(10)
-                code, body = http_post(srv.url + "/votes", vote)
-                assert code == 503, body
-            finally:
-                release.set()
-            blocker.join(timeout=10)
-            barrier_http(srv.url)
-            assert srv.campaign.metrics.votes_cast == cast
-            assert row in srv.campaign.offers.for_worker(row["worker_id"])
-            code, body = http_post(srv.url + "/votes", vote)
-            assert code == 200 and body == {"applied": True}
-
-    def test_reject_all_fails_pending_and_future_calls(self):
-        mailbox = LoopMailbox()
-        outcome = []
-
-        def caller():
-            try:
-                mailbox.call(lambda: None, timeout=10)
-            except ServerError as exc:
-                outcome.append(str(exc))
-
-        thread = threading.Thread(target=caller, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 5
-        while mailbox.pending == 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        mailbox.reject_all(ServerError("loop gone"))
-        thread.join(timeout=5)
-        assert outcome == ["loop gone"]
-        with pytest.raises(ServerError, match="loop gone"):
-            mailbox.call(lambda: None)
-
-    def test_kick_fires_on_every_call(self):
-        kicks = []
-        mailbox = LoopMailbox(kick=lambda: kicks.append(1))
-        thread = threading.Thread(
-            target=lambda: mailbox.call(lambda: None, timeout=10),
-            daemon=True,
-        )
-        thread.start()
-        deadline = time.monotonic() + 5
-        while not kicks and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert kicks
-        for command in mailbox.drain():
-            command.run()
-        thread.join(timeout=5)
+            with drains_held(campaign) as intake:
+                code, _ = http_post(
+                    srv.url + "/tasks", {"tasks": task_rows(make_tasks(99))}
+                )
+                assert code == 202
+                # Cold regime: no admits observed yet → the floor.
+                code, headers = http_post_headers(srv.url + "/tasks", over)
+                assert code == 503
+                assert headers["Retry-After"] == "1"
+                # Heavy regime: a slow admit EWMA must push the hint
+                # out — the hardcoded "1" invited retry storms here.
+                campaign.engine.admit_latency_ewma = 2.0
+                code, headers = http_post_headers(srv.url + "/tasks", over)
+                assert code == 503
+                assert headers["Retry-After"] == "50"  # 2.0s * (100/4)
+                assert intake.pending == 99  # nothing of it staged
+            assert barrier_http(srv.url)["submitted"] == 99
+            code, body = http_post(srv.url + "/tasks", over)
+            assert code == 202 and body == {"staged": 2}
+            assert barrier_http(srv.url)["submitted"] == 101
 
 
 class TestServerConstruction:

@@ -833,8 +833,8 @@ class TestPrometheusLabelEscaping:
         )
 
     def test_producer_thread_name_never_becomes_a_label(self):
-        """The intake keys nothing on the submitting thread: a handler
-        thread per connection must not mint a series per request."""
+        """The intake keys nothing on the submitting thread: a producer
+        thread per submit must not mint a series per submit."""
         telemetry = Telemetry()
         queue = IntakeQueue(telemetry=telemetry)
         thread = threading.Thread(
