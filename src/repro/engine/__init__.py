@@ -25,11 +25,11 @@ one budget, and finite worker attention".  See the module docstrings:
 ``engine``
     :class:`CampaignEngine` — the event loop.
 ``ingest``
-    :class:`IntakeQueue` / :class:`AsyncIngestLoop` — every campaign's
-    one intake: thread-safe staging with bounded backpressure, and the
-    drain-before-step ``serve()`` loop, the only concurrent one, an
-    ``asyncio`` coroutine the HTTP layer shares its thread with
-    (``Campaign.run`` is the stepping loop).
+    :class:`AsyncIngestLoop` — every campaign's one intake: one submit
+    route straight into the event queue, bounded while serving, and the
+    ``serve()`` loop, the only concurrent one, an ``asyncio`` coroutine
+    the HTTP layer shares its thread with (``Campaign.run`` is the
+    stepping loop).
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.
@@ -44,10 +44,10 @@ one budget, and finite worker attention".  See the module docstrings:
     delivery, status/metrics endpoints, and admin checkpoint/close over
     a live campaign in serve-forever daemon mode (``repro serve``).
 ``telemetry``
-    :class:`Telemetry` / :data:`NULL_TELEMETRY` — thread-safe metrics
-    registry (counters, gauges, latency histograms), bounded structured
-    event trace with profiling spans, windowed intake/throughput rates,
-    and JSON / Prometheus / Chrome-trace exports
+    :class:`Telemetry` / :data:`NULL_TELEMETRY` — metrics registry
+    (counters, gauges, latency histograms), bounded structured event
+    trace with profiling spans, windowed intake/throughput rates, and
+    JSON / Prometheus / Chrome-trace exports
     (``CampaignConfig(telemetry="on")``).
 ``campaign`` / ``config`` / ``backends``
     :class:`Campaign` — the public serving facade: explicit lifecycle
@@ -89,7 +89,6 @@ from .ingest import (
     IngestionError,
     IngestionOverflow,
     IngestStats,
-    IntakeQueue,
     NoOpenOffer,
 )
 from .leases import LeaseCoordinator, StaleEpochError
@@ -152,7 +151,6 @@ __all__ = [
     "IngestionClosed",
     "IngestionError",
     "IngestionOverflow",
-    "IntakeQueue",
     "LeaseCoordinator",
     "MemoryBackend",
     "NULL_TELEMETRY",

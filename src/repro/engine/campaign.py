@@ -36,9 +36,9 @@ Every campaign has one intake (:class:`~repro.engine.ingest.AsyncIngestLoop`)
 and two loops over it.  :meth:`Campaign.run` is the stepping loop on
 the caller's thread; :meth:`Campaign.serve` is the one concurrent loop,
 an ``asyncio`` coroutine the HTTP layer shares its thread with.
-:meth:`Campaign.submit` stages through the thread-safe intake while
-``serve()`` runs and goes straight into the event queue otherwise;
-either way one seen-set catches duplicate ids.
+:meth:`Campaign.submit` pushes a chunk straight into the event queue,
+on the thread that drives the campaign: the serve loop's own while
+``serve()`` runs.
 """
 
 from __future__ import annotations
@@ -305,18 +305,18 @@ class Campaign:
         tasks: Iterable[EngineTask],
         start_time: float = 0.0,
         spacing: float = 1.0,
-        timeout: float | None = None,
     ) -> int:
         """Enqueue task arrivals (see :meth:`CampaignEngine.submit`).
         Allowed any time before the campaign finishes — including
-        between :meth:`run` calls and after a :meth:`resume`.  While
-        :meth:`serve` runs, submission stages through the thread-safe
-        intake (bounded backpressure; ``timeout`` bounds how long a
-        producer waits it out), so producers on any thread may stream
-        tasks in; otherwise the tasks go straight into the event queue
-        on the caller's thread and never block."""
+        between :meth:`run` calls and after a :meth:`resume`.  The tasks
+        go straight into the event queue, on the caller's thread.  While
+        :meth:`serve` runs, only its own thread may submit (a
+        ``periodic`` job, or ``POST /tasks``), and a chunk that would
+        push the arrivals not yet dispatched past
+        ``ingest_max_pending`` is refused whole (see
+        :meth:`AsyncIngestLoop.submit`)."""
         self._require_serving()
-        return self._ingest.submit(tasks, start_time, spacing, timeout)
+        return self._ingest.submit(tasks, start_time, spacing)
 
     def run(self, until: int | None = None) -> EngineMetrics:
         """Advance the campaign and return the live metrics.
@@ -326,44 +326,33 @@ class Campaign:
         completed, leaving juries in flight and every pending event
         queued — exactly what :meth:`checkpoint` then persists.
         Calling :meth:`run` again continues from the pause point.
-
-        Tasks staged on the intake (a ``POST /tasks`` while no loop
-        served) are folded in before the first step, and once more
-        after the intake closes, just before the campaign finalizes.
         """
         self._require_open()
         engine = self._engine
         ingest = self._ingest
         start = time.perf_counter()
-        ingest.quiesce_intake()
         engine._start()
-        while True:
-            while engine._queue and (
-                until is None or engine.metrics.completed < until
-            ):
-                engine._step()
-            # External-vote campaigns may only finalize once no jury
-            # still awaits votes and the caller has declared the task
-            # stream over (close_intake()) — otherwise this run() is
-            # just a pump.
-            if engine._queue or (
-                engine.offers is not None
-                and (engine._active or not ingest.intake.closed)
-            ):
-                # Paused mid-campaign: fold the live gauges (peak load,
-                # cache stats, re-estimation passes) into the metrics
-                # so a paused report is not all zeros.  The finish pass
-                # overwrites them with final values, so resumed-run
-                # fingerprints are untouched.
-                engine._collect_stats()
-                break
-            # Close before the last fold: nothing can be staged behind
-            # a finished campaign.
+        while engine._queue and (
+            until is None or engine.metrics.completed < until
+        ):
+            engine._step()
+        # External-vote campaigns may only finalize once no jury still
+        # awaits votes and the caller has declared the task stream over
+        # (close_intake()) — otherwise this run() is just a pump.
+        if engine._queue or (
+            engine.offers is not None
+            and (engine._active or not ingest.closed)
+        ):
+            # Paused mid-campaign: fold the live gauges (peak load,
+            # cache stats, re-estimation passes) into the metrics so a
+            # paused report is not all zeros.  The finish pass
+            # overwrites them with final values, so resumed-run
+            # fingerprints are untouched.
+            engine._collect_stats()
+        else:
             ingest.close_intake()
-            if not ingest.quiesce_intake():
-                engine._finish()
-                break
-        engine.metrics.intake_stats = ingest.intake.stats.state_dict()
+            engine._finish()
+        engine.metrics.intake_stats = ingest.stats.state_dict()
         engine.metrics.wall_seconds += time.perf_counter() - start
         return engine.metrics
 
@@ -394,7 +383,6 @@ class Campaign:
             engine.scheduler is None
             and self._config.expected_tasks is None
             and not engine._queue
-            and not self._ingest.intake.pending
         ):
             # With no task in sight the baseline would be 1 task, and
             # the first round would be granted the whole budget.
@@ -428,16 +416,14 @@ class Campaign:
         self._ingest.close_intake()
 
     def fold_intake(self) -> None:
-        """Count every accepted task: fold staged arrivals into the
-        event queue, then step the engine until no arrival is left, so
-        ``metrics.submitted`` (and a checkpoint or metrics flush that
-        follows) covers each task the intake acknowledged.  For a paused
-        campaign between :meth:`serve` and :meth:`checkpoint`; the steps
-        are the ones a longer serve would have taken, so a resume stays
-        fingerprint-identical."""
+        """Count every accepted task: step the engine until no arrival
+        is left in the event queue, so ``metrics.submitted`` (and a
+        checkpoint or metrics flush that follows) covers each task the
+        intake acknowledged.  For a paused campaign between :meth:`serve`
+        and :meth:`checkpoint`; the steps are the ones a longer serve
+        would have taken, so a resume stays fingerprint-identical."""
         self._require_open()
         engine = self._engine
-        self._ingest.quiesce_intake()
         if not engine._queue.pending(TaskArrival):
             return
         engine._start()
@@ -459,7 +445,6 @@ class Campaign:
         (single-threaded external driving, or the serve loop's thread
         between steps: the serve loop owns the engine while it runs)."""
         engine = self._engine
-        self._ingest.quiesce_intake()
         engine._start()
         while engine._queue:
             engine._step()
@@ -506,7 +491,7 @@ class Campaign:
     @property
     def intake_stats(self):
         """Live intake counters."""
-        return self._ingest.intake.stats
+        return self._ingest.stats
 
     @property
     def telemetry(self):
@@ -546,12 +531,10 @@ class Campaign:
     def checkpoint(self) -> None:
         """Persist the campaign state to the backend, superseding any
         earlier checkpoint: the fixed-size state whole, the journals
-        from what the backend's last save left off.  Staged intake is
-        folded into the event queue first, so no accepted task is ever
-        lost to a checkpoint taken between drain and schedule.  (Like
+        from what the backend's last save left off.  Every accepted task
+        is in the event queue already, so the snapshot holds it.  (Like
         :meth:`run`, this must be called from the serving thread.)"""
         self._require_open()
-        self._ingest.quiesce_intake()
         self._engine.telemetry.event(
             "checkpoint", completed=self._engine.metrics.completed
         )
@@ -620,9 +603,6 @@ class Campaign:
         after :meth:`submit` (importing forces the serving stack to
         build, which fixes the expected-task pacing baseline)."""
         self._require_open()
-        # Staged arrivals must reach the event queue before the stack
-        # builds, or the pacing baseline would see none of them.
-        self._ingest.quiesce_intake()
         self._engine._start()
         return load_cache_file(path, list(self._named_caches().values()))
 
@@ -680,7 +660,7 @@ class Campaign:
             # off); restore is .get()-tolerant so snapshots predating
             # these keys still load.
             "telemetry": engine.telemetry.state_dict(),
-            "intake_stats": self._ingest.intake.stats.state_dict(),
+            "intake_stats": self._ingest.stats.state_dict(),
         }
 
         # The ledger is empty until the serving stack is built.
@@ -827,7 +807,7 @@ class Campaign:
         self._attach_coordinator()
         intake_state = section.get("intake_stats")
         if intake_state:
-            # The intake queue is rebuilt fresh; the counters are not —
-            # a resumed campaign's intake totals keep accumulating
-            # instead of silently resetting to zero.
-            self._ingest.intake.stats = IngestStats.from_state(intake_state)
+            # The intake is rebuilt fresh; its counters are not — a
+            # resumed campaign's intake totals keep accumulating instead
+            # of silently resetting to zero.
+            self._ingest.stats = IngestStats.from_state(intake_state)

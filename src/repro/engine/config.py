@@ -115,10 +115,11 @@ class CampaignConfig:
         one intake and shard admits always run in-loop, so only
         ``"sync"`` or ``"async"`` / ``0`` / ``"threads"`` are accepted.
     ingest_max_pending:
-        Intake backpressure bound: producers staging tasks while
-        :meth:`~repro.engine.campaign.Campaign.serve` runs block once
-        this many await the loop's next drain, and ``POST /tasks``
-        refuses (503) a chunk that would pass it.
+        Intake backpressure bound: while
+        :meth:`~repro.engine.campaign.Campaign.serve` runs, a submit
+        that would push the arrivals not yet dispatched past it is
+        refused whole (``POST /tasks`` answers 503).  Submits outside
+        ``serve()`` are not bounded.
     telemetry:
         ``"off"`` (default) serves with the no-op
         :data:`~repro.engine.telemetry.NULL_TELEMETRY`; ``"on"`` attaches

@@ -155,21 +155,14 @@ class CampaignEngine:
         Returns the number of tasks enqueued.  May be called repeatedly
         before :meth:`run`.  A NaN or infinite arrival time or a
         duplicate id raises ``ValueError`` and enqueues none of the
-        chunk.
+        chunk.  The event heap is not thread-safe: only the thread
+        driving the engine may call this (under the facade, through
+        :meth:`~repro.engine.ingest.AsyncIngestLoop.submit`).
         """
-        return self.ingest(
-            (start_time + i * spacing, task) for i, task in enumerate(tasks)
+        stamped = check_chunk(
+            ((start_time + i * spacing, task) for i, task in enumerate(tasks)),
+            self._task_ids,
         )
-
-    def ingest(self, stamped_tasks) -> int:
-        """Inject pre-stamped ``(arrival_time, task)`` pairs into the
-        event queue — the intake's path
-        (:class:`~repro.engine.ingest.AsyncIngestLoop` stamps arrival
-        times at submission, under the intake mutex, and hands them
-        here from the thread driving the loop).  The event heap is not
-        thread-safe: only that thread may call this.
-        """
-        stamped = check_chunk(stamped_tasks, self._task_ids)
         for arrival_time, task in stamped:
             self._task_ids[task.task_id] = None
             self._queue.push(TaskArrival(arrival_time, task))
@@ -252,8 +245,7 @@ class CampaignEngine:
 
     def _telemetry_counters(self):
         """The engine's own tallies as telemetry counters (collector:
-        read at export time, on whichever thread exports, so it reads
-        only ints and the append-only record list)."""
+        read at export time)."""
         metrics = self.metrics
         yield "engine.tasks_submitted", {}, metrics.submitted
         yield "engine.votes_cast", {}, metrics.votes_cast

@@ -1,32 +1,25 @@
-"""The intake: a thread-safe queue feeding the one concurrent loop.
+"""The intake: a campaign's one way in, and its one concurrent loop.
 
 The engine's event heap is single-threaded: one thread fires every
-event in ``(time, seq)`` order.  A serving system still has to accept
-live traffic *while* batches are being seated, so this module splits
-arrival intake from scheduling:
+event in ``(time, seq)`` order, and one thread feeds it.
 
-* :class:`IntakeQueue` — a thread-safe, **bounded** staging queue.
-  Producers call :meth:`~IntakeQueue.submit` from any thread; when the
-  queue is full they block (backpressure) until the serving loop drains
-  or the queue closes, or, with ``timeout=0``, are refused the whole
-  chunk.  Tasks are stamped with their logical arrival time *at
-  submission* (under the intake mutex), so the arrival order — and
-  therefore the campaign's decisions — is fixed by who got into the
-  queue first, not by when the loop happened to look.
-* :class:`AsyncIngestLoop` — every campaign's one intake and its one
-  concurrent loop, :meth:`~AsyncIngestLoop.serve`, which injects every
-  staged arrival into the event heap before it dispatches the next
-  event (drain-before-step).  The loop is an ``asyncio`` coroutine that
-  yields between engine steps, so the HTTP layer answers requests on
-  the same thread.  While no loop runs, submits skip the queue and go
-  straight into the event heap on the caller's thread; ``Campaign.run``
-  is the stepping loop, and folds anything staged.
+* :meth:`AsyncIngestLoop.submit` is the only way a task enters a
+  campaign.  It validates the chunk whole and pushes it straight into
+  the event queue, on the thread that drives the campaign.  While
+  :meth:`~AsyncIngestLoop.serve_async` runs, that is the loop's own
+  thread: the HTTP layer and ``periodic`` jobs submit there between
+  engine steps, a submit from any other thread raises
+  ``RuntimeError``, and a chunk that would push the arrivals not yet
+  dispatched past ``max_pending`` is refused whole.
+* :meth:`AsyncIngestLoop.serve_async` is the one concurrent loop, an
+  ``asyncio`` coroutine that yields between engine steps, so the HTTP
+  layer answers requests on the same thread.  ``Campaign.run`` is the
+  stepping loop.
 * :class:`AssignmentBook` — the open external-vote offers.
 
-Batch *coalescing* falls out of the two layers: the intake mutex makes
-bursts arrive as runs of consecutive items, the drain takes everything
-pending at once, and the engine's own ``batch_size`` buffering turns
-the drained run into scheduling batches.
+Nothing is staged between a submit and the event queue, so a chunk
+joins the queue whole, before the next step: the campaign's decisions
+depend on the order submits arrive in alone.
 """
 
 from __future__ import annotations
@@ -35,15 +28,12 @@ import asyncio
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import islice
 
 from ..core.exceptions import ReproError
-from .events import EngineTask
+from .events import EngineTask, TaskArrival
 from .metrics import EngineMetrics
-from .telemetry import NULL_TELEMETRY
 
 
 class IngestionError(ReproError, RuntimeError):
@@ -51,12 +41,13 @@ class IngestionError(ReproError, RuntimeError):
 
 
 class IngestionClosed(IngestionError):
-    """A task was submitted to an intake queue that has been closed."""
+    """A task was submitted to a closed intake."""
 
 
 class IngestionOverflow(IngestionError):
-    """Backpressure refused a chunk: the intake stayed full for longer
-    than the submitter was willing to wait."""
+    """Backpressure refused a chunk whole: while the loop serves, taking
+    it would push the arrivals not yet dispatched past
+    ``ingest_max_pending``."""
 
 
 def check_chunk(stamped, known) -> list[tuple[float, EngineTask]]:
@@ -65,8 +56,7 @@ def check_chunk(stamped, known) -> list[tuple[float, EngineTask]]:
     every task an :class:`EngineTask`, every stamp finite (NaN or inf
     would break the event queue's ``(time, seq)`` order), and no id in
     ``known`` or twice in the chunk.  Returns the pairs as a list with
-    float stamps; raises ``TypeError`` or ``ValueError`` otherwise.
-    Both submit routes (the intake and the direct one) use it."""
+    float stamps; raises ``TypeError`` or ``ValueError`` otherwise."""
     out = []
     ids = set()
     for arrival_time, task in stamped:
@@ -87,15 +77,11 @@ def check_chunk(stamped, known) -> list[tuple[float, EngineTask]]:
 
 @dataclass
 class IngestStats:
-    """Running intake counters (read under no lock: observability only).
-    Counts the staged route; direct submits never enter the queue."""
+    """Running intake counters: tasks taken, and chunks refused whole
+    by the serving loop's backpressure bound."""
 
     submitted: int = 0
-    drained: int = 0
-    drains: int = 0
-    peak_pending: int = 0
-    blocked_submits: int = 0  # staged tasks that had to wait out a full queue
-    overflows: int = 0  # submits that gave up after a backpressure timeout
+    overflows: int = 0
 
     # -- persistence (campaign checkpoints carry intake totals) --------
     def state_dict(self) -> dict:
@@ -103,214 +89,9 @@ class IngestStats:
 
     @classmethod
     def from_state(cls, state) -> "IngestStats":
-        """Rebuild stored counters; the per-producer rows and quota
-        counters older checkpoints carry are ignored."""
+        """Rebuild stored counters; the staging counters, per-producer
+        rows and quota counters older checkpoints carry are ignored."""
         return cls(**{f.name: int(state.get(f.name, 0)) for f in fields(cls)})
-
-
-class IntakeQueue:
-    """Thread-safe bounded staging queue for live task arrivals.
-
-    Parameters
-    ----------
-    max_pending:
-        Backpressure bound: :meth:`submit` blocks once this many tasks
-        are staged and un-drained.  Producers outrunning the serving
-        loop wait here instead of growing memory without bound.
-    seen_ids:
-        Task ids already known to the campaign (the resume path seeds
-        this from the restored engine), so duplicate submission is
-        caught at the intake mutex — before two threads could race the
-        engine's own duplicate check.
-    """
-
-    def __init__(
-        self,
-        max_pending: int = 10_000,
-        seen_ids=(),
-        telemetry=NULL_TELEMETRY,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self.max_pending = max_pending
-        self.telemetry = telemetry
-        self._mutex = threading.Lock()
-        self._not_full = threading.Condition(self._mutex)
-        # Set by a running serve loop: wakes it from any thread.
-        self._waker = None
-        self._items: deque[tuple[float, EngineTask]] = deque()
-        self._seen: set[str] = set(seen_ids)
-        self._closed = False
-        self.stats = IngestStats()
-        self.telemetry.add_collector(self._telemetry_gauges)
-
-    def _telemetry_gauges(self):
-        """Pull-based intake gauge (collector: read at export time)."""
-        yield "intake.depth", {}, float(self.pending)
-
-    # ------------------------------------------------------------------
-    # Producer side (any thread)
-    # ------------------------------------------------------------------
-    def _require_open(self) -> None:
-        if self._closed:
-            raise IngestionClosed(
-                "intake is closed; the campaign is no longer accepting tasks"
-            )
-
-    def submit(
-        self,
-        tasks,
-        start_time: float = 0.0,
-        spacing: float = 1.0,
-        timeout: float | None = None,
-    ) -> int:
-        """Stage task arrivals at evenly spaced logical times.
-
-        Mirrors :meth:`CampaignEngine.submit` — same signature, same
-        time stamping — but is safe from any thread and enforces the
-        backpressure bound.  Blocks while the queue is full; raises
-        :class:`IngestionOverflow` when ``timeout`` (seconds, per task)
-        expires first, :class:`IngestionClosed` once the queue closed.
-        ``timeout=0`` never waits: a chunk that does not fit whole is
-        refused whole.  Returns the number of tasks staged.
-
-        A chunk that fails :func:`check_chunk` (a bad type, a
-        non-finite stamp, a duplicate id) stages nothing.  A valid one
-        stages under one hold of the intake mutex, so the loop drains
-        all of it or none: the engine flushes a batch when the queue
-        runs out of arrivals, and a chunk drained in two parts would
-        seat different juries.  Only a full queue splits a chunk — the
-        producer then waits for room, releasing the mutex.  If the
-        wait overflows or the queue closes meanwhile, the tasks staged
-        before it stay staged (the loop may already have taken them)
-        and the rest are refused, their ids free for a retry.
-        """
-        staged = 0
-        with self._not_full:
-            stamped = check_chunk(
-                ((start_time + i * spacing, task)
-                 for i, task in enumerate(tasks)),
-                self._seen,
-            )
-            if timeout == 0 and (
-                len(self._items) + len(stamped) > self.max_pending
-            ):
-                self._require_open()
-                self._overflow(timeout)
-            # Taken up front: a producer waiting for room holds its ids.
-            self._seen.update(task.task_id for _, task in stamped)
-            try:
-                for item in stamped:
-                    if len(self._items) >= self.max_pending:
-                        self._wait_for_room(timeout)
-                    self._require_open()
-                    self._items.append(item)
-                    staged += 1
-                    self.stats.submitted += 1
-                    self.stats.peak_pending = max(
-                        self.stats.peak_pending, len(self._items)
-                    )
-            except BaseException:
-                self._seen.difference_update(
-                    task.task_id for _, task in stamped[staged:]
-                )
-                raise
-            finally:
-                # Tasks staged before an error stay staged: wake the
-                # loop for them too.
-                if staged:
-                    self._notify()
-                    self.telemetry.inc("intake.submitted", staged)
-        if staged:
-            self.telemetry.event("intake-submit", staged=staged)
-        return staged
-
-    def _wait_for_room(self, timeout: float | None) -> None:
-        """Wait out a full queue (call under the intake mutex)."""
-        self.stats.blocked_submits += 1
-        # The loop may be parked waiting for traffic: wake it to drain
-        # what this chunk staged so far.
-        self._notify()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while len(self._items) >= self.max_pending and not self._closed:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                self._overflow(timeout)
-            self._not_full.wait(remaining)
-
-    def _overflow(self, timeout: float) -> None:
-        """Count and raise a refusal (call under the intake mutex)."""
-        self.stats.overflows += 1
-        self.telemetry.inc("intake.overflows")
-        self.telemetry.event("intake-overflow", pending=len(self._items))
-        raise IngestionOverflow(
-            f"intake cannot take the chunk: {len(self._items)} of "
-            f"{self.max_pending} pending (waited {timeout:g}s)"
-        )
-
-    def _notify(self) -> None:
-        """Wake a serve loop parked for traffic (any thread; a no-op
-        while no loop serves).  Takes no lock, so a signal handler may
-        call it."""
-        waker = self._waker
-        if waker is not None:
-            try:
-                waker()
-            except RuntimeError:
-                pass  # that serve() ended and closed its event loop
-
-    def close(self) -> None:
-        """Stop accepting tasks (idempotent).  Producers blocked on
-        backpressure are woken and raise :class:`IngestionClosed`."""
-        with self._mutex:
-            self._closed = True
-            self._not_full.notify_all()
-            self._notify()
-
-    # ------------------------------------------------------------------
-    # Consumer side (the serving loop's thread)
-    # ------------------------------------------------------------------
-    def drain(self) -> list[tuple[float, EngineTask]]:
-        """Pop every staged ``(arrival_time, task)`` pair, oldest first.
-        Never blocks."""
-        # The drain is called once per loop step (usually empty), so the
-        # timing probe only fires when telemetry is live.
-        timed = self.telemetry.enabled
-        t0 = time.monotonic() if timed else 0.0
-        with self._not_full:
-            out = self._take()
-        if out and timed:
-            self.telemetry.observe(
-                "intake_drain_seconds", time.monotonic() - t0
-            )
-            self.telemetry.event("intake-drain", count=len(out))
-        return out
-
-    def _take(self) -> list[tuple[float, EngineTask]]:
-        """Pop every staged pair (call under the intake mutex)."""
-        out = list(self._items)
-        self._items.clear()
-        if out:
-            self.stats.drained += len(out)
-            self.stats.drains += 1
-            self._not_full.notify_all()
-        return out
-
-    @property
-    def pending(self) -> int:
-        with self._mutex:
-            return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        with self._mutex:
-            return self._closed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"IntakeQueue({len(self._items)}/{self.max_pending} pending"
-            f"{', closed' if self._closed else ''})"
-        )
 
 
 class NoOpenOffer(ReproError, LookupError):
@@ -412,97 +193,107 @@ class AssignmentBook:
 class AsyncIngestLoop:
     """A campaign's one intake and its one concurrent serving loop.
 
-    :meth:`serve` owns the engine's thread while it runs: events are
-    dispatched, juries seated and votes processed on the thread that
-    calls it — only *arrival intake* is concurrent.  The
-    drain-before-step discipline (inject every staged arrival before
-    dispatching the next event) plus submission-time stamping make the
-    result deterministic in the delivery order alone.
-
-    :meth:`submit` picks its route under the intake mutex, which
-    :meth:`serve` also holds while it takes or gives back the engine:
-    while the loop runs, tasks stage through the intake; otherwise they
-    go straight into the event queue on the caller's thread, so a
-    direct submit never overlaps the loop.
+    :meth:`serve_async` owns the engine's thread while it runs: every
+    submit, event, seated jury and vote happens on the thread that runs
+    it.  Outside it, :meth:`submit` runs on the caller's thread, which
+    drives the campaign.
     """
 
     def __init__(self, engine, max_pending: int = 10_000) -> None:
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         self.engine = engine
-        self.intake = IntakeQueue(
-            max_pending, seen_ids=engine._task_ids, telemetry=engine.telemetry
-        )
-        self._running = False
+        self.max_pending = max_pending
+        self.stats = IngestStats()
+        self.closed = False
+        self._owner: int | None = None  # the serving thread's ident
+        self._waker = None  # set while serving: wakes it from any thread
         self._stop_requested = False
+        engine.telemetry.add_collector(self._telemetry_gauges)
+        engine.telemetry.add_collector(self._telemetry_counters, "counter")
+
+    def _telemetry_gauges(self):
+        """The arrivals the backpressure bound counts (collector)."""
+        yield "intake.depth", {}, float(
+            self.engine._queue.pending(TaskArrival)
+        )
+
+    def _telemetry_counters(self):
+        """The intake's own tallies as counters (collector)."""
+        yield "intake.submitted", {}, self.stats.submitted
+        yield "intake.overflows", {}, self.stats.overflows
 
     # ------------------------------------------------------------------
-    # Producer surface
+    # The way in
     # ------------------------------------------------------------------
     def submit(
-        self,
-        tasks,
-        start_time: float = 0.0,
-        spacing: float = 1.0,
-        timeout: float | None = None,
+        self, tasks, start_time: float = 0.0, spacing: float = 1.0
     ) -> int:
-        """:meth:`CampaignEngine.submit` from any thread: staged through
-        the intake (see :meth:`IntakeQueue.submit` for blocking) while
-        :meth:`serve` runs, pushed into the event queue directly
-        otherwise.  One seen-set catches duplicates across both routes:
-        a direct submit records the ids the engine took in it."""
-        intake = self.intake
-        with intake._mutex:
-            if not self._running:
-                intake._require_open()
-                engine = self.engine
-                ids = engine._task_ids
-                known = len(ids)
-                try:
-                    # Staged tasks were submitted first.  Folded in, they
-                    # fall under the engine's own duplicate check.
-                    engine.ingest(intake._take())
-                    return engine.submit(tasks, start_time, spacing)
-                finally:
-                    # The ids taken are the newest in the engine's
-                    # insertion-ordered index.
-                    intake._seen.update(
-                        islice(reversed(ids), len(ids) - known)
-                    )
-        return intake.submit(tasks, start_time, spacing, timeout)
+        """:meth:`CampaignEngine.submit` through the intake: the chunk is
+        validated whole and pushed straight into the event queue, or
+        refused whole.  Returns the number of tasks taken.
+
+        Raises :class:`IngestionClosed` once the intake closed.  While
+        :meth:`serve_async` runs, a submit from another thread raises
+        ``RuntimeError``, and one that would push the arrivals not yet
+        dispatched past :attr:`max_pending` raises
+        :class:`IngestionOverflow`; either changes nothing.
+        """
+        owner = self._owner
+        if owner is not None and owner != threading.get_ident():
+            raise RuntimeError(
+                "serve() owns the engine; submit on its thread (a periodic "
+                "job) or through the serving endpoint instead"
+            )
+        if self.closed:
+            raise IngestionClosed(
+                "intake is closed; the campaign is no longer accepting tasks"
+            )
+        engine = self.engine
+        if owner is not None:
+            tasks = list(tasks)
+            pending = engine._queue.pending(TaskArrival)
+            if pending + len(tasks) > self.max_pending:
+                self.stats.overflows += 1
+                engine.telemetry.event("intake-overflow", pending=pending)
+                raise IngestionOverflow(
+                    f"intake cannot take {len(tasks)} tasks: {pending} of "
+                    f"{self.max_pending} arrivals await dispatch"
+                )
+        taken = engine.submit(tasks, start_time, spacing)
+        self.stats.submitted += taken
+        engine.telemetry.event("intake-submit", tasks=taken)
+        self.wake()
+        return taken
 
     def close_intake(self) -> None:
-        self.intake.close()
+        """Stop accepting tasks (idempotent; any thread)."""
+        self.closed = True
+        self.wake()
 
     # ------------------------------------------------------------------
     # The serving loop
     # ------------------------------------------------------------------
-    def quiesce_intake(self) -> int:
-        """Fold every staged arrival into the engine's event queue (the
-        thread driving the engine only — the event heap is not
-        thread-safe).  Returns the number injected.  Called before
-        checkpoints so a snapshot never loses tasks that were accepted
-        but not yet scheduled."""
-        return self.engine.ingest(self.intake.drain())
-
     @property
     def running(self) -> bool:
-        """Whether :meth:`serve` owns the engine right now."""
-        return self._running
+        """Whether :meth:`serve_async` owns the engine right now."""
+        return self._owner is not None
 
     def wake(self) -> None:
-        """Wake a parked :meth:`serve` loop (any thread, signal handlers
-        too; a no-op while none runs)."""
-        self.intake._notify()
+        """Wake a parked :meth:`serve_async` loop (any thread, signal
+        handlers too; a no-op while none runs).  Takes no lock."""
+        waker = self._waker
+        if waker is not None:
+            try:
+                waker()
+            except RuntimeError:
+                pass  # that serve() ended and closed its event loop
 
     def stop(self) -> None:
-        """Pause the running :meth:`serve` from any thread, or the next
-        one to start if none runs yet."""
+        """Pause the running :meth:`serve_async` from any thread, or the
+        next one to start if none runs yet."""
         self._stop_requested = True
         self.wake()
-
-    def serve(self, stop=None, poll=0.05, periodic=()) -> EngineMetrics:
-        """Run :meth:`serve_async` to its end on a fresh event loop on
-        the calling thread."""
-        return asyncio.run(self.serve_async(stop, poll, periodic))
 
     async def serve_async(
         self, stop: threading.Event | None = None, poll=0.05, periodic=()
@@ -512,37 +303,35 @@ class AsyncIngestLoop:
         Idles indefinitely, waiting for traffic, until one of two exits:
 
         - the intake is **closed** and everything has quiesced (no
-          staged arrivals, no queued events, no tasks awaiting external
-          votes): the campaign finalizes exactly like ``run()``;
-        - ``stop`` is set, or :meth:`stop` is called: the loop folds
-          staged arrivals into the (checkpointable) event queue and
+          queued events, no tasks awaiting external votes): the campaign
+          finalizes exactly like ``run()``;
+        - ``stop`` is set, or :meth:`stop` is called: the loop
           **pauses** without finalizing — the graceful-shutdown path:
           checkpoint, exit, ``Campaign.resume`` later.
 
         The loop yields to the event loop after every engine step and
         while it idles, so coroutines sharing it (the HTTP layer) run
-        between steps and never during one.  Staging on the intake,
-        closing it, :meth:`wake` and :meth:`stop` wake an idle loop
-        through ``call_soon_threadsafe``.  ``periodic`` is a sequence of
-        ``(interval, fn)`` jobs: each ``fn()`` runs on the loop thread
-        once ``interval`` seconds have passed since it last ran (lease
-        renewal, observability flushes).  ``poll`` bounds how long the
-        idle loop sleeps between checks of ``stop``.
+        between steps and never during one.  :meth:`submit`,
+        :meth:`close_intake`, :meth:`wake` and :meth:`stop` wake an idle
+        loop through ``call_soon_threadsafe``.  ``periodic`` is a
+        sequence of ``(interval, fn)`` jobs: each ``fn()`` runs on the
+        loop thread once ``interval`` seconds have passed since it last
+        ran (lease renewal, observability flushes, in-process
+        producers).  ``poll`` bounds how long the idle loop sleeps
+        between checks of ``stop``.
         """
         if poll <= 0:
             raise ValueError("poll must be positive")
         jobs = [[interval, fn, time.monotonic()] for interval, fn in periodic]
         if any(job[0] <= 0 for job in jobs):
             raise ValueError("periodic intervals must be positive")
+        if self._owner is not None:
+            raise RuntimeError("AsyncIngestLoop is already serving")
         wake = asyncio.Event()
-        intake = self.intake
-        with intake._mutex:
-            if self._running:
-                raise RuntimeError("AsyncIngestLoop is already serving")
-            self._running = True
-            intake._waker = partial(
-                asyncio.get_running_loop().call_soon_threadsafe, wake.set
-            )
+        self._owner = threading.get_ident()
+        self._waker = partial(
+            asyncio.get_running_loop().call_soon_threadsafe, wake.set
+        )
         # The idle waits must never outlast the shortest interval: a
         # job may carry the coordinator's lease renewals, so an idle
         # loop sleeping a full ``poll`` past it would let live leases
@@ -552,7 +341,6 @@ class AsyncIngestLoop:
         start = time.perf_counter()
         finished = False
         try:
-            self.quiesce_intake()
             engine._start()
             while not (
                 self._stop_requested or (stop is not None and stop.is_set())
@@ -563,20 +351,19 @@ class AsyncIngestLoop:
                         if now - job[2] >= job[0]:
                             job[2] = now
                             job[1]()
-                self.quiesce_intake()
                 if engine._queue:
                     engine._step()
                     await asyncio.sleep(0)
                     continue
-                # Finished once the intake is closed and empty (``pending``
-                # is read after ``closed``) and no seated jury owes votes.
-                if intake.closed and not intake.pending and not (
+                # Finished once the intake is closed and no seated jury
+                # owes votes.
+                if self.closed and not (
                     engine.offers is not None and engine._active
                 ):
                     finished = True
                     break
-                # Idle: nothing staged or queued.  A wake-up scheduled
-                # before this clear runs after it, so none is lost.
+                # Idle: nothing queued.  A wake-up scheduled before this
+                # clear runs after it, so none is lost.
                 wake.clear()
                 try:
                     await asyncio.wait_for(wake.wait(), poll)
@@ -585,15 +372,11 @@ class AsyncIngestLoop:
             if finished:
                 engine._finish()
             else:
-                # Stopped: fold accepted-but-unscheduled arrivals in so
-                # the checkpoint that typically follows loses nothing.
-                self.quiesce_intake()
                 engine._collect_stats()
         finally:
-            engine.metrics.intake_stats = intake.stats.state_dict()
+            engine.metrics.intake_stats = self.stats.state_dict()
             engine.metrics.wall_seconds += time.perf_counter() - start
-            with intake._mutex:
-                self._running = False
-                intake._waker = None
+            self._owner = None
+            self._waker = None
             self._stop_requested = False
         return engine.metrics

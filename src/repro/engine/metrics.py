@@ -129,8 +129,8 @@ class EngineMetrics:
     allocator_snapshot: AllocatorSnapshot | None = None
     # Intake totals (an IngestStats.state_dict() dict), folded in when
     # run() or serve() returns; the report shows them once anything was
-    # staged.  Render-only — timing-dependent (blocked submits), so the
-    # fingerprint excludes it.
+    # submitted.  Render-only (refused chunks depend on request timing),
+    # so the fingerprint excludes it.
     intake_stats: dict | None = None
 
     # ------------------------------------------------------------------
@@ -337,12 +337,8 @@ class EngineMetrics:
         if self.intake_stats and self.intake_stats.get("submitted"):
             stats = self.intake_stats
             lines.append(
-                f"intake       : {stats.get('submitted', 0)} submitted, "
-                f"{stats.get('drained', 0)} drained in "
-                f"{stats.get('drains', 0)} drains "
-                f"(peak {stats.get('peak_pending', 0)} pending, "
-                f"{stats.get('overflows', 0)} overflows, "
-                f"{stats.get('blocked_submits', 0)} blocked)"
+                f"intake       : {stats['submitted']} submitted, "
+                f"{stats.get('overflows', 0)} chunks refused"
             )
         if self.allocator_snapshot is not None:
             lines.append(f"sharding     : {self.allocator_snapshot.render()}")

@@ -6,7 +6,7 @@ producers.  :class:`CampaignServer` puts a network endpoint on the
 platforms — or a seeded test fleet — can drive a campaign over the
 wire::
 
-    POST /tasks              stage tasks on the campaign's intake
+    POST /tasks              submit tasks to the campaign's intake
     GET  /assignments?worker= the worker's open vote offers
     POST /votes              deliver one vote (applied synchronously)
     GET  /status             live campaign/loop counters
@@ -22,17 +22,18 @@ The loop yields to the event loop between engine steps, so a request is
 read, routed and answered between two steps, never during one:
 
 - **Votes and admin commands** are applied as soon as their request is
-  read, against a settled engine (staged arrivals folded in, queued
-  events dispatched): the state a single-threaded in-process driver
-  applies them against.  The order requests arrive in is the order the
-  engine applies them.  The HTTP-vs-in-process fingerprint parity pin
-  rests on that.
-- **Task submission** stages a chunk whole on the intake, or refuses it
-  whole with 503 + ``Retry-After`` when it would push the intake past
-  ``ingest_max_pending``: the loop thread never waits on backpressure.
+  read, against a settled engine (every queued event dispatched): the
+  state a single-threaded in-process driver applies them against.  The
+  order requests arrive in is the order the engine applies them.  The
+  HTTP-vs-in-process fingerprint parity pin rests on that.
+- **Task submission** pushes a chunk whole into the event queue, or
+  refuses it whole with 503 + ``Retry-After`` when it would push the
+  arrivals not yet dispatched past ``ingest_max_pending``: the loop
+  thread never waits on backpressure.
 - **Reads** see the engine between steps, so ``/status`` is an exact
-  barrier: ``idle`` means the loop serves with nothing staged and
-  nothing queued.  ``pending_commands`` is always 0, kept for clients
+  barrier: ``idle`` means the loop serves with nothing queued.
+  ``staged`` counts the arrivals not yet dispatched (what the 503
+  bound counts); ``pending_commands`` is always 0, kept for clients
   that poll it.
 
 The socket listens from construction, so a client may connect before
@@ -43,9 +44,11 @@ reaches the campaign until the next ``serve()``.
 The request reader is minimal HTTP/1.1: a request line, at most 100
 header lines of at most 64 KiB each (the stdlib ``http.server``
 limits) and a ``Content-Length`` body of at most ``max_body`` bytes.
-Chunked bodies are refused with 411.  Connections stay open unless the
-client sends ``Connection: close`` or speaks HTTP/1.0 without
-``Connection: keep-alive``.
+A ``Content-Length`` that is not all digits, or that disagrees with
+another ``Content-Length`` header, is refused with 400 (RFC 9112
+§6.3).  Chunked bodies are refused with 411.  Connections stay open
+unless the client sends ``Connection: close`` or speaks HTTP/1.0
+without ``Connection: keep-alive``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from .campaign import Campaign
-from .events import EngineTask
+from .events import EngineTask, TaskArrival
 from .ingest import IngestionOverflow, NoOpenOffer
 from .metrics import EngineMetrics
 
@@ -133,7 +136,10 @@ async def _read_request(reader, writer, max_body: int):
         name, colon, value = line.decode("latin-1").partition(":")
         if not colon:
             raise _HTTPError(400, "malformed header line")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _HTTPError(400, "conflicting Content-Length headers")
+        headers[name] = value
     else:
         raise _HTTPError(431, f"more than {_MAX_HEADERS} headers")
     if method not in ("GET", "POST"):
@@ -141,12 +147,11 @@ async def _read_request(reader, writer, max_body: int):
     if "transfer-encoding" in headers:
         raise _HTTPError(411, "send a Content-Length body, not a chunked one")
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _HTTPError(400, f"bad Content-Length {length_text!r}") from None
-    if length < 0:
-        raise _HTTPError(400, "negative Content-Length")
+    # 1*DIGIT only: int() would also take a sign, "_" and non-ASCII
+    # digits.
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise _HTTPError(400, f"bad Content-Length {length_text!r}")
+    length = int(length_text)
     if length > max_body:
         raise _HTTPError(
             413, f"body of {length} bytes exceeds the {max_body}-byte cap"
@@ -268,7 +273,6 @@ class CampaignServer:
         engine = campaign.engine
         ingest = campaign._ingest
         queued_events = len(engine._queue)
-        staged = ingest.intake.pending
         metrics = engine.metrics
         offers = engine.offers
         coordinator = campaign.coordinator
@@ -281,7 +285,7 @@ class CampaignServer:
             "lease_owner": None if coordinator is None else coordinator.owner,
             "lease_epoch": None if coordinator is None else coordinator.epoch,
             "serving": ingest.running,
-            "idle": ingest.running and not staged and not queued_events,
+            "idle": ingest.running and not queued_events,
             "done": campaign.done,
             "vote_source": campaign.config.vote_source,
             "num_shards": campaign.config.num_shards,
@@ -292,8 +296,8 @@ class CampaignServer:
             "active": len(engine._active),
             "deferred": len(engine._deferred),
             "queued_events": queued_events,
-            "staged": staged,
-            "intake_closed": ingest.intake.closed,
+            "staged": engine._queue.pending(TaskArrival),
+            "intake_closed": ingest.closed,
             "open_offers": None if offers is None else offers.open_count,
             "pending_commands": 0,
             "uptime_seconds": time.monotonic() - self._started,
@@ -303,8 +307,8 @@ class CampaignServer:
         """Backpressure advice (seconds) for 503 responses.
 
         A full intake drains at roughly one scheduler admit per
-        ``batch_size`` staged tasks, so the honest hint is the time to
-        work through a full buffer:
+        ``batch_size`` queued arrivals, so the honest hint is the time
+        to work through a full buffer:
         ``admit_latency_ewma * (ingest_max_pending / batch_size)``.
         Floored at 1s (never invite a tighter retry loop than the old
         hardcoded hint) and capped at 60s (a heavy campaign should still be
@@ -322,8 +326,8 @@ class CampaignServer:
 
     # ----------------------------------------------------- command bodies
     def submit_tasks(self, payload: dict) -> dict:
-        """``POST /tasks`` body → staged count.  Stages the chunk whole
-        on the intake, or refuses it whole.  Raises ``ValueError``
+        """``POST /tasks`` body → submitted count.  Submits the chunk
+        whole to the intake, or refuses it whole.  Raises ``ValueError``
         (400/409) / ``IngestionOverflow`` (503) / ``IngestionClosed`` /
         ``RuntimeError`` (409) — mapped to HTTP statuses by the
         router."""
@@ -349,18 +353,13 @@ class CampaignServer:
                     ground_truth=truth,
                 )
             )
-        self.campaign._require_serving()
-        staged = self.campaign._ingest.intake.submit(
-            tasks, start_time, spacing, timeout=0
-        )
-        return {"staged": staged}
+        return {"staged": self.campaign.submit(tasks, start_time, spacing)}
 
     def _settle(self) -> None:
-        """Fold staged arrivals in and dispatch every queued event before
-        a vote or checkpoint applies: the state a single-threaded
-        in-process driver applies it against.  A step that raises ends
-        serving, as it would inside the loop: :meth:`serve` re-raises
-        it."""
+        """Dispatch every queued event before a vote or checkpoint
+        applies: the state a single-threaded in-process driver applies
+        it against.  A step that raises ends serving, as it would inside
+        the loop: :meth:`serve` re-raises it."""
         try:
             self.campaign._pump()
         except BaseException as exc:

@@ -30,12 +30,10 @@ The default for every engine is :data:`NULL_TELEMETRY`, a
 :class:`NullTelemetry` whose methods are no-ops, so instrumented hot
 paths cost a couple of attribute lookups when observability is off.
 
-Thread-safety: one mutex guards the metric maps and the ring buffers.
-In-process producer threads and the serving loop (which also answers
-HTTP) report concurrently; every public method takes the lock for a
-handful of dict operations only and never calls back out while holding
-it, so the hub cannot participate in a lock cycle with engine-side
-locks.  Collectors run outside the lock on whichever thread exports.
+Thread-safety: none, by design.  Every write and every export happens
+on the thread that drives the campaign — the serve loop's thread while
+``serve()`` runs, which also answers HTTP (``/metrics``) and runs the
+``periodic`` flushes — so the hub takes no lock.
 """
 
 from __future__ import annotations
@@ -296,7 +294,8 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Telemetry:
-    """Thread-safe metrics registry + bounded structured event trace."""
+    """Metrics registry + bounded structured event trace (one thread:
+    see the module docstring)."""
 
     _COLLECTOR_KINDS = ("gauge", "counter")
 
@@ -311,7 +310,6 @@ class Telemetry:
         if interval <= 0:
             raise ValueError("metrics interval must be positive")
         self.interval = float(interval)
-        self._mutex = threading.Lock()
         self._t0 = time.monotonic()
         self._elapsed_offset = 0.0  # carried across checkpoint/resume
         self._counters: dict[tuple[str, tuple], float] = {}
@@ -343,42 +341,35 @@ class Telemetry:
 
     def inc(self, name: str, value: float = 1, **labels: Any) -> None:
         key = (name, _labels_key(labels))
-        with self._mutex:
-            self._counters[key] = self._counters.get(key, 0) + value
+        self._counters[key] = self._counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
-        with self._mutex:
-            self._gauges[key] = value
+        self._gauges[key] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
-        with self._mutex:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = _Histogram()
-            hist.observe(value)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = _Histogram()
+        hist.observe(value)
 
     def mark(self, name: str, n: int = 1) -> None:
         """Count ``n`` occurrences into the current rate window."""
         window = int(self.now() / self.interval)
-        with self._mutex:
-            series = self._rates.get(name)
-            if series is None:
-                series = self._rates[name] = {}
-            series[window] = series.get(window, 0) + n
-            while len(series) > MAX_RATE_WINDOWS:
-                series.pop(next(iter(series)))
+        series = self._rates.get(name)
+        if series is None:
+            series = self._rates[name] = {}
+        series[window] = series.get(window, 0) + n
+        while len(series) > MAX_RATE_WINDOWS:
+            series.pop(next(iter(series)))
 
     # ----------------------------------------------------- trace/spans
 
     def event(self, kind: str, span_id: int = 0, **fields: Any) -> None:
-        now = self.now()
-        with self._mutex:
-            # Numbered under the mutex, so the ring is in ``seq`` order.
-            self._events.append(
-                TraceEvent(next(self._event_seq), now, kind, span_id, fields)
-            )
+        self._events.append(TraceEvent(
+            next(self._event_seq), self.now(), kind, span_id, fields
+        ))
 
     def span(self, name: str, **labels: Any) -> _Span:
         """Timed block recorded as both a histogram sample and a
@@ -402,16 +393,13 @@ class Telemetry:
             thread=threading.get_ident(),
             labels=span.labels,
         )
-        with self._mutex:
-            self._spans.append(record)
+        self._spans.append(record)
 
     def trace_events(self) -> list[TraceEvent]:
-        with self._mutex:
-            return list(self._events)
+        return list(self._events)
 
     def completed_spans(self) -> list[SpanRecord]:
-        with self._mutex:
-            return list(self._spans)
+        return list(self._spans)
 
     # ------------------------------------------------------ collectors
 
@@ -420,12 +408,11 @@ class Telemetry:
     ) -> None:
         """Register a pull-based source of gauges or counters.
 
-        ``collector()`` is invoked only at snapshot/export time, on
-        whichever thread exports, and must yield ``(name, labels_dict,
-        value)`` triples — zero hot-path cost for stats the owner
-        already maintains (cache hit rates, registry load, intake
-        depth, the engine's vote and task tallies).  It must not
-        iterate a dict the serving loop mutates.
+        ``collector()`` is invoked only at snapshot/export time and
+        must yield ``(name, labels_dict, value)`` triples — zero
+        hot-path cost for stats the owner already maintains (cache hit
+        rates, registry load, intake depth and tallies, the engine's
+        vote and task tallies).
 
         ``kind="counter"`` reports running totals: each series is
         exported as a counter, replaces a stored counter with the same
@@ -437,23 +424,19 @@ class Telemetry:
             raise ValueError(
                 f"collector kind must be one of {self._COLLECTOR_KINDS}"
             )
-        with self._mutex:
-            self._collectors.append((kind, collector))
+        self._collectors.append((kind, collector))
 
     def _metric_maps(self) -> tuple[dict, dict]:
         """``(counters, gauges)``: the stored maps merged with what the
-        collectors report right now (the caller holds no lock)."""
-        with self._mutex:
-            collectors = list(self._collectors)
+        collectors report right now."""
         pulled: dict[tuple[str, tuple], float] = {}
         collected: dict[tuple[str, tuple], float] = {}
-        for kind, collector in collectors:
+        for kind, collector in self._collectors:
             table = pulled if kind == "counter" else collected
             for name, labels, value in collector():
                 table[(name, _labels_key(labels))] = value
-        with self._mutex:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
+        counters = dict(self._counters)
+        gauges = dict(self._gauges)
         counters.update((key, value) for key, value in pulled.items() if value)
         gauges.update(collected)
         return counters, gauges
@@ -462,10 +445,8 @@ class Telemetry:
 
     def rates(self) -> dict[str, list[dict[str, float]]]:
         """Windowed per-interval rates, oldest window first."""
-        with self._mutex:
-            series = {name: dict(windows) for name, windows in self._rates.items()}
         out: dict[str, list[dict[str, float]]] = {}
-        for name, windows in series.items():
+        for name, windows in self._rates.items():
             out[name] = [
                 {
                     "window": idx,
@@ -480,10 +461,6 @@ class Telemetry:
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable view of every metric surface."""
         counters, gauges = self._metric_maps()
-        with self._mutex:
-            histograms = {k: h.as_dict() for k, h in self._histograms.items()}
-            n_events = len(self._events)
-            n_spans = len(self._spans)
 
         def rows(table: dict[tuple[str, tuple], Any]) -> list[dict[str, Any]]:
             return [
@@ -498,11 +475,11 @@ class Telemetry:
             "counters": rows(counters),
             "gauges": rows(gauges),
             "histograms": [
-                {"name": name, "labels": dict(labels), **payload}
-                for (name, labels), payload in sorted(histograms.items())
+                {"name": name, "labels": dict(labels), **hist.as_dict()}
+                for (name, labels), hist in sorted(self._histograms.items())
             ],
             "rates": self.rates(),
-            "trace": {"events": n_events, "spans": n_spans},
+            "trace": {"events": len(self._events), "spans": len(self._spans)},
         }
 
     @staticmethod
@@ -537,12 +514,6 @@ class Telemetry:
     def render_prometheus(self) -> str:
         """Prometheus text-format exposition (v0.0.4)."""
         counters, gauges = self._metric_maps()
-        with self._mutex:
-            histograms = {
-                key: (hist.cumulative(), hist.total, hist.count)
-                for key, hist in self._histograms.items()
-            }
-
         lines: list[str] = []
         seen_types: set[str] = set()
 
@@ -559,18 +530,17 @@ class Telemetry:
             pname = self._prom_name(name)
             type_line(pname, "gauge")
             lines.append(f"{pname}{self._prom_labels(labels)} {value:g}")
-        for (name, labels), (cumulative, total, count) in sorted(
-            histograms.items()
-        ):
+        for (name, labels), hist in sorted(self._histograms.items()):
             pname = self._prom_name(name)
             type_line(pname, "histogram")
-            for le, running in cumulative:
+            for le, running in hist.cumulative():
                 le_text = "+Inf" if le == float("inf") else f"{le:g}"
                 le_label = 'le="' + le_text + '"'
                 bucket_labels = self._prom_labels(labels, le_label)
                 lines.append(f"{pname}_bucket{bucket_labels} {running}")
-            lines.append(f"{pname}_sum{self._prom_labels(labels)} {total:g}")
-            lines.append(f"{pname}_count{self._prom_labels(labels)} {count}")
+            plain = self._prom_labels(labels)
+            lines.append(f"{pname}_sum{plain} {hist.total:g}")
+            lines.append(f"{pname}_count{plain} {hist.count}")
         return "\n".join(lines) + "\n"
 
     def chrome_trace(self) -> dict[str, Any]:
@@ -580,9 +550,6 @@ class Telemetry:
         thread; structured trace entries become ``"i"`` (instant)
         events.  Timestamps are microseconds since the hub epoch.
         """
-        with self._mutex:
-            spans = list(self._spans)
-            events = list(self._events)
         trace_events: list[dict[str, Any]] = [
             {
                 "name": "process_name",
@@ -592,7 +559,7 @@ class Telemetry:
                 "args": {"name": "repro-engine"},
             }
         ]
-        for span in spans:
+        for span in self._spans:
             trace_events.append(
                 {
                     "name": span.name,
@@ -606,7 +573,7 @@ class Telemetry:
                     "args": dict(span.labels),
                 }
             )
-        for entry in events:
+        for entry in self._events:
             args = {str(k): v for k, v in entry.fields.items()}
             if entry.span_id:
                 args["span_id"] = entry.span_id
@@ -649,51 +616,49 @@ class Telemetry:
         """JSON-serialisable metric state for checkpoint/resume
         survival: the clock, counters, gauges, histograms and rates.
         The trace and span rings stay out (per-process diagnostics)."""
-        with self._mutex:
-            return {
-                "elapsed": self.now(),
-                "interval": self.interval,
-                "counters": [
-                    [name, [list(pair) for pair in labels], value]
-                    for (name, labels), value in self._counters.items()
-                ],
-                "gauges": [
-                    [name, [list(pair) for pair in labels], value]
-                    for (name, labels), value in self._gauges.items()
-                ],
-                "histograms": [
-                    [name, [list(pair) for pair in labels], hist.state_dict()]
-                    for (name, labels), hist in self._histograms.items()
-                ],
-                "rates": {
-                    name: [[idx, count] for idx, count in windows.items()]
-                    for name, windows in self._rates.items()
-                },
-            }
+        return {
+            "elapsed": self.now(),
+            "interval": self.interval,
+            "counters": [
+                [name, [list(pair) for pair in labels], value]
+                for (name, labels), value in self._counters.items()
+            ],
+            "gauges": [
+                [name, [list(pair) for pair in labels], value]
+                for (name, labels), value in self._gauges.items()
+            ],
+            "histograms": [
+                [name, [list(pair) for pair in labels], hist.state_dict()]
+                for (name, labels), hist in self._histograms.items()
+            ],
+            "rates": {
+                name: [[idx, count] for idx, count in windows.items()]
+                for name, windows in self._rates.items()
+            },
+        }
 
     def load_state(self, state: dict[str, Any] | None) -> None:
         """Restore :meth:`state_dict` output; the rings and sequence
         marks that older checkpoints also carry are ignored."""
         if not state:
             return
-        with self._mutex:
-            self._t0 = time.monotonic()
-            self._elapsed_offset = float(state.get("elapsed", 0.0))
-            self._counters = {
-                (name, tuple(tuple(pair) for pair in labels)): value
-                for name, labels, value in state.get("counters", [])
-            }
-            self._gauges = {
-                (name, tuple(tuple(pair) for pair in labels)): value
-                for name, labels, value in state.get("gauges", [])
-            }
-            self._histograms = {
-                (name, tuple(tuple(pair) for pair in labels)): _Histogram.from_state(
-                    payload
-                )
-                for name, labels, payload in state.get("histograms", [])
-            }
-            self._rates = {
-                name: {int(idx): int(count) for idx, count in windows}
-                for name, windows in state.get("rates", {}).items()
-            }
+        self._t0 = time.monotonic()
+        self._elapsed_offset = float(state.get("elapsed", 0.0))
+        self._counters = {
+            (name, tuple(tuple(pair) for pair in labels)): value
+            for name, labels, value in state.get("counters", [])
+        }
+        self._gauges = {
+            (name, tuple(tuple(pair) for pair in labels)): value
+            for name, labels, value in state.get("gauges", [])
+        }
+        self._histograms = {
+            (name, tuple(tuple(pair) for pair in labels)): _Histogram.from_state(
+                payload
+            )
+            for name, labels, payload in state.get("histograms", [])
+        }
+        self._rates = {
+            name: {int(idx): int(count) for idx, count in windows}
+            for name, windows in state.get("rates", {}).items()
+        }

@@ -12,7 +12,8 @@ from repro.core import Jury, Worker, WorkerPool
 
 #: Optional per-test wall-clock limit (seconds).  CI sets this for the
 #: jobs that exercise the concurrent serving loop (the server suite, the
-#: engine suite with telemetry forced on): a deadlock then fails the one
+#: engine suite with telemetry forced on): a serve loop that never
+#: finishes, or a test thread left waiting on it, then fails the one
 #: stuck test fast instead of hanging the whole job.
 _TIMEOUT_ENV = "REPRO_TEST_TIMEOUT"
 
@@ -30,8 +31,9 @@ def pytest_runtest_call(item):
             "in the concurrent serving path)"
         )
 
-    # SIGALRM interrupts lock/condition waits on the main thread, which
-    # is exactly where an intake/dispatch deadlock would park the test.
+    # SIGALRM interrupts waits on the main thread (a join on the serve
+    # thread, a socket read, serve() itself), which is where a serve
+    # loop that never finishes would park the test.
     previous = signal.signal(signal.SIGALRM, on_alarm)
     signal.setitimer(signal.ITIMER_REAL, limit)
     try:

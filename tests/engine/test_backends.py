@@ -689,3 +689,55 @@ class TestTraceRingCheckpoints:
         again = Campaign.resume(SQLiteBackend(path))
         assert again.run().fingerprint() == reference
         assert resumed.run().fingerprint() == reference
+
+
+class TestStagingCounterCheckpoints:
+    """Code that staged submits on an intake queue saved four more
+    intake counters (``drained``, ``drains``, ``peak_pending``,
+    ``blocked_submits``).  Checkpoints carrying them resume, the keys
+    are dropped, and the fixtures still reach their uninterrupted
+    fingerprints."""
+
+    RETIRED = {"drained", "drains", "peak_pending", "blocked_submits"}
+
+    def test_v3_file_with_staging_counters_resumes(self, tmp_path):
+        reference = _fixture_recipe(3).open_campaign().run().fingerprint()
+        path = tmp_path / "v3.db"
+        shutil.copyfile(FIXTURES / "v3_checkpoint.db", path)
+        backend = SQLiteBackend(path)
+        stored = backend.load()["campaign"]
+        assert self.RETIRED <= set(stored["intake_stats"])
+        assert self.RETIRED <= set(stored["metrics"]["intake_stats"])
+        resumed = Campaign.resume(backend)
+        assert resumed.intake_stats.state_dict() == {
+            "submitted": 0, "overflows": 0,
+        }
+        resumed.checkpoint()
+        saved = backend.load()["campaign"]["intake_stats"]
+        assert set(saved) == {"submitted", "overflows"}
+        backend.close()
+        assert Campaign.resume(SQLiteBackend(path)).run().fingerprint() == (
+            reference
+        )
+        assert resumed.run().fingerprint() == reference
+
+    def test_v2_snapshot_with_staging_counters_resumes(self):
+        """The v2 fixtures were saved with no intake counters (null), so
+        the counters (nonzero here) are laid into a copy of the JSON
+        snapshot."""
+        reference = _fixture_recipe(2).open_campaign().run().fingerprint()
+        v2 = json.loads((FIXTURES / "v2_checkpoint.json").read_text())
+        assert v2["campaign"]["intake_stats"] is None
+        v2["campaign"]["intake_stats"] = {
+            "submitted": 12, "overflows": 1, "drained": 12, "drains": 3,
+            "peak_pending": 5, "blocked_submits": 2,
+        }
+        backend = MemoryBackend()
+        backend.save(v2)
+        resumed = Campaign.resume(backend)
+        assert resumed.intake_stats.state_dict() == {
+            "submitted": 12, "overflows": 1,
+        }
+        metrics = resumed.run()
+        assert metrics.fingerprint() == reference
+        assert metrics.intake_stats == {"submitted": 12, "overflows": 1}

@@ -23,12 +23,15 @@ the harness.
 
 The second half is the *concurrency* stress harness for the one
 concurrent loop, ``serve()`` over the campaign's intake
-(`repro.engine.ingest`): the same per-event laws while producer
-threads stream tasks in under backpressure, and the determinism pins —
-a served campaign fed up front, or paused, checkpointed and resumed
-mid-flight, must reproduce the ``run()`` fingerprint.
+(`repro.engine.ingest`): the same per-event laws while producers stream
+tasks in under backpressure — as a ``periodic`` job on the loop's own
+thread, the only way in while it serves — and the determinism pins: a
+served campaign fed up front, or paused, checkpointed and resumed
+mid-flight, must reproduce the ``run()`` fingerprint, and two served
+runs of the same producers must agree.
 """
 
+import asyncio
 import threading
 
 import numpy as np
@@ -40,8 +43,10 @@ from repro.engine import (
     CampaignConfig,
     CampaignEngine,
     EngineTask,
+    IngestionOverflow,
     MemoryBackend,
     SQLiteBackend,
+    TaskArrival,
 )
 from repro.engine import sharding
 from repro.simulation import SyntheticPoolConfig, generate_pool
@@ -445,84 +450,106 @@ def build_served_loop(
     return AsyncIngestLoop(engine, max_pending=max_pending), tasks
 
 
+def serve(loop, **kwargs):
+    """Run the loop's serve coroutine to its end on this thread."""
+    return asyncio.run(loop.serve_async(**kwargs))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("pool_size,shards", [(16, 1), (48, 4)])
 def test_served_preloaded_matches_run_fingerprint(seed, pool_size, shards):
-    """Every task staged on the intake before serving: serve() folds
-    them in before its first step and must reproduce the stepping
-    loop's fingerprint byte for byte — while the checked engine asserts
-    every per-event law along the way."""
+    """Every task submitted before serving: serve() must reproduce the
+    stepping loop's fingerprint byte for byte — while the checked engine
+    asserts every per-event law along the way."""
     reference = build_campaign(
         seed, pool_size, shards, checked=False
     ).run().fingerprint()
     loop, tasks = build_served_loop(seed, pool_size, shards)
-    loop.intake.submit(tasks)
+    loop.submit(tasks)
     loop.close_intake()
-    metrics = loop.serve()
+    metrics = serve(loop)
     final_laws(loop.engine, metrics)
     assert metrics.fingerprint() == reference
 
 
-def serve_with_producers(loop, tasks, producers=4):
-    """Serve on this thread while ``producers`` threads stage ``tasks``
-    round-robin on the intake (as in-process producers do), and a
-    closer thread closes the intake once every producer is done."""
-    chunks = [tasks[i::producers] for i in range(producers)]
-
-    def producer(chunk):
-        for k, task in enumerate(chunk):
-            loop.intake.submit([task], start_time=float(k))
-
-    threads = [
-        threading.Thread(target=producer, args=(chunk,)) for chunk in chunks
+def serve_with_producers(loop, tasks, producers=4, chunk=2):
+    """Serve on this thread while ``producers`` producers submit
+    ``tasks`` round-robin, ``chunk`` tasks at a time: a ``periodic`` job
+    due on every loop pass submits the next producer's next chunk, waits
+    a pass when the intake refuses it, and closes the intake after the
+    last one.  Checks the backpressure bound on every pass.  Returns the
+    metrics and the number of refused chunks."""
+    streams = [tasks[i::producers] for i in range(producers)]
+    chunks = [
+        (k, stream[k : k + chunk])
+        for k in range(0, max(map(len, streams)), chunk)
+        for stream in streams
+        if stream[k : k + chunk]
     ]
+    queue = loop.engine._queue
+    refused = 0
 
-    def closer():
-        for thread in threads:
-            thread.join()
-        loop.close_intake()
+    def producer_pass():
+        nonlocal refused
+        assert queue.pending(TaskArrival) <= loop.max_pending
+        if not chunks:
+            return
+        start, batch = chunks[0]
+        try:
+            loop.submit(batch, start_time=float(start))
+        except IngestionOverflow:
+            refused += 1
+            return
+        chunks.pop(0)
+        if not chunks:
+            loop.close_intake()
 
-    closer_thread = threading.Thread(target=closer)
-    for thread in threads:
-        thread.start()
-    closer_thread.start()
-    metrics = loop.serve()
-    closer_thread.join(timeout=10.0)
-    assert not closer_thread.is_alive()
-    return metrics
+    metrics = serve(loop, periodic=((1e-9, producer_pass),))
+    assert not chunks
+    return metrics, refused
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_submit_while_running_under_backpressure(seed):
-    """Live traffic: four producer threads stream tasks into a tightly
-    bounded intake while the serving loop seats juries across four
-    shards.  Backpressure must bound staging, every
-    task must be served exactly once, and the per-event laws must hold
-    throughout."""
-    loop, tasks = build_served_loop(
-        seed, 32, 4, max_pending=8, expected_tasks=60
-    )
-    metrics = serve_with_producers(loop, tasks)
-    final_laws(loop.engine, metrics)
-    assert metrics.completed == metrics.submitted == 60
-    assert loop.intake.stats.submitted == 60
-    assert loop.intake.stats.peak_pending <= 8
+    """Live traffic: four producers stream tasks into a tightly bounded
+    intake while the serving loop seats juries across four shards.  The
+    bound must hold on every pass and refuse some chunks, every task
+    must be served exactly once, the per-event laws must hold
+    throughout, and the interleaving — fixed by the loop, not by thread
+    timing — must replay to the same fingerprint."""
+    fingerprints = set()
+    for _ in range(2):
+        loop, tasks = build_served_loop(
+            seed, 32, 4, max_pending=8, expected_tasks=60
+        )
+        metrics, refused = serve_with_producers(loop, tasks)
+        final_laws(loop.engine, metrics)
+        assert metrics.completed == metrics.submitted == 60
+        assert len({r.task_id for r in metrics.records}) == 60
+        assert loop.stats.submitted == 60
+        assert loop.stats.overflows == refused > 0
+        fingerprints.add(metrics.fingerprint())
+    assert len(fingerprints) == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_shard_serves_concurrent_producers_exactly_once(seed):
-    """The one-shard campaign under live traffic: three producer
-    threads race a four-slot intake while one shard seats every jury.
-    Each task is served exactly once, staging stays bounded, and the
-    per-event laws hold throughout."""
-    loop, tasks = build_served_loop(
-        seed, 16, 1, max_pending=4, expected_tasks=60
-    )
-    metrics = serve_with_producers(loop, tasks, producers=3)
-    final_laws(loop.engine, metrics)
-    assert metrics.completed == metrics.submitted == 60
-    assert loop.intake.stats.submitted == 60
-    assert loop.intake.stats.peak_pending <= 4
+    """The one-shard campaign under live traffic: three producers race
+    a four-slot intake while one shard seats every jury.  Each task is
+    served exactly once, the bound holds on every pass, the per-event
+    laws hold throughout, and two served runs agree."""
+    fingerprints = set()
+    for _ in range(2):
+        loop, tasks = build_served_loop(
+            seed, 16, 1, max_pending=4, expected_tasks=60
+        )
+        metrics, _ = serve_with_producers(loop, tasks, producers=3)
+        final_laws(loop.engine, metrics)
+        assert metrics.completed == metrics.submitted == 60
+        assert len({r.task_id for r in metrics.records}) == 60
+        assert loop.stats.submitted == 60
+        fingerprints.add(metrics.fingerprint())
+    assert len(fingerprints) == 1
 
 
 @pytest.mark.parametrize("seed", CHECKPOINT_SEEDS)
@@ -571,15 +598,15 @@ def _assert_histogram_invariants(telemetry):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_telemetry_histograms_consistent_under_concurrent_stress(seed):
-    """Telemetry on during the threaded submit-while-serving scenario:
-    producers and the serving loop report into the hub
-    concurrently.  Every histogram must conserve
-    its counts, the hub's counters must reconcile with the intake's own
-    ledger, and the per-event campaign laws must hold throughout."""
+    """Telemetry on during the submit-while-serving scenario: the
+    producer job and the serving loop report into the hub between
+    steps.  Every histogram must conserve its counts, the hub's counters
+    must reconcile with the intake's own ledger, and the per-event
+    campaign laws must hold throughout."""
     loop, tasks = build_served_loop(
         seed, 32, 4, max_pending=8, expected_tasks=60, telemetry="on"
     )
-    metrics = serve_with_producers(loop, tasks)
+    metrics, refused = serve_with_producers(loop, tasks)
     final_laws(loop.engine, metrics)
     assert metrics.completed == metrics.submitted == 60
 
@@ -588,6 +615,7 @@ def test_telemetry_histograms_consistent_under_concurrent_stress(seed):
     counters = {}
     for row in telemetry.snapshot()["counters"]:
         counters[row["name"]] = counters.get(row["name"], 0) + row["value"]
-    assert counters["intake.submitted"] == loop.intake.stats.submitted == 60
+    assert counters["intake.submitted"] == loop.stats.submitted == 60
+    assert counters["intake.overflows"] == loop.stats.overflows == refused
     assert counters["engine.tasks_submitted"] == 60
     assert counters["engine.tasks_completed"] == 60

@@ -30,6 +30,7 @@ from repro.engine import (
     MemoryBackend,
     NoOpenOffer,
     SQLiteBackend,
+    TaskArrival,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -218,15 +219,17 @@ def barrier_http(url, deadline=20.0):
 
 
 @contextlib.contextmanager
-def drains_held(campaign):
-    """Keep the serve loop from draining the intake, so what is staged
-    stays staged (and nothing it would seat moves the metrics)."""
-    intake = campaign._ingest.intake
-    intake.drain = lambda: []
+def steps_held(campaign):
+    """Keep the engine from stepping, so what was submitted stays queued
+    (and nothing it would seat moves the metrics).  The serve loop spins
+    on the held queue, answering requests between passes, and a vote or
+    checkpoint applies without settling it first."""
+    engine = campaign.engine
+    engine._step = campaign._pump = lambda: None
     try:
-        yield intake
+        yield engine._queue
     finally:
-        del intake.drain
+        del engine._step, campaign._pump
 
 
 def drive_fleet_http(url, worker_ids, seed=0, deadline=30.0):
@@ -736,6 +739,49 @@ class TestRequestReader:
             assert "Content-Length" in json.loads(body)["error"]
             assert barrier_http(srv.url)["submitted"] == 0
 
+    @staticmethod
+    def post_tasks(*lengths):
+        """A ``POST /tasks`` of one task carrying the given
+        ``Content-Length`` header values, in order."""
+        body = json.dumps({"tasks": [{"task_id": "t0"}]}).encode()
+        lines = [
+            "POST /tasks HTTP/1.1",
+            "Host: test",
+            *(f"Content-Length: {value}".format(n=len(body))
+              for value in lengths),
+        ]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+    def test_content_length_must_be_digits_only(self):
+        """RFC 9112 6.3: a Content-Length other than 1*DIGIT is a 400,
+        however ``int()`` would have read it; the body is not taken."""
+        with serving() as srv:
+            for value in ("+{n}", "0_{n}", "-0", "{n}.0"):
+                status, headers, body = self.exchange(
+                    srv, self.post_tasks(value)
+                )
+                assert status == 400, value
+                assert headers["connection"] == "close"
+                assert "Content-Length" in json.loads(body)["error"]
+            assert barrier_http(srv.url)["submitted"] == 0
+            status, _, _ = self.exchange(srv, self.post_tasks("0{n}"))
+            assert status == 202
+            assert barrier_http(srv.url)["submitted"] == 1
+
+    def test_differing_content_lengths_400(self):
+        """Two ``Content-Length`` headers that disagree are a 400, not
+        "the last one wins"; two that agree frame the body as one."""
+        with serving() as srv:
+            status, headers, _ = self.exchange(
+                srv, self.post_tasks("{n}5", "{n}")
+            )
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert barrier_http(srv.url)["submitted"] == 0
+            status, _, _ = self.exchange(srv, self.post_tasks("{n}", "{n}"))
+            assert status == 202
+            assert barrier_http(srv.url)["submitted"] == 1
+
     def test_unsupported_method_501(self):
         with serving() as srv:
             for method in ("PUT", "DELETE", "HEAD"):
@@ -941,13 +987,14 @@ def leaf_count(value):
 
 class TestHostileMetricsLabels:
     def test_task_posts_add_no_series_or_checkpoint_rows(self):
-        """The intake keys nothing on the submitting thread.  Thread
-        names exist only for in-process producers: of 40 tasks, one
-        arrives through ``Campaign.submit`` on a thread with a hostile
-        name and the rest through ``POST /tasks``.  They must add no
-        ``/metrics`` series and no checkpoint rows beyond what the first
-        one adds.  The loop's drains are held, so the tasks stay staged
-        (nothing else moves the series) until the close runs them."""
+        """The intake keys nothing on the submitting thread.  Of 40
+        tasks, one is offered through ``Campaign.submit`` on a thread
+        with a hostile name, which serving refuses (only the loop's
+        thread may submit), and the rest arrive through ``POST /tasks``.
+        They must add no ``/metrics`` series and no checkpoint rows
+        beyond what the first one adds.  The engine's steps are held, so
+        the tasks stay queued (nothing else moves the series) until the
+        close runs them."""
         backend = MemoryBackend()
         config = make_config(
             telemetry="on", expected_tasks=40, vote_source="simulated"
@@ -965,14 +1012,21 @@ class TestHostileMetricsLabels:
                 assert_valid_prometheus(body)
                 return series_keys(body), leaf_count(intake_stats)
 
-            with drains_held(campaign):
+            refused = []
+
+            def hostile_submit():
+                try:
+                    campaign.submit(tasks[1:2])
+                except RuntimeError as exc:
+                    refused.append(exc)
+
+            with steps_held(campaign):
                 http_get(srv.url + "/metrics", raw=True)
                 code, _ = http_post(srv.url + "/tasks", {"tasks": rows[:1]})
                 assert code == 202
                 first_series, first_rows = scrape()
                 hostile = threading.Thread(
-                    target=campaign.submit,
-                    args=(tasks[1:2],),
+                    target=hostile_submit,
                     name='evil"producer\nname\\with everything',
                 )
                 hostile.start()
@@ -981,12 +1035,13 @@ class TestHostileMetricsLabels:
                     code, _ = http_post(srv.url + "/tasks", {"tasks": [row]})
                     assert code == 202
                 series, checkpoint_rows = scrape()
-            assert campaign.intake_stats.submitted == 40
+            assert len(refused) == 1
+            assert campaign.intake_stats.submitted == 39
             assert series == first_series
             assert checkpoint_rows == first_rows
             assert "producer" not in " ".join(series)
             srv.server.close_intake()
-            assert srv.join().completed == 40
+            assert srv.join().completed == 39
 
     def test_unknown_paths_share_one_response_series(self):
         """Responses are labelled by route, so hostile paths cannot grow
@@ -1231,14 +1286,15 @@ class TestRetryAfterHint:
         campaign.close()
 
     def test_503_carries_the_derived_hint_both_regimes(self):
-        """A chunk that would push the intake past ``ingest_max_pending``
-        is refused whole with 503, and its ids stay free for a retry."""
+        """A chunk that would push the arrivals not yet dispatched past
+        ``ingest_max_pending`` is refused whole with 503, and its ids
+        stay free for a retry."""
         campaign = Campaign.open(
             make_pool(), make_config(ingest_max_pending=100)
         )
         over = {"tasks": [{"task_id": "late0"}, {"task_id": "late1"}]}
         with serving(campaign=campaign) as srv:
-            with drains_held(campaign) as intake:
+            with steps_held(campaign) as queue:
                 code, _ = http_post(
                     srv.url + "/tasks", {"tasks": task_rows(make_tasks(99))}
                 )
@@ -1253,7 +1309,9 @@ class TestRetryAfterHint:
                 code, headers = http_post_headers(srv.url + "/tasks", over)
                 assert code == 503
                 assert headers["Retry-After"] == "50"  # 2.0s * (100/4)
-                assert intake.pending == 99  # nothing of it staged
+                # Nothing of it queued.
+                assert queue.pending(TaskArrival) == 99
+                assert http_get(srv.url + "/status")[1]["staged"] == 99
             assert barrier_http(srv.url)["submitted"] == 99
             code, body = http_post(srv.url + "/tasks", over)
             assert code == 202 and body == {"staged": 2}

@@ -28,8 +28,8 @@ from repro.engine import (
     Campaign,
     CampaignConfig,
     EngineTask,
+    IngestionOverflow,
     IngestStats,
-    IntakeQueue,
     MemoryBackend,
     NullTelemetry,
     SQLiteBackend,
@@ -641,41 +641,40 @@ class TestIntakeAccounting:
     """IngestStats counters, their persistence, and the report line."""
 
     def test_overflow_is_counted_and_traced(self):
-        hub = Telemetry()
-        intake = IntakeQueue(max_pending=2, telemetry=hub)
-        intake.submit([EngineTask("a"), EngineTask("b")])
-        from repro.engine import IngestionOverflow
+        campaign = make_campaign(
+            num_tasks=0, expected_tasks=3, ingest_max_pending=2,
+            telemetry="on",
+        )
 
-        with pytest.raises(IngestionOverflow):
-            intake.submit([EngineTask("c")], timeout=0.01)
-        stats = intake.stats
-        assert stats.overflows == 1
-        assert stats.blocked_submits == 1
+        def job():
+            if campaign.intake_stats.submitted:
+                return
+            campaign.submit([EngineTask("a"), EngineTask("b")])
+            with pytest.raises(IngestionOverflow):
+                campaign.submit([EngineTask("c")])
+            campaign.close_intake()
+
+        campaign.serve(periodic=((1e-9, job),))
+        assert campaign.intake_stats == IngestStats(submitted=2, overflows=1)
+        hub = campaign.telemetry
         kinds = [e.kind for e in hub.trace_events()]
         assert "intake-overflow" in kinds
         counters = {
             r["name"]: r["value"] for r in hub.snapshot()["counters"]
         }
         assert counters["intake.overflows"] == 1
+        assert counters["intake.submitted"] == 2
 
     def test_ingest_stats_state_round_trip(self):
-        stats = IngestStats(
-            submitted=9,
-            drained=7,
-            drains=3,
-            peak_pending=4,
-            blocked_submits=1,
-            overflows=2,
-        )
+        stats = IngestStats(submitted=9, overflows=2)
         clone = IngestStats.from_state(
             json.loads(json.dumps(stats.state_dict()))
         )
         assert clone == stats
 
     def test_intake_stats_survive_checkpoint_resume(self):
-        """Tasks staged on the intake (as ``POST /tasks`` does) are
-        counted; the counters ride the checkpoint and keep accumulating
-        after a resume."""
+        """Tasks submitted to the intake are counted; the counters ride
+        the checkpoint and keep accumulating after a resume."""
         backend = MemoryBackend()
         rng = np.random.default_rng(31)
         pool = generate_pool(
@@ -687,20 +686,20 @@ class TestIntakeAccounting:
             backend=backend,
         )
         truths = rng.integers(0, 2, size=60)
-        campaign._ingest.intake.submit(
+        campaign.submit(
             EngineTask(f"t{i}", ground_truth=int(t))
-            for i, t in enumerate(truths)
+            for i, t in enumerate(truths[:40])
         )
         campaign.run(until=20)
         campaign.checkpoint()
-        submitted = campaign._ingest.intake.stats.submitted
-        drained = campaign._ingest.intake.stats.drained
-        assert submitted == drained == 60
+        assert campaign.intake_stats.submitted == 40
 
         resumed = Campaign.resume(backend)
-        stats = resumed._ingest.intake.stats
-        assert stats.submitted == submitted
-        assert stats.drained == drained
+        assert resumed.intake_stats.submitted == 40
+        resumed.submit(
+            EngineTask(f"t{i}", ground_truth=int(t))
+            for i, t in enumerate(truths[40:], start=40)
+        )
         resumed.run()
         assert resumed.done
         # The finished run folds intake totals into the report.
@@ -713,16 +712,7 @@ class TestRenderExtensions:
         campaign = make_campaign(7, 4)
         campaign.run()
         report = campaign.metrics.render()
-        # Nothing was staged: every task went straight to the queue.
-        assert "intake" not in report
-        staged = make_campaign(7, 4, num_tasks=0)
-        staged._ingest.intake.submit(
-            EngineTask(f"t{i}", ground_truth=i % 2) for i in range(60)
-        )
-        staged.run()
-        report = staged.metrics.render()
-        assert "intake" in report
-        assert "60 submitted" in report
+        assert "intake       : 60 submitted, 0 chunks refused" in report
         assert "seats" in report
         assert "granted" in report
         assert "cache" in report
@@ -835,16 +825,15 @@ class TestPrometheusLabelEscaping:
     def test_producer_thread_name_never_becomes_a_label(self):
         """The intake keys nothing on the submitting thread: a producer
         thread per submit must not mint a series per submit."""
-        telemetry = Telemetry()
-        queue = IntakeQueue(telemetry=telemetry)
+        campaign = make_campaign(num_tasks=0, telemetry="on")
         thread = threading.Thread(
-            target=queue.submit,
+            target=campaign.submit,
             args=([EngineTask("t0"), EngineTask("t1")],),
             name='prod"uc\ner\\1',
         )
         thread.start()
         thread.join(timeout=10)
-        text = telemetry.render_prometheus()
+        text = campaign.telemetry.render_prometheus()
         assert "producer" not in text
         assert "repro_intake_submitted_total 2" in text
         # One sample per line: no raw newline/quote survived into a

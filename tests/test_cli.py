@@ -113,12 +113,9 @@ class TestEngineCommand:
 
     @staticmethod
     def stable_lines(output):
-        """Report lines minus the wall-clock-derived and
-        run-mode-specific ones (the intake line only exists when the
-        campaign was served through the async intake queue)."""
+        """Report lines minus the wall-clock-derived one."""
         return [
-            line for line in output.splitlines()
-            if "throughput" not in line and "intake" not in line
+            line for line in output.splitlines() if "throughput" not in line
         ]
 
     def test_unsharded_run(self, capsys):
