@@ -66,7 +66,7 @@ def last_checkpoint(num_tasks: int, path) -> tuple[float, int]:
             backend._conn.total_changes - rows,
         )
 
-    campaign.engine._checkpoint_hook = timed_checkpoint
+    campaign.engine.checkpoint_hook = timed_checkpoint
     campaign.submit(
         EngineTask(f"t{i}", ground_truth=int(t))
         for i, t in enumerate(rng.integers(0, 2, size=num_tasks))

@@ -23,13 +23,13 @@ one budget, and finite worker attention".  See the module docstrings:
     with hash task routing and idle-worker rebalancing
     (``CampaignConfig(num_shards=K)``).
 ``engine``
-    :class:`CampaignEngine` — the event loop.
+    :class:`CampaignEngine` — the event loop and the one owner of its
+    state: one stepping primitive (``advance``) and its snapshot layout.
 ``ingest``
     :class:`AsyncIngestLoop` — every campaign's one intake: one submit
     route straight into the event queue, bounded while serving, and the
     ``serve()`` loop, the only concurrent one, an ``asyncio`` coroutine
-    the HTTP layer shares its thread with (``Campaign.run`` is the
-    stepping loop).
+    the HTTP layer shares its thread with.
 ``metrics``
     :class:`EngineMetrics` — throughput, realized-vs-predicted
     accuracy, spend, cache stats, per-shard/allocator snapshots.

@@ -4,7 +4,7 @@ The DB-nets line of work (Montali & Rivkin) marries an event/net
 execution layer to a relational token store, so processes survive
 restarts and share state across executors.  This module is that store
 for the campaign engine: a :class:`~repro.engine.campaign.Campaign`
-serializes its serving state — worker registry (vote histories,
+serializes its engine's state — worker registry (vote histories,
 drifted quality estimates, seats, spend), answer matrix, the
 allocator ledger, shard membership, metrics, RNG state, the shards' JQ
 caches and frontier memos, and every pending event — into a

@@ -32,13 +32,14 @@ saved.
 Shard count is a config field (``CampaignConfig(num_shards=K)``), not a
 class choice.
 
-Every campaign has one intake (:class:`~repro.engine.ingest.AsyncIngestLoop`)
-and two loops over it.  :meth:`Campaign.run` is the stepping loop on
-the caller's thread; :meth:`Campaign.serve` is the one concurrent loop,
-an ``asyncio`` coroutine the HTTP layer shares its thread with.
-:meth:`Campaign.submit` pushes a chunk straight into the event queue,
-on the thread that drives the campaign: the serve loop's own while
-``serve()`` runs.
+The engine owns its state: everything that steps it calls
+:meth:`~repro.engine.engine.CampaignEngine.advance`, and a checkpoint
+is its :meth:`~repro.engine.engine.CampaignEngine.state_dict` plus the
+journal tails and the intake totals.  Every campaign has one intake
+(:class:`~repro.engine.ingest.AsyncIngestLoop`); :meth:`Campaign.serve`
+is the one concurrent loop, an ``asyncio`` coroutine the HTTP layer
+shares its thread with.  While it runs, any other thread that submits,
+steps, checkpoints or votes gets ``RuntimeError`` and changes nothing.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ import os
 import time
 from typing import Iterable
 
-from ..core.jury import Jury
-from ..core.worker import Worker, WorkerPool
+from ..core.worker import WorkerPool
 from ..estimation import AnswerMatrix
-from ..online import OnlineDecisionSession
 from .backends import (
     SNAPSHOT_VERSION,
     BackendError,
@@ -62,12 +61,11 @@ from .backends import (
     StateBackend,
 )
 from .config import CampaignConfig
-from .engine import CampaignEngine, _TaskRuntime
-from .events import EngineTask, EventQueue, TaskArrival
+from .engine import CampaignEngine
+from .events import EngineTask
 from .ingest import AsyncIngestLoop, IngestStats
 from .leases import LeaseCoordinator
 from .metrics import EngineMetrics
-from .scheduler import Assignment
 from .state import WorkerRegistry
 from .cache import load_cache_file, save_cache_file
 
@@ -191,7 +189,6 @@ class Campaign:
                 "Campaign.resume(backend)"
             )
         self._engine: CampaignEngine | None = None
-        self._config: CampaignConfig | None = None
         self._backend: StateBackend = MemoryBackend()
         self._ingest: AsyncIngestLoop | None = None  # set by open/resume
         self._coordinator: LeaseCoordinator | None = None
@@ -200,24 +197,24 @@ class Campaign:
         # that returned (see _snapshot).
         self._marks = _NO_MARKS
 
-    def _attach_ingest(self) -> None:
-        """Give the campaign its one intake."""
+    def _attach(self, engine: CampaignEngine) -> None:
+        """Drive ``engine``: install the checkpoint hook, give the
+        campaign its one intake, and join the shared seat-lease store
+        when the config names one (``coordinate_path``): every seat the
+        engine takes acquires a cross-process lease first, so N engines
+        serving one worker pool cannot double-seat (see
+        :mod:`repro.engine.leases`)."""
+        config = engine.config
+        self._engine = engine
+        engine.checkpoint_hook = self.checkpoint
         self._ingest = AsyncIngestLoop(
-            self._engine, max_pending=self._config.ingest_max_pending
+            engine, max_pending=config.ingest_max_pending
         )
-
-    def _attach_coordinator(self) -> None:
-        """Join the shared seat-lease store when the config names one
-        (``coordinate_path``): every seat this engine takes acquires a
-        cross-process lease first, so N engines serving one worker pool
-        cannot double-seat (see :mod:`repro.engine.leases`)."""
-        if self._config.coordinate_path:
+        if config.coordinate_path:
             self._coordinator = LeaseCoordinator(
-                self._config.coordinate_path, ttl=self._config.lease_ttl
+                config.coordinate_path, ttl=config.lease_ttl
             )
-            self._engine.registry.attach_lease_coordinator(
-                self._coordinator
-            )
+            engine.registry.attach_lease_coordinator(self._coordinator)
 
     @property
     def coordinator(self) -> LeaseCoordinator | None:
@@ -243,16 +240,15 @@ class Campaign:
         when omitted.
         """
         campaign = cls(_token=_INTERNAL)
-        config = _apply_env_overrides(config)
-        campaign._config = config
-        campaign._engine = CampaignEngine(
-            pool, config, initial_quality=initial_quality
-        )
         if backend is not None:
             campaign._backend = backend
-        campaign._engine._checkpoint_hook = campaign.checkpoint
-        campaign._attach_ingest()
-        campaign._attach_coordinator()
+        campaign._attach(
+            CampaignEngine(
+                pool,
+                _apply_env_overrides(config),
+                initial_quality=initial_quality,
+            )
+        )
         return campaign
 
     @classmethod
@@ -270,13 +266,23 @@ class Campaign:
                 f"checkpoint version {version!r} is not supported "
                 f"(expected {SNAPSHOT_VERSION}, 2 or 1)"
             )
+        section = snapshot["campaign"]
+        config = CampaignConfig.from_dict(section["config"])
         campaign = cls(_token=_INTERNAL)
         campaign._backend = backend
-        campaign._restore(snapshot)
-        if upgrade is not None:
-            # The backend holds an older layout: the first save
-            # rewrites every journal.
-            campaign._marks = _NO_MARKS
+        campaign._attach(
+            CampaignEngine.from_state(snapshot, _apply_env_overrides(config))
+        )
+        # The backend holds exactly the journals just loaded — unless it
+        # holds an older layout: then the first save rewrites them all.
+        if upgrade is None:
+            campaign._marks = campaign._journal_marks()
+        intake_state = section.get("intake_stats")
+        if intake_state:
+            # The intake is rebuilt fresh; its counters are not — a
+            # resumed campaign's intake totals keep accumulating instead
+            # of silently resetting to zero.
+            campaign._ingest.stats = IngestStats.from_state(intake_state)
         return campaign
 
     def close(self) -> None:
@@ -327,34 +333,22 @@ class Campaign:
         queued — exactly what :meth:`checkpoint` then persists.
         Calling :meth:`run` again continues from the pause point.
         """
-        self._require_open()
+        self._require_owner()
         engine = self._engine
         ingest = self._ingest
         start = time.perf_counter()
-        engine._start()
-        while engine._queue and (
-            until is None or engine.metrics.completed < until
-        ):
-            engine._step()
+        engine.advance(until)
         # External-vote campaigns may only finalize once no jury still
         # awaits votes and the caller has declared the task stream over
         # (close_intake()) — otherwise this run() is just a pump.
-        if engine._queue or (
-            engine.offers is not None
-            and (engine._active or not ingest.closed)
-        ):
-            # Paused mid-campaign: fold the live gauges (peak load,
-            # cache stats, re-estimation passes) into the metrics so a
-            # paused report is not all zeros.  The finish pass
-            # overwrites them with final values, so resumed-run
-            # fingerprints are untouched.
-            engine._collect_stats()
-        else:
+        finish = not (
+            engine.queued_events
+            or engine.awaiting_votes
+            or (engine.offers is not None and not ingest.closed)
+        )
+        if finish:
             ingest.close_intake()
-            engine._finish()
-        engine.metrics.intake_stats = ingest.stats.state_dict()
-        engine.metrics.wall_seconds += time.perf_counter() - start
-        return engine.metrics
+        return engine.end_pass(start, finish, ingest.stats.state_dict())
 
     def serve(
         self, stop=None, poll: float = 0.05, periodic=(), front_end=None
@@ -381,8 +375,8 @@ class Campaign:
         engine = self._engine
         if (
             engine.scheduler is None
-            and self._config.expected_tasks is None
-            and not engine._queue
+            and self.config.expected_tasks is None
+            and not engine.queued_events
         ):
             # With no task in sight the baseline would be 1 task, and
             # the first round would be granted the whole budget.
@@ -415,6 +409,26 @@ class Campaign:
         declaration that allows :meth:`run` to finalize."""
         self._ingest.close_intake()
 
+    @property
+    def intake_closed(self) -> bool:
+        """Whether :meth:`close_intake` ran."""
+        return self._ingest.closed
+
+    @property
+    def serving(self) -> bool:
+        """Whether :meth:`serve` runs right now."""
+        return self._ingest.running
+
+    def stop(self) -> None:
+        """Pause a running :meth:`serve` from any thread or a signal
+        handler (or the next one to start, if none runs yet)."""
+        self._ingest.stop()
+
+    def wake(self) -> None:
+        """Wake an idle :meth:`serve` loop, from any thread: something
+        it should act on was queued."""
+        self._ingest.wake()
+
     def fold_intake(self) -> None:
         """Count every accepted task: step the engine until no arrival
         is left in the event queue, so ``metrics.submitted`` (and a
@@ -422,14 +436,12 @@ class Campaign:
         intake acknowledged.  For a paused campaign between :meth:`serve`
         and :meth:`checkpoint`; the steps are the ones a longer serve
         would have taken, so a resume stays fingerprint-identical."""
-        self._require_open()
+        self._require_owner()
         engine = self._engine
-        if not engine._queue.pending(TaskArrival):
-            return
-        engine._start()
-        while engine._queue.pending(TaskArrival):
-            engine._step()
-        engine._collect_stats()
+        if engine.pending_arrivals:
+            start = time.perf_counter()
+            engine.advance(arrivals=True)
+            engine.end_pass(start, finish=False)
 
     # ------------------------------------------------------------------
     # External-vote surface (vote_source="external")
@@ -440,26 +452,12 @@ class Campaign:
         (``None`` when votes are simulated)."""
         return self._engine.offers
 
-    def _pump(self) -> None:
-        """Drive the engine to a quiescent point on the caller's thread
-        (single-threaded external driving, or the serve loop's thread
-        between steps: the serve loop owns the engine while it runs)."""
-        engine = self._engine
-        engine._start()
-        while engine._queue:
-            engine._step()
-
     def _require_external(self) -> None:
         if self._engine.offers is None:
             raise RuntimeError(
                 "this campaign simulates votes "
                 "(CampaignConfig(vote_source='external') enables "
                 "assignments()/vote())"
-            )
-        if self._ingest.running:
-            raise RuntimeError(
-                "serve() owns the engine; submit assignments/votes "
-                "through the serving endpoint instead"
             )
 
     def assignments(self, worker_id: str) -> list[dict]:
@@ -468,7 +466,7 @@ class Campaign:
         tasks are seated before the worker looks for work."""
         self._require_serving()
         self._require_external()
-        self._pump()
+        self._engine.advance()
         return self._engine.offers.for_worker(worker_id)
 
     def vote(self, task_id: str, worker_id: str, vote: int) -> bool:
@@ -482,10 +480,11 @@ class Campaign:
         transports rests on that equivalence."""
         self._require_serving()
         self._require_external()
-        self._pump()
-        self._engine.offers.claim(task_id, worker_id)
-        accepted = self._engine.deliver_vote(task_id, worker_id, vote)
-        self._pump()
+        engine = self._engine
+        engine.advance()
+        engine.offers.claim(task_id, worker_id)
+        accepted = engine.deliver_vote(task_id, worker_id, vote)
+        engine.advance()
         return accepted
 
     @property
@@ -534,7 +533,7 @@ class Campaign:
         from what the backend's last save left off.  Every accepted task
         is in the event queue already, so the snapshot holds it.  (Like
         :meth:`run`, this must be called from the serving thread.)"""
-        self._require_open()
+        self._require_owner()
         self._engine.telemetry.event(
             "checkpoint", completed=self._engine.metrics.completed
         )
@@ -549,7 +548,7 @@ class Campaign:
     # ------------------------------------------------------------------
     @property
     def config(self) -> CampaignConfig:
-        return self._config
+        return self._engine.config
 
     @property
     def backend(self) -> StateBackend:
@@ -566,7 +565,7 @@ class Campaign:
     @property
     def done(self) -> bool:
         """True once the event queue has drained and finalization ran."""
-        return self._engine._finished
+        return self._engine.finished
 
     @property
     def engine(self) -> CampaignEngine:
@@ -575,7 +574,7 @@ class Campaign:
         return self._engine
 
     def render(self) -> str:
-        return self.metrics.render(budget=self._config.budget)
+        return self.metrics.render(budget=self.config.budget)
 
     # ------------------------------------------------------------------
     # Warm-cache shipping
@@ -602,8 +601,8 @@ class Campaign:
         """Warm this campaign's JQ caches from an exported file.  Call
         after :meth:`submit` (importing forces the serving stack to
         build, which fixes the expected-task pacing baseline)."""
-        self._require_open()
-        self._engine._start()
+        self._require_owner()
+        self._engine.advance(steps=0)
         return load_cache_file(path, list(self._named_caches().values()))
 
     # ------------------------------------------------------------------
@@ -613,8 +612,14 @@ class Campaign:
         if self._closed:
             raise RuntimeError("campaign is closed")
 
-    def _require_serving(self) -> None:
+    def _require_owner(self) -> None:
+        """The owner guard of every entry point that steps or writes the
+        campaign: open and, while :meth:`serve` runs, on its thread."""
         self._require_open()
+        self._ingest.require_owner()
+
+    def _require_serving(self) -> None:
+        self._require_owner()
         if self.done:
             raise RuntimeError("campaign already finished")
 
@@ -622,61 +627,21 @@ class Campaign:
     # Snapshot assembly
     # ------------------------------------------------------------------
     def _snapshot(self) -> tuple[dict, dict]:
-        """The snapshot to save — fixed-size sections whole, journal
-        tails from :attr:`_marks` on — and the marks saving it reaches.
-        Assembly is O(what changed) plus the fixed-size state."""
+        """The snapshot to save — the engine's fixed-size sections whole
+        plus the intake totals, journal tails from :attr:`_marks` on —
+        and the marks saving it reaches.  Assembly is O(what changed)
+        plus the fixed-size state."""
         engine = self._engine
         marks = self._marks
-        runtime_states = [
-            {
-                "task": rt.task.state_dict(),
-                "jury": [
-                    [w.worker_id, w.quality, w.cost]
-                    for w in rt.assignment.jury.workers
-                ],
-                "predicted_jq": rt.assignment.predicted_jq,
-                "reserved_cost": rt.assignment.reserved_cost,
-                "session": rt.session.state_dict(),
-                "sim_truth": rt.sim_truth,
-                "scored_truth": rt.scored_truth,
-                "pending_workers": list(rt.pending_workers),
-                "done": rt.done,
-            }
-            for rt in engine._active.values()
-        ]
-        campaign_section = {
-            "config": self._config.to_dict(),
-            "clock": engine._clock,
-            "expected_tasks": engine._expected_tasks,
-            "finished": engine._finished,
-            "reestimations": engine.registry.reestimations,
-            "batch": [t.state_dict() for t in engine._batch],
-            "deferred": [t.state_dict() for t in engine._deferred],
-            "active": runtime_states,
-            "queue": engine._queue.state_dict(),
-            "rng": engine._rng.bit_generator.state,
-            "metrics": engine.metrics.aggregate_state(),
-            # Observability state rides along (None when telemetry is
-            # off); restore is .get()-tolerant so snapshots predating
-            # these keys still load.
-            "telemetry": engine.telemetry.state_dict(),
-            "intake_stats": self._ingest.stats.state_dict(),
-        }
-
-        # The ledger is empty until the serving stack is built.
-        ledger = {}
-        if engine.scheduler is not None:
-            state = engine.scheduler.state_dict()
-            ledger["allocator"] = state["allocator"]
-            ledger["migrations"] = state["migrations"]
-            for shard_state in state["shards"]:
-                ledger[f"shard:{shard_state['shard_id']}"] = shard_state
-
+        state = engine.state_dict()
         snapshot = {
             "version": SNAPSHOT_VERSION,
-            "campaign": campaign_section,
-            "workers": engine.registry.worker_rows(),
-            "ledger": ledger,
+            "campaign": {
+                **state["campaign"],
+                "intake_stats": self._ingest.stats.state_dict(),
+            },
+            "workers": state["workers"],
+            "ledger": state["ledger"],
             "votes": {
                 "base": marks["votes"],
                 "rows": engine.registry.answers.arrival_rows(marks["votes"]),
@@ -688,7 +653,7 @@ class Campaign:
             "task_ids": {
                 "base": marks["task_ids"],
                 "rows": list(
-                    itertools.islice(engine._task_ids, marks["task_ids"], None)
+                    itertools.islice(engine.task_ids, marks["task_ids"], None)
                 ),
             },
             "caches": {
@@ -707,107 +672,9 @@ class Campaign:
         return {
             "votes": engine.registry.answers.num_arrivals,
             "records": len(engine.metrics.records),
-            "task_ids": len(engine._task_ids),
+            "task_ids": len(engine.task_ids),
             "caches": {
                 cache_id: cache.journal_mark
                 for cache_id, cache in self._named_caches().items()
             },
         }
-
-    def _restore(self, snapshot: dict) -> None:
-        section = snapshot["campaign"]
-        config = _apply_env_overrides(
-            CampaignConfig.from_dict(section["config"])
-        )
-        registry = WorkerRegistry.from_rows(
-            snapshot["workers"],
-            AnswerMatrix.from_arrival_rows(snapshot["votes"]["rows"]),
-            section["reestimations"],
-        )
-        engine = CampaignEngine(registry.original_pool(), config)
-        engine.registry = registry
-        engine._clock = float(section["clock"])
-        expected = section["expected_tasks"]
-        engine._expected_tasks = None if expected is None else int(expected)
-        engine._finished = bool(section["finished"])
-        engine._task_ids = dict.fromkeys(snapshot["task_ids"]["rows"])
-        engine._batch = [
-            EngineTask.from_state(t) for t in section["batch"]
-        ]
-        engine._deferred = [
-            EngineTask.from_state(t) for t in section["deferred"]
-        ]
-        engine._queue = EventQueue.from_state(section["queue"])
-        engine._rng.bit_generator.state = section["rng"]
-        engine.metrics = EngineMetrics.from_state(
-            {**section["metrics"], "records": snapshot["records"]["rows"]}
-        )
-        engine._ran = True  # the facade owns the loop from here on
-        engine._active = {}
-        for rt_state in section["active"]:
-            task = EngineTask.from_state(rt_state["task"])
-            jury = Jury(
-                Worker(wid, float(q), float(c))
-                for wid, q, c in rt_state["jury"]
-            )
-            scored = rt_state["scored_truth"]
-            runtime = _TaskRuntime(
-                task=task,
-                assignment=Assignment(
-                    task,
-                    jury,
-                    float(rt_state["predicted_jq"]),
-                    float(rt_state["reserved_cost"]),
-                ),
-                session=OnlineDecisionSession.from_state(
-                    rt_state["session"]
-                ),
-                sim_truth=int(rt_state["sim_truth"]),
-                scored_truth=None if scored is None else int(scored),
-                pending_workers=list(rt_state["pending_workers"]),
-                done=bool(rt_state["done"]),
-            )
-            engine._active[task.task_id] = runtime
-        if engine.offers is not None:
-            # The offer book is derived state: every live task's
-            # not-yet-voted seats are exactly its open offers.  Rebuild
-            # in snapshot order so resumed fleets see a deterministic
-            # book.
-            for runtime in engine._active.values():
-                if not runtime.done and runtime.pending_workers:
-                    engine.offers.publish(
-                        runtime.task.task_id,
-                        runtime.pending_workers,
-                        prior=runtime.task.prior,
-                    )
-
-        ledger = snapshot["ledger"]
-        if ledger:
-            engine._start()  # honors the restored _expected_tasks
-            engine.scheduler.load_state(
-                {
-                    "allocator": ledger["allocator"],
-                    "migrations": ledger["migrations"],
-                    "shards": [
-                        ledger[f"shard:{k}"] for k in range(config.num_shards)
-                    ],
-                }
-            )
-            for shard in engine.scheduler.shards:
-                shard.cache.load_state(
-                    snapshot["caches"][f"shard:{shard.shard_id}"]
-                )
-        engine.telemetry.load_state(section.get("telemetry"))
-        self._config = config
-        self._engine = engine
-        engine._checkpoint_hook = self.checkpoint
-        # The backend holds exactly the journals just loaded.
-        self._marks = self._journal_marks()
-        self._attach_ingest()
-        self._attach_coordinator()
-        intake_state = section.get("intake_stats")
-        if intake_state:
-            # The intake is rebuilt fresh; its counters are not — a
-            # resumed campaign's intake totals keep accumulating instead
-            # of silently resetting to zero.
-            self._ingest.stats = IngestStats.from_state(intake_state)

@@ -31,6 +31,11 @@ Runs are reproducible: event order is ``(logical time, enqueue
 serial)``, all randomness flows through one seeded generator consumed
 in pop order, and wall-clock time is only ever *measured* (for the
 throughput metric), never branched on.
+
+The engine is the one owner of its state: every loop steps it
+through :meth:`CampaignEngine.advance` and ends a pass with
+:meth:`CampaignEngine.end_pass`; :meth:`CampaignEngine.state_dict` and
+:meth:`CampaignEngine.from_state` are its snapshot layout.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.worker import WorkerPool
+from ..core.jury import Jury
+from ..core.worker import Worker, WorkerPool
+from ..estimation import AnswerMatrix
 from ..online import OnlineDecisionSession
 from .config import CampaignConfig
 from .events import (
@@ -71,9 +78,45 @@ class _TaskRuntime:
     assignment: Assignment
     session: OnlineDecisionSession
     sim_truth: int  # vote-generating latent truth (drawn when unknown)
-    scored_truth: int | None  # only set when the caller supplied it
     pending_workers: list[str] = field(default_factory=list)
     done: bool = False
+
+    def state_dict(self) -> dict:
+        assignment = self.assignment
+        return {
+            "task": self.task.state_dict(),
+            "jury": [
+                [w.worker_id, w.quality, w.cost]
+                for w in assignment.jury.workers
+            ],
+            "predicted_jq": assignment.predicted_jq,
+            "reserved_cost": assignment.reserved_cost,
+            "session": self.session.state_dict(),
+            "sim_truth": self.sim_truth,
+            "scored_truth": self.task.ground_truth,
+            "pending_workers": list(self.pending_workers),
+            "done": self.done,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "_TaskRuntime":
+        task = EngineTask.from_state(state["task"])
+        jury = Jury(
+            Worker(wid, float(q), float(c)) for wid, q, c in state["jury"]
+        )
+        return cls(
+            task=task,
+            assignment=Assignment(
+                task,
+                jury,
+                float(state["predicted_jq"]),
+                float(state["reserved_cost"]),
+            ),
+            session=OnlineDecisionSession.from_state(state["session"]),
+            sim_truth=int(state["sim_truth"]),
+            pending_workers=list(state["pending_workers"]),
+            done=bool(state["done"]),
+        )
 
 
 class CampaignEngine:
@@ -100,14 +143,18 @@ class CampaignEngine:
         config: CampaignConfig,
         initial_quality: float | dict[str, float] | None = None,
     ) -> None:
-        self.config = config
-        self.registry = WorkerRegistry(
+        registry = WorkerRegistry(
             pool, capacity=config.capacity, initial_quality=initial_quality
         )
-        if config.num_shards > len(self.registry):
+        self._setup(config, registry)
+
+    def _setup(self, config: CampaignConfig, registry: WorkerRegistry) -> None:
+        self.config = config
+        self.registry = registry
+        if config.num_shards > len(registry):
             raise ValueError(
                 f"num_shards ({config.num_shards}) cannot exceed the "
-                f"pool size ({len(self.registry)})"
+                f"pool size ({len(registry)})"
             )
         self.metrics = EngineMetrics()
         self.telemetry = (
@@ -134,9 +181,10 @@ class CampaignEngine:
         self._clock = 0.0
         self._expected_tasks: int | None = None
         self._ran = False
-        self._finished = False
-        # Set by the Campaign facade; drives config.checkpoint_every.
-        self._checkpoint_hook = None
+        self.finished = False  # set once a pass finalized the campaign
+        #: Called every ``config.checkpoint_every`` completions (the
+        #: Campaign facade installs its ``checkpoint``).
+        self.checkpoint_hook = None
         # Observed scheduler-admit wall latency (EWMA, seconds); feeds
         # the server's 503 Retry-After hint.
         self.admit_latency_ewma: float | None = None
@@ -176,16 +224,72 @@ class CampaignEngine:
         if self._ran:
             raise RuntimeError("a CampaignEngine instance runs one campaign")
         self._ran = True
-        self._start()
         start = time.perf_counter()
-        while self._queue:
-            self._step()
-        self._finish()
-        self.metrics.wall_seconds += time.perf_counter() - start
-        return self.metrics
+        self.advance()
+        return self.end_pass(start, finish=True)
 
-    # Lifecycle primitives — the resumable surface the Campaign facade
-    # drives (run() above is the classic one-shot composition of them).
+    def advance(
+        self,
+        until: int | None = None,
+        *,
+        arrivals: bool = False,
+        steps: int | None = None,
+    ) -> None:
+        """The one stepping primitive: build the serving stack if needed,
+        then dispatch events in ``(time, seq)`` order until the queue
+        drains or a stop condition holds — at least ``until`` tasks
+        completed, no task arrival left queued (``arrivals=True``), or
+        ``steps`` events dispatched (``steps=0`` only builds the
+        stack).  Loop thread only."""
+        self._start()
+        queue = self._queue
+        metrics = self.metrics
+        stepped = 0
+        while queue and not (
+            (until is not None and metrics.completed >= until)
+            or (arrivals and not queue.pending(TaskArrival))
+            or (steps is not None and stepped >= steps)
+        ):
+            self._step()
+            stepped += 1
+
+    def end_pass(
+        self, started: float, finish: bool, intake_stats: dict | None = None
+    ) -> EngineMetrics:
+        """End a pass begun at ``perf_counter()`` time ``started``:
+        finalize (``finish``; idempotent — every task still deferred
+        could never be seated and answers its prior) or pause, then fold
+        the live gauges into the metrics (so a paused report is not all
+        zeros), stamp ``intake_stats`` when given, add the wall time."""
+        metrics = self.metrics
+        if not (finish and self.finished):  # final gauges stay final
+            if finish:
+                if self.awaiting_votes:
+                    raise RuntimeError(
+                        f"cannot finalize: {len(self._active)} task(s) "
+                        "still await external votes — deliver them or "
+                        "keep serving"
+                    )
+                self.finished = True
+                for task in self._deferred:
+                    metrics.record_task(self._unfunded_record(task))
+                self._deferred = []
+            registry = self.registry
+            scheduler = self.scheduler
+            metrics.peak_worker_load = registry.peak_load
+            if scheduler is not None:
+                metrics.cache_stats = scheduler.merged_cache_stats()
+                metrics.shard_snapshots = scheduler.shard_snapshots()
+                metrics.allocator_snapshot = scheduler.allocator.snapshot()
+            metrics.reestimations = registry.reestimations
+            if registry.reestimations:
+                metrics.quality_estimation_error = registry.estimation_error()
+        if intake_stats is not None:
+            metrics.intake_stats = intake_stats
+        metrics.wall_seconds += time.perf_counter() - started
+        return metrics
+
+    # The one-event primitives under advance() (perfbench times _step).
     def _start(self) -> None:
         """Build the scheduler on first use (idempotent).  A restored
         campaign arrives with ``_expected_tasks`` already pinned — the
@@ -209,25 +313,39 @@ class CampaignEngine:
         self._clock = max(self._clock, event.time)
         self._dispatch(event)
 
-    def _finish(self) -> None:
-        """Finalize once the queue has drained (idempotent).
+    # ------------------------------------------------------------------
+    # Public reads
+    # ------------------------------------------------------------------
+    @property
+    def queued_events(self) -> int:
+        """Events waiting in the queue."""
+        return len(self._queue)
 
-        Anything still deferred when the queue drains could never be
-        seated (pathological capacity/budget starvation): answer the
-        prior rather than drop the task on the floor.
-        """
-        if self._finished:
-            return
-        if self.offers is not None and self._active:
-            raise RuntimeError(
-                f"cannot finalize: {len(self._active)} task(s) still "
-                "await external votes — deliver them or keep serving"
-            )
-        self._finished = True
-        for task in self._deferred:
-            self._finalize_unfunded(task)
-        self._deferred = []
-        self._collect_stats()
+    @property
+    def pending_arrivals(self) -> int:
+        """Task arrivals not yet dispatched (what the intake's
+        backpressure bound counts)."""
+        return self._queue.pending(TaskArrival)
+
+    @property
+    def active_tasks(self) -> int:
+        """Tasks seated and not yet completed."""
+        return len(self._active)
+
+    @property
+    def deferred_tasks(self) -> int:
+        """Tasks waiting for capacity or budget."""
+        return len(self._deferred)
+
+    @property
+    def awaiting_votes(self) -> bool:
+        """Whether a seated jury still owes external votes."""
+        return self.offers is not None and bool(self._active)
+
+    @property
+    def task_ids(self):
+        """Every task id taken, in submission order (a read-only view)."""
+        return self._task_ids.keys()
 
     def _telemetry_gauges(self):
         """Pull-based gauges for the telemetry snapshot (collector: read
@@ -254,20 +372,94 @@ class CampaignEngine:
         for reason, count in reasons.items():
             yield "engine.tasks_completed", {"reason": reason}, count
 
-    def _collect_stats(self) -> None:
-        """Fold end-of-run state into the metrics: the merge of the
-        shard caches' stats plus the shard and allocator snapshots."""
-        self.metrics.peak_worker_load = self.registry.peak_load
+    # ------------------------------------------------------------------
+    # Snapshot layout
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """The engine's fixed-size state as snapshot sections:
+        ``campaign`` (the loop state), ``workers`` and ``ledger`` (empty
+        until the serving stack is built).  The facade cuts the journals
+        — votes, records, :attr:`task_ids`, JQ-cache entries — from its
+        own marks."""
         scheduler = self.scheduler
-        if scheduler is not None:
-            self.metrics.cache_stats = scheduler.merged_cache_stats()
-            self.metrics.shard_snapshots = scheduler.shard_snapshots()
-            self.metrics.allocator_snapshot = scheduler.allocator.snapshot()
-        self.metrics.reestimations = self.registry.reestimations
-        if self.registry.reestimations:
-            self.metrics.quality_estimation_error = (
-                self.registry.estimation_error()
-            )
+        return {
+            "campaign": {
+                "config": self.config.to_dict(),
+                "clock": self._clock,
+                "expected_tasks": self._expected_tasks,
+                "finished": self.finished,
+                "reestimations": self.registry.reestimations,
+                "batch": [t.state_dict() for t in self._batch],
+                "deferred": [t.state_dict() for t in self._deferred],
+                "active": [rt.state_dict() for rt in self._active.values()],
+                "queue": self._queue.state_dict(),
+                "rng": self._rng.bit_generator.state,
+                "metrics": self.metrics.aggregate_state(),
+                # None when telemetry is off; restore is .get()-tolerant
+                # so snapshots predating the key still load.
+                "telemetry": self.telemetry.state_dict(),
+            },
+            "workers": self.registry.worker_rows(),
+            "ledger": {} if scheduler is None else scheduler.state_dict(),
+        }
+
+    @classmethod
+    def from_state(
+        cls, snapshot: dict, config: CampaignConfig
+    ) -> "CampaignEngine":
+        """Rebuild an engine from a version-3 snapshot with whole
+        journals (what a backend loads), serving under ``config``; its
+        one-shot :meth:`run` is spent."""
+        section = snapshot["campaign"]
+        engine = cls.__new__(cls)
+        engine._setup(
+            config,
+            WorkerRegistry.from_rows(
+                snapshot["workers"],
+                AnswerMatrix.from_arrival_rows(snapshot["votes"]["rows"]),
+                section["reestimations"],
+            ),
+        )
+        engine._clock = float(section["clock"])
+        expected = section["expected_tasks"]
+        engine._expected_tasks = None if expected is None else int(expected)
+        engine.finished = bool(section["finished"])
+        engine._task_ids = dict.fromkeys(snapshot["task_ids"]["rows"])
+        engine._batch = [EngineTask.from_state(t) for t in section["batch"]]
+        engine._deferred = [
+            EngineTask.from_state(t) for t in section["deferred"]
+        ]
+        engine._queue = EventQueue.from_state(section["queue"])
+        engine._rng.bit_generator.state = section["rng"]
+        engine.metrics = EngineMetrics.from_state(
+            {**section["metrics"], "records": snapshot["records"]["rows"]}
+        )
+        engine._ran = True
+        for rt_state in section["active"]:
+            runtime = _TaskRuntime.from_state(rt_state)
+            engine._active[runtime.task.task_id] = runtime
+        if engine.offers is not None:
+            # The offer book is derived state: every live task's
+            # not-yet-voted seats are exactly its open offers.  Rebuild
+            # in snapshot order so resumed fleets see a deterministic
+            # book.
+            for runtime in engine._active.values():
+                if not runtime.done and runtime.pending_workers:
+                    engine.offers.publish(
+                        runtime.task.task_id,
+                        runtime.pending_workers,
+                        prior=runtime.task.prior,
+                    )
+        ledger = snapshot["ledger"]
+        if ledger:
+            engine._start()  # honors the restored _expected_tasks
+            engine.scheduler.load_state(ledger)
+            for shard in engine.scheduler.shards:
+                shard.cache.load_state(
+                    snapshot["caches"][f"shard:{shard.shard_id}"]
+                )
+        engine.telemetry.load_state(section.get("telemetry"))
+        return engine
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -340,7 +532,6 @@ class CampaignEngine:
             assignment=assignment,
             session=session,
             sim_truth=truth,
-            scored_truth=task.ground_truth,
             pending_workers=[],
         )
         self._active[task.task_id] = runtime
@@ -465,8 +656,8 @@ class CampaignEngine:
                     votes_used=session.votes_used,
                     reason=event.reason,
                     correct=None
-                    if runtime.scored_truth is None
-                    else (answer == runtime.scored_truth),
+                    if runtime.task.ground_truth is None
+                    else (answer == runtime.task.ground_truth),
                 )
             )
 
@@ -490,14 +681,10 @@ class CampaignEngine:
         ckpt_every = self.config.checkpoint_every
         if (
             ckpt_every
-            and self._checkpoint_hook is not None
+            and self.checkpoint_hook is not None
             and self.metrics.completed % ckpt_every == 0
         ):
-            self._checkpoint_hook()
-
-    def _finalize_unfunded(self, task: EngineTask) -> None:
-        """Terminal fallback for tasks that never found a seat."""
-        self.metrics.record_task(self._unfunded_record(task))
+            self.checkpoint_hook()
 
     @staticmethod
     def _unfunded_record(task: EngineTask) -> TaskRecord:

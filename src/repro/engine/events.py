@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..core.task import UNINFORMATIVE_PRIOR, validate_prior
 
@@ -176,9 +176,6 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def __iter__(self) -> Iterator[Event]:  # pragma: no cover - debugging aid
-        return (event for _, _, event in sorted(self._heap))
 
     # ------------------------------------------------------------------
     # Persistence

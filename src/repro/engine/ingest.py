@@ -12,9 +12,10 @@ event in ``(time, seq)`` order, and one thread feeds it.
   ``RuntimeError``, and a chunk that would push the arrivals not yet
   dispatched past ``max_pending`` is refused whole.
 * :meth:`AsyncIngestLoop.serve_async` is the one concurrent loop, an
-  ``asyncio`` coroutine that yields between engine steps, so the HTTP
-  layer answers requests on the same thread.  ``Campaign.run`` is the
-  stepping loop.
+  ``asyncio`` coroutine that advances the engine one event at a time
+  and yields between events, so the HTTP layer answers requests on the
+  same thread.  :meth:`AsyncIngestLoop.require_owner` guards it: while
+  it serves, only its thread may drive the campaign.
 * :class:`AssignmentBook` — the open external-vote offers.
 
 Nothing is staged between a submit and the event queue, so a chunk
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 from ..core.exceptions import ReproError
-from .events import EngineTask, TaskArrival
+from .events import EngineTask
 from .metrics import EngineMetrics
 
 
@@ -121,9 +122,6 @@ class AssignmentBook:
         # worker id -> {task id -> offer row}; rows are plain dicts so
         # the HTTP layer can serialize them without translation.
         self._by_worker: dict[str, dict[str, dict]] = {}
-        self.published = 0
-        self.claimed = 0
-        self.revoked = 0
 
     def publish(self, task_id: str, worker_ids, prior: float) -> None:
         for worker_id in worker_ids:
@@ -132,7 +130,6 @@ class AssignmentBook:
                 "worker_id": worker_id,
                 "prior": prior,
             }
-            self.published += 1
 
     def claim(self, task_id: str, worker_id: str) -> dict:
         """Close the (task, worker) offer and return its row; raises
@@ -146,22 +143,15 @@ class AssignmentBook:
             )
         if not offers:
             del self._by_worker[worker_id]
-        self.claimed += 1
         return row
 
-    def revoke_task(self, task_id: str) -> int:
+    def revoke_task(self, task_id: str) -> None:
         """Close every remaining offer for a completed task (early stop
-        releases seats whose votes are no longer needed).  Returns the
-        number revoked."""
-        revoked = 0
+        releases seats whose votes are no longer needed)."""
         for worker_id in list(self._by_worker):
             offers = self._by_worker[worker_id]
-            if offers.pop(task_id, None) is not None:
-                revoked += 1
-                if not offers:
-                    del self._by_worker[worker_id]
-        self.revoked += revoked
-        return revoked
+            if offers.pop(task_id, None) is not None and not offers:
+                del self._by_worker[worker_id]
 
     def for_worker(self, worker_id: str) -> list[dict]:
         """The worker's open offers, oldest first (dicts are copies —
@@ -182,12 +172,6 @@ class AssignmentBook:
     @property
     def open_count(self) -> int:
         return sum(len(offers) for offers in self._by_worker.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AssignmentBook({self.open_count} open, "
-            f"{self.claimed} claimed, {self.revoked} revoked)"
-        )
 
 
 class AsyncIngestLoop:
@@ -214,9 +198,7 @@ class AsyncIngestLoop:
 
     def _telemetry_gauges(self):
         """The arrivals the backpressure bound counts (collector)."""
-        yield "intake.depth", {}, float(
-            self.engine._queue.pending(TaskArrival)
-        )
+        yield "intake.depth", {}, float(self.engine.pending_arrivals)
 
     def _telemetry_counters(self):
         """The intake's own tallies as counters (collector)."""
@@ -239,20 +221,15 @@ class AsyncIngestLoop:
         dispatched past :attr:`max_pending` raises
         :class:`IngestionOverflow`; either changes nothing.
         """
-        owner = self._owner
-        if owner is not None and owner != threading.get_ident():
-            raise RuntimeError(
-                "serve() owns the engine; submit on its thread (a periodic "
-                "job) or through the serving endpoint instead"
-            )
+        self.require_owner()
         if self.closed:
             raise IngestionClosed(
                 "intake is closed; the campaign is no longer accepting tasks"
             )
         engine = self.engine
-        if owner is not None:
+        if self._owner is not None:
             tasks = list(tasks)
-            pending = engine._queue.pending(TaskArrival)
+            pending = engine.pending_arrivals
             if pending + len(tasks) > self.max_pending:
                 self.stats.overflows += 1
                 engine.telemetry.event("intake-overflow", pending=pending)
@@ -278,6 +255,16 @@ class AsyncIngestLoop:
     def running(self) -> bool:
         """Whether :meth:`serve_async` owns the engine right now."""
         return self._owner is not None
+
+    def require_owner(self) -> None:
+        """The owner guard: while :meth:`serve_async` runs, raise
+        ``RuntimeError`` on any thread but the loop's."""
+        owner = self._owner
+        if owner is not None and owner != threading.get_ident():
+            raise RuntimeError(
+                "serve() owns the engine; drive the campaign on its thread "
+                "(a periodic job) or through the serving endpoint instead"
+            )
 
     def wake(self) -> None:
         """Wake a parked :meth:`serve_async` loop (any thread, signal
@@ -341,7 +328,7 @@ class AsyncIngestLoop:
         start = time.perf_counter()
         finished = False
         try:
-            engine._start()
+            engine.advance(steps=0)
             while not (
                 self._stop_requested or (stop is not None and stop.is_set())
             ):
@@ -351,15 +338,11 @@ class AsyncIngestLoop:
                         if now - job[2] >= job[0]:
                             job[2] = now
                             job[1]()
-                if engine._queue:
-                    engine._step()
+                if engine.queued_events:
+                    engine.advance(steps=1)
                     await asyncio.sleep(0)
                     continue
-                # Finished once the intake is closed and no seated jury
-                # owes votes.
-                if self.closed and not (
-                    engine.offers is not None and engine._active
-                ):
+                if self.closed and not engine.awaiting_votes:
                     finished = True
                     break
                 # Idle: nothing queued.  A wake-up scheduled before this
@@ -369,14 +352,8 @@ class AsyncIngestLoop:
                     await asyncio.wait_for(wake.wait(), poll)
                 except asyncio.TimeoutError:
                     pass
-            if finished:
-                engine._finish()
-            else:
-                engine._collect_stats()
+            return engine.end_pass(start, finished, self.stats.state_dict())
         finally:
-            engine.metrics.intake_stats = self.stats.state_dict()
-            engine.metrics.wall_seconds += time.perf_counter() - start
             self._owner = None
             self._waker = None
             self._stop_requested = False
-        return engine.metrics

@@ -65,7 +65,7 @@ from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from .campaign import Campaign
-from .events import EngineTask, TaskArrival
+from .events import EngineTask
 from .ingest import IngestionOverflow, NoOpenOffer
 from .metrics import EngineMetrics
 
@@ -243,7 +243,7 @@ class CampaignServer:
         checkpoint afterwards, resume later), from any thread or a
         signal handler.  Does not close the intake — tasks accepted
         before the pause are checkpointed."""
-        self.campaign._ingest.stop()
+        self.campaign.stop()
 
     def close_intake(self, stop: bool = False) -> None:
         """Stop accepting tasks; with ``stop=True`` also pause the loop
@@ -271,8 +271,8 @@ class CampaignServer:
         0 and queued_events == 0 and pending_commands == 0``."""
         campaign = self.campaign
         engine = campaign.engine
-        ingest = campaign._ingest
-        queued_events = len(engine._queue)
+        serving = campaign.serving
+        queued_events = engine.queued_events
         metrics = engine.metrics
         offers = engine.offers
         coordinator = campaign.coordinator
@@ -284,8 +284,8 @@ class CampaignServer:
             "coordinated": coordinator is not None,
             "lease_owner": None if coordinator is None else coordinator.owner,
             "lease_epoch": None if coordinator is None else coordinator.epoch,
-            "serving": ingest.running,
-            "idle": ingest.running and not queued_events,
+            "serving": serving,
+            "idle": serving and not queued_events,
             "done": campaign.done,
             "vote_source": campaign.config.vote_source,
             "num_shards": campaign.config.num_shards,
@@ -293,11 +293,11 @@ class CampaignServer:
             "completed": metrics.completed,
             "votes_cast": metrics.votes_cast,
             "votes_cancelled": metrics.votes_cancelled,
-            "active": len(engine._active),
-            "deferred": len(engine._deferred),
+            "active": engine.active_tasks,
+            "deferred": engine.deferred_tasks,
             "queued_events": queued_events,
-            "staged": engine._queue.pending(TaskArrival),
-            "intake_closed": ingest.closed,
+            "staged": engine.pending_arrivals,
+            "intake_closed": campaign.intake_closed,
             "open_offers": None if offers is None else offers.open_count,
             "pending_commands": 0,
             "uptime_seconds": time.monotonic() - self._started,
@@ -361,7 +361,7 @@ class CampaignServer:
         it against.  A step that raises ends serving, as it would inside
         the loop: :meth:`serve` re-raises it."""
         try:
-            self.campaign._pump()
+            self.campaign.engine.advance()
         except BaseException as exc:
             self._failure = exc
             self.stop()
@@ -376,7 +376,7 @@ class CampaignServer:
         campaign.offers.claim(task_id, worker_id)
         applied = campaign.engine.deliver_vote(task_id, worker_id, vote)
         # The vote may have queued a completion: wake an idle loop.
-        campaign._ingest.wake()
+        campaign.wake()
         return {"applied": bool(applied)}
 
     def checkpoint(self) -> dict:

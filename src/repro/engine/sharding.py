@@ -202,12 +202,6 @@ class ShardRegistryView:
     def quality_mass(self, available_only: bool = True) -> float:
         return quality_mass(self.states, available_only=available_only)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardRegistryView({len(self)} members, "
-            f"{self.active_seats}/{self.total_capacity} seats)"
-        )
-
 
 class BudgetAllocator:
     """The campaign's one budget ledger.
@@ -378,12 +372,6 @@ class BudgetAllocator:
             refunded=self._refunded,
             reabsorbed=self._reabsorbed,
             rounds=self._rounds,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BudgetAllocator(budget={self.budget:g}, "
-            f"reserved={self._reserved:.3g}, refunded={self._refunded:.3g})"
         )
 
 
@@ -660,35 +648,32 @@ class ShardedScheduler:
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Allocator ledger, per-shard membership, migrations, and each
-        shard scheduler's own state (the caches travel separately)."""
-        return {
+        """A snapshot's ledger section: the allocator ledger, the
+        migration count and, under ``"shard:<id>"``, each shard's
+        membership, migrations, grant and scheduler state (the caches
+        travel separately)."""
+        ledger = {
             "allocator": self.allocator.state_dict(),
             "migrations": self.migrations,
-            "shards": [
-                {
-                    "shard_id": shard.shard_id,
-                    "member_ids": list(shard.view.member_ids),
-                    "migrations_in": shard.migrations_in,
-                    "migrations_out": shard.migrations_out,
-                    "granted": shard.granted,
-                    "scheduler": shard.scheduler.state_dict(),
-                }
-                for shard in self.shards
-            ],
         }
+        for shard in self.shards:
+            ledger[f"shard:{shard.shard_id}"] = {
+                "shard_id": shard.shard_id,
+                "member_ids": list(shard.view.member_ids),
+                "migrations_in": shard.migrations_in,
+                "migrations_out": shard.migrations_out,
+                "granted": shard.granted,
+                "scheduler": shard.scheduler.state_dict(),
+            }
+        return ledger
 
     def load_state(self, state: Mapping) -> None:
         """Restore onto a freshly constructed sharded scheduler (same
         registry, config, and shard count)."""
         self.allocator.load_state(state["allocator"])
         self.migrations = int(state["migrations"])
-        if len(state["shards"]) != len(self.shards):
-            raise ValueError(
-                f"checkpoint has {len(state['shards'])} shards; "
-                f"this scheduler was built with {len(self.shards)}"
-            )
-        for shard, shard_state in zip(self.shards, state["shards"]):
+        for shard in self.shards:
+            shard_state = state[f"shard:{shard.shard_id}"]
             shard.view.set_members(shard_state["member_ids"])
             shard.migrations_in = int(shard_state["migrations_in"])
             shard.migrations_out = int(shard_state["migrations_out"])
@@ -706,9 +691,3 @@ class ShardedScheduler:
         for shard in self.shards:
             merged = merged.merge(shard.cache.stats)
         return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedScheduler({len(self.shards)} shards, "
-            f"migrations={self.migrations})"
-        )

@@ -380,14 +380,6 @@ class WorkerRegistry:
         registry.reestimations = int(reestimations)
         return registry
 
-    def original_pool(self) -> WorkerPool:
-        """The pool the registry was built from: true (vote-generating)
-        qualities in registry order."""
-        return WorkerPool(
-            Worker(s.worker.worker_id, s.true_quality, s.worker.cost)
-            for s in self._states.values()
-        )
-
     def estimation_error(self) -> float:
         """Mean absolute gap between estimated and true qualities — the
         quantity re-estimation should shrink in simulations."""
@@ -396,10 +388,3 @@ class WorkerRegistry:
             for s in self._states.values()
         ]
         return float(np.mean(gaps))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        active = sum(s.load for s in self._states.values())
-        return (
-            f"WorkerRegistry(n={len(self)}, active_seats={active}, "
-            f"spend={self.total_spend:.3g})"
-        )

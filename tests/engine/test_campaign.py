@@ -256,7 +256,7 @@ class TestLifecycle:
         chunk, a stamp that overflows to inf, a non-task) queues none
         of its arrivals and takes none of its ids."""
         campaign = make_campaign()
-        queued = len(campaign.engine._queue)
+        queued = campaign.engine.queued_events
         for chunk, stamps in (
             ([EngineTask("a"), EngineTask("a")], {}),
             (
@@ -267,7 +267,7 @@ class TestLifecycle:
         ):
             with pytest.raises((TypeError, ValueError)):
                 campaign.submit(chunk, **stamps)
-            assert len(campaign.engine._queue) == queued
+            assert campaign.engine.queued_events == queued
         campaign.submit(
             [EngineTask("a", ground_truth=1), EngineTask("b", ground_truth=0)]
         )

@@ -377,6 +377,98 @@ def test_foreign_thread_submit_during_serve_raises_and_changes_nothing():
     assert campaign._ingest.running is False
 
 
+@pytest.mark.parametrize(
+    "call", ["run", "fold_intake", "checkpoint", "import_cache"]
+)
+def test_foreign_thread_driving_during_serve_raises_and_changes_nothing(
+    call, tmp_path
+):
+    """While an external-vote serve() runs, only its own thread may step
+    or write the campaign: ``run()``, ``fold_intake()``, ``checkpoint()``
+    and ``import_cache()`` from another thread raise ``RuntimeError``
+    and leave the metrics, the event queue, the task ids, the JQ
+    caches, the backend and the ``/metrics`` text as they were.  The
+    loop thread waits in a job for the foreign call, so nothing else
+    moves while it is checked."""
+    warm = make_campaign()
+    warm.submit(tasks(20))
+    warm.run()
+    cache_file = tmp_path / "warm.json"
+    assert warm.export_cache(cache_file) > 0
+
+    campaign = make_campaign(
+        num_tasks=10, telemetry="on", vote_source="external"
+    )
+    campaign.submit(tasks(10))
+    engine = campaign.engine
+    calls = {
+        "run": campaign.run,
+        "fold_intake": campaign.fold_intake,
+        "checkpoint": campaign.checkpoint,
+        "import_cache": lambda: campaign.import_cache(cache_file),
+    }
+    errors, checked = [], []
+    stop = threading.Event()
+
+    def state():
+        metrics = engine.metrics
+        return (
+            metrics.fingerprint(),
+            metrics.submitted,
+            engine.queued_events,
+            engine.pending_arrivals,
+            list(engine.task_ids),
+            [len(shard.cache) for shard in engine.scheduler.shards],
+            campaign.backend.exists(),
+            campaign.intake_stats.state_dict(),
+            campaign.telemetry.render_prometheus(),
+        )
+
+    def foreign():
+        try:
+            calls[call]()
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    def job():
+        if checked:
+            return
+        before = state()
+        thread = threading.Thread(target=foreign)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        checked.append(before == state())
+        stop.set()
+
+    serve_with_job(campaign, job, stop=stop)
+    assert checked == [True]
+    assert len(errors) == 1 and "serve() owns the engine" in str(errors[0])
+    assert not campaign.done
+    # Once serve() returned, the caller's thread drives the campaign.
+    calls[call]()
+
+
+def test_a_loop_thread_job_may_vote_during_serve():
+    """The owner guard refuses other threads only: a periodic job on the
+    serve loop's own thread drives the external-vote surface
+    (``assignments()`` and ``vote()``) as an in-process caller does, and
+    the campaign finishes once every jury has its votes."""
+    campaign = make_campaign(num_tasks=10, vote_source="external")
+    campaign.submit(tasks(10))
+    campaign.close_intake()
+    workers = sorted(campaign.registry.worker_ids)
+
+    def job():
+        for worker_id in workers:
+            for row in campaign.assignments(worker_id):
+                campaign.vote(row["task_id"], worker_id, 1)
+
+    metrics = serve_with_job(campaign, job)
+    assert campaign.done
+    assert metrics.completed == metrics.submitted == 10
+
+
 def test_periodic_jobs_keep_their_own_cadence_through_a_long_poll():
     """Each ``(interval, fn)`` job runs once its own interval passed,
     and the idle sleep is clamped to the shortest one: a 5 s poll must

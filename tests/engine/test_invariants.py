@@ -46,7 +46,6 @@ from repro.engine import (
     IngestionOverflow,
     MemoryBackend,
     SQLiteBackend,
-    TaskArrival,
 )
 from repro.engine import sharding
 from repro.simulation import SyntheticPoolConfig, generate_pool
@@ -486,12 +485,12 @@ def serve_with_producers(loop, tasks, producers=4, chunk=2):
         for stream in streams
         if stream[k : k + chunk]
     ]
-    queue = loop.engine._queue
+    engine = loop.engine
     refused = 0
 
     def producer_pass():
         nonlocal refused
-        assert queue.pending(TaskArrival) <= loop.max_pending
+        assert engine.pending_arrivals <= loop.max_pending
         if not chunks:
             return
         start, batch = chunks[0]

@@ -30,7 +30,6 @@ from repro.engine import (
     MemoryBackend,
     NoOpenOffer,
     SQLiteBackend,
-    TaskArrival,
 )
 from repro.simulation import SyntheticPoolConfig, generate_pool
 
@@ -221,15 +220,16 @@ def barrier_http(url, deadline=20.0):
 @contextlib.contextmanager
 def steps_held(campaign):
     """Keep the engine from stepping, so what was submitted stays queued
-    (and nothing it would seat moves the metrics).  The serve loop spins
-    on the held queue, answering requests between passes, and a vote or
+    (and nothing it would seat moves the metrics): its one stepping
+    primitive, ``advance``, becomes a no-op.  The serve loop spins on
+    the held queue, answering requests between passes, and a vote or
     checkpoint applies without settling it first."""
     engine = campaign.engine
-    engine._step = campaign._pump = lambda: None
+    engine.advance = lambda *args, **kwargs: None
     try:
-        yield engine._queue
+        yield engine
     finally:
-        del engine._step, campaign._pump
+        del engine.advance
 
 
 def drive_fleet_http(url, worker_ids, seed=0, deadline=30.0):
@@ -276,7 +276,7 @@ def drive_fleet_in_process(campaign, worker_ids, seed=0, max_sweeps=500):
     """The same fleet against the synchronous facade."""
     for _ in range(max_sweeps):
         offers = campaign.offers
-        if offers.open_count == 0 and not campaign.engine._active:
+        if offers.open_count == 0 and not campaign.engine.active_tasks:
             return
         progressed = False
         for worker_id in sorted(worker_ids):
@@ -455,12 +455,14 @@ class TestEndpoints:
             assert code == 202
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http_get(srv.url + "/assignments")
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
     def test_unknown_routes_404(self):
         with serving() as srv:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http_get(srv.url + "/nope")
+            excinfo.value.close()
             assert excinfo.value.code == 404
             code, _ = http_post(srv.url + "/nope", {})
             assert code == 404
@@ -641,6 +643,7 @@ class TestEndpoints:
             assert "simulate" in body["error"]
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http_get(srv.url + "/assignments?worker=w0")
+            excinfo.value.close()
             assert excinfo.value.code == 409
 
     def test_simulated_campaign_still_serves_tasks(self):
@@ -1059,8 +1062,9 @@ class TestHostileMetricsLabels:
             http_get(srv.url + "/status")
             before = response_series()
             for i in range(50):
-                with pytest.raises(urllib.error.HTTPError):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
                     http_get(f"{srv.url}/probe/{i}")
+                excinfo.value.close()
             assert len(response_series() - before) <= 1
 
     def test_server_response_labels_are_escaped(self):
@@ -1097,7 +1101,7 @@ class TestDaemonLifecycle:
             assert code == 200
             srv.join()
             assert not srv.campaign.done
-            assert srv.campaign.engine._active
+            assert srv.campaign.engine.active_tasks
 
     def test_admin_checkpoint_persists_mid_serve(self, tmp_path):
         backend = SQLiteBackend(tmp_path / "live.db")
@@ -1160,10 +1164,10 @@ class TestDaemonLifecycle:
             http_post(srv.url + "/tasks", {"tasks": task_rows(make_tasks(2))})
             barrier_http(srv.url)
 
-            def broken_step():
+            def broken_step(*args, **kwargs):
                 raise RuntimeError("step failed")
 
-            srv.campaign._pump = broken_step
+            srv.campaign.engine.advance = broken_step
             code, body = http_post(srv.url + "/admin/checkpoint", {})
             assert code == 500 and "step failed" in body["error"]
             srv.thread.join(timeout=10)
@@ -1294,7 +1298,7 @@ class TestRetryAfterHint:
         )
         over = {"tasks": [{"task_id": "late0"}, {"task_id": "late1"}]}
         with serving(campaign=campaign) as srv:
-            with steps_held(campaign) as queue:
+            with steps_held(campaign) as engine:
                 code, _ = http_post(
                     srv.url + "/tasks", {"tasks": task_rows(make_tasks(99))}
                 )
@@ -1310,7 +1314,7 @@ class TestRetryAfterHint:
                 assert code == 503
                 assert headers["Retry-After"] == "50"  # 2.0s * (100/4)
                 # Nothing of it queued.
-                assert queue.pending(TaskArrival) == 99
+                assert engine.pending_arrivals == 99
                 assert http_get(srv.url + "/status")[1]["staged"] == 99
             assert barrier_http(srv.url)["submitted"] == 99
             code, body = http_post(srv.url + "/tasks", over)
