@@ -50,7 +50,6 @@ def open_campaign(telemetry: str) -> Campaign:
             capacity=6,
             batch_size=25,
             confidence_target=0.95,
-            quantization=200,
             seed=SEED,
             telemetry=telemetry,
         ),

@@ -67,7 +67,11 @@ def main() -> None:
         campaign.registry.states, key=lambda s: -s.votes_cast
     )[:5]
     for state in busiest:
-        acc = state.observed_accuracy
+        acc = (
+            state.agreements / state.resolved_votes
+            if state.resolved_votes
+            else None
+        )
         print(
             f"  {state.worker.worker_id:>4}: {state.votes_cast:3d} votes, "
             f"peak load {state.peak_load}/{state.capacity}, "

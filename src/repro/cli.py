@@ -127,14 +127,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _quantization(text: str):
-    """``auto`` | ``0`` (exact keys) | grid steps per unit."""
-    if text == "auto":
-        return "auto"
-    value = _nonnegative_int(text)
-    return value or None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -267,21 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eng.add_argument("--reestimate-every", type=int, default=0,
                        help="re-fit worker qualities every N completions "
                             "(0 = off)")
-    p_eng.add_argument("--quantization", type=_quantization, default="auto",
-                       help="JQ-cache key grid steps (0 = exact keys; "
-                            "'auto' derives the grid from the bucket "
-                            "resolution)")
-    p_eng.add_argument("--cache-max-entries", type=_nonnegative_int,
-                       default=0,
-                       help="LRU bound per JQ cache (0 = unbounded)")
     p_eng.add_argument("--run-until", type=_positive_int, default=None,
                        help="pause after N completed tasks (with a sqlite "
                             "backend the paused state is checkpointed, so "
                             "--resume continues it)")
-    p_eng.add_argument("--cache-file", default=None,
-                       help="JQ-cache JSON: imported before a fresh run "
-                            "when the file exists, exported after every "
-                            "run — ships a warmed cache between campaigns")
 
     p_srv = sub.add_parser(
         "serve", parents=[campaign],
@@ -497,10 +478,7 @@ def _report(campaign, backend, metrics) -> int:
 
 def _run_engine_command(args) -> int:
     campaign, backend, rng = _open_campaign(
-        args,
-        reestimate_every=args.reestimate_every,
-        quantization=args.quantization,
-        cache_max_entries=args.cache_max_entries or None,
+        args, reestimate_every=args.reestimate_every
     )
     if rng is not None:
         # Truths must follow the declared prior, or the report's
@@ -510,18 +488,10 @@ def _run_engine_command(args) -> int:
             EngineTask(f"task-{i}", prior=args.alpha, ground_truth=int(t))
             for i, t in enumerate(truths)
         )
-        if args.cache_file is not None and os.path.exists(args.cache_file):
-            warmed = campaign.import_cache(args.cache_file)
-            print(f"# warmed JQ cache: {warmed} entries from "
-                  f"{args.cache_file}")
     try:
         metrics = campaign.run(until=args.run_until)
         if backend is not None:
             campaign.checkpoint()
-        if args.cache_file is not None:
-            exported = campaign.export_cache(args.cache_file)
-            print(f"# exported JQ cache: {exported} entries to "
-                  f"{args.cache_file}")
     finally:
         # Observability must survive a failed run: flush trace/metrics
         # from here so a crash mid-campaign still leaves the files

@@ -68,8 +68,6 @@ from .cache import (
     CacheStats,
     JQCache,
     adaptive_quantization,
-    load_cache_file,
-    save_cache_file,
 )
 from .campaign import Campaign
 from .config import CampaignConfig
@@ -177,8 +175,6 @@ __all__ = [
     "adaptive_quantization",
     "informativeness",
     "linear_best_substitute",
-    "load_cache_file",
     "partition_members",
     "quality_mass",
-    "save_cache_file",
 ]

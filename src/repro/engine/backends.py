@@ -27,7 +27,7 @@ Snapshot contract, version 3 (all values plain JSON types)::
       "votes":    {"base": n, "rows": [[worker_id, task_id, label], ...]},
       "records":  {"base": n, "rows": [task_record, ...]},
       "task_ids": {"base": n, "rows": [task_id, ...]},
-      "caches":   {cache_id: {"hits": .., "misses": .., "evictions": ..,
+      "caches":   {cache_id: {"hits": .., "misses": ..,
                               "base": n, "entries": [[key, value], ...]}},
     }
 
@@ -37,9 +37,9 @@ ids are ``shard:<k>``.
 
 Journal semantics: ``base`` is the row count the store must already
 hold before the new rows (votes in arrival order, records and task ids
-in completion and submission order, cache entries in LRU order).
-``base`` 0 replaces the journal (a first save, a foreign file, a
-bounded cache that reordered or evicted).  A ``base`` that does not
+in completion and submission order, cache entries in insertion order:
+a JQ cache only appends).  ``base`` 0 replaces the journal (a first
+save, a foreign file).  A ``base`` that does not
 match what the store holds raises :class:`BackendError` instead of
 writing a gap.  :meth:`StateBackend.load` returns every journal whole,
 at ``base`` 0.
@@ -49,7 +49,8 @@ Older snapshots still load, and :meth:`Campaign.resume
 after it rewrites the store in the version-3 layout.  Older code also
 journaled the telemetry event ring as an ``events`` section (an
 ``events`` table in SQLite) and kept the span ring in ``campaign``;
-both are ignored on load.  Version 2 had the same sections, but a
+both are ignored on load, as is the ``evictions`` counter older
+caches carried.  Version 2 had the same sections, but a
 one-shard campaign kept a single-scheduler ledger (``"mode":
 "single"``) and a campaign-level cache (id ``"campaign"``).  Version 1
 also had votes as ``[worker_id, task_id, label, wpos, tpos]`` rows;
@@ -62,8 +63,8 @@ Two implementations:
   is exactly the pre-facade behavior made explicit.
 * :class:`SQLiteBackend` — a WAL-mode SQLite file with one table per
   section.  Campaigns survive restarts; the WAL journal lets a reader
-  (dashboard, another engine process warming its cache) inspect the
-  file while a writer checkpoints.
+  (a dashboard, another engine process) inspect the file while a
+  writer checkpoints.
 
 Both round-trip floats exactly: SQLite ``REAL`` columns are IEEE
 doubles, and JSON-encoded floats use ``repr`` shortest round-trip —
@@ -290,7 +291,7 @@ class SQLiteBackend:
         task_ids(pos INTEGER PRIMARY KEY, task_id)    -- submission order
         cache(cache_id TEXT, position INTEGER, key TEXT, value REAL,
               PRIMARY KEY(cache_id, position))        -- JQ-cache entries
-                                                      --  in LRU order
+                                                      --  in insertion order
 
     ``save`` runs in one transaction, so a reader never observes a
     half-written checkpoint.  It rewrites ``campaign``, ``workers`` and
@@ -439,10 +440,7 @@ class SQLiteBackend:
                     (
                         f"cache-meta:{cache_id}",
                         json.dumps(
-                            {
-                                k: state[k]
-                                for k in ("hits", "misses", "evictions")
-                            }
+                            {k: state[k] for k in ("hits", "misses")}
                         ),
                     )
                     for cache_id, state in caches.items()

@@ -8,33 +8,27 @@ of member qualities (plus ``alpha`` and the bucket resolution), not on
 worker identity or order, so one cache per shard keyed on the
 canonically sorted quality vector collapses all of that repeated work.
 
-Three key modes:
+Keys live on one grid: qualities are snapped to ``1/k`` steps, ``k``
+derived from the bucket resolution by :func:`adaptive_quantization`
+(200 steps at the default 50 buckets), *before* keying and evaluating.
+Juries whose qualities differ by less than half a grid step share an
+entry, a JQ perturbation well inside the bucket estimator's own
+discretization, so re-estimation drift keeps hitting.  A hit returns
+the bitwise-identical value the uncached objective computes on the
+snapped, sorted qualities.
 
-* ``quantization=None`` — keys are the exact sorted qualities.  A hit
-  returns the **bitwise-identical** value the uncached objective would
-  compute (the cache evaluates misses through a stock
-  :class:`~repro.selection.base.JQObjective` on the same canonical
-  ordering).
-* ``quantization=k`` — qualities are snapped to a ``1/k`` grid *before*
-  keying and evaluating.  Juries whose qualities differ by less than
-  half a grid step share an entry, trading a bounded JQ perturbation
-  (the bucket estimator itself discretizes log-odds far more coarsely
-  at the default 50 buckets) for a much higher hit rate once
-  re-estimation makes qualities drift continuously.
-* ``quantization="auto"`` (the default) — the ``quantization=k`` grid
-  with ``k`` derived from the bucket resolution by
-  :func:`adaptive_quantization` (200 steps at the default 50 buckets).
+The cache is an append-only memo that lives as long as its campaign:
+nothing is ever removed or reordered, so a checkpoint journals only the
+entries appended since the last save.
 
 perfbench's ``steady`` and ``churn`` workloads report the hit rate
 under load (``cache.hit_ratio``, with ``--trace 1``).  The tier-1
-engine tests pin it above 50% on a churning 60-worker pool, and grid
-keys above exact keys under re-estimation.
+engine tests pin it above 50% on a churning 60-worker pool.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -79,7 +73,6 @@ class CacheStats:
     hits: int
     misses: int
     entries: int
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -98,17 +91,13 @@ class CacheStats:
             self.hits + other.hits,
             self.misses + other.misses,
             self.entries + other.entries,
-            self.evictions + other.evictions,
         )
 
     def render(self) -> str:
-        text = (
+        return (
             f"JQ cache: {self.lookups} lookups, {self.hits} hits "
             f"({self.hit_rate:.1%}), {self.entries} entries"
         )
-        if self.evictions:
-            text += f", {self.evictions} evicted"
-        return text
 
     def telemetry_gauges(self, **labels):
         """``(name, labels, value)`` gauge triples for a
@@ -118,7 +107,6 @@ class CacheStats:
         yield "cache.hits", labels, float(self.hits)
         yield "cache.misses", labels, float(self.misses)
         yield "cache.entries", labels, float(self.entries)
-        yield "cache.evictions", labels, float(self.evictions)
         yield "cache.hit_rate", labels, self.hit_rate
 
 
@@ -132,71 +120,44 @@ class JQCache:
         mixing priors need one cache per distinct alpha (the engine
         keys its cache on its configured alpha).
     num_buckets:
-        Bucket resolution forwarded to the underlying objective.
-    quantization:
-        ``None`` for exact keys, the number of quality grid steps per
-        unit (e.g. 200 snaps qualities to the nearest 0.005), or
-        ``"auto"`` to derive the grid from ``num_buckets`` via
-        :func:`adaptive_quantization`.
+        Bucket resolution forwarded to the underlying objective; it
+        also fixes the key grid (:func:`adaptive_quantization`).
     exact_cutoff:
         Forwarded to :class:`JQObjective`: juries at or below this size
         are evaluated exactly, larger ones with the bucket estimator.
-    max_entries:
-        LRU bound on stored entries (``None`` = unbounded).  When the
-        store is full the least-recently-*used* key is evicted; hits
-        refresh recency.  Eviction only forgets memoized values — a
-        re-miss recomputes the identical JQ — so bounding the cache
-        never changes any returned value.
     """
 
     def __init__(
         self,
         alpha: float = UNINFORMATIVE_PRIOR,
         num_buckets: int = DEFAULT_NUM_BUCKETS,
-        quantization: int | str | None = None,
         exact_cutoff: int = 12,
-        max_entries: int | None = None,
     ) -> None:
-        if quantization == "auto":
-            quantization = adaptive_quantization(num_buckets)
-        if quantization is not None and (
-            not isinstance(quantization, int) or quantization < 1
-        ):
-            raise ValueError(
-                "quantization must be >= 1 grid steps, 'auto', or None"
-            )
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
         self.alpha = float(alpha)
         self.num_buckets = num_buckets
-        self.quantization = quantization
-        self.max_entries = max_entries
+        self.grid = adaptive_quantization(num_buckets)
         self._objective = JQObjective(
             alpha=alpha, num_buckets=num_buckets, exact_cutoff=exact_cutoff
         )
         self._store: dict[tuple[float, ...], float] = {}
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
-        # A fresh token whenever the store changes other than by
-        # appending (see journal_mark).
-        self._generation = object()
 
     # ------------------------------------------------------------------
     # Keying
     # ------------------------------------------------------------------
     def _snap(self, arr: np.ndarray) -> np.ndarray:
-        """Element-wise key-grid snap — the one definition both the
-        scalar keying and the batch replay must share, or kernel-path
-        keys silently stop matching scalar keys."""
-        if self.quantization is None:
-            return arr
-        return np.clip(
-            np.round(arr * self.quantization) / self.quantization, 0.0, 1.0
-        )
+        """Element-wise key-grid snap — the one definition the scalar
+        keying, the batch replay and the scheduler's frontier memo
+        share, or their keys silently stop matching."""
+        return np.clip(np.round(arr * self.grid) / self.grid, 0.0, 1.0)
+
+    def snap(self, qualities: Sequence[float] | np.ndarray) -> list[float]:
+        """``qualities`` snapped to the key grid, in their own order."""
+        return self._snap(np.asarray(qualities, dtype=float)).tolist()
 
     def canonicalize(self, qualities: Sequence[float] | np.ndarray) -> tuple[float, ...]:
-        """The cache key: sorted (and optionally grid-snapped) qualities."""
+        """The cache key: sorted, grid-snapped qualities."""
         arr = self._snap(np.asarray(qualities, dtype=float))
         return tuple(np.sort(arr).tolist())
 
@@ -204,28 +165,18 @@ class JQCache:
     # Lookup
     # ------------------------------------------------------------------
     def _lookup(self, key: tuple[float, ...], value_fn) -> float:
-        """One store access: hit (with LRU recency refresh) or miss
-        (compute via ``value_fn``, insert, evict at the bound).  Every
-        lookup path funnels through here so the hit/miss/eviction
-        sequence — which the metrics fingerprint covers — is identical
-        whether values come from the scalar objective or a batched
-        kernel."""
+        """One store access: hit, or miss (compute via ``value_fn`` and
+        append).  Every lookup path funnels through here so the
+        hit/miss sequence — which the metrics fingerprint covers — is
+        identical whether values come from the scalar objective or a
+        batched kernel."""
         cached = self._store.get(key)
         if cached is not None:
             self._hits += 1
-            if self.max_entries is not None:
-                # Refresh recency: dict order is the LRU order.
-                del self._store[key]
-                self._store[key] = cached
-                self._generation = object()
             return cached
         self._misses += 1
         value = value_fn()
         self._store[key] = value
-        if self.max_entries is not None and len(self._store) > self.max_entries:
-            del self._store[next(iter(self._store))]
-            self._evictions += 1
-            self._generation = object()
         return value
 
     def jq(self, qualities: Sequence[float] | np.ndarray) -> float:
@@ -238,9 +189,6 @@ class JQCache:
             return max(self.alpha, 1.0 - self.alpha)
         return self._objective(Jury(_quality_jury_workers(key)))
 
-    def jq_jury(self, jury: Jury) -> float:
-        return self.jq(jury.qualities)
-
     # ------------------------------------------------------------------
     # Batched lookup (kernel-computed misses, scalar-identical replay)
     # ------------------------------------------------------------------
@@ -249,8 +197,7 @@ class JQCache:
 
         Values for prospective misses are computed upfront through the
         batched kernels, then the store is *replayed* row by row in
-        order — the same hits, misses, LRU refreshes and evictions as
-        the equivalent sequence of :meth:`jq` calls, with bit-identical
+        order — the same hits and misses as the equivalent sequence of :meth:`jq` calls, with bit-identical
         values (the kernels reproduce the scalar objective exactly).
         """
         keys = [self.canonicalize(row) for row in rows]
@@ -351,68 +298,40 @@ class JQCache:
     ) -> float:
         if len(key) == 0:
             return max(self.alpha, 1.0 - self.alpha)
-        value = computed.get(key)
-        if value is None:
-            # The key was stored when the batch started, then evicted by
-            # the replay itself before this row re-missed it: recompute
-            # the (deterministic, hence identical) value scalar-side.
-            return self._compute(key)
         self._objective.evaluations += 1
-        return value
+        return computed[key]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
-        return CacheStats(
-            self._hits, self._misses, len(self._store), self._evictions
-        )
+        return CacheStats(self._hits, self._misses, len(self._store))
 
     @property
     def underlying_evaluations(self) -> int:
         """JQ computations actually performed (the misses' work)."""
         return self._objective.evaluations
 
-    def clear(self) -> None:
-        self._store.clear()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._generation = object()
-        self._objective.reset_counter()
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     @property
-    def journal_mark(self) -> tuple[object, int]:
-        """``(generation, entries)`` now; :meth:`state_dict` takes it
-        back as ``since``.  The generation is a fresh token whenever the
-        store changes other than by appending a miss (an LRU refresh,
-        an eviction, :meth:`clear`, :meth:`load_state`), so the same
-        token means the first ``entries`` entries are exactly the ones
-        present at the mark."""
-        return self._generation, len(self._store)
+    def journal_mark(self) -> int:
+        """The entry count now; :meth:`state_dict` takes it back as
+        ``since``.  The store only appends, so the first ``since``
+        entries are exactly the ones present at the mark."""
+        return len(self._store)
 
-    def state_dict(self, since: tuple[object, int] | None = None) -> dict:
-        """Cache state for checkpointing.
-
-        Entries are listed in LRU order (the store's dict order), so a
-        restored cache evicts in exactly the sequence the original
-        would have — required for byte-identical resumed campaigns.
-        With ``since`` (an earlier :attr:`journal_mark`), ``entries``
-        holds only what was appended after the mark and ``base`` counts
-        the entries before it; a store that changed otherwise since the
-        mark lists every entry, with ``base`` 0.
-        """
-        base = 0
-        if since is not None and since[0] is self._generation:
-            base = since[1]
+    def state_dict(self, since: int | None = None) -> dict:
+        """Cache state for checkpointing: counters, and the entries in
+        insertion order.  With ``since`` (an earlier
+        :attr:`journal_mark`), ``entries`` holds only what was appended
+        after the mark and ``base`` counts the entries before it."""
+        base = since or 0
         return {
             "hits": self._hits,
             "misses": self._misses,
-            "evictions": self._evictions,
             "base": base,
             "entries": [
                 [list(k), v]
@@ -422,102 +341,20 @@ class JQCache:
 
     def load_state(self, state: Mapping) -> None:
         """Restore counters and entries captured by :meth:`state_dict`
-        (a full one: ``base`` 0)."""
+        (a full one: ``base`` 0).  Any other counter an older snapshot
+        carries is ignored."""
         self._store = {
             tuple(float(q) for q in key): float(value)
             for key, value in state["entries"]
         }
         self._hits = int(state["hits"])
         self._misses = int(state["misses"])
-        self._evictions = int(state["evictions"])
-        self._generation = object()
-
-    def warm(self, entries) -> int:
-        """Pre-populate from ``(qualities, value)`` pairs (e.g. a cache
-        shipped from an earlier campaign).  Keys are re-canonicalized
-        under *this* cache's grid; existing entries win, so warming
-        never changes a value a lookup would already return.  Returns
-        the number of entries added."""
-        added = 0
-        for qualities, value in entries:
-            key = self.canonicalize(qualities)
-            if key not in self._store:
-                self._store[key] = float(value)
-                added += 1
-        if self.max_entries is not None:
-            while len(self._store) > self.max_entries:
-                del self._store[next(iter(self._store))]
-                self._evictions += 1
-                self._generation = object()
-        return added
 
     def __len__(self) -> int:
         return len(self._store)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JQCache(alpha={self.alpha}, {self.stats.render()})"
-
-
-def save_cache_file(path, caches: Sequence[JQCache]) -> int:
-    """Export the union of several caches' entries as a JSON warm file.
-
-    All caches must share alpha/num_buckets/quantization (one campaign's
-    per-shard caches do by construction).  Returns the
-    number of exported entries.
-    """
-    if not caches:
-        raise ValueError("need at least one cache to export")
-    first = caches[0]
-    for cache in caches[1:]:
-        if (
-            cache.alpha != first.alpha
-            or cache.num_buckets != first.num_buckets
-            or cache.quantization != first.quantization
-        ):
-            raise ValueError("caches to export must share their parameters")
-    entries: dict[tuple[float, ...], float] = {}
-    for cache in caches:
-        for key, value in cache._store.items():
-            entries.setdefault(key, value)
-    payload = {
-        "alpha": first.alpha,
-        "num_buckets": first.num_buckets,
-        "quantization": first.quantization,
-        "entries": [[list(k), v] for k, v in entries.items()],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    return len(entries)
-
-
-def load_cache_file(path, caches: Sequence[JQCache]) -> int:
-    """Warm caches from a JSON file written by :func:`save_cache_file`.
-
-    The file's alpha and bucket resolution must match the target caches
-    — a JQ value computed under a different prior is simply a different
-    number.  Returns entries added to the *first* cache (all caches
-    receive the same entries).
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    added = 0
-    for i, cache in enumerate(caches):
-        if (
-            payload["alpha"] != cache.alpha
-            or payload["num_buckets"] != cache.num_buckets
-            or payload["quantization"] != cache.quantization
-        ):
-            raise ValueError(
-                f"cache file {path!s} was built for alpha="
-                f"{payload['alpha']}, num_buckets={payload['num_buckets']}, "
-                f"quantization={payload['quantization']}; target cache has "
-                f"alpha={cache.alpha}, num_buckets={cache.num_buckets}, "
-                f"quantization={cache.quantization}"
-            )
-        count = cache.warm(payload["entries"])
-        if i == 0:
-            added = count
-    return added
 
 
 def _quality_jury_workers(qualities: tuple[float, ...]):
@@ -556,7 +393,7 @@ class CachedJQObjective(JQObjective):
 
     def batch_qualities(self, rows) -> np.ndarray:
         """Batched evaluation *through the cache*: kernel-computed
-        misses, with the store replayed row by row so hits/misses/LRU
+        misses, with the store replayed row by row so hits and misses
         evolve exactly as the equivalent scalar call sequence."""
         self.evaluations += len(rows)
         return self.cache.jq_batch(rows)

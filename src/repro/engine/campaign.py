@@ -67,7 +67,6 @@ from .ingest import AsyncIngestLoop, IngestStats
 from .leases import LeaseCoordinator
 from .metrics import EngineMetrics
 from .state import WorkerRegistry
-from .cache import load_cache_file, save_cache_file
 
 #: Environment toggle forcing the live telemetry hub — CI runs the
 #: whole engine suite under it, so every lifecycle test doubles as a
@@ -576,9 +575,6 @@ class Campaign:
     def render(self) -> str:
         return self.metrics.render(budget=self.config.budget)
 
-    # ------------------------------------------------------------------
-    # Warm-cache shipping
-    # ------------------------------------------------------------------
     def _named_caches(self) -> dict:
         """Every JQ cache by its snapshot id: the shards' caches, none
         before the serving stack is built."""
@@ -589,21 +585,6 @@ class Campaign:
             f"shard:{shard.shard_id}": shard.cache
             for shard in scheduler.shards
         }
-
-    def export_cache(self, path) -> int:
-        """Write this campaign's warmed JQ-cache entries (union across
-        shards) to a JSON file another campaign can import.  The caches
-        exist once the campaign has started serving."""
-        self._require_open()
-        return save_cache_file(path, list(self._named_caches().values()))
-
-    def import_cache(self, path) -> int:
-        """Warm this campaign's JQ caches from an exported file.  Call
-        after :meth:`submit` (importing forces the serving stack to
-        build, which fixes the expected-task pacing baseline)."""
-        self._require_owner()
-        self._engine.advance(steps=0)
-        return load_cache_file(path, list(self._named_caches().values()))
 
     # ------------------------------------------------------------------
     # Guards

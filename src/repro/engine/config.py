@@ -48,7 +48,10 @@ _RETIRED_FIELDS = frozenset(
 def _retired_constants() -> dict:
     """Retired decision-affecting fields and the constant each became.
     A checkpoint may carry one only at that value: any other value made
-    decisions a resumed campaign cannot replay."""
+    decisions a resumed campaign cannot replay.  The JQ cache's key grid
+    (``quantization``) is always derived from ``num_buckets`` and the
+    cache is never bounded (``cache_max_entries``): both shaped the
+    cache counters the metrics fingerprint covers."""
     from .engine import VOTE_LATENCY
     from .sharding import REBALANCE_MAX_MOVES, REBALANCE_THRESHOLD
     from .state import REESTIMATE_RATE
@@ -60,6 +63,8 @@ def _retired_constants() -> dict:
         "vote_latency": VOTE_LATENCY,
         "rebalance_threshold": REBALANCE_THRESHOLD,
         "rebalance_max_moves": REBALANCE_MAX_MOVES,
+        "quantization": "auto",
+        "cache_max_entries": None,
     }
 
 
@@ -88,15 +93,9 @@ class CampaignConfig:
     confidence_target:
         Early-stop threshold for the per-task online session.
     num_buckets:
-        JQ bucket resolution for large juries.
-    quantization:
-        JQ-cache key grid: ``None`` = exact keys, an int = grid steps
-        per unit, or ``"auto"`` (the default) to derive the grid from
-        ``num_buckets`` via
-        :func:`~repro.engine.cache.adaptive_quantization` (4 steps per
-        log-odds bucket — 200 at the default 50-bucket resolution).
-    cache_max_entries:
-        LRU bound on each shard's JQ cache (``None`` = unbounded).
+        JQ bucket resolution for large juries.  It also fixes the
+        JQ-cache key grid (:func:`~repro.engine.cache.adaptive_quantization`:
+        4 steps per log-odds bucket, 200 at the default 50 buckets).
     frontier_pool_size:
         Per-batch candidate pool size (exact frontier; up to
         ``scheduler.MAX_FRONTIER_POOL`` — pools past ``ALL_SUBSETS_MAX``
@@ -166,8 +165,6 @@ class CampaignConfig:
     alpha: float = UNINFORMATIVE_PRIOR
     confidence_target: float = 0.97
     num_buckets: int = 50
-    quantization: int | str | None = "auto"
-    cache_max_entries: int | None = None
     frontier_pool_size: int = 10
     reestimate_every: int = 0
     checkpoint_every: int = 0
@@ -220,13 +217,6 @@ class CampaignConfig:
             raise ValueError("metrics_interval must be positive")
         if not 0.5 <= self.confidence_target <= 1.0:
             raise ValueError("confidence_target must lie in [0.5, 1]")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be >= 1 (or None)")
-        if self.quantization is not None and self.quantization != "auto":
-            if not isinstance(self.quantization, int) or self.quantization < 1:
-                raise ValueError(
-                    "quantization must be >= 1 grid steps, 'auto', or None"
-                )
         validate_prior(self.alpha)
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")

@@ -25,6 +25,12 @@ import numpy as np
 from .cache import CacheStats
 
 
+def _cache_stats(state: Mapping) -> CacheStats:
+    """Stored cache counters; the ``evictions`` counter older snapshots
+    carry is dropped."""
+    return CacheStats(state["hits"], state["misses"], state["entries"])
+
+
 @dataclass(frozen=True)
 class ShardSnapshot:
     """End-of-run summary of one shard."""
@@ -250,10 +256,10 @@ class EngineMetrics:
         qerr = state["quality_estimation_error"]
         metrics.quality_estimation_error = None if qerr is None else float(qerr)
         if state["cache_stats"] is not None:
-            metrics.cache_stats = CacheStats(**state["cache_stats"])
+            metrics.cache_stats = _cache_stats(state["cache_stats"])
         if state["shard_snapshots"] is not None:
             metrics.shard_snapshots = tuple(
-                ShardSnapshot(**{**s, "cache": CacheStats(**s["cache"])})
+                ShardSnapshot(**{**s, "cache": _cache_stats(s["cache"])})
                 for s in state["shard_snapshots"]
             )
         if state["allocator_snapshot"] is not None:

@@ -67,9 +67,8 @@ MAX_FRONTIER_POOL = 20
 MAX_ALLOCATION_POINTS = 24
 
 #: Distinct candidate-pool configurations the frontier memo holds; at
-#: the bound the least-recently-used configuration is evicted (the
-#: JQCache LRU discipline) — a drift backstop, not a tuned working-set
-#: size.
+#: the bound the least-recently-used configuration is evicted — a drift
+#: backstop, not a tuned working-set size.
 MAX_FRONTIER_MEMO = 256
 
 
@@ -242,9 +241,9 @@ class CampaignScheduler:
         # exact frontier is keyed on the candidate set and reused.
         # Qualities in the key are snapped to the cache's grid so
         # re-estimation drift within half a grid step keeps hitting,
-        # and the memo is LRU-bounded (dict order is recency, like
-        # JQCache) so drift cannot accumulate stale frontiers forever
-        # while the hot working set stays memoized.
+        # and the memo is LRU-bounded (dict order is recency) so drift
+        # cannot accumulate stale frontiers forever while the hot
+        # working set stays memoized.
         self._frontier_memo: dict[tuple, Frontier] = {}
         self.stats = SchedulerStats()
         self.telemetry = telemetry
@@ -291,14 +290,11 @@ class CampaignScheduler:
             self.stats.deferred += len(tasks)
             return [], list(tasks)
 
-        grid = self.cache.quantization
         memo_key = tuple(
-            (
-                w.worker_id,
-                round(w.quality * grid) / grid if grid else w.quality,
-                w.cost,
+            (w.worker_id, quality, w.cost)
+            for w, quality in zip(
+                candidates, self.cache.snap(candidates.qualities)
             )
-            for w in candidates
         )
         frontier = self._frontier_memo.get(memo_key)
         if frontier is None:

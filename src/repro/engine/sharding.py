@@ -458,10 +458,7 @@ class ShardedScheduler:
             labels = {"shard": shard_id} if config.num_shards > 1 else {}
             view = ShardRegistryView(registry, member_ids)
             cache = JQCache(
-                alpha=config.alpha,
-                num_buckets=config.num_buckets,
-                quantization=config.quantization,
-                max_entries=config.cache_max_entries,
+                alpha=config.alpha, num_buckets=config.num_buckets
             )
             scheduler = CampaignScheduler(
                 view,
@@ -687,7 +684,7 @@ class ShardedScheduler:
         return tuple(shard.snapshot() for shard in self.shards)
 
     def merged_cache_stats(self) -> CacheStats:
-        merged = CacheStats(0, 0, 0, 0)
+        merged = CacheStats(0, 0, 0)
         for shard in self.shards:
             merged = merged.merge(shard.cache.stats)
         return merged

@@ -107,12 +107,6 @@ class WorkerState:
     def free_capacity(self) -> int:
         return self.capacity - self.load
 
-    @property
-    def observed_accuracy(self) -> float | None:
-        """Fraction of resolved votes agreeing with the verdict."""
-        if self.resolved_votes == 0:
-            return None
-        return self.agreements / self.resolved_votes
 
 
 class WorkerRegistry:

@@ -195,23 +195,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """Times a block; observes a histogram and (optionally) records a
+    """Times a block; observes a histogram and records a
     :class:`SpanRecord` for the Chrome trace."""
 
-    __slots__ = ("_hub", "name", "labels", "span_id", "start", "_record")
+    __slots__ = ("_hub", "name", "labels", "span_id", "start")
 
-    def __init__(
-        self,
-        hub: "Telemetry",
-        name: str,
-        labels: dict[str, Any],
-        record: bool,
-    ):
+    def __init__(self, hub: "Telemetry", name: str, labels: dict[str, Any]):
         self._hub = hub
         self.name = name
         self.labels = {str(k): str(v) for k, v in labels.items()}
-        self._record = record
-        self.span_id = hub._next_span_id() if record else 0
+        self.span_id = next(hub._span_seq)
         self.start = 0.0
 
     def __enter__(self) -> "_Span":
@@ -221,8 +214,7 @@ class _Span:
     def __exit__(self, *exc: object) -> bool:
         duration = self._hub.now() - self.start
         self._hub.observe(f"{self.name}_seconds", duration, **self.labels)
-        if self._record:
-            self._hub._finish_span(self, duration)
+        self._hub._finish_span(self, duration)
         return False
 
 
@@ -254,9 +246,6 @@ class NullTelemetry:
         pass
 
     def span(self, name: str, **labels: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def timer(self, name: str, **labels: Any) -> _NullSpan:
         return _NULL_SPAN
 
     def add_collector(
@@ -374,15 +363,7 @@ class Telemetry:
     def span(self, name: str, **labels: Any) -> _Span:
         """Timed block recorded as both a histogram sample and a
         Chrome-trace span."""
-        return _Span(self, name, labels, record=True)
-
-    def timer(self, name: str, **labels: Any) -> _Span:
-        """Timed block recorded as a histogram sample only (no span
-        record) — for sites too hot to trace individually."""
-        return _Span(self, name, labels, record=False)
-
-    def _next_span_id(self) -> int:
-        return next(self._span_seq)
+        return _Span(self, name, labels)
 
     def _finish_span(self, span: _Span, duration: float) -> None:
         record = SpanRecord(

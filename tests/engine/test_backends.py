@@ -316,7 +316,7 @@ def full_save(campaign, backend):
 
 JOURNAL_CONFIGS = {
     "plain": {},
-    "bounded-cache": {"cache_max_entries": 40},
+    "coarse-grid": {"num_buckets": 10},
     "telemetry": {"telemetry": "on", "reestimate_every": 15},
 }
 
@@ -371,17 +371,10 @@ class TestJournalEquivalence:
 
 
 class TestJournalTails:
-    @pytest.mark.parametrize(
-        "max_entries,appends", [(None, True), (40, False)]
-    )
-    def test_cache_journal_appends_until_the_lru_reorders(
-        self, max_entries, appends
-    ):
-        """An unbounded cache only appends; a bounded one refreshes
-        recency on hits, so its next tail restarts at base 0."""
-        campaign = journal_campaign(
-            MemoryBackend(), 1, cache_max_entries=max_entries
-        )
+    def test_cache_journal_only_appends(self):
+        """The JQ cache only appends, so a checkpoint's cache tail
+        starts where the backend's copy ends."""
+        campaign = journal_campaign(MemoryBackend(), 1)
         campaign.run(until=20)
         campaign.checkpoint()
         cache = campaign.engine.scheduler.shards[0].cache
@@ -389,12 +382,8 @@ class TestJournalTails:
         campaign.run(until=40)
         snapshot, _ = campaign._snapshot()
         state = snapshot["caches"]["shard:0"]
-        if appends:
-            assert state["base"] == held > 0
-            assert len(state["entries"]) == len(cache) - held
-        else:
-            assert state["base"] == 0
-            assert len(state["entries"]) == len(cache)
+        assert state["base"] == held > 0
+        assert len(state["entries"]) == len(cache) - held
 
 
 def rows_written_by_second_checkpoint(num_tasks, tmp_path):
@@ -506,6 +495,31 @@ def _assert_current_layout(path):
     ).fetchone()
     assert retired == 0
     conn.close()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_cache_meta_drops_the_evictions_counter(version, tmp_path):
+    """Older files store an ``evictions`` counter beside each cache's
+    hits and misses.  A resume ignores it, and the next save writes
+    only the two counters a JQ cache keeps."""
+    path = tmp_path / "fixture.db"
+    shutil.copyfile(FIXTURES / f"v{version}_checkpoint.db", path)
+
+    def cache_meta():
+        conn = sqlite3.connect(path)
+        rows = conn.execute(
+            "SELECT value FROM ledger WHERE scope LIKE 'cache-meta:%'"
+        ).fetchall()
+        conn.close()
+        return [json.loads(value) for (value,) in rows]
+
+    assert all("evictions" in meta for meta in cache_meta())
+    backend = SQLiteBackend(path)
+    resumed = Campaign.resume(backend)
+    resumed.checkpoint()
+    backend.close()
+    metas = cache_meta()
+    assert metas and all(set(meta) == {"hits", "misses"} for meta in metas)
 
 
 class TestVersion1Checkpoints:

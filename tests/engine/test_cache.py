@@ -8,8 +8,6 @@ from repro.engine import (
     CachedJQObjective,
     JQCache,
     adaptive_quantization,
-    load_cache_file,
-    save_cache_file,
 )
 from repro.selection import JQObjective
 
@@ -18,17 +16,18 @@ def jury_of(qualities):
     return Jury(Worker(f"w{i}", q, 1.0) for i, q in enumerate(qualities))
 
 
-class TestExactKeys:
+class TestKeys:
     def test_bitwise_identical_to_uncached_objective(self):
-        """With exact keys, the cache must return exactly the float the
-        stock objective computes (same canonical evaluation order)."""
-        cache = JQCache(alpha=0.3, num_buckets=50, quantization=None)
+        """The cache must return exactly the float the stock objective
+        computes on the snapped qualities (same canonical evaluation
+        order)."""
+        cache = JQCache(alpha=0.3, num_buckets=50)
         uncached = JQObjective(alpha=0.3, num_buckets=50)
         rng = np.random.default_rng(42)
         for n in (1, 3, 5, 13, 17):  # spans exact and bucket paths
-            qualities = np.sort(rng.uniform(0.05, 0.98, size=n))
-            jury = jury_of(qualities)
-            assert cache.jq_jury(jury) == uncached(jury)
+            qualities = rng.uniform(0.05, 0.98, size=n)
+            snapped = np.sort(cache.snap(qualities))
+            assert cache.jq(qualities) == uncached(jury_of(snapped))
 
     def test_hit_returns_same_float(self):
         cache = JQCache()
@@ -56,10 +55,8 @@ class TestExactKeys:
         cache = JQCache(alpha=0.8)
         assert cache.jq([]) == 0.8
 
-
-class TestQuantizedKeys:
     def test_nearby_qualities_share_an_entry(self):
-        cache = JQCache(quantization=200)  # 0.005 grid
+        cache = JQCache()  # 0.005 grid at 50 buckets
         a = cache.jq([0.7001, 0.8002])
         b = cache.jq([0.6999, 0.7998])
         assert a == b
@@ -67,22 +64,16 @@ class TestQuantizedKeys:
         assert cache.stats.hits == 1
 
     def test_value_matches_objective_on_snapped_qualities(self):
-        cache = JQCache(quantization=200)
+        cache = JQCache()
         uncached = JQObjective()
         value = cache.jq([0.7002, 0.8004])
         assert value == uncached(jury_of([0.70, 0.80]))
 
     def test_distant_qualities_do_not_collide(self):
-        cache = JQCache(quantization=200)
+        cache = JQCache()
         cache.jq([0.7])
         cache.jq([0.75])
         assert cache.stats.entries == 2
-
-    def test_invalid_quantization_rejected(self):
-        with pytest.raises(ValueError):
-            JQCache(quantization=0)
-        with pytest.raises(ValueError):
-            JQCache(quantization="fine")
 
 
 class TestAdaptiveQuantization:
@@ -93,24 +84,23 @@ class TestAdaptiveQuantization:
         with pytest.raises(ValueError):
             adaptive_quantization(0)
 
-    def test_auto_reproduces_the_historical_default_grid(self):
-        """At the paper's 50-bucket default the adaptive grid must be
-        the old fixed 200 — the switch to 'auto' must not move a single
-        cached value."""
-        auto = JQCache(quantization="auto")
-        assert auto.quantization == 200
-        fixed = JQCache(quantization=200)
+    def test_snap_is_the_historical_round_grid(self):
+        """At the paper's 50-bucket default the grid is the old fixed
+        200, and snapping equals ``round(q * 200) / 200`` — the
+        expression frontier-memo keys were built with — ties
+        included."""
+        cache = JQCache()
+        assert cache.grid == 200
         rng = np.random.default_rng(11)
-        for n in (1, 2, 4, 7, 14):
-            qualities = rng.uniform(0.05, 0.98, size=n)
-            assert auto.jq(qualities) == fixed.jq(qualities)
-            assert auto.canonicalize(qualities) == fixed.canonicalize(
-                qualities
-            )
+        ties = (np.arange(400) + 0.5) / 400
+        for qualities in (rng.uniform(0.0, 1.0, size=5000), ties):
+            assert cache.snap(qualities) == [
+                round(q * 200) / 200 for q in qualities.tolist()
+            ]
 
-    def test_auto_tracks_num_buckets(self):
-        coarse = JQCache(num_buckets=10, quantization="auto")
-        assert coarse.quantization == adaptive_quantization(10) == 40
+    def test_grid_tracks_num_buckets(self):
+        coarse = JQCache(num_buckets=10)
+        assert coarse.grid == adaptive_quantization(10) == 40
         # A coarser estimator gets a coarser key grid: qualities one
         # fine-grid step apart now share an entry.
         coarse.jq([0.701])
@@ -119,52 +109,39 @@ class TestAdaptiveQuantization:
 
 
 class TestCachePersistence:
-    def test_state_round_trip_preserves_values_counters_and_lru_order(self):
-        cache = JQCache(max_entries=3)
-        for q in ([0.6], [0.7], [0.8]):
+    def test_state_round_trip_preserves_values_counters_and_order(self):
+        cache = JQCache()
+        for q in ([0.6], [0.7], [0.8], [0.6]):
             cache.jq(q)
-        cache.jq([0.6])  # refresh: 0.7 is now the LRU victim
-        restored = JQCache(max_entries=3)
+        restored = JQCache()
         restored.load_state(cache.state_dict())
         assert restored.stats == cache.stats
-        restored.jq([0.9])  # evicts 0.7, like the original would
+        assert restored.state_dict() == cache.state_dict()
+        restored.jq([0.9])
         cache.jq([0.9])
         assert cache.stats == restored.stats
         assert cache.jq([0.6]) == restored.jq([0.6])
 
-    def test_file_round_trip_warms_a_cold_cache(self, tmp_path):
-        path = tmp_path / "warm.json"
-        donor = JQCache(quantization=200)
-        values = {tuple([q]): donor.jq([q]) for q in (0.6, 0.7, 0.8)}
-        assert save_cache_file(path, [donor]) == 3
-        cold = JQCache(quantization=200)
-        assert load_cache_file(path, [cold]) == 3
-        for key, value in values.items():
-            assert cold.jq(list(key)) == value
-        assert cold.stats.hits == 3  # every lookup warmed
-
-    def test_file_import_rejects_mismatched_parameters(self, tmp_path):
-        path = tmp_path / "warm.json"
-        save_cache_file(path, [JQCache(alpha=0.3)])
-        with pytest.raises(ValueError, match="alpha"):
-            load_cache_file(path, [JQCache(alpha=0.5)])
-        save_cache_file(path, [JQCache(quantization=200)])
-        with pytest.raises(ValueError, match="quantization"):
-            load_cache_file(path, [JQCache(quantization=100)])
-
-    def test_export_rejects_heterogeneous_caches(self, tmp_path):
-        with pytest.raises(ValueError, match="share"):
-            save_cache_file(
-                tmp_path / "warm.json",
-                [JQCache(alpha=0.3), JQCache(alpha=0.5)],
-            )
-
-    def test_warming_never_overrides_resident_entries(self):
+    def test_state_since_a_mark_lists_only_appended_entries(self):
         cache = JQCache()
-        resident = cache.jq([0.7])
-        added = cache.warm([[[0.7], -1.0], [[0.8], 0.8]])
-        assert added == 1
-        assert cache.jq([0.7]) == resident
+        cache.jq([0.6])
+        cache.jq([0.7])
+        mark = cache.journal_mark
+        assert mark == 2
+        cache.jq([0.6])  # a hit appends nothing
+        cache.jq([0.8])
+        tail = cache.state_dict(since=mark)
+        assert tail["base"] == 2
+        assert tail["entries"] == [[[0.8], cache.jq([0.8])]]
+        assert "evictions" not in tail
+
+    def test_load_ignores_an_older_evictions_counter(self):
+        cache = JQCache()
+        cache.jq([0.6])
+        state = {**cache.state_dict(), "evictions": 0}
+        restored = JQCache()
+        restored.load_state(state)
+        assert restored.stats == cache.stats
 
 
 class TestCachedObjective:
@@ -194,79 +171,26 @@ class TestCachedObjective:
         assert objective.evaluations == 2
         assert cache.stats.hits == 1
 
-    def test_clear_resets_everything(self):
+class TestCacheStats:
+    def test_unbounded(self):
+        """Every distinct key stays: the memo never drops an entry."""
         cache = JQCache()
-        cache.jq([0.7])
-        cache.clear()
-        assert cache.stats.lookups == 0
-        assert len(cache) == 0
-
-
-class TestLRUBound:
-    def test_unbounded_by_default(self):
-        cache = JQCache()
-        for q in np.linspace(0.51, 0.94, 300):
-            cache.jq([q])
-        assert cache.stats.entries == 300
-        assert cache.stats.evictions == 0
-
-    def test_validates_max_entries(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            JQCache(max_entries=0)
-
-    def test_bounded_cache_never_exceeds_the_bound(self):
-        cache = JQCache(max_entries=10)
-        for q in np.linspace(0.51, 0.94, 50):
-            cache.jq([q])
-        assert cache.stats.entries == 10
-        assert cache.stats.evictions == 40
-
-    def test_evicts_the_least_recently_used_entry(self):
-        cache = JQCache(max_entries=2)
-        cache.jq([0.6])
-        cache.jq([0.7])
-        cache.jq([0.6])          # refresh 0.6 -> 0.7 is now the oldest
-        cache.jq([0.8])          # evicts 0.7
-        hits_before = cache.stats.hits
-        cache.jq([0.6])          # still resident
-        assert cache.stats.hits == hits_before + 1
-        misses_before = cache.stats.misses
-        cache.jq([0.7])          # was evicted: must re-miss
-        assert cache.stats.misses == misses_before + 1
-
-    def test_eviction_never_changes_returned_values(self):
-        """A bounded cache may forget, but a re-miss must recompute the
-        identical float the unbounded cache (and the stock objective)
-        returns."""
-        rng = np.random.default_rng(7)
-        juries = [
-            np.sort(rng.uniform(0.05, 0.98, size=rng.integers(1, 6)))
-            for _ in range(120)
-        ]
-        bounded = JQCache(max_entries=5)
-        unbounded = JQCache()
-        # Two interleaved passes: the second pass re-misses almost
-        # everything in the bounded cache.
-        for jury in juries + juries:
-            assert bounded.jq(jury) == unbounded.jq(jury)
-        assert bounded.stats.evictions > 0
-
-    def test_clear_resets_evictions(self):
-        cache = JQCache(max_entries=1)
-        cache.jq([0.6])
-        cache.jq([0.7])
-        assert cache.stats.evictions == 1
-        cache.clear()
-        assert cache.stats.evictions == 0
+        for i in range(1, 201):
+            cache.jq([i / 200, (i % 7) / 7])
+        for i in range(1, 201):
+            cache.jq([i / 200, (i % 7) / 7])
+        assert cache.stats.entries == len(cache) == 200
+        assert cache.stats.hits == 200
 
     def test_cache_stats_merge_pools_counters(self):
-        a = JQCache(max_entries=1)
+        a = JQCache()
         a.jq([0.6]); a.jq([0.7]); a.jq([0.7])
         b = JQCache()
         b.jq([0.8])
         merged = a.stats.merge(b.stats)
         assert merged.lookups == 4
         assert merged.hits == 1
-        assert merged.entries == 2
-        assert merged.evictions == 1
-        assert "evicted" in merged.render()
+        assert merged.entries == 3
+        assert merged.render() == (
+            "JQ cache: 4 lookups, 1 hits (25.0%), 3 entries"
+        )

@@ -27,6 +27,8 @@ RETIRED_FIELDS = {
     "ingest_grace",
     "ingest_producer_quota",
     "trace_path",
+    "quantization",
+    "cache_max_entries",
 }
 
 
@@ -92,8 +94,6 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, num_shards=0)
         with pytest.raises(ValueError):
-            CampaignConfig(budget=1.0, quantization=0)
-        with pytest.raises(ValueError):
             CampaignConfig(budget=1.0, serve_port=70000)
 
     @pytest.mark.parametrize("field,value,message", [
@@ -111,8 +111,6 @@ class TestCampaignConfig:
         ("metrics_interval", 0.0, "metrics_interval"),
         ("vote_source", "oracle", "vote_source"),
         ("confidence_target", 0.3, "confidence_target"),
-        ("cache_max_entries", 0, "cache_max_entries"),
-        ("quantization", 0, "quantization"),
         ("alpha", 1.5, "prior alpha"),
         ("num_shards", 0, "num_shards"),
         ("serve_port", 70000, "serve_port"),
@@ -126,7 +124,7 @@ class TestCampaignConfig:
 
     def test_dict_round_trip(self):
         config = CampaignConfig(
-            budget=4.0, num_shards=2, quantization=None, seed=11
+            budget=4.0, num_shards=2, num_buckets=10, seed=11
         )
         assert CampaignConfig.from_dict(config.to_dict()) == config
         # The retired dispatch knobs are init-only: never stored.
@@ -162,8 +160,8 @@ class TestCampaignConfig:
     def test_retired_fields_are_gone(self, field):
         """Fields no caller set became constants or were deleted, and
         ``ingestion`` became a retired init-only argument; the config
-        keeps 22 stored fields."""
-        assert len(dataclasses.fields(CampaignConfig)) == 22
+        keeps 20 stored fields."""
+        assert len(dataclasses.fields(CampaignConfig)) == 20
         assert "ingestion" not in CampaignConfig(budget=1.0).to_dict()
         assert field not in CampaignConfig(budget=1.0).to_dict()
         with pytest.raises(TypeError, match=field):
@@ -310,47 +308,3 @@ class TestLifecycle:
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
         ]
-
-
-class TestWarmCacheShipping:
-    def test_export_import_round_trip(self, tmp_path):
-        path = tmp_path / "warm.json"
-        donor = make_campaign()
-        donor.run()
-        exported = donor.export_cache(path)
-        assert exported > 0
-
-        cold = make_campaign(seed=6)
-        warmed = cold.import_cache(path)
-        assert warmed == exported
-        cold.run()
-        # A warmed campaign must never *miss* on a shipped entry: its
-        # miss count is bounded by the cold run's.
-        reference = make_campaign(seed=6)
-        reference.run()
-        assert (
-            cold.metrics.cache_stats.misses
-            <= reference.metrics.cache_stats.misses
-        )
-
-    def test_sharded_export_merges_shard_caches(self, tmp_path):
-        path = tmp_path / "warm.json"
-        campaign = make_campaign(num_shards=4)
-        campaign.run()
-        merged = campaign.export_cache(path)
-        per_shard = [
-            shard.cache.stats.entries
-            for shard in campaign.engine.scheduler.shards
-        ]
-        assert merged <= sum(per_shard)
-        assert merged >= max(per_shard)
-
-    def test_import_into_sharded_campaign_warms_every_shard(self, tmp_path):
-        path = tmp_path / "warm.json"
-        donor = make_campaign()
-        donor.run()
-        donor.export_cache(path)
-        target = make_campaign(num_shards=2, seed=8)
-        target.import_cache(path)
-        for shard in target.engine.scheduler.shards:
-            assert shard.cache.stats.entries > 0

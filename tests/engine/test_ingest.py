@@ -378,24 +378,18 @@ def test_foreign_thread_submit_during_serve_raises_and_changes_nothing():
 
 
 @pytest.mark.parametrize(
-    "call", ["run", "fold_intake", "checkpoint", "import_cache"]
+    "call", ["run", "fold_intake", "checkpoint", "vote"]
 )
 def test_foreign_thread_driving_during_serve_raises_and_changes_nothing(
-    call, tmp_path
+    call
 ):
     """While an external-vote serve() runs, only its own thread may step
     or write the campaign: ``run()``, ``fold_intake()``, ``checkpoint()``
-    and ``import_cache()`` from another thread raise ``RuntimeError``
+    and ``vote()`` from another thread raise ``RuntimeError``
     and leave the metrics, the event queue, the task ids, the JQ
     caches, the backend and the ``/metrics`` text as they were.  The
     loop thread waits in a job for the foreign call, so nothing else
     moves while it is checked."""
-    warm = make_campaign()
-    warm.submit(tasks(20))
-    warm.run()
-    cache_file = tmp_path / "warm.json"
-    assert warm.export_cache(cache_file) > 0
-
     campaign = make_campaign(
         num_tasks=10, telemetry="on", vote_source="external"
     )
@@ -405,7 +399,7 @@ def test_foreign_thread_driving_during_serve_raises_and_changes_nothing(
         "run": campaign.run,
         "fold_intake": campaign.fold_intake,
         "checkpoint": campaign.checkpoint,
-        "import_cache": lambda: campaign.import_cache(cache_file),
+        "vote": lambda: campaign.vote("t0", "w0", 1),
     }
     errors, checked = [], []
     stop = threading.Event()

@@ -11,6 +11,7 @@ fingerprint-identical to an uninterrupted run.
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.engine import (
     EngineTask,
     JQCache,
     MemoryBackend,
+    SQLiteBackend,
 )
 from repro.engine import scheduler as scheduler_module
 from repro.engine.metrics import TaskRecord
@@ -45,6 +47,8 @@ RETIRED_DEFAULTS = {
     "trace_path": None,
     "ingestion": "sync",
     "ingest_producer_quota": 0.0,
+    "quantization": "auto",
+    "cache_max_entries": None,
 }
 
 
@@ -78,16 +82,16 @@ def make_campaign(backend=None, seed=5, num_tasks=120, **overrides):
 
 class TestKernelToggle:
     @pytest.mark.parametrize("num_shards", [1, 3])
-    @pytest.mark.parametrize("quantization", ["auto", None])
+    @pytest.mark.parametrize("num_buckets", [50, 10])
     def test_fingerprint_identical_across_kernel_toggle(
-        self, num_shards, quantization, monkeypatch
+        self, num_shards, num_buckets, monkeypatch
     ):
         """Re-estimation every 25 tasks churns the frontier memos, so
         both paths rebuild frontiers constantly — and must agree on
         every decision and every cache counter.  The scalar oracle is
         swapped in under the scheduler's own frontier builder."""
         batch = make_campaign(
-            num_shards=num_shards, quantization=quantization
+            num_shards=num_shards, num_buckets=num_buckets
         ).run()
 
         batch_frontier = scheduler_module.exact_frontier
@@ -101,7 +105,7 @@ class TestKernelToggle:
             scheduler_module, "exact_frontier", scalar_frontier
         )
         scalar = make_campaign(
-            num_shards=num_shards, quantization=quantization
+            num_shards=num_shards, num_buckets=num_buckets
         ).run()
         assert calls and set(calls) == {"batch"}
         assert batch.fingerprint() == scalar.fingerprint()
@@ -162,6 +166,54 @@ class TestFrontierMemoLRU:
         restored = self._scheduler()
         restored.load_state(state)
         assert list(restored._frontier_memo) == list(scheduler._frontier_memo)
+
+
+class TestFrontierMemoKeys:
+    """Memo keys snap qualities through the JQ cache's one grid; they
+    must equal the ``round(q * grid) / grid`` keys earlier code built
+    and stored in checkpoints."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_keys_equal_the_round_formula_on_seeded_campaigns(
+        self, num_shards, monkeypatch
+    ):
+        built = set()
+        candidate_pool = CampaignScheduler._candidate_pool
+
+        def recording(scheduler):
+            pool = candidate_pool(scheduler)
+            built.add(tuple(
+                (w.worker_id, round(w.quality * 200) / 200, w.cost)
+                for w in pool
+            ))
+            return pool
+
+        monkeypatch.setattr(CampaignScheduler, "_candidate_pool", recording)
+        campaign = make_campaign(num_shards=num_shards)
+        campaign.run()
+        keys = {
+            key
+            for shard in campaign.engine.scheduler.shards
+            for key in shard.scheduler._frontier_memo
+        }
+        assert keys and keys <= built
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_fixture_keys_sit_on_the_cache_grid(self, version, tmp_path):
+        path = tmp_path / "fixture.db"
+        shutil.copyfile(FIXTURES / f"v{version}_checkpoint.db", path)
+        resumed = Campaign.resume(SQLiteBackend(path))
+        shards = resumed.engine.scheduler.shards
+        keys = [
+            (shard.cache, key)
+            for shard in shards
+            for key in shard.scheduler._frontier_memo
+        ]
+        assert keys
+        for cache, key in keys:
+            qualities = [quality for _, quality, _ in key]
+            assert cache.snap(qualities) == qualities
+        resumed.close()
 
 
 class TestScheduledCheckpoints:
@@ -275,6 +327,9 @@ class TestRetiredConfigFields:
         ("vote_latency", 2.0),
         ("rebalance_threshold", 0.1),
         ("rebalance_max_moves", 0),
+        ("quantization", None),
+        ("quantization", 200),
+        ("cache_max_entries", 40),
     ])
     def test_retired_decision_field_off_its_constant_refuses_to_resume(
         self, field, value
@@ -352,19 +407,14 @@ class TestPausedReportGauges:
 class TestCacheBatchReplay:
     """JQCache.jq_batch / jq_all_subsets must evolve the store exactly
     like the equivalent sequence of scalar jq() calls — same values,
-    same hit/miss/eviction counters, same LRU order."""
+    same hit/miss counters, same snapped keys in the same order."""
 
     def _twin_caches(self, **kwargs):
         return JQCache(**kwargs), JQCache(**kwargs)
 
     def test_jq_batch_matches_scalar_sequence(self, rng=None):
         rng = np.random.default_rng(17)
-        batch_cache, scalar_cache = self._twin_caches(
-            alpha=0.3, quantization=200, max_entries=8
-        )
-        # Small LRU bound on purpose: replay-inserted keys get evicted
-        # and re-missed within one batch, exercising the fallback that
-        # recomputes a value scalar-side.
+        batch_cache, scalar_cache = self._twin_caches(alpha=0.3)
         rows = [
             rng.random(int(rng.integers(0, 15)))
             for _ in range(60)
@@ -380,22 +430,19 @@ class TestCacheBatchReplay:
 
     def test_jq_all_subsets_matches_scalar_sequence(self):
         rng = np.random.default_rng(23)
-        for quantization in (None, 200):
-            batch_cache, scalar_cache = self._twin_caches(
-                quantization=quantization, max_entries=500
-            )
-            qualities = rng.random(7)
-            table = batch_cache.jq_all_subsets(qualities)
-            n = qualities.size
-            for mask in range(1, 1 << n):
-                members = [i for i in range(n) if mask >> i & 1]
-                assert float(table[mask]) == scalar_cache.jq(
-                    qualities[members]
-                ), (quantization, mask)
-            assert batch_cache.stats == scalar_cache.stats
-            assert list(batch_cache._store.items()) == list(
-                scalar_cache._store.items()
-            )
+        batch_cache, scalar_cache = self._twin_caches()
+        qualities = rng.random(7)
+        table = batch_cache.jq_all_subsets(qualities)
+        n = qualities.size
+        for mask in range(1, 1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            assert float(table[mask]) == scalar_cache.jq(
+                qualities[members]
+            ), mask
+        assert batch_cache.stats == scalar_cache.stats
+        assert list(batch_cache._store.items()) == list(
+            scalar_cache._store.items()
+        )
 
     def test_cached_objective_chunked_frontier_fallback(self):
         """Pools past the lattice bound route CachedJQObjective through
@@ -406,7 +453,7 @@ class TestCacheBatchReplay:
 
         rng = np.random.default_rng(31)
         pool = generate_pool(SyntheticPoolConfig(num_workers=15), rng)
-        batch_cache, scalar_cache = self._twin_caches(quantization=200)
+        batch_cache, scalar_cache = self._twin_caches()
         batch = exact_frontier(
             pool, CachedJQObjective(batch_cache),
             implementation="batch", max_pool=15,

@@ -217,8 +217,8 @@ class TestAdmitMechanics:
         funded = [a for a in assignments if a.funded]
         assert funded
         for assignment in funded:
-            assert assignment.predicted_jq == scheduler.cache.jq_jury(
-                assignment.jury
+            assert assignment.predicted_jq == scheduler.cache.jq(
+                assignment.jury.qualities
             )
 
     def test_validation(self, pool):

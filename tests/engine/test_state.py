@@ -73,8 +73,9 @@ class TestSpendAndHistory:
         registry.record_vote("a", "t1", 1)
         registry.record_vote("b", "t1", 0)
         registry.resolve("t1", 1)
-        assert registry.state("a").observed_accuracy == 1.0
-        assert registry.state("b").observed_accuracy == 0.0
+        a, b = registry.state("a"), registry.state("b")
+        assert (a.agreements, a.resolved_votes) == (1.0, 1)
+        assert (b.agreements, b.resolved_votes) == (0.0, 1)
 
 
 class TestReestimation:

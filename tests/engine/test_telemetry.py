@@ -155,14 +155,6 @@ class TestHub:
         assert hist["name"] == "admit_seconds"
         assert hist["count"] == 1
 
-    def test_timer_records_histogram_only(self):
-        hub = Telemetry()
-        with hub.timer("drain"):
-            pass
-        assert hub.completed_spans() == []
-        (hist,) = hub.snapshot()["histograms"]
-        assert hist["name"] == "drain_seconds"
-
     def test_event_ring_is_bounded(self):
         hub = Telemetry(trace_capacity=16)
         for i in range(50):
@@ -234,7 +226,7 @@ class TestNullTelemetry:
         hub.event("vote", task="t1")
         hub.add_collector(lambda: [("a", {}, 1)])
         with hub.span("admit"):
-            with hub.timer("drain"):
+            with hub.span("drain"):
                 pass
         assert hub.snapshot() == {"enabled": False}
         assert hub.trace_events() == []
@@ -435,6 +427,20 @@ class TestCampaignIntegration:
             assert labels == [{}]
         else:
             assert sorted(l["shard"] for l in labels) == ["0", "1"]
+
+    def test_cache_gauges_are_the_memo_counters(self):
+        """A JQ cache only appends, so it exports hits, misses, entries
+        and the hit rate, and nothing about evictions."""
+        campaign = make_campaign(7, 1, telemetry="on")
+        campaign.run()
+        names = {
+            r["name"]
+            for r in campaign.telemetry.snapshot()["gauges"]
+            if r["name"].startswith("cache.")
+        }
+        assert names == {
+            "cache.hits", "cache.misses", "cache.entries", "cache.hit_rate"
+        }
 
     @pytest.mark.parametrize("backend_kind", ["memory", "sqlite"])
     def test_telemetry_survives_checkpoint_resume(
